@@ -34,6 +34,7 @@ from .functionals import (
     check_condition_one,
     functional_norm,
     integral_load,
+    load_rows,
     point_load,
 )
 from .kernel_ops import (

@@ -189,10 +189,7 @@ def cmd_analyze(args) -> int:
         )
     if classification.is_irregular_identity:
         coeff_mats = load_system.taylor_A(problem, iterated, numerics.truncation)
-        mags = [float(np.max(np.abs(m))) for m in coeff_mats]
-        scale = max(mags) if mags else 0.0
-        threshold = solver.POLE_COEFF_TOL * (1.0 + scale)
-        pole = next((m for m, mag in enumerate(mags, start=1) if mag > threshold), None)
+        pole, _ = solver.pole_order(coeff_mats)
         if pole is None:
             _emit(
                 f"pole order: none (load coupling vanishes up to depth {numerics.truncation})",

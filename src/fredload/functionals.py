@@ -7,7 +7,9 @@ A load has the form
 
 Each integral term carries its own quadrature sub-rule because [a_i, b_i]
 generally does not line up with the master grid; grid functions are
-evaluated off-node by barycentric interpolation.
+evaluated off-node by barycentric interpolation. On a master grid every
+load is therefore one row v of grid weights with <gamma, x> ~ v @ x(nodes),
+and the n loads of a problem stack into the n x N load-row matrix V.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Union
 import numpy as np
 
 from .expr import Expr, evaluate
-from .quadrature import GridFunction, QuadratureRule, gauss_legendre, interpolate
+from .quadrature import GridFunction, QuadratureRule, gauss_legendre, interp_matrix
 
 if TYPE_CHECKING:
     from .kernel_ops import DiscreteKernel
@@ -32,6 +34,8 @@ __all__ = [
     "integral_load",
     "apply",
     "apply_to_kernel_slices",
+    "load_row",
+    "load_rows",
     "check_condition_one",
     "ConditionReport",
     "functional_norm",
@@ -75,14 +79,6 @@ class Functional:
         if not self.point_terms and not self.integral_terms:
             raise ValueError("a load needs at least one point or integral term")
 
-    def describe(self) -> str:
-        parts = [f"{p.alpha:g} @ {p.t0:g}" for p in self.point_terms]
-        parts += [
-            f"{term.weight.text.strip()} on [{term.lower:g}, {term.upper:g}]"
-            for term in self.integral_terms
-        ]
-        return " + ".join(parts)
-
 
 def point_load(t0: float, alpha: float = 1.0) -> Functional:
     """The local load x -> alpha * x(t0)."""
@@ -95,36 +91,53 @@ def integral_load(lower: float, upper: float, weight: Expr, nodes: int = 64) -> 
     return Functional(point_terms=(), integral_terms=(term,))
 
 
-def _as_evaluator(x) -> Callable[[float], float]:
+def _values_at(x, ts: np.ndarray) -> np.ndarray:
+    """x at the points ts: expressions in one vectorized evaluation, grid
+    functions by one interpolation matrix, other callables point by point."""
     if isinstance(x, GridFunction):
-        return lambda t: interpolate(x, t)
+        return interp_matrix(x.rule, ts) @ x.values
     if isinstance(x, Expr):
-        return lambda t: evaluate(x, {"t": t})
-    return x
+        return np.broadcast_to(evaluate(x, {"t": ts}), ts.shape)
+    return np.asarray([x(t) for t in ts], dtype=float)
 
 
-def apply(gamma: Functional, x: Union[Callable[[float], float], GridFunction]) -> float:
+def apply(gamma: Functional, x: Union[Callable[[float], float], GridFunction, Expr]) -> float:
     """Apply the load to x; grid functions are interpolated off-node."""
-    xf = _as_evaluator(x)
     total = 0.0
     for p in gamma.point_terms:
-        total += p.alpha * xf(p.t0)
+        total += p.alpha * float(_values_at(x, np.array([p.t0]))[0])
     for term in gamma.integral_terms:
         snodes = term.rule.nodes
         m_vals = evaluate(term.weight, {"s": snodes})
-        x_vals = np.asarray([xf(s) for s in snodes], dtype=float)
-        total += float(np.dot(term.rule.weights, np.multiply(m_vals, x_vals)))
+        total += float(np.dot(term.rule.weights, np.multiply(m_vals, _values_at(x, snodes))))
     return total
+
+
+def load_row(gamma: Functional, rule: QuadratureRule) -> np.ndarray:
+    """Grid weights v with <gamma, x> ~ v @ x(nodes) for grid functions:
+    point values and sub-rule nodes interpolated in one matrix."""
+    ts = [np.array([p.t0 for p in gamma.point_terms])]
+    coeffs = [np.array([p.alpha for p in gamma.point_terms])]
+    for term in gamma.integral_terms:
+        ts.append(term.rule.nodes)
+        coeffs.append(term.rule.weights * evaluate(term.weight, {"s": term.rule.nodes}))
+    return np.concatenate(coeffs) @ interp_matrix(rule, np.concatenate(ts))
+
+
+def load_rows(problem: "ProblemSpec", rule: QuadratureRule) -> np.ndarray:
+    """The n x N matrix V whose row k is load_row(gamma_k, rule), built
+    once per (problem, rule) and returned read-only."""
+    rows = problem._load_rows.get(rule)
+    if rows is None:
+        rows = np.vstack([load_row(load.functional, rule) for load in problem.loads])
+        rows.setflags(write=False)
+        problem._load_rows[rule] = rows
+    return rows
 
 
 def apply_to_kernel_slices(gamma: Functional, kernel: "DiscreteKernel") -> GridFunction:
     """The grid function s |-> <gamma, K(., s)> over the master s-nodes."""
-    rule = kernel.rule
-    out = np.empty(rule.n)
-    for j in range(rule.n):
-        column = GridFunction(rule, kernel.values[:, j])
-        out[j] = apply(gamma, column)
-    return GridFunction(rule, out)
+    return GridFunction(kernel.rule, load_row(gamma, kernel.rule) @ kernel.values)
 
 
 @dataclass(frozen=True)
@@ -141,16 +154,12 @@ def check_condition_one(
     problem: "ProblemSpec", kernel: "DiscreteKernel", tol: float = 1e-10
 ) -> list[ConditionReport]:
     """Check, for each load, max_s |<gamma_k, K(., s)>| <= tol * (1 + max|K|)."""
-    scale = 1.0 + float(np.max(np.abs(kernel.values))) if kernel.values.size else 1.0
-    threshold = tol * scale
-    reports = []
-    for load in problem.loads:
-        slice_values = apply_to_kernel_slices(load.functional, kernel).values
-        deviation = float(np.max(np.abs(slice_values))) if slice_values.size else 0.0
-        reports.append(
-            ConditionReport(holds=deviation <= threshold, deviation=deviation, tol_used=threshold)
-        )
-    return reports
+    threshold = tol * (1.0 + float(np.max(np.abs(kernel.values))))
+    slices = load_rows(problem, kernel.rule) @ kernel.values
+    return [
+        ConditionReport(holds=deviation <= threshold, deviation=deviation, tol_used=threshold)
+        for deviation in np.max(np.abs(slices), axis=1).tolist()
+    ]
 
 
 def functional_norm(gamma: Functional) -> float:

@@ -4,8 +4,9 @@ Everything here works on the Nystrom discretization: an N x N sample of
 the kernel on the master rule, with the diagonal weight matrix W turning
 matrix products into quadrature approximations of operator composition.
 The resolvent G(t,s,lambda) of (I - lambda K)^{-1} = I + lambda * G[.] is
-obtained by a dense solve per lambda; the determinant of the discretized
-operator stands in for the Fredholm denominator when locating
+obtained by a dense solve per lambda; the routes need only its images
+lambda * G W y, one solve with those right-hand sides. The determinant of
+the discretized operator stands in for the Fredholm denominator when locating
 characteristic numbers.
 """
 
@@ -31,6 +32,7 @@ __all__ = [
     "operator_norm",
     "resolvent",
     "resolvent_apply",
+    "resolvent_images",
     "find_characteristic_numbers",
     "det_magnitude",
     "DET_PROXIMITY_TOL",
@@ -177,6 +179,14 @@ def resolvent_apply(kernel: DiscreteKernel, lam: float, g: GridFunction) -> Grid
     system, _, _ = _slogdet_or_raise(kernel, lam)
     y = np.linalg.solve(system, g.values)
     return GridFunction(kernel.rule, y)
+
+
+def resolvent_images(kernel: DiscreteKernel, lam: float, columns: np.ndarray) -> np.ndarray:
+    """lambda * G W y for each column y of an N x m block, by one solve of
+    (I - lambda K W) Z = lambda K W Y."""
+    system, _, _ = _slogdet_or_raise(kernel, lam)
+    weighted = kernel.rule.weights[:, None] * columns
+    return np.linalg.solve(system, lam * (kernel.values @ weighted))
 
 
 def _det_sign_log(kernel: DiscreteKernel, lam: float) -> tuple[float, float]:

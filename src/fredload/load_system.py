@@ -9,7 +9,9 @@ c_k = <gamma_k, x>. Two systems appear:
 with A0[i,k] = <gamma_i, a_k>, f_gamma[i] = <gamma_i, f>,
 A(lambda)[i,k] = <gamma_i, lambda * (G W a_k)(t)> and
 b(lambda)[i] = <gamma_i, f> + <gamma_i, lambda * (G W f)(t)>, where G is
-the resolvent kernel on the grid. The lambda factor is kept inside A so
+the resolvent kernel on the grid. With the load rows V (functionals.load_rows)
+both come from Z = lambda G W [a | f] without forming G: A(lambda) = V Z_a
+and b(lambda) = f_gamma + V Z_f. The lambda factor is kept inside A so
 that A(0) = 0 exactly and the Taylor expansion of A starts at lambda^1
 with coefficient matrices A_m[i,k] = <gamma_i, (K_m W a_k)(t)> built from
 the iterated kernels.
@@ -23,9 +25,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import functionals
-from .kernel_ops import DiscreteKernel, IteratedKernels, resolvent
+from .kernel_ops import DiscreteKernel, IteratedKernels, resolvent_images
 from .problem import Load, ProblemSpec
-from .quadrature import GridFunction
 
 __all__ = [
     "ProblemSpec",
@@ -37,6 +38,7 @@ __all__ = [
     "NonUnique",
     "assemble_A0",
     "assemble_f_gamma",
+    "assemble_lambda_system",
     "build_load_system",
     "solve_zero_order_system",
     "A_lambda",
@@ -64,70 +66,53 @@ def assemble_f_gamma(problem: ProblemSpec) -> np.ndarray:
     )
 
 
-def _apply_loads_to_grid(problem: ProblemSpec, grid: GridFunction) -> np.ndarray:
-    return np.asarray(
-        [functionals.apply(load.functional, grid) for load in problem.loads]
-    )
+def assemble_lambda_system(
+    problem: ProblemSpec, kernel: DiscreteKernel, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A(lambda), b(lambda), Y) from one solve of (I - lambda K W) Z =
+    lambda K W [a | f] with n + 1 right-hand sides: A(lambda) = V Z_a,
+    b(lambda) = f_gamma + V Z_f, and Y = [a | f] + Z rebuilds the solution
+    as x = Y_a x_gamma + Y_f = u + lambda G W u for u = f + a x_gamma."""
+    rule = kernel.rule
+    columns = np.column_stack([problem.coeff_values(rule), problem.source_values(rule)])
+    images = resolvent_images(kernel, lam, columns)
+    coupled = functionals.load_rows(problem, rule) @ images
+    return coupled[:, :-1], assemble_f_gamma(problem) + coupled[:, -1], columns + images
 
 
 def A_lambda(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> np.ndarray:
     """A(lambda)[i, k] = <gamma_i, lambda * (G W a_k)(t)>."""
-    n = problem.n
-    if lam == 0.0:
-        return np.zeros((n, n))
-    gamma = resolvent(kernel, lam).gamma
-    coeffs = problem.coeff_values(kernel.rule)
-    weighted = kernel.rule.weights[:, None] * coeffs
-    images = lam * (gamma @ weighted)
-    out = np.empty((n, n))
-    for k in range(n):
-        col = GridFunction(kernel.rule, images[:, k])
-        out[:, k] = _apply_loads_to_grid(problem, col)
-    return out
+    return assemble_lambda_system(problem, kernel, lam)[0]
 
 
 def b_lambda(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> np.ndarray:
     """b(lambda)[i] = <gamma_i, f> + <gamma_i, lambda * (G W f)(t)>."""
-    base = assemble_f_gamma(problem)
-    if lam == 0.0:
-        return base
-    gamma = resolvent(kernel, lam).gamma
-    f_vals = problem.source_values(kernel.rule)
-    image = lam * (gamma @ (kernel.rule.weights * f_vals))
-    return base + _apply_loads_to_grid(problem, GridFunction(kernel.rule, image))
+    return assemble_lambda_system(problem, kernel, lam)[1]
+
+
+def _taylor_images(
+    problem: ProblemSpec, iterated: IteratedKernels, depth: int, columns: np.ndarray
+) -> list[np.ndarray]:
+    """V K_m W Y for m = 1..depth and an N x k block Y of grid columns."""
+    if depth > iterated.depth:
+        raise ValueError(f"requested depth {depth} exceeds computed depth {iterated.depth}")
+    rule = iterated.rule
+    rows = functionals.load_rows(problem, rule)
+    weighted = rule.weights[:, None] * columns
+    return [rows @ (iterated.kernel(m) @ weighted) for m in range(1, depth + 1)]
 
 
 def taylor_A(problem: ProblemSpec, iterated: IteratedKernels, depth: int) -> list[np.ndarray]:
     """Coefficients A_1..A_depth of A(lambda) = sum_m lambda^m A_m,
     A_m[i, k] = <gamma_i, (K_m W a_k)(t)>."""
-    if depth > iterated.depth:
-        raise ValueError(f"requested depth {depth} exceeds computed depth {iterated.depth}")
-    rule = iterated.rule
-    coeffs = problem.coeff_values(rule)
-    weighted = rule.weights[:, None] * coeffs
-    n = problem.n
-    out = []
-    for m in range(1, depth + 1):
-        images = iterated.kernel(m) @ weighted
-        a_m = np.empty((n, n))
-        for k in range(n):
-            a_m[:, k] = _apply_loads_to_grid(problem, GridFunction(rule, images[:, k]))
-        out.append(a_m)
-    return out
+    return _taylor_images(problem, iterated, depth, problem.coeff_values(iterated.rule))
 
 
 def taylor_b(problem: ProblemSpec, iterated: IteratedKernels, depth: int) -> list[np.ndarray]:
     """Coefficients b_1..b_depth of b(lambda) - f_gamma = sum_m lambda^m b_m,
     b_m[i] = <gamma_i, (K_m W f)(t)>."""
-    if depth > iterated.depth:
-        raise ValueError(f"requested depth {depth} exceeds computed depth {iterated.depth}")
-    rule = iterated.rule
-    weighted_f = rule.weights * problem.source_values(rule)
-    out = []
-    for m in range(1, depth + 1):
-        image = iterated.kernel(m) @ weighted_f
-        out.append(_apply_loads_to_grid(problem, GridFunction(rule, image)))
-    return out
+    f_column = problem.source_values(iterated.rule)[:, None]
+    return [b_m[:, 0] for b_m in _taylor_images(problem, iterated, depth, f_column)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,16 +1,18 @@
 """Brute-force oracle: one dense linear system for the whole equation.
 
 The equation is discretized directly on the master grid with no load
-reduction, no resolvent and no n x n system: each load becomes a row of
-grid weights (interpolation row for point terms, sub-rule quadrature
+reduction, no resolvent and no n x n system: each load becomes a row v_k
+of grid weights (interpolation row for point terms, sub-rule quadrature
 pushed through interpolation for integral terms), and
 
     M[i, j] = delta_ij - sum_k a_k(t_i) v_k[j] - lambda w_j K(t_i, s_j)
 
 is solved by LU. Deliberately shares only the expression evaluator and
-the quadrature/interpolation machinery with the main pipeline, so
-agreement between the two is meaningful evidence; classification of the
-load matrix is reused as labeling metadata only.
+the quadrature/interpolation machinery with the main pipeline, which
+includes the load-row matrix V = (v_k) of `functionals.load_rows`; the
+dense assembly and solve are the oracle's own, so agreement between the
+two is meaningful evidence. Classification of the load matrix is reused
+as labeling metadata only.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularLoadSystemError
-from .expr import evaluate
-from .functionals import Functional
+from .functionals import Functional, load_row, load_rows
 from .kernel_ops import DiscreteKernel
 from .load_system import classify
 from .problem import ProblemSpec
-from .quadrature import GridFunction, QuadratureRule, interp_weights
+from .quadrature import GridFunction, QuadratureRule
 from .solver import Solution
 
 __all__ = ["DenseSystem", "gamma_weights", "assemble_dense", "dense_solve"]
@@ -40,30 +41,17 @@ class DenseSystem:
 
 def gamma_weights(gamma: Functional, rule: QuadratureRule) -> np.ndarray:
     """Grid weights v with <gamma, x> ~ v @ x(nodes) for grid functions."""
-    v = np.zeros(rule.n)
-    for p in gamma.point_terms:
-        v += p.alpha * interp_weights(rule, p.t0)
-    for term in gamma.integral_terms:
-        snodes = term.rule.nodes
-        m_vals = np.broadcast_to(
-            np.asarray(evaluate(term.weight, {"s": snodes}), dtype=float),
-            (term.rule.n,),
-        )
-        rows = np.vstack([interp_weights(rule, s) for s in snodes])
-        v += (term.rule.weights * m_vals) @ rows
-    return v
+    return load_row(gamma, rule)
 
 
 def assemble_dense(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> DenseSystem:
     rule = kernel.rule
     n_nodes = rule.n
-    load_rows = np.vstack(
-        [gamma_weights(load.functional, rule) for load in problem.loads]
-    )
+    rows = load_rows(problem, rule)
     coeffs = problem.coeff_values(rule)
-    matrix = np.eye(n_nodes) - coeffs @ load_rows - lam * (kernel.values * rule.weights)
+    matrix = np.eye(n_nodes) - coeffs @ rows - lam * (kernel.values * rule.weights)
     rhs = problem.source_values(rule)
-    return DenseSystem(matrix=matrix, rhs=rhs, load_rows=load_rows)
+    return DenseSystem(matrix=matrix, rhs=rhs, load_rows=rows)
 
 
 def dense_solve(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Solution:

@@ -10,7 +10,7 @@ time; everything else lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,7 @@ class ProblemSpec:
     kernel: Expr
     source: Expr
     loads: tuple[Load, ...]
+    _load_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads", tuple(self.loads))

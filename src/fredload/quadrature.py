@@ -9,6 +9,7 @@ package's definition of "x(t) between nodes".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -24,6 +25,7 @@ __all__ = [
     "integrate",
     "interpolate",
     "interp_weights",
+    "interp_matrix",
 ]
 
 _NEWTON_TOL = 1e-15
@@ -95,10 +97,10 @@ class GridFunction:
         return interpolate(self, t)
 
 
+@functools.lru_cache(maxsize=None)
 def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of P_m and Gauss weights on [-1, 1] via Newton iteration."""
-    if m == 1:
-        return np.array([0.0]), np.array([2.0])
+    """Roots of P_m and Gauss weights on [-1, 1] via Newton iteration,
+    computed once per node count and returned read-only."""
     k = np.arange(m)
     x = np.cos(np.pi * (k + 0.75) / (m + 0.5))
     for _ in range(100):
@@ -118,7 +120,9 @@ def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     dp = m * (x * p - p_prev) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
-    return x[order], w[order]
+    x, w = x[order], w[order]
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
@@ -168,23 +172,26 @@ def integrate(rule: QuadratureRule, f: Union[Callable[[float], float], GridFunct
     return float(np.dot(rule.weights, values))
 
 
-def interp_weights(rule: QuadratureRule, t: float) -> np.ndarray:
-    """Row vector L with L @ values = interpolated value at t.
-
-    Barycentric second form; exact node hits return a unit row.
-    """
-    if t < rule.a or t > rule.b:
+def interp_matrix(rule: QuadratureRule, ts) -> np.ndarray:
+    """Matrix L with L @ values = interpolated values at the points ts:
+    barycentric second form, unit rows for exact node hits."""
+    ts = np.asarray(ts, dtype=float)
+    outside = (ts < rule.a) | (ts > rule.b)
+    if np.any(outside):
+        t = float(ts[outside][0])
         raise ValueError(f"t={t!r} outside the interval [{rule.a!r}, {rule.b!r}]")
-    x = rule.nodes
-    row = np.zeros(rule.n)
-    hit = np.nonzero(x == t)[0]
-    if hit.size:
-        row[hit[0]] = 1.0
-        return row
-    w = rule.barycentric_weights()
-    ratios = w / (t - x)
-    row = ratios / np.sum(ratios)
-    return row
+    diff = ts[:, None] - rule.nodes
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    ratios = rule.barycentric_weights() / diff
+    on_node = np.any(hit, axis=1)
+    ratios[on_node] = hit[on_node]
+    return ratios / np.sum(ratios, axis=1, keepdims=True)
+
+
+def interp_weights(rule: QuadratureRule, t: float) -> np.ndarray:
+    """Row vector L with L @ values = interpolated value at t."""
+    return interp_matrix(rule, [t])[0]
 
 
 def interpolate(g: GridFunction, t: float) -> float:

@@ -3,8 +3,8 @@
 Four constructive paths produce x(t, lambda) on the master grid:
 
   regular     direct solve of the n x n load system at one lambda, then
-              reconstruction through the resolvent (valid while
-              det(E - A0) != 0 and lambda avoids characteristic numbers);
+              reconstruction, both from one factorization of I - lambda K W
+              (valid while det(E - A0) != 0, away from characteristic numbers);
   successive  fixed-point iteration x_n = (I-L)^{-1}(lambda K x_{n-1} + f),
               geometric convergence for |lambda| <= q / l;
   nilpotent   finite polynomial in lambda when the iterated kernels
@@ -41,7 +41,6 @@ from .kernel_ops import (
     iterate_kernels,
     nilpotency_index,
     operator_norm,
-    resolvent_apply,
 )
 from .load_system import (
     A_lambda,
@@ -52,6 +51,7 @@ from .load_system import (
     UniqueLoads,
     assemble_A0,
     assemble_f_gamma,
+    assemble_lambda_system,
     b_lambda,
     classify,
     solve_zero_order_system,
@@ -70,6 +70,7 @@ __all__ = [
     "residual",
     "successive_bound",
     "regular_radius",
+    "pole_order",
 ]
 
 DEFAULT_TRUNCATION = 30
@@ -105,9 +106,7 @@ class Solution:
 
 
 def _recomputed_loads(problem: ProblemSpec, x: GridFunction) -> np.ndarray:
-    return np.asarray(
-        [functionals.apply(load.functional, x) for load in problem.loads]
-    )
+    return functionals.load_rows(problem, x.rule) @ x.values
 
 
 def _defect(problem: ProblemSpec, kernel: DiscreteKernel, lam: float, x: GridFunction) -> float:
@@ -127,17 +126,6 @@ def residual(problem: ProblemSpec, solution: Solution) -> float:
     return _defect(problem, kernel, solution.lam, solution.x)
 
 
-def _reconstruct(
-    problem: ProblemSpec, kernel: DiscreteKernel, lam: float, x_gamma: np.ndarray
-) -> GridFunction:
-    """x = u + lambda * G W u for u = f + sum_k a_k * x_gamma[k]."""
-    rule = kernel.rule
-    u = problem.source_values(rule) + problem.coeff_values(rule) @ x_gamma
-    if lam == 0.0:
-        return GridFunction(rule, u)
-    return resolvent_apply(kernel, lam, GridFunction(rule, u))
-
-
 def solve_regular(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Solution:
     """Direct route for det(E - A0) != 0: solve the n x n system
     (E - A0 - A(lambda)) x_gamma = b(lambda), then reconstruct x."""
@@ -149,16 +137,15 @@ def solve_regular(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> S
             f"{classification.kind} (det = {classification.det:.3e})"
         )
     n = problem.n
-    a_lam = A_lambda(problem, kernel, lam)
+    a_lam, rhs, basis = assemble_lambda_system(problem, kernel, lam)
     system = np.eye(n) - A0 - a_lam
-    rhs = b_lambda(problem, kernel, lam)
     scale = 1.0 + float(np.max(np.abs(A0))) + float(np.max(np.abs(a_lam)))
     if _nearly_singular(system, scale):
         raise SingularLoadSystemError(
             f"load system E - A0 - A(lambda) is singular at lambda={lam!r}"
         )
     x_gamma = np.linalg.solve(system, rhs)
-    x = _reconstruct(problem, kernel, lam, x_gamma)
+    x = GridFunction(kernel.rule, basis @ np.append(x_gamma, 1.0))
     return Solution(
         lam=lam,
         x=x,
@@ -227,10 +214,10 @@ def solve_successive(
     system = np.eye(n) - A0
     coeffs = problem.coeff_values(rule)
     f_vals = problem.source_values(rule)
+    rows = functionals.load_rows(problem, rule)
 
     def apply_inverse(g: np.ndarray) -> np.ndarray:
-        g_gamma = _recomputed_loads(problem, GridFunction(rule, g))
-        c = np.linalg.solve(system, g_gamma)
+        c = np.linalg.solve(system, rows @ g)
         return g + coeffs @ c
 
     x_prev = np.zeros(rule.n)
@@ -346,6 +333,18 @@ def _contraction_radius(norms: list[float], q_max: float = 0.9) -> float:
     return lo
 
 
+def pole_order(
+    coeff_mats: list[np.ndarray], pole_tol: float = POLE_COEFF_TOL
+) -> tuple[Optional[int], float]:
+    """(p, scale): p is the order of the first Taylor coefficient A_p of
+    the load coupling with max|A_p| > pole_tol * (1 + scale), scale the
+    largest max|A_m|; p is None when every coefficient is negligible."""
+    mags = [float(np.max(np.abs(a))) for a in coeff_mats]
+    scale = max(mags) if mags else 0.0
+    threshold = pole_tol * (1.0 + scale)
+    return next((m for m, mag in enumerate(mags, start=1) if mag > threshold), None), scale
+
+
 def solve_irregular(
     problem: ProblemSpec,
     kernel: DiscreteKernel,
@@ -378,10 +377,7 @@ def solve_irregular(
         raise ValueError(f"truncation must be >= 2, got {truncation}")
     iterated = iterate_kernels(kernel, truncation)
     coeff_mats = taylor_A(problem, iterated, truncation)
-    mags = [float(np.max(np.abs(a))) for a in coeff_mats]
-    scale = max(mags) if mags else 0.0
-    threshold = pole_tol * (1.0 + scale)
-    pole = next((m for m, mag in enumerate(mags, start=1) if mag > threshold), None)
+    pole, scale = pole_order(coeff_mats, pole_tol)
     if pole is None:
         raise RoutePreconditionError(
             "the load coupling A(lambda) vanishes to working precision at "
@@ -416,9 +412,10 @@ def solve_irregular(
             f"(certified radius rho = {rho:.6g})"
         )
     tail_bound = q_at ** (truncation - pole + 1) / (1.0 - q_at)
-    nu = nu_series(lam)
-    x_gamma = nu / lam**pole
-    x = _reconstruct(problem, kernel, lam, x_gamma)
+    # nu_series(lam), with b(lam) from the factorization that also rebuilds x.
+    _, rhs, basis = assemble_lambda_system(problem, kernel, lam)
+    x_gamma = -np.linalg.solve(a_p + b_matrix(lam), rhs) / lam**pole
+    x = GridFunction(kernel.rule, basis @ np.append(x_gamma, 1.0))
     expansion = IrregularExpansion(
         pole_order=pole,
         coefficients=tuple(coeff_mats[pole - 1 :]),
@@ -490,7 +487,8 @@ def solve_auto(
     and a nilpotent kernel gets the exact polynomial route. Otherwise the
     classification of A0 selects the regular or irregular path.
     """
-    iterated = iterate_kernels(kernel, truncation)
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
     reports = functionals.check_condition_one(problem, kernel, condition_tol)
     condition_holds = all(r.holds for r in reports)
     A0 = assemble_A0(problem)
@@ -503,6 +501,7 @@ def solve_auto(
                 "system is inconsistent: the equation has no solution in "
                 "the class of continuous functions"
             )
+        iterated = iterate_kernels(kernel, truncation)
         pnil = nilpotency_index(iterated, nilpotency_tol)
         if pnil is not None:
             return solve_nilpotent(problem, iterated, pnil, lam, condition_tol)

@@ -1,5 +1,7 @@
 """Command-line interface: commands, CSV output, exit codes."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -323,3 +325,12 @@ def test_usage_error_maps_to_parse_exit_code(write, capsys):
     captured = capsys.readouterr()
     assert err.value.code == 4
     assert "error[parse-error]" in captured.err
+
+
+def test_solve_rejects_zero_truncation(capsys):
+    example = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples" / "loaded_regular.prob"
+    rc = main(["solve", str(example), "--truncation", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "truncation must be >= 1" in captured.err

@@ -118,6 +118,48 @@ def test_condition_check_centered_kernel():
     assert report.holds
 
 
+def _load_cases(rule):
+    sub = lambda lo, hi, m: fl.IntegralTerm(  # noqa: E731
+        lo, hi, fl.parse("1 + s^2", {"s"}), fl.gauss_legendre(m, lo, hi)
+    )
+    return {
+        "point on a node": fl.point_load(float(rule.nodes[7]), alpha=1.5),
+        "point off node": fl.point_load(0.3183, alpha=-0.7),
+        "point at a": fl.point_load(0.0, alpha=2.0),
+        "point at b": fl.point_load(1.0),
+        "integral on [0.2, 0.7]": fl.Functional((), (sub(0.2, 0.7, 40),)),
+        "integral on [0, 0.35]": fl.Functional((), (sub(0.0, 0.35, 17),)),
+        "mixed": fl.Functional((fl.PointTerm(2.0, 0.25),), (sub(0.1, 0.9, 48),)),
+    }
+
+
+@pytest.mark.parametrize("x_text", ["exp(t)", "cos(3*t) + t^2", "1/(1 + t)"])
+def test_load_rows_match_exact_application(x_text):
+    # V @ x(nodes) interpolates x between the master nodes; apply on the
+    # expression evaluates it exactly. For analytic x on 64 Gauss nodes the
+    # interpolation error is at roundoff level.
+    rule = fl.gauss_legendre(64, 0.0, 1.0)
+    cases = _load_cases(rule)
+    problem = make_problem("0", "1", [("1", gamma) for gamma in cases.values()])
+    x = fl.parse(x_text, {"t"})
+    grid = fl.evaluate(x, {"t": rule.nodes})
+    approx = fl.load_rows(problem, rule) @ grid
+    for name, gamma, value in zip(cases, cases.values(), approx):
+        assert value == pytest.approx(fl.apply(gamma, x), abs=1e-13), name
+
+
+def test_load_rows_built_once_per_problem_and_rule():
+    problem = make_problem("0", "1", [("1", fl.point_load(0.4)), ("t", fl.point_load(0.9))])
+    rule = fl.gauss_legendre(32, 0.0, 1.0)
+    rows = fl.load_rows(problem, rule)
+    assert rows.shape == (2, 32)
+    assert fl.load_rows(problem, rule) is rows
+    assert not rows.flags.writeable
+    other = fl.gauss_legendre(32, 0.0, 1.0)
+    assert fl.load_rows(problem, other) is not rows
+    assert np.array_equal(fl.load_rows(problem, other), rows)
+
+
 def test_functional_norm():
     gamma = fl.Functional(
         point_terms=(fl.PointTerm(-2.0, 0.5),),

@@ -8,9 +8,12 @@ import pytest
 from fredload.errors import DomainEvalError
 from fredload.quadrature import (
     GridFunction,
+    _legendre_nodes,
     composite_gauss_legendre,
     gauss_legendre,
     integrate,
+    interp_matrix,
+    interp_weights,
     interpolate,
 )
 
@@ -121,6 +124,49 @@ def test_interpolate_outside_interval():
         interpolate(g, 2.0)
     with pytest.raises(ValueError):
         interpolate(g, -0.1)
+
+
+def _barycentric_row(rule, t):
+    # Scalar reference: second-form barycentric weights for one point.
+    hit = np.nonzero(rule.nodes == t)[0]
+    if hit.size:
+        row = np.zeros(rule.n)
+        row[hit[0]] = 1.0
+        return row
+    ratios = rule.barycentric_weights() / (t - rule.nodes)
+    return ratios / np.sum(ratios)
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 64])
+def test_interp_matrix_rows_equal_scalar_rows(m):
+    rule = gauss_legendre(m, 0.0, 1.0)
+    rng = np.random.default_rng(m)
+    ts = np.concatenate([[0.0, 1.0], rule.nodes[::2], rng.uniform(0.0, 1.0, 15)])
+    matrix = interp_matrix(rule, ts)
+    assert matrix.shape == (ts.size, m)
+    for row, t in zip(matrix, ts):
+        assert np.array_equal(row, _barycentric_row(rule, t))
+        assert np.array_equal(row, interp_weights(rule, t))
+    for i in range(0, m, 2):  # exact node hits are unit rows
+        assert np.array_equal(matrix[2 + i // 2], np.eye(m)[i])
+
+
+def test_interp_matrix_outside_interval():
+    rule = gauss_legendre(6, 0.0, 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        interp_matrix(rule, [0.5, 1.5])
+    with pytest.raises(ValueError, match="outside"):
+        interp_matrix(rule, [-1e-12])
+
+
+def test_reference_nodes_computed_once_and_read_only():
+    # Every rule with 16 nodes, whatever its interval, maps the same cached
+    # [-1, 1] nodes; the cache must hand out arrays nobody can modify.
+    x, w = _legendre_nodes(16)
+    assert _legendre_nodes(16)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    rule = gauss_legendre(16, 2.0, 3.0)
+    assert rule.nodes == pytest.approx(0.5 * x + 2.5, abs=1e-15)
 
 
 def test_integrate_rejects_nonfinite_integrand():

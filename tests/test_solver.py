@@ -1,16 +1,19 @@
 """Solution routes: regular, successive, nilpotent, irregular; residual."""
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
 import fredload as fl
+from fredload import solver as solver_module
 from fredload.errors import (
     NoSolutionError,
     RoutePreconditionError,
     SingularLoadSystemError,
 )
+from fredload.problemfile import load_problem_file
 from util import (
     golden_identity_problem,
     make_problem,
@@ -443,3 +446,51 @@ def test_solve_auto_routes():
     incompatible_kernel = _discretized(incompatible)
     with pytest.raises(NoSolutionError):
         fl.solve_auto(incompatible, incompatible_kernel, 0.3)
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _example(name, nodes=64):
+    problem = load_problem_file(str(EXAMPLES / name)).build(nodes)
+    return problem, fl.discretize(problem.kernel, problem.master_rule(nodes))
+
+
+def test_solve_auto_regular_factors_once_and_skips_iterated_kernels(monkeypatch):
+    # The iterated kernels are read only when the loads annihilate the kernel,
+    # and the regular route gets A(lambda), b(lambda) and x from one
+    # factorization of I - lambda K W.
+    problem, kernel = _example("loaded_regular.prob")
+    iterate_calls = _count_calls(monkeypatch, solver_module, "iterate_kernels")
+    slogdet_calls = _count_calls(monkeypatch, np.linalg, "slogdet")
+    solution = fl.solve_auto(problem, kernel, 0.2)
+    assert solution.route == "regular"
+    assert len(iterate_calls) == 0
+    assert len(slogdet_calls) == 1
+
+
+def test_solve_auto_computes_iterated_kernels_when_loads_annihilate(monkeypatch):
+    problem, kernel = _example("nilpotent.prob")
+    iterate_calls = _count_calls(monkeypatch, solver_module, "iterate_kernels")
+    assert fl.solve_auto(problem, kernel, 10.0).route == "nilpotent"
+    assert len(iterate_calls) == 1
+
+
+def test_solve_auto_rejects_nonpositive_truncation(monkeypatch):
+    problem, kernel = _example("loaded_regular.prob")
+    condition_calls = _count_calls(monkeypatch, solver_module.functionals, "check_condition_one")
+    with pytest.raises(ValueError, match="truncation must be >= 1"):
+        fl.solve_auto(problem, kernel, 0.2, truncation=0)
+    assert condition_calls == []
