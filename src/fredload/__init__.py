@@ -51,7 +51,6 @@ from .kernel_ops import (
 )
 from .load_system import (
     Classification,
-    LoadSystem,
     NonUnique,
     NoSolution,
     UniqueLoads,
@@ -59,18 +58,15 @@ from .load_system import (
     assemble_A0,
     assemble_f_gamma,
     b_lambda,
-    build_load_system,
     classify,
     solve_zero_order_system,
     taylor_A,
-    taylor_b,
 )
 from .oracle import DenseSystem, assemble_dense, dense_solve, gamma_weights
 from .problem import Load, ProblemSpec
 from .quadrature import (
     GridFunction,
     QuadratureRule,
-    composite_gauss_legendre,
     gauss_legendre,
     integrate,
     interp_weights,
@@ -79,7 +75,6 @@ from .quadrature import (
 from .solver import (
     IrregularExpansion,
     Solution,
-    regular_radius,
     residual,
     solve_auto,
     solve_irregular,

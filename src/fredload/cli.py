@@ -15,6 +15,7 @@ precondition failed, 4 parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional
 
@@ -24,7 +25,6 @@ from . import functionals, kernel_ops, load_system, oracle, solver
 from .errors import (
     CharacteristicNumberError,
     ConvergenceError,
-    DomainEvalError,
     ExprSyntaxError,
     FredloadError,
     NoSolutionError,
@@ -48,6 +48,23 @@ EXIT_PARSE = 4
 
 ROUTES = ("auto", "regular", "successive", "nilpotent", "irregular", "oracle")
 
+# (error class, code, exit status), first match wins; `main` prints
+# error[<code>] and `sweep` reports exit-2 and exit-3 outcomes per row.
+_OUTCOMES = (
+    (ProblemFileError, "parse-error", EXIT_PARSE),
+    (ExprSyntaxError, "parse-error", EXIT_PARSE),
+    (NoSolutionError, "no-solution", EXIT_NO_SOLUTION),
+    (CharacteristicNumberError, "characteristic-number", EXIT_ROUTE),
+    (SingularLoadSystemError, "singular-load-system", EXIT_ROUTE),
+    (ConvergenceError, "no-convergence", EXIT_ROUTE),
+    (RoutePreconditionError, "route-precondition", EXIT_ROUTE),
+    (FredloadError, "internal", EXIT_FAILURE),
+)
+
+
+def _outcome(exc: FredloadError) -> tuple[str, int]:
+    return next((code, status) for cls, code, status in _OUTCOMES if isinstance(exc, cls))
+
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
@@ -59,12 +76,6 @@ def _emit(line: str, out) -> None:
 
 def _summary(line: str) -> None:
     print(line, file=sys.stderr)
-
-
-def _print_matrix(name: str, matrix: np.ndarray) -> None:
-    _summary(f"{name}:")
-    for row in np.atleast_2d(matrix):
-        _summary("  [" + ", ".join(_fmt(v) for v in row) + "]")
 
 
 def _dispatch(
@@ -108,16 +119,10 @@ def _dispatch(
 def _setup(args) -> tuple[ProblemSpec, DiscreteKernel, Numerics]:
     parsed = load_problem_file(args.file)
     numerics = parsed.numerics
-    if args.nodes is not None:
-        numerics.nodes = args.nodes
-    if getattr(args, "tol", None) is not None:
-        numerics.tol = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        numerics.max_iter = args.max_iter
-    if getattr(args, "truncation", None) is not None:
-        numerics.truncation = args.truncation
-    if getattr(args, "q", None) is not None:
-        numerics.q = args.q
+    # Every flag's dest is a Numerics field name; a given flag beats the file.
+    for name in (f.name for f in dataclasses.fields(Numerics)):
+        if getattr(args, name, None) is not None:
+            setattr(numerics, name, getattr(args, name))
     try:
         problem = parsed.build(numerics.nodes)
     except ValueError as exc:
@@ -126,9 +131,7 @@ def _setup(args) -> tuple[ProblemSpec, DiscreteKernel, Numerics]:
     return problem, kernel, numerics
 
 
-def _required_lambda(args, numerics: Numerics) -> float:
-    if args.lam is not None:
-        return args.lam
+def _required_lambda(numerics: Numerics) -> float:
     if numerics.lam is not None:
         return numerics.lam
     raise ProblemFileError(
@@ -136,9 +139,8 @@ def _required_lambda(args, numerics: Numerics) -> float:
     )
 
 
-def _required_range(args, numerics: Numerics) -> tuple[float, float]:
-    lam_min = args.lam_min if args.lam_min is not None else numerics.lam_min
-    lam_max = args.lam_max if args.lam_max is not None else numerics.lam_max
+def _required_range(numerics: Numerics) -> tuple[float, float]:
+    lam_min, lam_max = numerics.lam_min, numerics.lam_max
     if lam_min is None or lam_max is None:
         raise ProblemFileError(
             "no lambda range given: pass --lambda-min/--lambda-max or set "
@@ -221,7 +223,7 @@ def _solution_summary(solution: Solution) -> None:
 
 def cmd_solve(args) -> int:
     problem, kernel, numerics = _setup(args)
-    lam = _required_lambda(args, numerics)
+    lam = _required_lambda(numerics)
     solution = _dispatch(problem, kernel, lam, args.route, numerics)
     out = sys.stdout
     _emit("t,x", out)
@@ -233,8 +235,8 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     problem, kernel, numerics = _setup(args)
-    lam_min, lam_max = _required_range(args, numerics)
-    steps = args.steps if args.steps is not None else (numerics.steps or 20)
+    lam_min, lam_max = _required_range(numerics)
+    steps = numerics.steps
     if steps < 2:
         raise ProblemFileError("sweep needs at least 2 steps")
     probes = [problem.a, 0.5 * (problem.a + problem.b), problem.b]
@@ -245,16 +247,10 @@ def cmd_sweep(args) -> int:
         lam = float(lam)
         try:
             solution = _dispatch(problem, kernel, lam, args.route, numerics)
-        except NoSolutionError:
-            _emit(f"{_fmt(lam)},,,,,,unsolvable:no-solution", out)
-            continue
-        except (
-            RoutePreconditionError,
-            CharacteristicNumberError,
-            SingularLoadSystemError,
-            ConvergenceError,
-        ) as exc:
-            code = _error_code(exc)
+        except FredloadError as exc:
+            code, status = _outcome(exc)
+            if status not in (EXIT_NO_SOLUTION, EXIT_ROUTE):
+                raise
             _emit(f"{_fmt(lam)},,,,,,unsolvable:{code}", out)
             continue
         values = [interpolate(solution.x, p) for p in probes]
@@ -270,8 +266,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_find_poles(args) -> int:
     problem, kernel, numerics = _setup(args)
-    lam_min, lam_max = _required_range(args, numerics)
-    scan_points = args.scan_points if args.scan_points is not None else numerics.scan_points
+    lam_min, lam_max = _required_range(numerics)
+    scan_points = numerics.scan_points
     roots = kernel_ops.find_characteristic_numbers(kernel, lam_min, lam_max, scan_points)
     spacing = (lam_max - lam_min) / (scan_points - 1)
     out = sys.stdout
@@ -290,7 +286,7 @@ def cmd_find_poles(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     problem, kernel, numerics = _setup(args)
-    lam = _required_lambda(args, numerics)
+    lam = _required_lambda(numerics)
     route = args.route if args.route != "oracle" else "auto"
     solution = _dispatch(problem, kernel, lam, route, numerics)
     reference = oracle.dense_solve(problem, kernel, lam)
@@ -306,22 +302,6 @@ def cmd_oracle_check(args) -> int:
         )
         return EXIT_FAILURE
     return EXIT_OK
-
-
-def _error_code(exc: Exception) -> str:
-    if isinstance(exc, NoSolutionError):
-        return "no-solution"
-    if isinstance(exc, CharacteristicNumberError):
-        return "characteristic-number"
-    if isinstance(exc, SingularLoadSystemError):
-        return "singular-load-system"
-    if isinstance(exc, ConvergenceError):
-        return "no-convergence"
-    if isinstance(exc, RoutePreconditionError):
-        return "route-precondition"
-    if isinstance(exc, (ProblemFileError, ExprSyntaxError)):
-        return "parse-error"
-    return "internal"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -391,23 +371,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFileError, ExprSyntaxError) as exc:
-        _summary(f"error[parse-error]: {exc}")
-        return EXIT_PARSE
-    except NoSolutionError as exc:
-        _summary(f"error[no-solution]: {exc}")
-        return EXIT_NO_SOLUTION
-    except (
-        RoutePreconditionError,
-        CharacteristicNumberError,
-        SingularLoadSystemError,
-        ConvergenceError,
-    ) as exc:
-        _summary(f"error[{_error_code(exc)}]: {exc}")
-        return EXIT_ROUTE
-    except (DomainEvalError, FredloadError) as exc:
-        _summary(f"error[{_error_code(exc)}]: {exc}")
-        return EXIT_FAILURE
+    except FredloadError as exc:
+        code, status = _outcome(exc)
+        _summary(f"error[{code}]: {exc}")
+        return status
     except Exception as exc:  # last resort: keep the exit-code contract
         _summary(f"error[internal]: {type(exc).__name__}: {exc}")
         return EXIT_FAILURE

@@ -90,13 +90,6 @@ class ResolventData:
     det_sign: float
     det_log: float
 
-    @property
-    def det_value(self) -> float:
-        try:
-            return self.det_sign * math.exp(self.det_log)
-        except OverflowError:
-            return self.det_sign * math.inf
-
 
 def discretize(kernel: Expr, rule: QuadratureRule) -> DiscreteKernel:
     """Sample K(t,s) at all node pairs of the rule."""

@@ -20,7 +20,7 @@ the iterated kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .problem import Load, ProblemSpec
 __all__ = [
     "ProblemSpec",
     "Load",
-    "LoadSystem",
     "Classification",
     "UniqueLoads",
     "NoSolution",
@@ -39,12 +38,10 @@ __all__ = [
     "assemble_A0",
     "assemble_f_gamma",
     "assemble_lambda_system",
-    "build_load_system",
     "solve_zero_order_system",
     "A_lambda",
     "b_lambda",
     "taylor_A",
-    "taylor_b",
     "classify",
 ]
 
@@ -90,52 +87,15 @@ def b_lambda(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> np.nda
     return assemble_lambda_system(problem, kernel, lam)[1]
 
 
-def _taylor_images(
-    problem: ProblemSpec, iterated: IteratedKernels, depth: int, columns: np.ndarray
-) -> list[np.ndarray]:
-    """V K_m W Y for m = 1..depth and an N x k block Y of grid columns."""
+def taylor_A(problem: ProblemSpec, iterated: IteratedKernels, depth: int) -> list[np.ndarray]:
+    """Coefficients A_1..A_depth of A(lambda) = sum_m lambda^m A_m,
+    A_m[i, k] = <gamma_i, (K_m W a_k)(t)>."""
     if depth > iterated.depth:
         raise ValueError(f"requested depth {depth} exceeds computed depth {iterated.depth}")
     rule = iterated.rule
     rows = functionals.load_rows(problem, rule)
-    weighted = rule.weights[:, None] * columns
+    weighted = rule.weights[:, None] * problem.coeff_values(rule)
     return [rows @ (iterated.kernel(m) @ weighted) for m in range(1, depth + 1)]
-
-
-def taylor_A(problem: ProblemSpec, iterated: IteratedKernels, depth: int) -> list[np.ndarray]:
-    """Coefficients A_1..A_depth of A(lambda) = sum_m lambda^m A_m,
-    A_m[i, k] = <gamma_i, (K_m W a_k)(t)>."""
-    return _taylor_images(problem, iterated, depth, problem.coeff_values(iterated.rule))
-
-
-def taylor_b(problem: ProblemSpec, iterated: IteratedKernels, depth: int) -> list[np.ndarray]:
-    """Coefficients b_1..b_depth of b(lambda) - f_gamma = sum_m lambda^m b_m,
-    b_m[i] = <gamma_i, (K_m W f)(t)>."""
-    f_column = problem.source_values(iterated.rule)[:, None]
-    return [b_m[:, 0] for b_m in _taylor_images(problem, iterated, depth, f_column)]
-
-
-@dataclass(frozen=True, eq=False)
-class LoadSystem:
-    """A0, f_gamma and the lambda-dependent system pieces for one problem."""
-
-    problem: ProblemSpec
-    kernel: DiscreteKernel
-    A0: np.ndarray
-    f_gamma: np.ndarray
-    A_of_lambda: Callable[[float], np.ndarray]
-    b_of_lambda: Callable[[float], np.ndarray]
-
-
-def build_load_system(problem: ProblemSpec, kernel: DiscreteKernel) -> LoadSystem:
-    return LoadSystem(
-        problem=problem,
-        kernel=kernel,
-        A0=assemble_A0(problem),
-        f_gamma=assemble_f_gamma(problem),
-        A_of_lambda=lambda lam: A_lambda(problem, kernel, lam),
-        b_of_lambda=lambda lam: b_lambda(problem, kernel, lam),
-    )
 
 
 @dataclass(frozen=True)

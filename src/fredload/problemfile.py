@@ -46,7 +46,7 @@ class Numerics:
     lam: Optional[float] = None
     lam_min: Optional[float] = None
     lam_max: Optional[float] = None
-    steps: Optional[int] = None
+    steps: int = 20
     tol: float = 1e-10
     max_iter: int = 200
     truncation: int = 30

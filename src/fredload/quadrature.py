@@ -21,7 +21,6 @@ __all__ = [
     "QuadratureRule",
     "GridFunction",
     "gauss_legendre",
-    "composite_gauss_legendre",
     "integrate",
     "interpolate",
     "interp_weights",
@@ -134,25 +133,6 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     x, w = _legendre_nodes(m)
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     weights = 0.5 * (b - a) * w
-    return QuadratureRule(a=float(a), b=float(b), nodes=nodes, weights=weights)
-
-
-def composite_gauss_legendre(m: int, panels: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre with m points on each of `panels` equal subintervals.
-
-    Gauss nodes are interior to their panels, so the stacked node set is
-    strictly increasing and all rule invariants carry over. Composite
-    rules are for integration; interpolation through their near-uniform
-    global node set is poorly conditioned at large sizes.
-    """
-    if panels < 1:
-        raise ValueError(f"panel count must be >= 1, got {panels}")
-    if not a < b:
-        raise ValueError(f"invalid interval: a={a!r} must be < b={b!r}")
-    edges = np.linspace(a, b, panels + 1)
-    pieces = [gauss_legendre(m, edges[i], edges[i + 1]) for i in range(panels)]
-    nodes = np.concatenate([p.nodes for p in pieces])
-    weights = np.concatenate([p.weights for p in pieces])
     return QuadratureRule(a=float(a), b=float(b), nodes=nodes, weights=weights)
 
 

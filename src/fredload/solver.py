@@ -28,7 +28,6 @@ import numpy as np
 
 from . import functionals
 from .errors import (
-    CharacteristicNumberError,
     ConvergenceError,
     NoSolutionError,
     RoutePreconditionError,
@@ -43,7 +42,6 @@ from .kernel_ops import (
     operator_norm,
 )
 from .load_system import (
-    A_lambda,
     Classification,
     NonUnique,
     NoSolution,
@@ -69,7 +67,6 @@ __all__ = [
     "solve_auto",
     "residual",
     "successive_bound",
-    "regular_radius",
     "pole_order",
 ]
 
@@ -195,6 +192,8 @@ def solve_successive(
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     A0 = assemble_A0(problem)
     classification = classify(A0)
     if not classification.is_regular:
@@ -434,42 +433,6 @@ def solve_irregular(
         pole_order=pole,
         expansion=expansion,
     )
-
-
-def regular_radius(
-    problem: ProblemSpec,
-    kernel: DiscreteKernel,
-    q_max: float = 0.9,
-    cap: float = 1e6,
-) -> float:
-    """Largest |lambda| (bisected grid) with norm((E-A0)^{-1} A(lambda))
-    <= q_max, i.e. where the lambda-dependent load system stays a small
-    perturbation of E - A0."""
-    A0 = assemble_A0(problem)
-    inv = np.linalg.inv(np.eye(problem.n) - A0)
-
-    def ok(lam: float) -> bool:
-        try:
-            a_lam = A_lambda(problem, kernel, lam)
-        except CharacteristicNumberError:
-            return False
-        return float(np.linalg.norm(inv @ a_lam, np.inf)) <= q_max
-
-    hi = 1e-8
-    for _ in range(120):
-        if not (ok(hi) and ok(-hi)):
-            break
-        hi *= 2.0
-        if hi > cap:
-            return cap
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid) and ok(-mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def solve_auto(

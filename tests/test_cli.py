@@ -8,6 +8,8 @@ import pytest
 from fredload.cli import main
 from util import GOLDEN_FILE_TEXT, NO_SOLUTION_FILE_TEXT
 
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
+
 ZERO_KERNEL_FILE = """\
 interval = 0 1
 kernel = 0
@@ -50,6 +52,19 @@ point = 2 @ 0.25
 [load]
 coeff = 0.2
 integral = 1 + s on [0.1, 0.9]
+"""
+
+# det(I - lambda K W) = 1 - lambda, so lambda = 1 is a characteristic
+# number; A0 = [0.5] and A(lambda) = [0.5 lambda / (1 - lambda)] make the
+# load system singular at lambda = 0.5.
+HALF_POINT_LOAD_FILE = """\
+interval = 0 1
+kernel = 1
+source = 1
+
+[load]
+coeff = 0.5
+point = 1 @ 0
 """
 
 RANK_ONE_TS_FILE = """\
@@ -328,9 +343,102 @@ def test_usage_error_maps_to_parse_exit_code(write, capsys):
 
 
 def test_solve_rejects_zero_truncation(capsys):
-    example = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples" / "loaded_regular.prob"
-    rc = main(["solve", str(example), "--truncation", "0"])
+    rc = main(["solve", str(EXAMPLES / "loaded_regular.prob"), "--truncation", "0"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert "truncation must be >= 1" in captured.err
+
+
+def test_solve_rejects_zero_max_iter(capsys):
+    rc = main([
+        "solve", str(EXAMPLES / "loaded_regular.prob"), "--lambda", "0.01",
+        "--route", "successive", "--max-iter", "0",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "IndexError" not in captured.err
+    assert "max_iter must be >= 1" in captured.err
+
+
+# ------------------------------------------- flags beat the [numerics] block
+
+
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_sweep_rejects_file_steps_below_two(write, steps, capsys):
+    text = GOLDEN_FILE_TEXT + f"lambda_min = 0.1\nlambda_max = 0.4\nsteps = {steps}\n"
+    rc = main(["sweep", write(text)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert "sweep needs at least 2 steps" in captured.err
+
+
+def test_sweep_reads_range_and_steps_from_file(write, capsys):
+    path = write(GOLDEN_FILE_TEXT + "lambda_min = 0.1\nlambda_max = 0.4\nsteps = 3\n")
+    assert main(["sweep", path]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert [float(r[0]) for r in rows] == pytest.approx([0.1, 0.25, 0.4])
+
+    assert main(["sweep", path, "--steps", "5"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert len(rows) == 5
+
+    assert main(["sweep", path, "--lambda-min", "0.2"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert [float(r[0]) for r in rows] == pytest.approx([0.2, 0.3, 0.4])
+
+
+def test_find_poles_reads_range_and_scan_points_from_file(write, capsys):
+    # |det| = |1 - lambda| at the root 1 -/+ one scan spacing equals the spacing.
+    path = write(
+        CONSTANT_KERNEL_FILE
+        + "\n[numerics]\nlambda_min = 0.2\nlambda_max = 2.2\nscan_points = 5\n"
+    )
+    assert main(["find-poles", path]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert len(rows) == 1
+    assert [float(v) for v in rows[0]] == pytest.approx([1.0, 0.5, 0.5], abs=1e-8)
+
+    assert main(["find-poles", path, "--lambda-min", "-1.8"]) == 0
+    _, rows = _csv_rows(capsys.readouterr().out)
+    assert [float(v) for v in rows[0]] == pytest.approx([1.0, 1.0, 1.0], abs=1e-8)
+
+
+# ------------------------------------------------- error codes and statuses
+
+
+@pytest.mark.parametrize(
+    "lam, code", [("1.0", "characteristic-number"), ("0.5", "singular-load-system")]
+)
+def test_solve_route_failures_exit_3_with_code(write, lam, code, capsys):
+    rc = main(["solve", write(HALF_POINT_LOAD_FILE), "--lambda", lam])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith(f"error[{code}]: ")
+
+
+def test_sweep_rows_name_route_failures(write, capsys):
+    rc = main([
+        "sweep", write(HALF_POINT_LOAD_FILE),
+        "--lambda-min", "0.5", "--lambda-max", "1.0", "--steps", "2",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0
+    _, rows = _csv_rows(captured.out)
+    assert [r[-1] for r in rows] == [
+        "unsolvable:singular-load-system",
+        "unsolvable:characteristic-number",
+    ]
+
+
+def test_sweep_rows_name_no_solution(capsys):
+    rc = main([
+        "sweep", str(EXAMPLES / "no_solution.prob"),
+        "--lambda-min", "0.1", "--lambda-max", "0.3", "--steps", "3",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0
+    _, rows = _csv_rows(captured.out)
+    assert [r[-1] for r in rows] == ["unsolvable:no-solution"] * 3

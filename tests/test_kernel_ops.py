@@ -82,7 +82,6 @@ def test_resolvent_at_zero():
     assert np.array_equal(data.gamma, kernel.values)
     assert data.det_log == pytest.approx(0.0, abs=1e-12)
     assert data.det_sign == 1.0
-    assert data.det_value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_resolvent_rank_one_geometric():

@@ -163,7 +163,10 @@ def test_series_consistency_random_problems():
         problem, kernel, lam = make_random_regular_problem(rng)
         iterated = fl.iterate_kernels(kernel, 30)
         a_coeffs = fl.taylor_A(problem, iterated, 30)
-        b_coeffs = fl.taylor_b(problem, iterated, 30)
+        # b_m = V K_m W f, the load rows applied to the iterated images of f
+        rows = fl.load_rows(problem, kernel.rule)
+        wf = kernel.rule.weights * problem.source_values(kernel.rule)
+        b_coeffs = [rows @ (iterated.kernel(m) @ wf) for m in range(1, 31)]
         a_series = sum(lam**m * a_coeffs[m - 1] for m in range(1, 31))
         b_series = fl.assemble_f_gamma(problem) + sum(
             lam**m * b_coeffs[m - 1] for m in range(1, 31)
@@ -201,11 +204,3 @@ def test_necessity_of_zero_order_system():
     lhs = (np.eye(1) - a0) @ c
     assert lhs == pytest.approx(fl.assemble_f_gamma(problem), abs=1e-8)
 
-
-def test_build_load_system_invariants():
-    problem = make_problem("t*s", "1", [("t", fl.point_load(0.5))])
-    kernel = _discretized(problem)
-    system = fl.build_load_system(problem, kernel)
-    assert np.array_equal(system.A_of_lambda(0.0), np.zeros((1, 1)))
-    assert np.max(np.abs(system.b_of_lambda(0.0) - system.f_gamma)) <= 1e-12
-    assert system.A0 == pytest.approx(np.array([[0.5]]), abs=1e-13)

@@ -9,7 +9,6 @@ from fredload.errors import DomainEvalError
 from fredload.quadrature import (
     GridFunction,
     _legendre_nodes,
-    composite_gauss_legendre,
     gauss_legendre,
     integrate,
     interp_matrix,
@@ -187,31 +186,3 @@ def test_integrate_grid_function():
     rule = gauss_legendre(6, 0.0, 2.0)
     g = GridFunction(rule, rule.nodes**2)
     assert integrate(rule, g) == pytest.approx(8.0 / 3.0, rel=1e-13)
-
-
-def test_composite_rule_invariants_and_exactness():
-    rule = composite_gauss_legendre(4, 5, -1.0, 2.0)
-    assert rule.n == 20
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert np.all(rule.weights > 0)
-    assert np.sum(rule.weights) == pytest.approx(3.0, rel=1e-12)
-    # degree 2m-1 exactness holds panel by panel
-    for k in range(8):
-        exact = (2.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
-        assert integrate(rule, lambda t, k=k: t**k) == pytest.approx(exact, rel=1e-12)
-
-
-def test_composite_rule_converges_on_nonsmooth_integrand():
-    # |t| has a kink at 0; panel refinement should beat one global rule.
-    f = abs
-    exact = 1.0  # integral of |t| over [-1, 1]
-    single = abs(integrate(gauss_legendre(8, -1.0, 1.0), f) - exact)
-    paneled = abs(integrate(composite_gauss_legendre(8, 16, -1.0, 1.0), f) - exact)
-    assert paneled < single / 10
-
-
-def test_composite_rule_validation():
-    with pytest.raises(ValueError):
-        composite_gauss_legendre(4, 0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        composite_gauss_legendre(4, 2, 1.0, 0.0)

@@ -401,13 +401,6 @@ def test_residual_of_oracle_solution_is_tiny():
 # ------------------------------------------------------- radii, smoothness
 
 
-def test_regular_radius_positive():
-    problem = make_problem("t*s", "1", [("0.3*t", fl.point_load(0.5))])
-    kernel = _discretized(problem)
-    rho = fl.regular_radius(problem, kernel)
-    assert rho > 0.1
-
-
 def test_holomorphy_proxy_polynomial_fit():
     # Smoothness of lambda -> x(t*, lambda) inside the admissible disc: a
     # degree-6 fit through 8 samples predicts a held-out 9th to 1e-5.
