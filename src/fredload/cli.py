@@ -9,7 +9,7 @@
 Data goes to stdout as CSV with a header row (17 significant digits,
 stable ordering); per-run summaries go to stderr. Exit codes: 0 ok,
 1 check failure or internal error, 2 no solution exists, 3 a route
-precondition failed, 4 parse error.
+precondition failed, 4 parse or domain error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import functionals, kernel_ops, load_system, oracle, solver
 from .errors import (
     CharacteristicNumberError,
     ConvergenceError,
+    DomainEvalError,
     ExprSyntaxError,
     FredloadError,
     NoSolutionError,
@@ -58,6 +59,7 @@ _OUTCOMES = (
     (SingularLoadSystemError, "singular-load-system", EXIT_ROUTE),
     (ConvergenceError, "no-convergence", EXIT_ROUTE),
     (RoutePreconditionError, "route-precondition", EXIT_ROUTE),
+    (DomainEvalError, "domain-error", EXIT_PARSE),
     (FredloadError, "internal", EXIT_FAILURE),
 )
 
@@ -191,7 +193,11 @@ def cmd_analyze(args) -> int:
         )
     if classification.is_irregular_identity:
         coeff_mats = load_system.taylor_A(problem, iterated, numerics.truncation)
-        pole, _ = solver.pole_order(coeff_mats)
+        try:
+            pole, _ = solver.pole_order(coeff_mats, norm)
+        except RoutePreconditionError as exc:
+            _emit(f"pole order: none ({exc})", out)
+            return EXIT_OK
         if pole is None:
             _emit(
                 f"pole order: none (load coupling vanishes up to depth {numerics.truncation})",
@@ -267,9 +273,10 @@ def cmd_sweep(args) -> int:
 def cmd_find_poles(args) -> int:
     problem, kernel, numerics = _setup(args)
     lam_min, lam_max = _required_range(numerics)
-    scan_points = numerics.scan_points
-    roots = kernel_ops.find_characteristic_numbers(kernel, lam_min, lam_max, scan_points)
-    spacing = (lam_max - lam_min) / (scan_points - 1)
+    if numerics.scan_points < 2:
+        raise ProblemFileError("find-poles needs at least 2 scan points")
+    roots = kernel_ops.find_characteristic_numbers(kernel, lam_min, lam_max)
+    spacing = (lam_max - lam_min) / (numerics.scan_points - 1)
     out = sys.stdout
     _emit("lambda,abs_det_left,abs_det_right", out)
     for root in roots:

@@ -95,7 +95,8 @@ def taylor_A(problem: ProblemSpec, iterated: IteratedKernels, depth: int) -> lis
     rule = iterated.rule
     rows = functionals.load_rows(problem, rule)
     weighted = rule.weights[:, None] * problem.coeff_values(rule)
-    return [rows @ (iterated.kernel(m) @ weighted) for m in range(1, depth + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed iterates stay non-finite
+        return [rows @ (iterated.kernel(m) @ weighted) for m in range(1, depth + 1)]
 
 
 @dataclass(frozen=True)

@@ -333,15 +333,26 @@ def _contraction_radius(norms: list[float], q_max: float = 0.9) -> float:
 
 
 def pole_order(
-    coeff_mats: list[np.ndarray], pole_tol: float = POLE_COEFF_TOL
+    coeff_mats: list[np.ndarray], growth: float, pole_tol: float = POLE_COEFF_TOL
 ) -> tuple[Optional[int], float]:
-    """(p, scale): p is the order of the first Taylor coefficient A_p of
-    the load coupling with max|A_p| > pole_tol * (1 + scale), scale the
-    largest max|A_m|; p is None when every coefficient is negligible."""
+    """(p, reference): r_m = max|A_m| / growth^m puts each Taylor coefficient
+    of the load coupling on its own scale (growth: the operator norm of K W);
+    p is the first m with r_m > pole_tol * (1 + max r_m), None if none, and
+    reference = (1 + max r_m) * growth^p. A non-finite A_m is an error."""
     mags = [float(np.max(np.abs(a))) for a in coeff_mats]
-    scale = max(mags) if mags else 0.0
-    threshold = pole_tol * (1.0 + scale)
-    return next((m for m, mag in enumerate(mags, start=1) if mag > threshold), None), scale
+    bad = next((m for m, mag in enumerate(mags, start=1) if not math.isfinite(mag)), None)
+    if bad is not None:
+        raise RoutePreconditionError(
+            f"the Taylor coefficient A_{bad} of the load coupling is not finite: "
+            "the iterated kernels overflow; lower the truncation depth"
+        )
+    log_growth = math.log(growth) if growth > 0.0 else 0.0
+    # In logs, as growth^m may overflow where A_m does not; log 0 = -inf.
+    with np.errstate(divide="ignore", over="ignore"):
+        rel = np.exp(np.log(mags) - log_growth * np.arange(1, len(mags) + 1))
+        scale = 1.0 + float(rel.max(initial=0.0))
+        pole = next((m for m, r in enumerate(rel, start=1) if r > pole_tol * scale), None)
+        return pole, float(scale * np.exp((pole or 0) * log_growth))
 
 
 def solve_irregular(
@@ -376,14 +387,14 @@ def solve_irregular(
         raise ValueError(f"truncation must be >= 2, got {truncation}")
     iterated = iterate_kernels(kernel, truncation)
     coeff_mats = taylor_A(problem, iterated, truncation)
-    pole, scale = pole_order(coeff_mats, pole_tol)
+    pole, reference = pole_order(coeff_mats, operator_norm(kernel), pole_tol)
     if pole is None:
         raise RoutePreconditionError(
             "the load coupling A(lambda) vanishes to working precision at "
             f"every order up to {truncation}; no pole order can be assigned"
         )
     a_p = coeff_mats[pole - 1]
-    if _nearly_singular(a_p, 1.0 + scale):
+    if _nearly_singular(a_p, reference):
         raise RoutePreconditionError(
             f"the leading coefficient matrix A_{pole} of the load coupling "
             "is singular; the pole expansion does not apply"

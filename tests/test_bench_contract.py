@@ -3,15 +3,26 @@
 The tracer wraps only public module-level functions defined in their own
 module, and its per-layer report reads them by name, so deleting or
 re-homing one of these breaks `perfbench/run.py --trace 1` even when every
-other test passes. No timing is asserted here.
+other test passes. The benchmark's set-up and checks also call a few of
+them in fixed shapes, pinned by the last test. No timing is asserted here.
 """
 
 import importlib
 import inspect
+import pathlib
 
+import numpy as np
 import pytest
 
-from fredload import cli
+from fredload import cli, oracle
+from fredload.errors import NoSolutionError
+from fredload.kernel_ops import discretize, iterate_kernels
+from fredload.load_system import assemble_A0, classify
+from fredload.problemfile import load_problem_file
+from fredload.quadrature import GridFunction, interpolate
+from fredload.solver import solve_auto, successive_bound
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 KEPT = {
     "quadrature": ("interp_weights", "interpolate", "gauss_legendre", "integrate"),
@@ -53,3 +64,34 @@ def test_traced_name_is_own_module_function(module_name, name):
 def test_benchmark_reads_exit_codes():
     assert cli.EXIT_OK == 0
     assert cli.EXIT_NO_SOLUTION == 2
+
+
+@pytest.mark.parametrize(
+    "name, kind, route",
+    [
+        ("identity_pole", "irregular-identity", "irregular"),
+        ("loaded_regular", "regular", "regular"),
+        ("nilpotent", "regular", "nilpotent"),
+        ("no_solution", "irregular-identity", None),
+    ],
+)
+def test_benchmark_call_shapes(name, kind, route):
+    # The calls perfbench/workloads.py, check.py and tracer.py make, as they make them.
+    parsed = load_problem_file(str(EXAMPLES / f"{name}.prob"))
+    spec, lam = parsed.build(16), parsed.numerics.lam
+    kernel = discretize(spec.kernel, spec.master_rule(16))
+    assert classify(assemble_A0(spec)).kind == kind
+    try:
+        assert solve_auto(spec, kernel, lam).route == route
+    except NoSolutionError:
+        assert route is None
+    if kind == "regular":
+        assert successive_bound(spec, kernel) > 0.0
+    if route is not None:
+        solution = oracle.dense_solve(spec, kernel, lam)
+        assert solution.x.values.shape == (16,)
+        assert np.shape(solution.x_gamma) == (spec.n,)
+    values = np.cos(kernel.rule.nodes)
+    assert interpolate(GridFunction(kernel.rule, values), 0.5) == pytest.approx(np.cos(0.5))
+    iterated = iterate_kernels(kernel, 3)
+    assert (iterated.rule.n, iterated.depth) == (16, 3)

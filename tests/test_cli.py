@@ -1,6 +1,7 @@
 """Command-line interface: commands, CSV output, exit codes."""
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -442,3 +443,50 @@ def test_sweep_rows_name_no_solution(capsys):
     assert rc == 0
     _, rows = _csv_rows(captured.out)
     assert [r[-1] for r in rows] == ["unsolvable:no-solution"] * 3
+
+
+def _constant_identity_file(c):
+    # A0 = E with K = c: x = -1/(c lambda), a first-order pole at lambda = 0.
+    return GOLDEN_FILE_TEXT.replace("kernel = 1\n", f"kernel = {c}\n")
+
+
+@pytest.mark.parametrize("c", ["3", "5", "100"])
+def test_pole_order_of_scaled_identity_kernel(write, c, capsys):
+    path = write(_constant_identity_file(c))
+    assert main(["analyze", path]) == 0
+    assert "pole order: 1\n" in capsys.readouterr().out
+    lam = 0.1 / float(c)
+    assert main(["oracle-check", path, "--lambda", repr(lam), "--threshold", "1e-9"]) == 0
+    capsys.readouterr()
+
+
+def test_overflowing_iterates_are_reported_without_warnings(write, capsys):
+    path = write(_constant_identity_file("1e12"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", path]) == 0
+        out = capsys.readouterr().out
+        assert "pole order: none (the Taylor coefficient A_26 of the load coupling" in out
+        assert main(["solve", path, "--lambda", "1e-13"]) == 3
+        assert capsys.readouterr().err.startswith("error[route-precondition]: the Taylor")
+        assert main(["solve", path, "--lambda", "1e-13", "--truncation", "20"]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert [float(r[1]) for r in rows] == pytest.approx([-10.0] * 64, rel=1e-12)
+        sine = write(REGULAR_FILE.replace("t*s + 0.5*(1-t)*(1-s)", "1e12*sin(3*(t-s))"))
+        assert main(["analyze", sine]) == 0
+        assert "nilpotency index: none found within depth 30" in capsys.readouterr().out
+
+
+def test_non_finite_kernel_is_a_domain_error(write, capsys):
+    path = write(REGULAR_FILE.replace("t*s + 0.5*(1-t)*(1-s)", "log(t - s)"))
+    assert main(["solve", path, "--lambda", "0.1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error[domain-error]: ")
+    assert "'log((t - s))'" in err
+
+
+def test_find_poles_rejects_one_scan_point(write, capsys):
+    path = write(CONSTANT_KERNEL_FILE)
+    rc = main(["find-poles", path, "--lambda-min", "0", "--lambda-max", "2", "--scan-points", "1"])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error[parse-error]: ")

@@ -1,11 +1,18 @@
-"""Kernel discretization, iterated kernels, resolvent, determinant scan."""
+"""Kernel discretization, iterated kernels, resolvent, and the
+characteristic numbers from the eigenvalues of K W."""
+
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 import fredload as fl
 from fredload.errors import CharacteristicNumberError
+from fredload.problemfile import load_problem_file
 from util import poly_integral, random_polynomial_kernel
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def _kernel(text, nodes=64, a=0.0, b=1.0):
@@ -184,5 +191,59 @@ def test_scan_argument_validation():
     kernel = _kernel("1", nodes=8)
     with pytest.raises(ValueError):
         fl.find_characteristic_numbers(kernel, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        fl.find_characteristic_numbers(kernel, 0.0, 1.0, scan_points=1)
+
+
+def _example_kernel(name, nodes=64):
+    problem = load_problem_file(str(EXAMPLES / name)).build(nodes)
+    return fl.discretize(problem.kernel, problem.master_rule(nodes))
+
+
+def test_characteristic_numbers_double_root_without_sign_change():
+    # cos(t - s) = cos t cos s + sin t sin s on [0, 2 pi]: K W has the double
+    # eigenvalue pi, so det(I - lambda K W) = (1 - pi lambda)^2 touches zero
+    # at 1/pi without changing sign.
+    kernel = _kernel("cos(t - s)", b=2.0 * np.pi)
+    roots = fl.find_characteristic_numbers(kernel, -1.0, 1.0)
+    assert len(roots) == 2
+    assert np.max(np.abs(np.array(roots) - 1.0 / np.pi)) <= 1e-12
+
+
+def test_characteristic_number_of_loaded_regular_example():
+    # K = t s + (1 - t)(1 - s)/2 has the nonzero eigenvalues
+    # (1/2 +- 1/(2 sqrt 3))/2; the larger gives the root 6 - 2 sqrt 3.
+    roots = fl.find_characteristic_numbers(_example_kernel("loaded_regular.prob"), -6.0, 6.0)
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(6.0 - 2.0 * np.sqrt(3.0), abs=1e-13)
+
+
+def test_nilpotent_example_has_no_characteristic_numbers():
+    kernel = _example_kernel("nilpotent.prob")
+    assert fl.find_characteristic_numbers(kernel, -1e6, 1e6) == []
+
+
+def test_simple_roots_are_determinant_sign_changes():
+    rng = np.random.default_rng(5)
+    rule = fl.gauss_legendre(32, 0.0, 1.0)
+    checked = 0
+    for _ in range(8):
+        kernel = fl.discretize(fl.parse(random_polynomial_kernel(rng), {"t", "s"}), rule)
+        roots = fl.find_characteristic_numbers(kernel, -1e3, 1e3)
+        for i, root in enumerate(roots):
+            step = 1e-6 * (1.0 + abs(root))
+            if any(abs(other - root) <= 2.0 * step for other in roots[:i] + roots[i + 1 :]):
+                continue
+            left, _ = np.linalg.slogdet(kernel.system_matrix(root - step))
+            right, _ = np.linalg.slogdet(kernel.system_matrix(root + step))
+            assert left * right < 0.0, (root, left, right)
+            checked += 1
+    assert checked >= 5
+
+
+def test_nilpotency_index_is_none_on_overflowing_iterates():
+    # max|K_m| grows like 1e12^m, so the late iterates overflow to inf / nan.
+    kernel = _kernel("1e12*sin(3*(t - s))")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iterated = fl.iterate_kernels(kernel, 30)
+        assert not np.all(np.isfinite(iterated.kernel(30)))
+        assert fl.nilpotency_index(iterated, tol=1e-10) is None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,29 @@ def test_irregular_no_pole_order_when_coupling_vanishes():
     with pytest.raises(RoutePreconditionError) as err:
         fl.solve_irregular(problem, kernel, 0.1)
     assert "pole order" in str(err.value)
+
+
+@pytest.mark.parametrize("c", [3.0, 5.0, 100.0])
+def test_irregular_pole_order_does_not_depend_on_kernel_scale(c):
+    # K = c, f = 1, a = 1, gamma = x(0): A0 = E, A_m = c^m and x = -1/(c lambda).
+    problem = make_problem(repr(c), "1", [("1", fl.point_load(0.0))])
+    kernel = _discretized(problem)
+    lam = 0.1 / c
+    solution = fl.solve_irregular(problem, kernel, lam)
+    assert solution.pole_order == 1
+    assert solution.x.values == pytest.approx(np.full(64, -1.0 / (c * lam)), rel=1e-9)
+
+
+def test_irregular_reports_overflowing_taylor_coefficients():
+    # K = 1e12 makes A_m = 1e12^m, which overflows from m = 26 on.
+    problem = make_problem("1e12", "1", [("1", fl.point_load(0.0))])
+    kernel = _discretized(problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RoutePreconditionError, match=r"A_26 .* not finite"):
+            fl.solve_irregular(problem, kernel, 1e-13)
+        solution = fl.solve_irregular(problem, kernel, 1e-13, truncation=20)
+    assert solution.x.values == pytest.approx(np.full(64, -10.0), rel=1e-12)
 
 
 def test_irregular_expansion_metadata():
