@@ -74,7 +74,9 @@ from .quadrature import (
 )
 from .solver import (
     IrregularExpansion,
+    Prepared,
     Solution,
+    prepare,
     residual,
     solve_auto,
     solve_irregular,

@@ -9,7 +9,7 @@
 Data goes to stdout as CSV with a header row (17 significant digits,
 stable ordering); per-run summaries go to stderr. Exit codes: 0 ok,
 1 check failure or internal error, 2 no solution exists, 3 a route
-precondition failed, 4 parse or domain error.
+precondition failed, 4 parse or domain error or an out-of-range setting.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import functionals, kernel_ops, load_system, oracle, solver
+from . import kernel_ops, oracle, solver
 from .errors import (
     CharacteristicNumberError,
     ConvergenceError,
@@ -88,34 +88,13 @@ def _dispatch(
     numerics: Numerics,
 ) -> Solution:
     if route == "auto":
-        return solver.solve_auto(
-            problem,
-            kernel,
-            lam,
-            truncation=numerics.truncation,
-            condition_tol=numerics.tol,
-            nilpotency_tol=numerics.tol,
-        )
-    if route == "regular":
-        return solver.solve_regular(problem, kernel, lam)
-    if route == "successive":
-        return solver.solve_successive(
-            problem, kernel, lam, q=numerics.q,
-            max_iter=numerics.max_iter, tol=numerics.tol,
-        )
-    if route == "nilpotent":
-        iterated = kernel_ops.iterate_kernels(kernel, numerics.truncation)
-        pnil = kernel_ops.nilpotency_index(iterated, numerics.tol)
-        if pnil is None:
-            raise RoutePreconditionError(
-                f"kernel is not nilpotent within depth {numerics.truncation}"
-            )
-        return solver.solve_nilpotent(problem, iterated, pnil, lam, numerics.tol)
-    if route == "irregular":
-        return solver.solve_irregular(problem, kernel, lam, numerics.truncation)
+        return solver.solve_auto(problem, kernel, lam, numerics.truncation, numerics.tol)
     if route == "oracle":
         return oracle.dense_solve(problem, kernel, lam)
-    raise ValueError(f"unknown route {route!r}")
+    prep = solver.prepare(problem, kernel, numerics.truncation, numerics.tol)
+    if route == "successive":
+        return solver.solve_successive(prep, lam, numerics.q, numerics.max_iter)
+    return getattr(solver, f"solve_{route}")(prep, lam)  # regular, nilpotent, irregular
 
 
 def _setup(args) -> tuple[ProblemSpec, DiscreteKernel, Numerics]:
@@ -125,6 +104,16 @@ def _setup(args) -> tuple[ProblemSpec, DiscreteKernel, Numerics]:
     for name in (f.name for f in dataclasses.fields(Numerics)):
         if getattr(args, name, None) is not None:
             setattr(numerics, name, getattr(args, name))
+    # Numeric settings are outside input like the file, so a bad one exits 4.
+    for label, value, rule, valid in (
+        ("node count", numerics.nodes, ">= 1", numerics.nodes >= 1),
+        ("tol", numerics.tol, "> 0", numerics.tol > 0),
+        ("q", numerics.q, "in (0, 1)", 0 < numerics.q < 1),
+        ("truncation", numerics.truncation, ">= 1", numerics.truncation >= 1),
+        ("max_iter", numerics.max_iter, ">= 1", numerics.max_iter >= 1),
+    ):
+        if not valid:
+            raise ProblemFileError(f"{label} must be {rule}, got {value}")
     try:
         problem = parsed.build(numerics.nodes)
     except ValueError as exc:
@@ -155,11 +144,8 @@ def _required_range(numerics: Numerics) -> tuple[float, float]:
 
 def cmd_analyze(args) -> int:
     problem, kernel, numerics = _setup(args)
-    a0 = load_system.assemble_A0(problem)
-    classification = load_system.classify(a0)
-    reports = functionals.check_condition_one(problem, kernel, numerics.tol)
-    iterated = kernel_ops.iterate_kernels(kernel, numerics.truncation)
-    pnil = kernel_ops.nilpotency_index(iterated, numerics.tol)
+    prep = solver.prepare(problem, kernel, numerics.truncation, numerics.tol)
+    classification, pnil = prep.classification, prep.nilpotency
     norm = kernel_ops.operator_norm(kernel)
 
     out = sys.stdout
@@ -167,11 +153,11 @@ def cmd_analyze(args) -> int:
     _emit(f"nodes: {kernel.rule.n}", out)
     _emit(f"loads: {problem.n}", out)
     _emit("A0:", out)
-    for row in a0:
+    for row in prep.A0:
         _emit("  [" + ", ".join(_fmt(v) for v in row) + "]", out)
     _emit(f"det(E - A0): {_fmt(classification.det)}", out)
     _emit(f"classification: {classification.kind}", out)
-    for k, report in enumerate(reports, start=1):
+    for k, report in enumerate(prep.reports, start=1):
         status = "holds" if report.holds else "fails"
         _emit(
             f"condition (load {k} annihilates kernel slices): {status} "
@@ -184,7 +170,7 @@ def cmd_analyze(args) -> int:
         _emit(f"nilpotency index: {pnil}", out)
     _emit(f"operator norm: {_fmt(norm)}", out)
     if classification.is_regular:
-        bound_l = solver.successive_bound(problem, kernel)
+        bound_l = prep.successive_l
         admissible = float("inf") if bound_l == 0.0 else numerics.q / bound_l
         _emit(f"successive bound l: {_fmt(bound_l)}", out)
         _emit(
@@ -192,9 +178,8 @@ def cmd_analyze(args) -> int:
             out,
         )
     if classification.is_irregular_identity:
-        coeff_mats = load_system.taylor_A(problem, iterated, numerics.truncation)
         try:
-            pole, _ = solver.pole_order(coeff_mats, norm)
+            pole, _ = solver.pole_order(prep.taylor, norm)
         except RoutePreconditionError as exc:
             _emit(f"pole order: none ({exc})", out)
             return EXIT_OK
@@ -204,7 +189,7 @@ def cmd_analyze(args) -> int:
                 out,
             )
         else:
-            cond = float(np.linalg.cond(coeff_mats[pole - 1]))
+            cond = float(np.linalg.cond(prep.taylor[pole - 1]))
             _emit(f"pole order: {pole}", out)
             _emit(f"leading coefficient condition number: {_fmt(cond)}", out)
     return EXIT_OK

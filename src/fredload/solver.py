@@ -14,14 +14,18 @@ Four constructive paths produce x(t, lambda) on the master grid:
               vector is lambda^{-p} * nu(lambda) with nu built from the
               Taylor coefficients of A(lambda).
 
-Every route reports the max-norm defect of the full equation on the grid,
-recomputed from the returned grid function alone.
+Which route applies depends only on lambda-independent quantities: A0 and
+its classification, whether the loads annihilate the kernel slices, and the
+iterated kernels. `prepare` computes them once into a `Prepared` value that
+every route reads. Every route reports the max-norm defect of the full
+equation on the grid, recomputed from the returned grid function alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +37,7 @@ from .errors import (
     RoutePreconditionError,
     SingularLoadSystemError,
 )
+from .functionals import ConditionReport
 from .kernel_ops import (
     DiscreteKernel,
     IteratedKernels,
@@ -46,7 +51,6 @@ from .load_system import (
     NonUnique,
     NoSolution,
     ProblemSpec,
-    UniqueLoads,
     assemble_A0,
     assemble_f_gamma,
     assemble_lambda_system,
@@ -58,6 +62,8 @@ from .load_system import (
 from .quadrature import GridFunction
 
 __all__ = [
+    "Prepared",
+    "prepare",
     "Solution",
     "IrregularExpansion",
     "solve_regular",
@@ -102,6 +108,84 @@ class Solution:
     note: Optional[str] = None
 
 
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """What the routes need that does not depend on lambda, for one problem
+    on one grid: A0, f_gamma, the classification of A0 and the per-load
+    annihilation reports at `tol`. The iterated kernels up to `truncation`
+    and what derives from them are computed on first use, so a regular
+    solve never forms them."""
+
+    problem: ProblemSpec
+    kernel: DiscreteKernel
+    truncation: int
+    tol: float
+    A0: np.ndarray
+    f_gamma: np.ndarray
+    classification: Classification
+    reports: tuple[ConditionReport, ...]
+
+    @property
+    def annihilates(self) -> bool:
+        """Whether every load annihilates the kernel slices."""
+        return all(r.holds for r in self.reports)
+
+    @cached_property
+    def iterated(self) -> IteratedKernels:
+        return iterate_kernels(self.kernel, self.truncation)
+
+    @cached_property
+    def nilpotency(self) -> Optional[int]:
+        return nilpotency_index(self.iterated, self.tol)
+
+    @cached_property
+    def taylor(self) -> list[np.ndarray]:
+        """A_1..A_truncation of A(lambda) = sum_m lambda^m A_m."""
+        return taylor_A(self.problem, self.iterated, self.truncation)
+
+    @cached_property
+    def successive_l(self) -> float:
+        """Computable upper estimate l for the norm of (I-L)^{-1} K, so the
+        fixed-point route is admitted for |lambda| <= q / l."""
+        inv = np.linalg.inv(np.eye(self.problem.n) - self.A0)
+        a_sup = float(np.max(np.sum(np.abs(self.problem.coeff_values(self.kernel.rule)), axis=1)))
+        gamma_max = max(functionals.functional_norm(ld.functional) for ld in self.problem.loads)
+        amplification = 1.0 + a_sup * float(np.linalg.norm(inv, np.inf)) * gamma_max
+        return amplification * operator_norm(self.kernel)
+
+
+def prepare(
+    problem: ProblemSpec,
+    kernel: DiscreteKernel,
+    truncation: int = DEFAULT_TRUNCATION,
+    tol: float = 1e-10,
+) -> Prepared:
+    """Analyse the problem once for every route and every lambda."""
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    reports = tuple(functionals.check_condition_one(problem, kernel, tol))
+    A0 = assemble_A0(problem)
+    return Prepared(
+        problem, kernel, truncation, tol, A0, assemble_f_gamma(problem), classify(A0), reports
+    )
+
+
+def _zero_order_loads(prep: Prepared) -> tuple[np.ndarray, Optional[str]]:
+    """The load vector from (E - A0) c = f_gamma, which decides solvability
+    when the loads annihilate the kernel, and a note if it is not unique."""
+    outcome = solve_zero_order_system(prep.A0, prep.f_gamma)
+    if isinstance(outcome, NoSolution):
+        raise NoSolutionError(
+            "the loads annihilate the kernel and the zero-order load "
+            "system is inconsistent: the equation has no solution in "
+            "the class of continuous functions"
+        )
+    if isinstance(outcome, NonUnique):
+        note = "load system singular but consistent; minimum-norm load vector used"
+        return outcome.particular, note
+    return outcome.c, None
+
+
 def _recomputed_loads(problem: ProblemSpec, x: GridFunction) -> np.ndarray:
     return functionals.load_rows(problem, x.rule) @ x.values
 
@@ -116,6 +200,18 @@ def _defect(problem: ProblemSpec, kernel: DiscreteKernel, lam: float, x: GridFun
     return float(np.max(np.abs(lhs)))
 
 
+def _solution(
+    prep: Prepared, lam: float, values: np.ndarray, route: str,
+    x_gamma: Optional[np.ndarray] = None, **extra,
+) -> Solution:
+    """A route's result with its defect; x_gamma is recomputed from x unless given."""
+    x = GridFunction(prep.kernel.rule, values)
+    if x_gamma is None:
+        x_gamma = _recomputed_loads(prep.problem, x)
+    residual = _defect(prep.problem, prep.kernel, lam, x)
+    return Solution(lam, x, x_gamma, route, residual, prep.classification, **extra)
+
+
 def residual(problem: ProblemSpec, solution: Solution) -> float:
     """Max-norm defect of the equation on the grid, with the loads
     recomputed from the grid function (not read from the solution)."""
@@ -123,34 +219,24 @@ def residual(problem: ProblemSpec, solution: Solution) -> float:
     return _defect(problem, kernel, solution.lam, solution.x)
 
 
-def solve_regular(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Solution:
+def solve_regular(prep: Prepared, lam: float) -> Solution:
     """Direct route for det(E - A0) != 0: solve the n x n system
     (E - A0 - A(lambda)) x_gamma = b(lambda), then reconstruct x."""
-    A0 = assemble_A0(problem)
-    classification = classify(A0)
+    problem, kernel, A0, classification = prep.problem, prep.kernel, prep.A0, prep.classification
     if not classification.is_regular:
         raise RoutePreconditionError(
             f"regular route needs det(E - A0) != 0; classification is "
             f"{classification.kind} (det = {classification.det:.3e})"
         )
-    n = problem.n
     a_lam, rhs, basis = assemble_lambda_system(problem, kernel, lam)
-    system = np.eye(n) - A0 - a_lam
+    system = np.eye(problem.n) - A0 - a_lam
     scale = 1.0 + float(np.max(np.abs(A0))) + float(np.max(np.abs(a_lam)))
     if _nearly_singular(system, scale):
         raise SingularLoadSystemError(
             f"load system E - A0 - A(lambda) is singular at lambda={lam!r}"
         )
     x_gamma = np.linalg.solve(system, rhs)
-    x = GridFunction(kernel.rule, basis @ np.append(x_gamma, 1.0))
-    return Solution(
-        lam=lam,
-        x=x,
-        x_gamma=x_gamma,
-        route="regular",
-        residual=_defect(problem, kernel, lam, x),
-        classification=classification,
-    )
+    return _solution(prep, lam, basis @ np.append(x_gamma, 1.0), "regular", x_gamma)
 
 
 def _nearly_singular(matrix: np.ndarray, scale: float = 0.0) -> bool:
@@ -165,43 +251,29 @@ def _nearly_singular(matrix: np.ndarray, scale: float = 0.0) -> bool:
 
 def successive_bound(problem: ProblemSpec, kernel: DiscreteKernel) -> float:
     """Computable upper estimate l for the norm of (I-L)^{-1} K, so the
-    fixed-point route is admitted for |lambda| <= q / l."""
-    A0 = assemble_A0(problem)
-    n = problem.n
-    inv = np.linalg.inv(np.eye(n) - A0)
-    coeffs = problem.coeff_values(kernel.rule)
-    a_sup = float(np.max(np.sum(np.abs(coeffs), axis=1)))
-    gamma_max = max(functionals.functional_norm(load.functional) for load in problem.loads)
-    amplification = 1.0 + a_sup * float(np.linalg.norm(inv, np.inf)) * gamma_max
-    return amplification * operator_norm(kernel)
+    fixed-point route is admitted for |lambda| <= q / l (Prepared.successive_l)."""
+    return prepare(problem, kernel).successive_l
 
 
-def solve_successive(
-    problem: ProblemSpec,
-    kernel: DiscreteKernel,
-    lam: float,
-    q: float = 0.9,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-) -> Solution:
+def solve_successive(prep: Prepared, lam: float, q: float = 0.9, max_iter: int = 200) -> Solution:
     """Fixed-point route: x_n = (I-L)^{-1}(lambda K x_{n-1} + f), x_0 = 0.
 
     (I-L)^{-1} g is computed by solving (E - A0) c = g_gamma and returning
     g + (a, c). The route refuses |lambda| beyond q / l, which guarantees
-    geometric convergence; the difference norms become the iterate history.
+    geometric convergence; the difference norms become the iterate history,
+    which stops once a difference is at most prep.tol.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    A0 = assemble_A0(problem)
-    classification = classify(A0)
+    problem, kernel, classification = prep.problem, prep.kernel, prep.classification
     if not classification.is_regular:
         raise RoutePreconditionError(
             f"successive route needs det(E - A0) != 0; classification is "
             f"{classification.kind}"
         )
-    bound_l = successive_bound(problem, kernel)
+    bound_l = prep.successive_l
     admissible = math.inf if bound_l == 0.0 else q / bound_l
     if abs(lam) > admissible:
         raise RoutePreconditionError(
@@ -209,8 +281,7 @@ def solve_successive(
             f"{admissible:.6g} (q={q}, l={bound_l:.6g})"
         )
     rule = kernel.rule
-    n = problem.n
-    system = np.eye(n) - A0
+    system = np.eye(problem.n) - prep.A0
     coeffs = problem.coeff_values(rule)
     f_vals = problem.source_values(rule)
     rows = functionals.load_rows(problem, rule)
@@ -227,78 +298,34 @@ def solve_successive(
         delta = float(np.max(np.abs(x_next - x_prev)))
         history.append(delta)
         x_prev = x_next
-        if delta <= tol:
-            x = GridFunction(rule, x_prev)
-            return Solution(
-                lam=lam,
-                x=x,
-                x_gamma=_recomputed_loads(problem, x),
-                route="successive",
-                residual=_defect(problem, kernel, lam, x),
-                classification=classification,
-                history=tuple(history),
-            )
+        if delta <= prep.tol:
+            return _solution(prep, lam, x_prev, "successive", history=tuple(history))
     raise ConvergenceError(
         f"no convergence within {max_iter} iterations (last delta {history[-1]:.3e})"
     )
 
 
-def solve_nilpotent(
-    problem: ProblemSpec,
-    iterated: IteratedKernels,
-    pnil: int,
-    lam: float,
-    condition_tol: float = 1e-10,
-) -> Solution:
+def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
     """Polynomial route: when K_{p+1} = 0 and the loads annihilate the
     kernel, x = u + sum_{n=1}^{p} lambda^n K_n W u with u = f + (a, c) and
     c from the zero-order load system. Exact for every lambda."""
-    if pnil < 0:
-        raise ValueError(f"nilpotency index must be >= 0, got {pnil}")
-    if pnil > iterated.depth:
-        raise ValueError(
-            f"nilpotency index {pnil} exceeds computed depth {iterated.depth}"
-        )
-    rule = iterated.rule
-    kernel = DiscreteKernel(rule, iterated.kernel(1))
-    reports = functionals.check_condition_one(problem, kernel, condition_tol)
-    if not all(r.holds for r in reports):
-        worst = max(r.deviation for r in reports)
+    problem, pnil = prep.problem, prep.nilpotency
+    if pnil is None:
+        raise RoutePreconditionError(f"kernel is not nilpotent within depth {prep.truncation}")
+    if not prep.annihilates:
+        worst = max(r.deviation for r in prep.reports)
         raise RoutePreconditionError(
             f"the loads do not annihilate the kernel slices (max deviation "
             f"{worst:.3e}); use the regular or irregular route"
         )
-    A0 = assemble_A0(problem)
-    classification = classify(A0)
-    outcome = solve_zero_order_system(A0, assemble_f_gamma(problem))
-    note = None
-    if isinstance(outcome, NoSolution):
-        raise NoSolutionError(
-            "the zero-order load system is inconsistent: the equation has "
-            "no solution in the class of continuous functions"
-        )
-    if isinstance(outcome, NonUnique):
-        c = outcome.particular
-        note = "load system singular but consistent; minimum-norm load vector used"
-    else:
-        assert isinstance(outcome, UniqueLoads)
-        c = outcome.c
+    c, note = _zero_order_loads(prep)
+    rule = prep.kernel.rule
     u = problem.source_values(rule) + problem.coeff_values(rule) @ c
     x_vals = u.copy()
     wu = rule.weights * u
     for m in range(1, pnil + 1):
-        x_vals += lam**m * (iterated.kernel(m) @ wu)
-    x = GridFunction(rule, x_vals)
-    return Solution(
-        lam=lam,
-        x=x,
-        x_gamma=_recomputed_loads(problem, x),
-        route="nilpotent",
-        residual=_defect(problem, kernel, lam, x),
-        classification=classification,
-        pole_order=None,
-        note=note,
-    )
+        x_vals += lam**m * (prep.iterated.kernel(m) @ wu)
+    return _solution(prep, lam, x_vals, "nilpotent", note=note)
 
 
 def _contraction_radius(norms: list[float], q_max: float = 0.9) -> float:
@@ -355,21 +382,15 @@ def pole_order(
         return pole, float(scale * np.exp((pole or 0) * log_growth))
 
 
-def solve_irregular(
-    problem: ProblemSpec,
-    kernel: DiscreteKernel,
-    lam: float,
-    truncation: int = DEFAULT_TRUNCATION,
-    pole_tol: float = POLE_COEFF_TOL,
-) -> Solution:
+def solve_irregular(prep: Prepared, lam: float, pole_tol: float = POLE_COEFF_TOL) -> Solution:
     """Laurent route for A0 = E: with A(lambda) = sum_{m>=p} lambda^m A_m
     and A_p invertible, the load vector is x_gamma = lambda^{-p} nu(lambda)
     where nu sums the geometric series
     -(I + A_p^{-1} B(lambda))^{-1} A_p^{-1} b(lambda),
     B(lambda) = sum_{m=p+1}^{M} lambda^{m-p} A_m. The series is summed in
     closed form by a dense solve; the contraction bound q certifies it."""
-    A0 = assemble_A0(problem)
-    classification = classify(A0)
+    problem, kernel, truncation = prep.problem, prep.kernel, prep.truncation
+    classification = prep.classification
     if classification.kind == "unsupported-irregular":
         raise RoutePreconditionError(
             "det(E - A0) = 0 with A0 != E: no constructive route exists in "
@@ -384,9 +405,10 @@ def solve_irregular(
             "the load vector has a pole at lambda = 0; request a nonzero lambda"
         )
     if truncation < 2:
-        raise ValueError(f"truncation must be >= 2, got {truncation}")
-    iterated = iterate_kernels(kernel, truncation)
-    coeff_mats = taylor_A(problem, iterated, truncation)
+        raise RoutePreconditionError(
+            f"the irregular route needs truncation >= 2, got {truncation}"
+        )
+    coeff_mats = prep.taylor
     pole, reference = pole_order(coeff_mats, operator_norm(kernel), pole_tol)
     if pole is None:
         raise RoutePreconditionError(
@@ -425,7 +447,6 @@ def solve_irregular(
     # nu_series(lam), with b(lam) from the factorization that also rebuilds x.
     _, rhs, basis = assemble_lambda_system(problem, kernel, lam)
     x_gamma = -np.linalg.solve(a_p + b_matrix(lam), rhs) / lam**pole
-    x = GridFunction(kernel.rule, basis @ np.append(x_gamma, 1.0))
     expansion = IrregularExpansion(
         pole_order=pole,
         coefficients=tuple(coeff_mats[pole - 1 :]),
@@ -434,16 +455,8 @@ def solve_irregular(
         rho=rho,
         tail_bound=tail_bound,
     )
-    return Solution(
-        lam=lam,
-        x=x,
-        x_gamma=x_gamma,
-        route="irregular",
-        residual=_defect(problem, kernel, lam, x),
-        classification=classification,
-        pole_order=pole,
-        expansion=expansion,
-    )
+    values = basis @ np.append(x_gamma, 1.0)
+    return _solution(prep, lam, values, "irregular", x_gamma, pole_order=pole, expansion=expansion)
 
 
 def solve_auto(
@@ -451,39 +464,21 @@ def solve_auto(
     kernel: DiscreteKernel,
     lam: float,
     truncation: int = DEFAULT_TRUNCATION,
-    condition_tol: float = 1e-10,
-    nilpotency_tol: float = 1e-10,
+    tol: float = 1e-10,
 ) -> Solution:
     """Pick a route from the problem's structure.
 
     When the loads annihilate the kernel, the zero-order system decides
     solvability outright (no continuous solution when it is inconsistent)
     and a nilpotent kernel gets the exact polynomial route. Otherwise the
-    classification of A0 selects the regular or irregular path.
+    classification of A0 selects the regular or irregular path (which
+    rejects a singular E - A0 with A0 != E).
     """
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    reports = functionals.check_condition_one(problem, kernel, condition_tol)
-    condition_holds = all(r.holds for r in reports)
-    A0 = assemble_A0(problem)
-    classification = classify(A0)
-    if condition_holds:
-        outcome = solve_zero_order_system(A0, assemble_f_gamma(problem))
-        if isinstance(outcome, NoSolution):
-            raise NoSolutionError(
-                "the loads annihilate the kernel and the zero-order load "
-                "system is inconsistent: the equation has no solution in "
-                "the class of continuous functions"
-            )
-        iterated = iterate_kernels(kernel, truncation)
-        pnil = nilpotency_index(iterated, nilpotency_tol)
-        if pnil is not None:
-            return solve_nilpotent(problem, iterated, pnil, lam, condition_tol)
-    if classification.is_regular:
-        return solve_regular(problem, kernel, lam)
-    if classification.is_irregular_identity:
-        return solve_irregular(problem, kernel, lam, truncation)
-    raise RoutePreconditionError(
-        "det(E - A0) = 0 with A0 != E: no constructive route exists in "
-        "this package for that case"
-    )
+    prep = prepare(problem, kernel, truncation, tol)
+    if prep.annihilates:
+        _zero_order_loads(prep)  # raises NoSolutionError when inconsistent
+        if prep.nilpotency is not None:
+            return solve_nilpotent(prep, lam)
+    if prep.classification.is_regular:
+        return solve_regular(prep, lam)
+    return solve_irregular(prep, lam)

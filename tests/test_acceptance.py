@@ -57,7 +57,7 @@ def test_criterion_01_golden_identity_example(tmp_path, capsys):
     worst_value = 0.0
     worst_residual = 0.0
     for lam in _golden_lambdas():
-        solution = fl.solve_irregular(problem, kernel, float(lam))
+        solution = fl.solve_irregular(fl.prepare(problem, kernel), float(lam))
         x0 = fl.interpolate(solution.x, 0.0)
         worst_value = max(worst_value, abs(x0 - _golden_closed_form(float(lam))))
         worst_residual = max(worst_residual, solution.residual)
@@ -75,7 +75,7 @@ def test_criterion_02_laurent_coefficient_recovery():
     problem, kernel = golden_identity_problem()
     lams = _golden_lambdas()
     values = np.array(
-        [fl.interpolate(fl.solve_irregular(problem, kernel, float(l)).x, 0.0) for l in lams]
+        [fl.interpolate(fl.solve_irregular(fl.prepare(problem, kernel), float(l)).x, 0.0) for l in lams]
     )
     basis = np.column_stack([1.0 / lams, np.ones_like(lams)])
     coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
@@ -93,7 +93,7 @@ def test_criterion_03_oracle_equivalence_50_random_problems():
     worst = 0.0
     for _ in range(50):
         problem, kernel, lam = make_random_regular_problem(rng)
-        mine = fl.solve_regular(problem, kernel, lam)
+        mine = fl.solve_regular(fl.prepare(problem, kernel), lam)
         reference = fl.dense_solve(problem, kernel, lam)
         worst = max(worst, float(np.max(np.abs(mine.x.values - reference.x.values))))
     ok = worst <= 1e-8
@@ -137,8 +137,8 @@ def test_criterion_05_successive_rate():
         kernel = fl.discretize(problem.kernel, problem.master_rule(64))
         bound_l = fl.successive_bound(problem, kernel)
         lam = 0.5 / bound_l  # |lambda| * l = q = 0.5
-        iterative = fl.solve_successive(problem, kernel, lam, q=0.5)
-        direct = fl.solve_regular(problem, kernel, lam)
+        iterative = fl.solve_successive(fl.prepare(problem, kernel), lam, q=0.5)
+        direct = fl.solve_regular(fl.prepare(problem, kernel), lam)
         gap = float(np.max(np.abs(iterative.x.values - direct.x.values)))
         ratios = [
             iterative.history[i + 1] / iterative.history[i]
@@ -166,7 +166,7 @@ def test_criterion_06_nilpotent_polynomial_route():
     worst_err = 0.0
     worst_residual = 0.0
     for lam in [0.0, 1.0, 10.0]:
-        solution = fl.solve_nilpotent(problem, iterated, 1, lam)
+        solution = fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), lam)
         expected = 1.0 + lam * (kernel.rule.nodes - 0.5)
         worst_err = max(worst_err, float(np.max(np.abs(solution.x.values - expected))))
         worst_residual = max(worst_residual, solution.residual)
@@ -191,7 +191,7 @@ def test_criterion_07_degeneration_to_zero_order_system():
     outcome = fl.solve_zero_order_system(
         fl.assemble_A0(problem), fl.assemble_f_gamma(problem)
     )
-    solution = fl.solve_regular(problem, kernel, 0.5 / norm)
+    solution = fl.solve_regular(fl.prepare(problem, kernel), 0.5 / norm)
     gap = float(np.max(np.abs(solution.x_gamma - outcome.c)))
     ok = worst_a <= 1e-8 and gap <= 1e-8
     _report(

@@ -14,7 +14,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fredload import cli, oracle
+from fredload import cli, oracle, solver
 from fredload.errors import NoSolutionError
 from fredload.kernel_ops import discretize, iterate_kernels
 from fredload.load_system import assemble_A0, classify
@@ -95,3 +95,19 @@ def test_benchmark_call_shapes(name, kind, route):
     assert interpolate(GridFunction(kernel.rule, values), 0.5) == pytest.approx(np.cos(0.5))
     iterated = iterate_kernels(kernel, 3)
     assert (iterated.rule.n, iterated.depth) == (16, 3)
+
+
+def test_cli_auto_solve_goes_through_solve_auto(monkeypatch, capsys):
+    # The per-layer solver.solve_auto_ms reads this call; a CLI that bypassed
+    # it would report 0 ms without failing anything else.
+    calls = []
+    original = solver.solve_auto
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_auto", counted)
+    assert cli.main(["solve", str(EXAMPLES / "loaded_regular.prob"), "--nodes", "16"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

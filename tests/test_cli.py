@@ -346,7 +346,7 @@ def test_usage_error_maps_to_parse_exit_code(write, capsys):
 def test_solve_rejects_zero_truncation(capsys):
     rc = main(["solve", str(EXAMPLES / "loaded_regular.prob"), "--truncation", "0"])
     captured = capsys.readouterr()
-    assert rc == 1
+    assert rc == 4
     assert captured.out == ""
     assert "truncation must be >= 1" in captured.err
 
@@ -357,10 +357,45 @@ def test_solve_rejects_zero_max_iter(capsys):
         "--route", "successive", "--max-iter", "0",
     ])
     captured = capsys.readouterr()
-    assert rc == 1
+    assert rc == 4
     assert captured.out == ""
     assert "IndexError" not in captured.err
     assert "max_iter must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--nodes", "0"], "node count must be >= 1, got 0"),
+        (["--tol", "-1"], "tol must be > 0, got -1.0"),
+        (["--q", "1.5"], "q must be in (0, 1), got 1.5"),
+        (["--truncation", "0"], "truncation must be >= 1, got 0"),
+        (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        ("q = 1.5", "q must be in (0, 1), got 1.5"),
+    ],
+    ids=["nodes", "tol", "q", "truncation", "max_iter", "file-q"],
+)
+def test_out_of_range_numeric_settings_are_parse_errors(write, flags, message, capsys):
+    # A flag and the same key in the [numerics] block are checked alike.
+    if isinstance(flags, str):
+        path, flags = write(GOLDEN_FILE_TEXT + flags + "\n"), []
+    else:
+        path = str(EXAMPLES / "identity_pole.prob")
+    rc = main(["solve", path, "--lambda", "0.25"] + flags)
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == f"error[parse-error]: {message}\n"
+
+
+def test_irregular_route_needs_two_terms_of_truncation(capsys):
+    rc = main(["solve", str(EXAMPLES / "identity_pole.prob"), "--truncation", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error[route-precondition]: the irregular route needs truncation >= 2"
+    )
 
 
 # ------------------------------------------- flags beat the [numerics] block

@@ -187,7 +187,7 @@ def test_degeneration_under_exact_annihilation():
         assert np.max(np.abs(fl.A_lambda(problem, kernel, float(lam)))) <= 1e-8
     outcome = solve_zero_order_system(fl.assemble_A0(problem), fl.assemble_f_gamma(problem))
     assert isinstance(outcome, UniqueLoads)
-    solution = fl.solve_regular(problem, kernel, 0.4 / norm)
+    solution = fl.solve_regular(fl.prepare(problem, kernel), 0.4 / norm)
     assert solution.x_gamma == pytest.approx(outcome.c, abs=1e-8)
 
 
@@ -198,7 +198,7 @@ def test_necessity_of_zero_order_system():
         "t - 1/2", "exp(t)", [("t^2", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))]
     )
     kernel = _discretized(problem)
-    solution = fl.solve_regular(problem, kernel, 0.7)
+    solution = fl.solve_regular(fl.prepare(problem, kernel), 0.7)
     c = np.array([fl.apply(load.functional, solution.x) for load in problem.loads])
     a0 = fl.assemble_A0(problem)
     lhs = (np.eye(1) - a0) @ c

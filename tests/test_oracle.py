@@ -101,7 +101,7 @@ def test_dense_solve_agrees_with_regular_route():
     rng = np.random.default_rng(41)
     for _ in range(10):
         problem, kernel, lam = make_random_regular_problem(rng)
-        mine = fl.solve_regular(problem, kernel, lam)
+        mine = fl.solve_regular(fl.prepare(problem, kernel), lam)
         reference = fl.dense_solve(problem, kernel, lam)
         assert np.max(np.abs(mine.x.values - reference.x.values)) <= 1e-8
         assert reference.residual <= 1e-10

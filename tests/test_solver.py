@@ -34,7 +34,7 @@ def test_regular_zero_kernel_returns_source():
     problem = make_problem("0", "1 + t^2", [("0", fl.point_load(0.5))])
     kernel = _discretized(problem)
     for lam in [0.0, 0.7, -3.0]:
-        solution = fl.solve_regular(problem, kernel, lam)
+        solution = fl.solve_regular(fl.prepare(problem, kernel), lam)
         expected = 1.0 + kernel.rule.nodes**2
         assert np.max(np.abs(solution.x.values - expected)) <= 1e-13
         assert solution.residual <= 1e-13
@@ -43,7 +43,7 @@ def test_regular_zero_kernel_returns_source():
 def test_regular_matches_oracle_at_lambda_zero():
     rng = np.random.default_rng(3)
     problem, kernel, _ = make_random_regular_problem(rng)
-    mine = fl.solve_regular(problem, kernel, 0.0)
+    mine = fl.solve_regular(fl.prepare(problem, kernel), 0.0)
     reference = fl.dense_solve(problem, kernel, 0.0)
     assert np.max(np.abs(mine.x.values - reference.x.values)) <= 1e-8
 
@@ -58,7 +58,7 @@ def test_regular_rank_two_matches_oracle():
         ],
     )
     kernel = _discretized(problem)
-    mine = fl.solve_regular(problem, kernel, 0.3)
+    mine = fl.solve_regular(fl.prepare(problem, kernel), 0.3)
     reference = fl.dense_solve(problem, kernel, 0.3)
     assert np.max(np.abs(mine.x.values - reference.x.values)) <= 1e-8
     assert mine.residual <= 1e-8
@@ -67,7 +67,7 @@ def test_regular_rank_two_matches_oracle():
 def test_regular_refuses_irregular_classification():
     problem, kernel = golden_identity_problem()
     with pytest.raises(RoutePreconditionError):
-        fl.solve_regular(problem, kernel, 0.25)
+        fl.solve_regular(fl.prepare(problem, kernel), 0.25)
 
 
 def test_regular_detects_singular_load_system():
@@ -76,15 +76,15 @@ def test_regular_detects_singular_load_system():
     problem = make_problem("1", "1", [("0.5", fl.point_load(0.0))])
     kernel = _discretized(problem)
     with pytest.raises(SingularLoadSystemError):
-        fl.solve_regular(problem, kernel, 0.5)
-    solution = fl.solve_regular(problem, kernel, 0.4)  # nearby lambda is fine
+        fl.solve_regular(fl.prepare(problem, kernel), 0.5)
+    solution = fl.solve_regular(fl.prepare(problem, kernel), 0.4)  # nearby lambda is fine
     assert solution.residual <= 1e-8
 
 
 def test_load_consistency_regular():
     rng = np.random.default_rng(5)
     problem, kernel, lam = make_random_regular_problem(rng)
-    solution = fl.solve_regular(problem, kernel, lam)
+    solution = fl.solve_regular(fl.prepare(problem, kernel), lam)
     recomputed = np.array(
         [fl.apply(load.functional, solution.x) for load in problem.loads]
     )
@@ -97,7 +97,7 @@ def test_load_consistency_regular():
 def test_successive_zero_source_is_zero():
     problem = make_problem("1", "0", [("0", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))])
     kernel = _discretized(problem)
-    solution = fl.solve_successive(problem, kernel, 0.4)
+    solution = fl.solve_successive(fl.prepare(problem, kernel), 0.4)
     assert np.array_equal(solution.x.values, np.zeros(64))
     assert len(solution.history) == 1
 
@@ -105,8 +105,8 @@ def test_successive_zero_source_is_zero():
 def test_successive_at_lambda_zero_matches_regular():
     problem = make_problem("t*s", "1 + t", [("0.3*t", fl.point_load(0.5))])
     kernel = _discretized(problem)
-    iterative = fl.solve_successive(problem, kernel, 0.0)
-    direct = fl.solve_regular(problem, kernel, 0.0)
+    iterative = fl.solve_successive(fl.prepare(problem, kernel), 0.0)
+    direct = fl.solve_regular(fl.prepare(problem, kernel), 0.0)
     assert np.max(np.abs(iterative.x.values - direct.x.values)) <= 1e-12
     assert len(iterative.history) == 2
 
@@ -114,7 +114,7 @@ def test_successive_at_lambda_zero_matches_regular():
 def test_successive_constant_kernel_geometric_rate():
     problem = make_problem("1", "1", [("0", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))])
     kernel = _discretized(problem)
-    solution = fl.solve_successive(problem, kernel, 0.5, q=0.5)
+    solution = fl.solve_successive(fl.prepare(problem, kernel), 0.5, q=0.5)
     assert np.max(np.abs(solution.x.values - 2.0)) <= 1e-9
     assert solution.residual <= 10 * 1e-10  # stopping tolerance times ten
     ratios = [
@@ -131,7 +131,7 @@ def test_successive_refuses_lambda_beyond_bound():
     kernel = _discretized(problem)
     bound = fl.successive_bound(problem, kernel)
     with pytest.raises(RoutePreconditionError) as err:
-        fl.solve_successive(problem, kernel, 0.8, q=0.5)
+        fl.solve_successive(fl.prepare(problem, kernel), 0.8, q=0.5)
     assert f"{0.5 / bound:.6g}" in str(err.value)
 
 
@@ -139,7 +139,7 @@ def test_successive_rejects_bad_q():
     problem = make_problem("1", "1", [("0", fl.point_load(0.0))])
     kernel = _discretized(problem)
     with pytest.raises(ValueError):
-        fl.solve_successive(problem, kernel, 0.1, q=1.5)
+        fl.solve_successive(fl.prepare(problem, kernel), 0.1, q=1.5)
 
 
 def test_successive_agrees_with_regular_on_loaded_problem():
@@ -147,8 +147,8 @@ def test_successive_agrees_with_regular_on_loaded_problem():
         "t - 1/2", "1 + t", [("t", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))]
     )
     kernel = _discretized(problem)
-    iterative = fl.solve_successive(problem, kernel, 0.3, q=0.9)
-    direct = fl.solve_regular(problem, kernel, 0.3)
+    iterative = fl.solve_successive(fl.prepare(problem, kernel), 0.3, q=0.9)
+    direct = fl.solve_regular(fl.prepare(problem, kernel), 0.3)
     assert np.max(np.abs(iterative.x.values - direct.x.values)) <= 1e-7
 
 
@@ -167,7 +167,7 @@ def test_nilpotent_exact_solution_all_lambdas():
     iterated = fl.iterate_kernels(kernel, 5)
     assert fl.nilpotency_index(iterated, tol=1e-10) == 1
     for lam in [0.0, 1.0, 10.0]:
-        solution = fl.solve_nilpotent(problem, iterated, 1, lam)
+        solution = fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), lam)
         expected = 1.0 + lam * (kernel.rule.nodes - 0.5)
         assert np.max(np.abs(solution.x.values - expected)) <= 1e-8
         assert solution.residual <= 1e-8
@@ -178,7 +178,7 @@ def test_nilpotent_refuses_non_annihilating_loads():
     kernel = _discretized(problem)
     iterated = fl.iterate_kernels(kernel, 5)
     with pytest.raises(RoutePreconditionError):
-        fl.solve_nilpotent(problem, iterated, 1, 0.5)
+        fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), 0.5)
 
 
 def test_nilpotent_propagates_no_solution():
@@ -188,14 +188,14 @@ def test_nilpotent_propagates_no_solution():
     kernel = _discretized(problem)
     iterated = fl.iterate_kernels(kernel, 5)
     with pytest.raises(NoSolutionError):
-        fl.solve_nilpotent(problem, iterated, 1, 0.5)
+        fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), 0.5)
 
 
 def test_nilpotent_non_unique_uses_particular_solution():
     problem = make_problem("t - 1/2", "t - 1/2", [("1", fl.point_load(0.5))])
     kernel = _discretized(problem)
     iterated = fl.iterate_kernels(kernel, 5)
-    solution = fl.solve_nilpotent(problem, iterated, 1, 0.5)
+    solution = fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), 0.5)
     assert solution.note is not None
     assert solution.residual <= 1e-10
 
@@ -205,9 +205,9 @@ def test_route_agreement_nilpotent_regular_successive():
     kernel = _discretized(problem)
     iterated = fl.iterate_kernels(kernel, 5)
     lam = 0.3
-    a = fl.solve_nilpotent(problem, iterated, 1, lam)
-    b = fl.solve_regular(problem, kernel, lam)
-    c = fl.solve_successive(problem, kernel, lam, q=0.9)
+    a = fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), lam)
+    b = fl.solve_regular(fl.prepare(problem, kernel), lam)
+    c = fl.solve_successive(fl.prepare(problem, kernel), lam, q=0.9)
     assert np.max(np.abs(a.x.values - b.x.values)) <= 1e-7
     assert np.max(np.abs(a.x.values - c.x.values)) <= 1e-7
 
@@ -217,7 +217,7 @@ def test_route_agreement_nilpotent_regular_successive():
 
 def test_irregular_golden_closed_form():
     problem, kernel = golden_identity_problem()
-    solution = fl.solve_irregular(problem, kernel, 0.25)
+    solution = fl.solve_irregular(fl.prepare(problem, kernel), 0.25)
     assert solution.pole_order == 1
     assert np.max(np.abs(solution.x.values + 4.0)) <= 1e-9
     assert fl.interpolate(solution.x, 0.0) == pytest.approx(-4.0, abs=1e-9)
@@ -240,7 +240,7 @@ def test_irregular_general_family_closed_form():
     kernel = _discretized(problem)
     t = kernel.rule.nodes
     for lam in [0.05, 0.1, 0.15, 0.2, 0.24]:
-        solution = fl.solve_irregular(problem, kernel, lam)
+        solution = fl.solve_irregular(fl.prepare(problem, kernel), lam)
         assert solution.pole_order == 1
         x0 = (1.0 / am) * (-1.0 / lam - fm + bm)
         expected = (1 + t**2) - (1 + t / 2) * 1.0 + (1 + t) * x0
@@ -254,7 +254,7 @@ def test_irregular_agrees_with_dense_oracle():
         "(1 + t/2) * (1 + s)", "1 + t^2", [("1 + t", fl.point_load(0.0))]
     )
     kernel = _discretized(problem)
-    mine = fl.solve_irregular(problem, kernel, 0.2)
+    mine = fl.solve_irregular(fl.prepare(problem, kernel), 0.2)
     reference = fl.dense_solve(problem, kernel, 0.2)
     assert np.max(np.abs(mine.x.values - reference.x.values)) <= 1e-6
 
@@ -262,13 +262,13 @@ def test_irregular_agrees_with_dense_oracle():
 def test_irregular_pole_at_zero_refused():
     problem, kernel = golden_identity_problem()
     with pytest.raises(RoutePreconditionError):
-        fl.solve_irregular(problem, kernel, 0.0)
+        fl.solve_irregular(fl.prepare(problem, kernel), 0.0)
 
 
 def test_irregular_radius_refusal():
     problem, kernel = golden_identity_problem()
     with pytest.raises(RoutePreconditionError) as err:
-        fl.solve_irregular(problem, kernel, 0.6)
+        fl.solve_irregular(fl.prepare(problem, kernel), 0.6)
     assert "q =" in str(err.value)
 
 
@@ -276,7 +276,7 @@ def test_irregular_refuses_regular_problem():
     problem = make_problem("1", "1", [("0", fl.point_load(0.0))])
     kernel = _discretized(problem)
     with pytest.raises(RoutePreconditionError):
-        fl.solve_irregular(problem, kernel, 0.25)
+        fl.solve_irregular(fl.prepare(problem, kernel), 0.25)
 
 
 def test_irregular_unsupported_case_message():
@@ -287,7 +287,7 @@ def test_irregular_unsupported_case_message():
     )
     kernel = _discretized(problem)
     with pytest.raises(RoutePreconditionError) as err:
-        fl.solve_irregular(problem, kernel, 0.25)
+        fl.solve_irregular(fl.prepare(problem, kernel), 0.25)
     assert "no constructive route" in str(err.value)
 
 
@@ -299,7 +299,7 @@ def test_irregular_singular_leading_coefficient():
     )
     kernel = _discretized(problem)
     with pytest.raises(RoutePreconditionError) as err:
-        fl.solve_irregular(problem, kernel, 0.1)
+        fl.solve_irregular(fl.prepare(problem, kernel), 0.1)
     assert "singular" in str(err.value)
 
 
@@ -310,7 +310,7 @@ def test_irregular_no_pole_order_when_coupling_vanishes():
     )
     kernel = _discretized(problem)
     with pytest.raises(RoutePreconditionError) as err:
-        fl.solve_irregular(problem, kernel, 0.1)
+        fl.solve_irregular(fl.prepare(problem, kernel), 0.1)
     assert "pole order" in str(err.value)
 
 
@@ -320,7 +320,7 @@ def test_irregular_pole_order_does_not_depend_on_kernel_scale(c):
     problem = make_problem(repr(c), "1", [("1", fl.point_load(0.0))])
     kernel = _discretized(problem)
     lam = 0.1 / c
-    solution = fl.solve_irregular(problem, kernel, lam)
+    solution = fl.solve_irregular(fl.prepare(problem, kernel), lam)
     assert solution.pole_order == 1
     assert solution.x.values == pytest.approx(np.full(64, -1.0 / (c * lam)), rel=1e-9)
 
@@ -332,14 +332,14 @@ def test_irregular_reports_overflowing_taylor_coefficients():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RoutePreconditionError, match=r"A_26 .* not finite"):
-            fl.solve_irregular(problem, kernel, 1e-13)
-        solution = fl.solve_irregular(problem, kernel, 1e-13, truncation=20)
+            fl.solve_irregular(fl.prepare(problem, kernel), 1e-13)
+        solution = fl.solve_irregular(fl.prepare(problem, kernel, 20), 1e-13)
     assert solution.x.values == pytest.approx(np.full(64, -10.0), rel=1e-12)
 
 
 def test_irregular_expansion_metadata():
     problem, kernel = golden_identity_problem()
-    solution = fl.solve_irregular(problem, kernel, 0.25)
+    solution = fl.solve_irregular(fl.prepare(problem, kernel), 0.25)
     expansion = solution.expansion
     assert expansion.pole_order == 1
     # A_m = 1 for every m for this problem.
@@ -356,7 +356,7 @@ def test_irregular_expansion_metadata():
 def test_irregular_nu_series_matches_explicit_partial_sums():
     # For q < 1 the closed-form solve equals the iterated geometric series.
     problem, kernel = golden_identity_problem()
-    solution = fl.solve_irregular(problem, kernel, 0.2)
+    solution = fl.solve_irregular(fl.prepare(problem, kernel), 0.2)
     expansion = solution.expansion
     a_p = expansion.coefficients[0]
     tail = expansion.coefficients[1:]
@@ -376,13 +376,13 @@ def test_irregular_nu_series_matches_explicit_partial_sums():
 def test_laurent_limit_of_lambda_times_loads():
     problem, kernel = golden_identity_problem()
     for lam in [1e-3, 1e-4]:
-        solution = fl.solve_irregular(problem, kernel, lam)
+        solution = fl.solve_irregular(fl.prepare(problem, kernel), lam)
         assert lam * solution.x_gamma[0] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_contraction_bound_inside_certified_radius():
     problem, kernel = golden_identity_problem()
-    expansion = fl.solve_irregular(problem, kernel, 0.25).expansion
+    expansion = fl.solve_irregular(fl.prepare(problem, kernel), 0.25).expansion
     a_p = expansion.coefficients[0]
     tail = expansion.coefficients[1:]
     for fraction in [0.1, 0.5, 0.9, 1.0]:
@@ -399,14 +399,14 @@ def test_contraction_bound_inside_certified_radius():
 def test_residual_matches_stored_value():
     rng = np.random.default_rng(17)
     problem, kernel, lam = make_random_regular_problem(rng)
-    solution = fl.solve_regular(problem, kernel, lam)
+    solution = fl.solve_regular(fl.prepare(problem, kernel), lam)
     assert fl.residual(problem, solution) == pytest.approx(solution.residual, abs=1e-12)
 
 
 def test_residual_detects_corruption():
     problem = make_problem("0", "1", [("0", fl.point_load(0.5))])
     kernel = _discretized(problem)
-    solution = fl.solve_regular(problem, kernel, 0.0)
+    solution = fl.solve_regular(fl.prepare(problem, kernel), 0.0)
     corrupted_values = solution.x.values.copy()
     corrupted_values[5] += 1.0
     corrupted = dataclasses.replace(
@@ -438,7 +438,7 @@ def test_holomorphy_proxy_polynomial_fit():
     lams = np.linspace(-0.15, 0.15, 9) / norm
     t_star_index = 10
     values = np.array(
-        [fl.solve_regular(problem, kernel, float(lam)).x.values[t_star_index] for lam in lams]
+        [fl.solve_regular(fl.prepare(problem, kernel), float(lam)).x.values[t_star_index] for lam in lams]
     )
     held_out = 4
     mask = np.arange(9) != held_out
@@ -511,3 +511,34 @@ def test_solve_auto_rejects_nonpositive_truncation(monkeypatch):
     with pytest.raises(ValueError, match="truncation must be >= 1"):
         fl.solve_auto(problem, kernel, 0.2, truncation=0)
     assert condition_calls == []
+
+
+@pytest.mark.parametrize(
+    "name", ["identity_pole.prob", "loaded_regular.prob", "nilpotent.prob", "no_solution.prob"]
+)
+def test_solve_auto_assembles_A0_once(monkeypatch, name):
+    problem, kernel = _example(name)
+    lam = load_problem_file(str(EXAMPLES / name)).numerics.lam
+    a0_calls = _count_calls(monkeypatch, solver_module, "assemble_A0")
+    try:
+        fl.solve_auto(problem, kernel, lam)
+    except NoSolutionError:
+        assert name == "no_solution.prob"
+    assert len(a0_calls) == 1
+
+
+def test_vanishing_coupling_iterates_kernels_once(monkeypatch):
+    # Identity loads that annihilate K = t*s: the nilpotency check and the
+    # pole-order search read the same iterated kernels.
+    problem = make_problem("t*s", "t", [("1", fl.point_load(0.0))])
+    kernel = _discretized(problem)
+    iterate_calls = _count_calls(monkeypatch, solver_module, "iterate_kernels")
+    with pytest.raises(RoutePreconditionError, match=r"A\(lambda\) vanishes"):
+        fl.solve_auto(problem, kernel, 0.2)
+    assert len(iterate_calls) == 1
+
+
+def test_nilpotent_route_reports_a_kernel_that_does_not_terminate():
+    problem = make_problem("t*s", "1", [("0", fl.point_load(0.0))])
+    with pytest.raises(RoutePreconditionError, match="not nilpotent within depth 5"):
+        fl.solve_nilpotent(fl.prepare(problem, _discretized(problem), 5), 0.5)
