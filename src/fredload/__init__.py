@@ -48,6 +48,7 @@ from .kernel_ops import (
     operator_norm,
     resolvent,
     resolvent_apply,
+    series_scale,
 )
 from .load_system import (
     Classification,

@@ -178,11 +178,7 @@ def cmd_analyze(args) -> int:
             out,
         )
     if classification.is_irregular_identity:
-        try:
-            pole, _ = solver.pole_order(prep.taylor, norm)
-        except RoutePreconditionError as exc:
-            _emit(f"pole order: none ({exc})", out)
-            return EXIT_OK
+        pole, _ = solver.pole_order(prep.taylor)
         if pole is None:
             _emit(
                 f"pole order: none (load coupling vanishes up to depth {numerics.truncation})",

@@ -5,7 +5,8 @@ the kernel on the master rule, with the diagonal weight matrix W turning
 matrix products into quadrature approximations of operator composition.
 The resolvent G(t,s,lambda) of (I - lambda K)^{-1} = I + lambda * G[.] is
 obtained by a dense solve per lambda; the routes need only its images
-lambda * G W y, one solve with those right-hand sides. The determinant of
+lambda * G W y, one solve with those right-hand sides, and its Taylor
+series only the scaled column powers (K W / g)^m y. The determinant of
 the discretized operator stands in for the Fredholm denominator; its zeros,
 the characteristic numbers, are the reciprocals of the real eigenvalues of
 K W.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
     "iterate_kernels",
     "nilpotency_index",
     "operator_norm",
+    "scaled_powers",
+    "series_scale",
     "resolvent",
     "resolvent_apply",
     "resolvent_images",
@@ -102,8 +105,8 @@ def discretize(kernel: Expr, rule: QuadratureRule) -> DiscreteKernel:
 
 
 def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:
-    """Compute K_1..K_depth by repeated weighted composition. Iterates
-    that overflow are left non-finite for the callers to report."""
+    """K_1..K_depth by repeated weighted composition, O(N^3) per step: a dense
+    reference, as the routes use scaled_powers. Overflowing iterates stay non-finite."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     out = [kernel.values]
@@ -113,42 +116,52 @@ def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:
     return IteratedKernels(rule=kernel.rule, kernels=tuple(out))
 
 
-_COLLAPSE_RATIO = 1e-6
-
-
-def nilpotency_index(iterated: IteratedKernels, tol: float = 1e-10) -> Optional[int]:
-    """Smallest p with K_{p+1} negligible but K_p not; None if no such p
-    within the computed depth. A null kernel reports p = 0.
-
-    Negligible means below tol * (1 + max|K_1|) AND a collapse of at least
-    six orders of magnitude against K_p: a merely contractive kernel also
-    drives max|K_m| under any fixed threshold eventually, but by a bounded
-    per-step ratio, whereas true annihilation drops to the roundoff floor.
-    All later computed iterates must stay negligible as well. A non-finite
-    iterate gives None.
-    """
-    mags = [float(np.max(np.abs(k))) for k in iterated.kernels]
-    if not all(map(math.isfinite, mags)):
-        return None
-    threshold = tol * (1.0 + mags[0])
-    if mags[0] <= threshold:
-        return 0
-    for p in range(1, iterated.depth):
-        if (
-            mags[p] <= threshold
-            and mags[p - 1] > threshold
-            and mags[p] <= _COLLAPSE_RATIO * mags[p - 1]
-            and all(m <= threshold for m in mags[p:])
-        ):
-            return p
-    return None
-
-
 def operator_norm(kernel: DiscreteKernel) -> float:
     """Discrete sup-norm of the integral operator: max_i sum_j w_j |K_ij|."""
     if kernel.rule.n == 0:
         return 0.0
     return float(np.max(np.abs(kernel.values) @ kernel.rule.weights))
+
+
+def series_scale(kernel: DiscreteKernel) -> float:
+    """g = operator_norm(kernel), or 1 for a null kernel: ||K W / g|| = 1 in the max norm."""
+    return operator_norm(kernel) or 1.0
+
+
+def scaled_powers(kernel: DiscreteKernel, columns: np.ndarray, depth: int) -> Iterator[np.ndarray]:
+    """Yield (K W / g)^m Y for m = 1..depth and an N x k block Y, g = series_scale,
+    so K_m W Y is g^m times the m-th term. Each step is one N x N by N x k
+    product instead of an N x N iterated kernel; max|term| never grows, so
+    none overflows."""
+    step = kernel.values * (kernel.rule.weights / series_scale(kernel))
+    for _ in range(depth):
+        columns = step @ columns
+        yield columns
+
+
+_COLLAPSE_RATIO = 1e-6
+
+
+def nilpotency_index(kernel: DiscreteKernel, depth: int, tol: float = 1e-10) -> Optional[int]:
+    """Smallest p with (K W)^{p+1} negligible but (K W)^p not, judged on
+    Q_m = (K W / g)^m P for a fixed-seed N x 4 probe P (scaled_powers) and
+    m <= depth; None if no such p, 0 for a null kernel. If (K W)^k = 0 then
+    Q_k = 0, and a generic probe does not vanish earlier.
+
+    Negligible means max|Q_m| <= tol * (1 + max|Q_1|) AND a collapse of at
+    least six orders of magnitude against Q_p: a contractive kernel also
+    drives max|Q_m| under any fixed threshold, but by a bounded per-step
+    ratio, whereas annihilation drops to the roundoff floor. Later terms
+    stay negligible, as max|Q_m| never grows, so the first negligible term
+    decides and the recurrence stops there."""
+    probe = np.random.default_rng(0).standard_normal((kernel.rule.n, 4))
+    mags: list[float] = []
+    for q in scaled_powers(kernel, probe, depth):
+        mags.append(float(np.max(np.abs(q))))
+        if mags[-1] <= tol * (1.0 + mags[0]):
+            p = len(mags) - 1
+            return p if p == 0 or mags[p] <= _COLLAPSE_RATIO * mags[p - 1] else None
+    return None
 
 
 def _slogdet_or_raise(kernel: DiscreteKernel, lam: float) -> tuple[np.ndarray, float, float]:

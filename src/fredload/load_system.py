@@ -13,8 +13,9 @@ the resolvent kernel on the grid. With the load rows V (functionals.load_rows)
 both come from Z = lambda G W [a | f] without forming G: A(lambda) = V Z_a
 and b(lambda) = f_gamma + V Z_f. The lambda factor is kept inside A so
 that A(0) = 0 exactly and the Taylor expansion of A starts at lambda^1
-with coefficient matrices A_m[i,k] = <gamma_i, (K_m W a_k)(t)> built from
-the iterated kernels.
+with coefficient matrices A_m[i,k] = <gamma_i, (K_m W a_k)(t)>, kept scaled
+as A~_m = A_m / g^m (taylor_A) and built from the column recurrence
+(K W / g)^m a, so no N x N iterated kernel is formed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import functionals
-from .kernel_ops import DiscreteKernel, IteratedKernels, resolvent_images
+from .kernel_ops import DiscreteKernel, resolvent_images, scaled_powers
 from .problem import Load, ProblemSpec
 
 __all__ = [
@@ -64,7 +65,7 @@ def assemble_f_gamma(problem: ProblemSpec) -> np.ndarray:
 
 
 def assemble_lambda_system(
-    problem: ProblemSpec, kernel: DiscreteKernel, lam: float
+    problem: ProblemSpec, kernel: DiscreteKernel, lam: float, f_gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A(lambda), b(lambda), Y) from one solve of (I - lambda K W) Z =
     lambda K W [a | f] with n + 1 right-hand sides: A(lambda) = V Z_a,
@@ -74,29 +75,25 @@ def assemble_lambda_system(
     columns = np.column_stack([problem.coeff_values(rule), problem.source_values(rule)])
     images = resolvent_images(kernel, lam, columns)
     coupled = functionals.load_rows(problem, rule) @ images
-    return coupled[:, :-1], assemble_f_gamma(problem) + coupled[:, -1], columns + images
+    return coupled[:, :-1], f_gamma + coupled[:, -1], columns + images
 
 
 def A_lambda(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> np.ndarray:
     """A(lambda)[i, k] = <gamma_i, lambda * (G W a_k)(t)>."""
-    return assemble_lambda_system(problem, kernel, lam)[0]
+    return assemble_lambda_system(problem, kernel, lam, assemble_f_gamma(problem))[0]
 
 
 def b_lambda(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> np.ndarray:
     """b(lambda)[i] = <gamma_i, f> + <gamma_i, lambda * (G W f)(t)>."""
-    return assemble_lambda_system(problem, kernel, lam)[1]
+    return assemble_lambda_system(problem, kernel, lam, assemble_f_gamma(problem))[1]
 
 
-def taylor_A(problem: ProblemSpec, iterated: IteratedKernels, depth: int) -> list[np.ndarray]:
-    """Coefficients A_1..A_depth of A(lambda) = sum_m lambda^m A_m,
-    A_m[i, k] = <gamma_i, (K_m W a_k)(t)>."""
-    if depth > iterated.depth:
-        raise ValueError(f"requested depth {depth} exceeds computed depth {iterated.depth}")
-    rule = iterated.rule
-    rows = functionals.load_rows(problem, rule)
-    weighted = rule.weights[:, None] * problem.coeff_values(rule)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowed iterates stay non-finite
-        return [rows @ (iterated.kernel(m) @ weighted) for m in range(1, depth + 1)]
+def taylor_A(problem: ProblemSpec, kernel: DiscreteKernel, depth: int) -> list[np.ndarray]:
+    """Scaled coefficients A~_1..A~_depth, A~_m = V (K W / g)^m a with
+    g = series_scale(kernel), so A(lambda) = sum_m (lambda g)^m A~_m and
+    A_m[i, k] = <gamma_i, (K_m W a_k)(t)> = g^m A~_m[i, k]."""
+    rows = functionals.load_rows(problem, kernel.rule)
+    return [rows @ y for y in scaled_powers(kernel, problem.coeff_values(kernel.rule), depth)]
 
 
 @dataclass(frozen=True)

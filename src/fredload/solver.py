@@ -7,18 +7,19 @@ Four constructive paths produce x(t, lambda) on the master grid:
               (valid while det(E - A0) != 0, away from characteristic numbers);
   successive  fixed-point iteration x_n = (I-L)^{-1}(lambda K x_{n-1} + f),
               geometric convergence for |lambda| <= q / l;
-  nilpotent   finite polynomial in lambda when the iterated kernels
-              terminate and the loads annihilate the kernel; exact for
-              every lambda;
+  nilpotent   finite polynomial in lambda when (K W)^{p+1} = 0 and the
+              loads annihilate the kernel; exact for every lambda;
   irregular   Laurent expansion about lambda = 0 when A0 = E: the load
               vector is lambda^{-p} * nu(lambda) with nu built from the
               Taylor coefficients of A(lambda).
 
 Which route applies depends only on lambda-independent quantities: A0 and
-its classification, whether the loads annihilate the kernel slices, and the
-iterated kernels. `prepare` computes them once into a `Prepared` value that
-every route reads. Every route reports the max-norm defect of the full
-equation on the grid, recomputed from the returned grid function alone.
+its classification, whether the loads annihilate the kernel slices, the
+nilpotency index and the Taylor coefficients. `prepare` computes them once
+into a `Prepared` value that every route reads; the last two come from the
+column recurrence (K W / g)^m y, never from an N x N power of K W. Every
+route reports the max-norm defect of the full equation on the grid,
+recomputed from the returned grid function alone.
 """
 
 from __future__ import annotations
@@ -38,23 +39,16 @@ from .errors import (
     SingularLoadSystemError,
 )
 from .functionals import ConditionReport
-from .kernel_ops import (
-    DiscreteKernel,
-    IteratedKernels,
-    discretize,
-    iterate_kernels,
-    nilpotency_index,
-    operator_norm,
-)
+from .kernel_ops import DiscreteKernel, discretize, nilpotency_index, operator_norm, series_scale
 from .load_system import (
     Classification,
     NonUnique,
     NoSolution,
     ProblemSpec,
+    ZeroOrderOutcome,
     assemble_A0,
     assemble_f_gamma,
     assemble_lambda_system,
-    b_lambda,
     classify,
     solve_zero_order_system,
     taylor_A,
@@ -82,11 +76,12 @@ POLE_COEFF_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class IrregularExpansion:
-    """Laurent data at lambda = 0: pole order, the Taylor coefficient
-    matrices A_p..A_M of the load coupling, the contraction bound at the
-    requested lambda, and the certified radius."""
+    """Laurent data at lambda = 0: pole order, growth g = series_scale(K), the
+    scaled Taylor coefficients A~_p..A~_M of the load coupling (A_m = g^m A~_m),
+    the contraction bound at the requested lambda, and the certified radius."""
 
     pole_order: int
+    growth: float
     coefficients: tuple[np.ndarray, ...]
     nu_series: Callable[[float], np.ndarray]
     q: float
@@ -112,9 +107,9 @@ class Solution:
 class Prepared:
     """What the routes need that does not depend on lambda, for one problem
     on one grid: A0, f_gamma, the classification of A0 and the per-load
-    annihilation reports at `tol`. The iterated kernels up to `truncation`
-    and what derives from them are computed on first use, so a regular
-    solve never forms them."""
+    annihilation reports at `tol`. The zero-order outcome, the nilpotency
+    index and the Taylor coefficients up to `truncation` are computed on
+    first use, so a regular solve never forms them."""
 
     problem: ProblemSpec
     kernel: DiscreteKernel
@@ -131,17 +126,18 @@ class Prepared:
         return all(r.holds for r in self.reports)
 
     @cached_property
-    def iterated(self) -> IteratedKernels:
-        return iterate_kernels(self.kernel, self.truncation)
+    def zero_order(self) -> ZeroOrderOutcome:
+        """(E - A0) c = f_gamma, which decides solvability under annihilating loads."""
+        return solve_zero_order_system(self.A0, self.f_gamma)
 
     @cached_property
     def nilpotency(self) -> Optional[int]:
-        return nilpotency_index(self.iterated, self.tol)
+        return nilpotency_index(self.kernel, self.truncation, self.tol)
 
     @cached_property
     def taylor(self) -> list[np.ndarray]:
-        """A_1..A_truncation of A(lambda) = sum_m lambda^m A_m."""
-        return taylor_A(self.problem, self.iterated, self.truncation)
+        """A~_1..A~_truncation of A(lambda) = sum_m (lambda g)^m A~_m."""
+        return taylor_A(self.problem, self.kernel, self.truncation)
 
     @cached_property
     def successive_l(self) -> float:
@@ -171,9 +167,8 @@ def prepare(
 
 
 def _zero_order_loads(prep: Prepared) -> tuple[np.ndarray, Optional[str]]:
-    """The load vector from (E - A0) c = f_gamma, which decides solvability
-    when the loads annihilate the kernel, and a note if it is not unique."""
-    outcome = solve_zero_order_system(prep.A0, prep.f_gamma)
+    """The load vector from prep.zero_order and a note if it is not unique."""
+    outcome = prep.zero_order
     if isinstance(outcome, NoSolution):
         raise NoSolutionError(
             "the loads annihilate the kernel and the zero-order load "
@@ -228,7 +223,7 @@ def solve_regular(prep: Prepared, lam: float) -> Solution:
             f"regular route needs det(E - A0) != 0; classification is "
             f"{classification.kind} (det = {classification.det:.3e})"
         )
-    a_lam, rhs, basis = assemble_lambda_system(problem, kernel, lam)
+    a_lam, rhs, basis = assemble_lambda_system(problem, kernel, lam, prep.f_gamma)
     system = np.eye(problem.n) - A0 - a_lam
     scale = 1.0 + float(np.max(np.abs(A0))) + float(np.max(np.abs(a_lam)))
     if _nearly_singular(system, scale):
@@ -306,9 +301,9 @@ def solve_successive(prep: Prepared, lam: float, q: float = 0.9, max_iter: int =
 
 
 def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
-    """Polynomial route: when K_{p+1} = 0 and the loads annihilate the
-    kernel, x = u + sum_{n=1}^{p} lambda^n K_n W u with u = f + (a, c) and
-    c from the zero-order load system. Exact for every lambda."""
+    """Polynomial route: when (K W)^{p+1} = 0 and the loads annihilate the
+    kernel, x = u + sum_{m=1}^{p} lambda^m (K W)^m u by p matrix-vector products,
+    with u = f + (a, c) and c from the zero-order system. Exact for every lambda."""
     problem, pnil = prep.problem, prep.nilpotency
     if pnil is None:
         raise RoutePreconditionError(f"kernel is not nilpotent within depth {prep.truncation}")
@@ -319,12 +314,12 @@ def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
             f"{worst:.3e}); use the regular or irregular route"
         )
     c, note = _zero_order_loads(prep)
-    rule = prep.kernel.rule
-    u = problem.source_values(rule) + problem.coeff_values(rule) @ c
-    x_vals = u.copy()
-    wu = rule.weights * u
-    for m in range(1, pnil + 1):
-        x_vals += lam**m * (prep.iterated.kernel(m) @ wu)
+    kernel, rule = prep.kernel, prep.kernel.rule
+    term = problem.source_values(rule) + problem.coeff_values(rule) @ c
+    x_vals = term.copy()
+    for _ in range(pnil):
+        term = lam * (kernel.values @ (rule.weights * term))
+        x_vals += term
     return _solution(prep, lam, x_vals, "nilpotent", note=note)
 
 
@@ -360,35 +355,28 @@ def _contraction_radius(norms: list[float], q_max: float = 0.9) -> float:
 
 
 def pole_order(
-    coeff_mats: list[np.ndarray], growth: float, pole_tol: float = POLE_COEFF_TOL
+    coeff_mats: list[np.ndarray], pole_tol: float = POLE_COEFF_TOL
 ) -> tuple[Optional[int], float]:
-    """(p, reference): r_m = max|A_m| / growth^m puts each Taylor coefficient
-    of the load coupling on its own scale (growth: the operator norm of K W);
-    p is the first m with r_m > pole_tol * (1 + max r_m), None if none, and
-    reference = (1 + max r_m) * growth^p. A non-finite A_m is an error."""
+    """(p, reference) for the scaled Taylor coefficients A~_m of the load
+    coupling (taylor_A), each on its own scale: with r_m = max|A~_m|, p is
+    the first m with r_m > pole_tol * (1 + max r_m), None if none, and
+    reference = 1 + max r_m. A non-finite A~_m is an error."""
     mags = [float(np.max(np.abs(a))) for a in coeff_mats]
     bad = next((m for m, mag in enumerate(mags, start=1) if not math.isfinite(mag)), None)
     if bad is not None:
         raise RoutePreconditionError(
-            f"the Taylor coefficient A_{bad} of the load coupling is not finite: "
-            "the iterated kernels overflow; lower the truncation depth"
+            f"the Taylor coefficient A_{bad} of the load coupling is not finite"
         )
-    log_growth = math.log(growth) if growth > 0.0 else 0.0
-    # In logs, as growth^m may overflow where A_m does not; log 0 = -inf.
-    with np.errstate(divide="ignore", over="ignore"):
-        rel = np.exp(np.log(mags) - log_growth * np.arange(1, len(mags) + 1))
-        scale = 1.0 + float(rel.max(initial=0.0))
-        pole = next((m for m, r in enumerate(rel, start=1) if r > pole_tol * scale), None)
-        return pole, float(scale * np.exp((pole or 0) * log_growth))
+    scale = 1.0 + max(mags, default=0.0)
+    return next((m for m, r in enumerate(mags, start=1) if r > pole_tol * scale), None), scale
 
 
 def solve_irregular(prep: Prepared, lam: float, pole_tol: float = POLE_COEFF_TOL) -> Solution:
-    """Laurent route for A0 = E: with A(lambda) = sum_{m>=p} lambda^m A_m
-    and A_p invertible, the load vector is x_gamma = lambda^{-p} nu(lambda)
-    where nu sums the geometric series
-    -(I + A_p^{-1} B(lambda))^{-1} A_p^{-1} b(lambda),
-    B(lambda) = sum_{m=p+1}^{M} lambda^{m-p} A_m. The series is summed in
-    closed form by a dense solve; the contraction bound q certifies it."""
+    """Laurent route for A0 = E, in lambda g so that no term overflows: with
+    A(lambda) = sum_{m>=p} (lambda g)^m A~_m (taylor_A) and A~_p invertible,
+    x_gamma = (lambda g)^{-p} nu~ where nu~ sums the geometric series
+    -(I + A~_p^{-1} B)^{-1} A~_p^{-1} b(lambda), B = sum_{m>p} (lambda g)^{m-p} A~_m.
+    It is summed in closed form by a dense solve; the contraction bound q certifies it."""
     problem, kernel, truncation = prep.problem, prep.kernel, prep.truncation
     classification = prep.classification
     if classification.kind == "unsupported-irregular":
@@ -408,8 +396,8 @@ def solve_irregular(prep: Prepared, lam: float, pole_tol: float = POLE_COEFF_TOL
         raise RoutePreconditionError(
             f"the irregular route needs truncation >= 2, got {truncation}"
         )
-    coeff_mats = prep.taylor
-    pole, reference = pole_order(coeff_mats, operator_norm(kernel), pole_tol)
+    coeff_mats, growth = prep.taylor, series_scale(kernel)
+    pole, reference = pole_order(coeff_mats, pole_tol)
     if pole is None:
         raise RoutePreconditionError(
             "the load coupling A(lambda) vanishes to working precision at "
@@ -423,32 +411,30 @@ def solve_irregular(prep: Prepared, lam: float, pole_tol: float = POLE_COEFF_TOL
         )
     tail = coeff_mats[pole:]
     tail_norms = [float(np.linalg.norm(np.linalg.solve(a_p, a_m), np.inf)) for a_m in tail]
-    rho = _contraction_radius(tail_norms)
+    rho = _contraction_radius(tail_norms) / growth
 
     def b_matrix(lam2: float) -> np.ndarray:
-        total = np.zeros_like(a_p)
-        power = lam2
-        for a_m in tail:
-            total += power * a_m
-            power *= lam2
-        return total
+        mu = np.float64(lam2 * growth)
+        with np.errstate(over="ignore", invalid="ignore"):  # far outside rho: q = inf or nan
+            return sum((mu**k * a_m for k, a_m in enumerate(tail, start=1)), np.zeros_like(a_p))
 
-    def nu_series(lam2: float) -> np.ndarray:
-        rhs = b_lambda(problem, kernel, lam2)
-        return -np.linalg.solve(a_p + b_matrix(lam2), rhs)
+    def nu_series(lam2: float) -> np.ndarray:  # x_gamma = lambda^{-p} nu(lambda)
+        rhs = assemble_lambda_system(problem, kernel, lam2, prep.f_gamma)[1]
+        return -np.linalg.solve(a_p + b_matrix(lam2), rhs) * (1.0 / growth) ** pole
 
     q_at = float(np.linalg.norm(np.linalg.solve(a_p, b_matrix(lam)), np.inf))
-    if q_at >= 1.0:
+    if not q_at < 1.0:
         raise RoutePreconditionError(
             f"no contraction at lambda={lam!r}: q = {q_at:.6g} >= 1 "
             f"(certified radius rho = {rho:.6g})"
         )
     tail_bound = q_at ** (truncation - pole + 1) / (1.0 - q_at)
     # nu_series(lam), with b(lam) from the factorization that also rebuilds x.
-    _, rhs, basis = assemble_lambda_system(problem, kernel, lam)
-    x_gamma = -np.linalg.solve(a_p + b_matrix(lam), rhs) / lam**pole
+    _, rhs, basis = assemble_lambda_system(problem, kernel, lam, prep.f_gamma)
+    x_gamma = -np.linalg.solve(a_p + b_matrix(lam), rhs) / (lam * growth) ** pole
     expansion = IrregularExpansion(
         pole_order=pole,
+        growth=growth,
         coefficients=tuple(coeff_mats[pole - 1 :]),
         nu_series=nu_series,
         q=q_at,

@@ -496,20 +496,44 @@ def test_pole_order_of_scaled_identity_kernel(write, c, capsys):
 
 
 def test_overflowing_iterates_are_reported_without_warnings(write, capsys):
+    # K = 1e12: the unscaled A_26 overflows, the A_m / g^m the route keeps do not.
     path = write(_constant_identity_file("1e12"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["analyze", path]) == 0
-        out = capsys.readouterr().out
-        assert "pole order: none (the Taylor coefficient A_26 of the load coupling" in out
-        assert main(["solve", path, "--lambda", "1e-13"]) == 3
-        assert capsys.readouterr().err.startswith("error[route-precondition]: the Taylor")
-        assert main(["solve", path, "--lambda", "1e-13", "--truncation", "20"]) == 0
-        _, rows = _csv_rows(capsys.readouterr().out)
-        assert [float(r[1]) for r in rows] == pytest.approx([-10.0] * 64, rel=1e-12)
+        assert "pole order: 1\n" in capsys.readouterr().out
+        for depth in ([], ["--truncation", "20"]):
+            assert main(["solve", path, "--lambda", "1e-13", *depth]) == 0
+            _, rows = _csv_rows(capsys.readouterr().out)
+            assert [float(r[1]) for r in rows] == pytest.approx([-10.0] * 64, rel=1e-12)
         sine = write(REGULAR_FILE.replace("t*s + 0.5*(1-t)*(1-s)", "1e12*sin(3*(t-s))"))
         assert main(["analyze", sine]) == 0
         assert "nilpotency index: none found within depth 30" in capsys.readouterr().out
+
+
+_NONE_30 = "nilpotency index: none found within depth 30"
+_POLE_1 = ["pole order: 1", "leading coefficient condition number: 1"]
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("identity_pole", [_NONE_30, *_POLE_1]),
+        ("loaded_regular", [_NONE_30]),
+        ("nilpotent", ["nilpotency index: 1"]),
+        ("no_solution", [_NONE_30, "pole order: none (load coupling vanishes up to depth 30)"]),
+        ("kernel 3", [_NONE_30, *_POLE_1]),
+        ("kernel 1e12", [_NONE_30, *_POLE_1]),
+    ],
+)
+def test_analyze_series_lines(write, name, expected, capsys):
+    if name.startswith("kernel"):
+        path = write(_constant_identity_file(name.split()[1]))
+    else:
+        path = str(EXAMPLES / f"{name}.prob")
+    assert main(["analyze", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith(("nilpotency", "pole", "leading"))] == expected
 
 
 def test_non_finite_kernel_is_a_domain_error(write, capsys):

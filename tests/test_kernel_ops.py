@@ -62,18 +62,72 @@ def test_iterate_zero_kernel():
 
 
 def test_nilpotency_index_centered():
-    iterated = fl.iterate_kernels(_kernel("t - 1/2"), 6)
-    assert fl.nilpotency_index(iterated, tol=1e-10) == 1
+    assert fl.nilpotency_index(_kernel("t - 1/2"), 6, tol=1e-10) == 1
 
 
 def test_nilpotency_index_absent_for_constant():
-    iterated = fl.iterate_kernels(_kernel("1"), 6)
-    assert fl.nilpotency_index(iterated, tol=1e-10) is None
+    assert fl.nilpotency_index(_kernel("1"), 6, tol=1e-10) is None
 
 
 def test_nilpotency_index_null_kernel():
-    iterated = fl.iterate_kernels(_kernel("0", nodes=8), 3)
-    assert fl.nilpotency_index(iterated, tol=1e-10) == 0
+    assert fl.nilpotency_index(_kernel("0", nodes=8), 3, tol=1e-10) == 0
+
+
+def _dense_nilpotency_index(kernel, depth, tol=1e-10):
+    # The criterion on max|K_m| of the dense iterated kernels, as a reference.
+    mags = [float(np.max(np.abs(k))) for k in fl.iterate_kernels(kernel, depth).kernels]
+    threshold = tol * (1.0 + mags[0])
+    if mags[0] <= threshold:
+        return 0
+    return next(
+        (
+            p for p in range(1, depth)
+            if mags[p - 1] > threshold >= max(mags[p:]) and mags[p] <= 1e-6 * mags[p - 1]
+        ),
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, index",
+    [
+        ("t - 1/2", 1),
+        ("0", 0),
+        ("1", None),
+        ("t*s", None),
+        # c (t - t0)(s - m) is nilpotent when integral (s - m)(s - t0) ds = 0.
+        ("3*t*(s - 2/3)", 1),
+        ("0.5*(t - 1)*(s - 1/3)", 1),
+        ("3*(t - 1/2)*(s - 1/4)", None),
+    ],
+)
+def test_nilpotency_index_from_probe_matches_iterated_kernels(text, index):
+    kernel = _kernel(text)
+    assert _dense_nilpotency_index(kernel, 30) == index
+    assert fl.nilpotency_index(kernel, 30, tol=1e-10) == index
+
+
+def test_nilpotency_index_of_examples_matches_iterated_kernels():
+    expected = {"identity_pole": None, "loaded_regular": None, "nilpotent": 1, "no_solution": None}
+    for name, index in expected.items():
+        kernel = _example_kernel(f"{name}.prob")
+        assert _dense_nilpotency_index(kernel, 30) == index
+        assert fl.nilpotency_index(kernel, 30, tol=1e-10) == index
+
+
+def test_scaled_powers_stay_bounded():
+    # ||K W / g|| = 1 in the max norm, so the terms never grow, while the
+    # unscaled K_m W y = g^m times them overflows for K = 1e12 from m = 26 on.
+    kernel = _kernel("1e12*(1 + t*s)")
+    g = fl.series_scale(kernel)
+    y = np.ones((64, 1))
+    terms = list(fl.kernel_ops.scaled_powers(kernel, y, 30))
+    assert len(terms) == 30
+    mags = [float(np.max(np.abs(q))) for q in terms]
+    assert all(b <= a * (1.0 + 1e-12) for a, b in zip([1.0] + mags, mags))
+    first = kernel.values @ (kernel.rule.weights[:, None] * y) / g
+    assert terms[0] == pytest.approx(first, rel=1e-14)
+    assert fl.series_scale(_kernel("0", nodes=8)) == 1.0
 
 
 def test_operator_norm_cases():
@@ -246,4 +300,4 @@ def test_nilpotency_index_is_none_on_overflowing_iterates():
         warnings.simplefilter("error")
         iterated = fl.iterate_kernels(kernel, 30)
         assert not np.all(np.isfinite(iterated.kernel(30)))
-        assert fl.nilpotency_index(iterated, tol=1e-10) is None
+        assert fl.nilpotency_index(kernel, 30, tol=1e-10) is None

@@ -1,6 +1,8 @@
 """Load matrix assembly, zero-order system outcomes, lambda-dependent
 system pieces and their Taylor expansions."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from fredload.load_system import (
     UniqueLoads,
     solve_zero_order_system,
 )
+from fredload.problemfile import load_problem_file
 from util import make_problem, make_random_regular_problem
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def _discretized(problem, nodes=64):
@@ -106,12 +111,12 @@ def test_A_lambda_matches_taylor_for_nilpotent_kernel():
     # annihilate it, so A(lambda) = lambda * A_1 exactly for every lambda.
     problem = make_problem("t - 1/2", "1", [("t", fl.point_load(1.0))])
     kernel = _discretized(problem)
-    iterated = fl.iterate_kernels(kernel, 5)
-    (a1, a2, a3, _, _) = fl.taylor_A(problem, iterated, 5)
+    g = fl.series_scale(kernel)
+    (a1, a2, a3, _, _) = fl.taylor_A(problem, kernel, 5)
     assert np.max(np.abs(a2)) <= 1e-12
     assert np.max(np.abs(a3)) <= 1e-12
     for lam in [0.3, 2.0, -1.5]:
-        assert np.max(np.abs(fl.A_lambda(problem, kernel, lam) - lam * a1)) <= 1e-8
+        assert np.max(np.abs(fl.A_lambda(problem, kernel, lam) - lam * g * a1)) <= 1e-8
 
 
 def test_b_lambda_at_zero_equals_f_gamma():
@@ -136,25 +141,48 @@ def test_b_lambda_rank_one_closed_form():
 def test_taylor_A_zero_under_annihilating_loads():
     problem = make_problem("t - 1/2", "1", [("t", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))])
     kernel = _discretized(problem)
-    iterated = fl.iterate_kernels(kernel, 6)
-    for a_m in fl.taylor_A(problem, iterated, 6):
+    for a_m in fl.taylor_A(problem, kernel, 6):
         assert np.max(np.abs(a_m)) <= 1e-12
 
 
 def test_taylor_A_zero_kernel():
     problem = make_problem("0", "1", [("t", fl.point_load(0.5))])
     kernel = _discretized(problem, nodes=16)
-    iterated = fl.iterate_kernels(kernel, 4)
-    for a_m in fl.taylor_A(problem, iterated, 4):
+    for a_m in fl.taylor_A(problem, kernel, 4):
         assert np.array_equal(a_m, np.zeros((1, 1)))
 
 
 def test_taylor_A_constant_kernel_all_ones():
     problem = make_problem("1", "1", [("1", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))])
     kernel = _discretized(problem)
-    iterated = fl.iterate_kernels(kernel, 8)
-    for a_m in fl.taylor_A(problem, iterated, 8):
+    for a_m in fl.taylor_A(problem, kernel, 8):
         assert a_m == pytest.approx(np.array([[1.0]]), abs=1e-10)
+
+
+def _examples_and_random_problems(nodes=64):
+    for name in ("identity_pole", "loaded_regular", "nilpotent", "no_solution"):
+        problem = load_problem_file(str(EXAMPLES / f"{name}.prob")).build(nodes)
+        yield problem, fl.discretize(problem.kernel, problem.master_rule(nodes))
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        yield make_random_regular_problem(rng, nodes)[:2]
+
+
+def test_scaled_taylor_A_matches_iterated_kernels():
+    # A_m = V K_m W a from the dense iterated kernels is g^m times the scaled
+    # coefficient. The loads of nilpotent.prob and no_solution.prob annihilate
+    # the kernel, so their A_m are roundoff, hence the absolute floor.
+    for problem, kernel in _examples_and_random_problems():
+        g = fl.series_scale(kernel)
+        iterated = fl.iterate_kernels(kernel, 30)
+        rows = fl.load_rows(problem, kernel.rule)
+        weighted = kernel.rule.weights[:, None] * problem.coeff_values(kernel.rule)
+        scaled = fl.taylor_A(problem, kernel, 30)
+        assert len(scaled) == 30
+        for m, a_m in enumerate(scaled, start=1):
+            reference = rows @ (iterated.kernel(m) @ weighted)
+            gap = np.max(np.abs(g**m * a_m - reference))
+            assert gap <= 1e-12 * np.max(np.abs(reference)) + 1e-15
 
 
 def test_series_consistency_random_problems():
@@ -162,7 +190,8 @@ def test_series_consistency_random_problems():
     for _ in range(5):
         problem, kernel, lam = make_random_regular_problem(rng)
         iterated = fl.iterate_kernels(kernel, 30)
-        a_coeffs = fl.taylor_A(problem, iterated, 30)
+        g = fl.series_scale(kernel)
+        a_coeffs = [g**m * a_m for m, a_m in enumerate(fl.taylor_A(problem, kernel, 30), start=1)]
         # b_m = V K_m W f, the load rows applied to the iterated images of f
         rows = fl.load_rows(problem, kernel.rule)
         wf = kernel.rule.weights * problem.source_values(kernel.rule)

@@ -1,7 +1,9 @@
 """Solution routes: regular, successive, nilpotent, irregular; residual."""
 
 import dataclasses
+import importlib
 import pathlib
+import pkgutil
 import warnings
 
 import numpy as np
@@ -164,10 +166,9 @@ def _centered_problem(coeff="0", source="1"):
 def test_nilpotent_exact_solution_all_lambdas():
     problem = _centered_problem()
     kernel = _discretized(problem)
-    iterated = fl.iterate_kernels(kernel, 5)
-    assert fl.nilpotency_index(iterated, tol=1e-10) == 1
+    assert fl.nilpotency_index(kernel, 5, tol=1e-10) == 1
     for lam in [0.0, 1.0, 10.0]:
-        solution = fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), lam)
+        solution = fl.solve_nilpotent(fl.prepare(problem, kernel, 5), lam)
         expected = 1.0 + lam * (kernel.rule.nodes - 0.5)
         assert np.max(np.abs(solution.x.values - expected)) <= 1e-8
         assert solution.residual <= 1e-8
@@ -176,9 +177,8 @@ def test_nilpotent_exact_solution_all_lambdas():
 def test_nilpotent_refuses_non_annihilating_loads():
     problem = make_problem("t - 1/2", "1", [("t", fl.point_load(1.0))])
     kernel = _discretized(problem)
-    iterated = fl.iterate_kernels(kernel, 5)
     with pytest.raises(RoutePreconditionError):
-        fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), 0.5)
+        fl.solve_nilpotent(fl.prepare(problem, kernel, 5), 0.5)
 
 
 def test_nilpotent_propagates_no_solution():
@@ -186,16 +186,14 @@ def test_nilpotent_propagates_no_solution():
     # fzgamma = f(1/2) = 1, so the zero-order system is inconsistent.
     problem = make_problem("t - 1/2", "1", [("1", fl.point_load(0.5))])
     kernel = _discretized(problem)
-    iterated = fl.iterate_kernels(kernel, 5)
     with pytest.raises(NoSolutionError):
-        fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), 0.5)
+        fl.solve_nilpotent(fl.prepare(problem, kernel, 5), 0.5)
 
 
 def test_nilpotent_non_unique_uses_particular_solution():
     problem = make_problem("t - 1/2", "t - 1/2", [("1", fl.point_load(0.5))])
     kernel = _discretized(problem)
-    iterated = fl.iterate_kernels(kernel, 5)
-    solution = fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), 0.5)
+    solution = fl.solve_nilpotent(fl.prepare(problem, kernel, 5), 0.5)
     assert solution.note is not None
     assert solution.residual <= 1e-10
 
@@ -203,9 +201,8 @@ def test_nilpotent_non_unique_uses_particular_solution():
 def test_route_agreement_nilpotent_regular_successive():
     problem = _centered_problem(coeff="t")
     kernel = _discretized(problem)
-    iterated = fl.iterate_kernels(kernel, 5)
     lam = 0.3
-    a = fl.solve_nilpotent(fl.prepare(problem, kernel, iterated.depth), lam)
+    a = fl.solve_nilpotent(fl.prepare(problem, kernel, 5), lam)
     b = fl.solve_regular(fl.prepare(problem, kernel), lam)
     c = fl.solve_successive(fl.prepare(problem, kernel), lam, q=0.9)
     assert np.max(np.abs(a.x.values - b.x.values)) <= 1e-7
@@ -314,27 +311,42 @@ def test_irregular_no_pole_order_when_coupling_vanishes():
     assert "pole order" in str(err.value)
 
 
-@pytest.mark.parametrize("c", [3.0, 5.0, 100.0])
+@pytest.mark.parametrize("c", [3.0, 5.0, 100.0, 3e10, 1e12, 1e100])
 def test_irregular_pole_order_does_not_depend_on_kernel_scale(c):
     # K = c, f = 1, a = 1, gamma = x(0): A0 = E, A_m = c^m and x = -1/(c lambda).
+    # The unscaled A_m overflow from m = 30, 26 and 4 for the last three c.
     problem = make_problem(repr(c), "1", [("1", fl.point_load(0.0))])
     kernel = _discretized(problem)
     lam = 0.1 / c
-    solution = fl.solve_irregular(fl.prepare(problem, kernel), lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = fl.solve_irregular(fl.prepare(problem, kernel), lam)
     assert solution.pole_order == 1
+    assert solution.expansion.growth == pytest.approx(c, rel=1e-14)
     assert solution.x.values == pytest.approx(np.full(64, -1.0 / (c * lam)), rel=1e-9)
 
 
 def test_irregular_reports_overflowing_taylor_coefficients():
-    # K = 1e12 makes A_m = 1e12^m, which overflows from m = 26 on.
+    # K = 1e12 makes A_m = 1e12^m, which overflows from m = 26 on; the route
+    # keeps A_m / g^m with g = ||K W|| instead, so the default depth solves too.
     problem = make_problem("1e12", "1", [("1", fl.point_load(0.0))])
     kernel = _discretized(problem)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(RoutePreconditionError, match=r"A_26 .* not finite"):
-            fl.solve_irregular(fl.prepare(problem, kernel), 1e-13)
-        solution = fl.solve_irregular(fl.prepare(problem, kernel, 20), 1e-13)
-    assert solution.x.values == pytest.approx(np.full(64, -10.0), rel=1e-12)
+        solutions = [
+            fl.solve_irregular(fl.prepare(problem, kernel, depth), 1e-13) for depth in (30, 20)
+        ]
+    for solution in solutions:
+        assert solution.pole_order == 1
+        assert solution.x.values == pytest.approx(np.full(64, -10.0), rel=1e-12)
+
+
+def test_pole_order_rejects_non_finite_coefficients():
+    finite = np.eye(2)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(RoutePreconditionError, match=r"A_2 of the load coupling is not finite"):
+            fl.solver.pole_order([finite, np.full((2, 2), bad), finite])
+    assert fl.solver.pole_order([0.0 * finite, finite]) == (2, 2.0)
 
 
 def test_irregular_expansion_metadata():
@@ -485,12 +497,27 @@ def _example(name, nodes=64):
     return problem, fl.discretize(problem.kernel, problem.master_rule(nodes))
 
 
+def _count_iterate_kernels(monkeypatch):
+    # Patched in every fredload module that binds it, so an import by name counts too.
+    calls = []
+    original = fl.kernel_ops.iterate_kernels
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    names = [info.name for info in pkgutil.iter_modules(fl.__path__)]
+    for module in [fl] + [importlib.import_module(f"fredload.{name}") for name in names]:
+        if getattr(module, "iterate_kernels", None) is original:
+            monkeypatch.setattr(module, "iterate_kernels", counted)
+    return calls
+
+
 def test_solve_auto_regular_factors_once_and_skips_iterated_kernels(monkeypatch):
-    # The iterated kernels are read only when the loads annihilate the kernel,
-    # and the regular route gets A(lambda), b(lambda) and x from one
-    # factorization of I - lambda K W.
+    # No route forms iterated kernels, and the regular route gets A(lambda),
+    # b(lambda) and x from one factorization of I - lambda K W.
     problem, kernel = _example("loaded_regular.prob")
-    iterate_calls = _count_calls(monkeypatch, solver_module, "iterate_kernels")
+    iterate_calls = _count_iterate_kernels(monkeypatch)
     slogdet_calls = _count_calls(monkeypatch, np.linalg, "slogdet")
     solution = fl.solve_auto(problem, kernel, 0.2)
     assert solution.route == "regular"
@@ -498,11 +525,26 @@ def test_solve_auto_regular_factors_once_and_skips_iterated_kernels(monkeypatch)
     assert len(slogdet_calls) == 1
 
 
-def test_solve_auto_computes_iterated_kernels_when_loads_annihilate(monkeypatch):
+def test_solve_auto_forms_no_iterated_kernels_when_loads_annihilate(monkeypatch):
     problem, kernel = _example("nilpotent.prob")
-    iterate_calls = _count_calls(monkeypatch, solver_module, "iterate_kernels")
+    iterate_calls = _count_iterate_kernels(monkeypatch)
     assert fl.solve_auto(problem, kernel, 10.0).route == "nilpotent"
-    assert len(iterate_calls) == 1
+    assert len(iterate_calls) == 0
+
+
+def test_solve_auto_assembles_f_gamma_once(monkeypatch):
+    problem, kernel = _example("loaded_regular.prob")
+    in_prepare = _count_calls(monkeypatch, solver_module, "assemble_f_gamma")
+    in_load_system = _count_calls(monkeypatch, fl.load_system, "assemble_f_gamma")
+    assert fl.solve_auto(problem, kernel, 0.2).route == "regular"
+    assert len(in_prepare) + len(in_load_system) == 1
+
+
+def test_solve_auto_solves_the_zero_order_system_once(monkeypatch):
+    problem, kernel = _example("nilpotent.prob")
+    calls = _count_calls(monkeypatch, solver_module, "solve_zero_order_system")
+    assert fl.solve_auto(problem, kernel, 10.0).route == "nilpotent"
+    assert len(calls) == 1
 
 
 def test_solve_auto_rejects_nonpositive_truncation(monkeypatch):
@@ -527,15 +569,15 @@ def test_solve_auto_assembles_A0_once(monkeypatch, name):
     assert len(a0_calls) == 1
 
 
-def test_vanishing_coupling_iterates_kernels_once(monkeypatch):
+def test_vanishing_coupling_forms_no_iterated_kernels(monkeypatch):
     # Identity loads that annihilate K = t*s: the nilpotency check and the
-    # pole-order search read the same iterated kernels.
+    # pole-order search both run the column recurrence instead.
     problem = make_problem("t*s", "t", [("1", fl.point_load(0.0))])
     kernel = _discretized(problem)
-    iterate_calls = _count_calls(monkeypatch, solver_module, "iterate_kernels")
+    iterate_calls = _count_iterate_kernels(monkeypatch)
     with pytest.raises(RoutePreconditionError, match=r"A\(lambda\) vanishes"):
         fl.solve_auto(problem, kernel, 0.2)
-    assert len(iterate_calls) == 1
+    assert len(iterate_calls) == 0
 
 
 def test_nilpotent_route_reports_a_kernel_that_does_not_terminate():
