@@ -284,10 +284,12 @@ def cmd_oracle_check(args) -> int:
     _emit(f"route residual: {_fmt(solution.residual)}", out)
     _emit(f"oracle residual: {_fmt(reference.residual)}", out)
     _emit(f"max disagreement: {_fmt(disagreement)}", out)
-    if args.threshold is not None and disagreement > args.threshold:
-        _summary(
-            f"disagreement {_fmt(disagreement)} exceeds threshold {_fmt(args.threshold)}"
-        )
+    if args.threshold is None:
+        return EXIT_OK
+    # The oracle's own error grows with the solution, so the bound is relative above |x| = 1.
+    bound = args.threshold * max(1.0, float(np.max(np.abs(reference.x.values))))
+    if disagreement > bound:
+        _summary(f"disagreement {_fmt(disagreement)} exceeds threshold {_fmt(bound)}")
         return EXIT_FAILURE
     return EXIT_OK
 
@@ -349,7 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--lambda", type=float, default=None, dest="lam")
     p_check.add_argument("--route", choices=ROUTES, default="auto")
     p_check.add_argument("--threshold", type=float, default=1e-6,
-                         help="fail (exit 1) when max disagreement exceeds this")
+                         help="fail (exit 1) when max disagreement exceeds this "
+                              "times max(1, max|x_oracle|)")
     p_check.set_defaults(func=cmd_oracle_check)
     return parser
 

@@ -39,15 +39,17 @@ class DomainEvalError(FredloadError):
 
 class CharacteristicNumberError(FredloadError):
     """lambda is at or too close to a characteristic number: the discretized
-    operator I - lambda*K*W is numerically singular."""
+    operator I - lambda*K*W is singular or its estimated condition number
+    exceeds kernel_ops.COND_LIMIT. Carries the estimate of
+    ||(I - lambda K W)^{-1}|| (inf when LAPACK finds it exactly singular)."""
 
-    def __init__(self, lam: float, det_magnitude: float):
+    def __init__(self, lam: float, inverse_norm: float):
         super().__init__(
             f"lambda={lam!r} is too close to a characteristic number "
-            f"(|det(I - lambda K W)| = {det_magnitude:.3e})"
+            f"(estimated ||(I - lambda K W)^{{-1}}|| = {inverse_norm:.3e})"
         )
         self.lam = lam
-        self.det_magnitude = det_magnitude
+        self.inverse_norm = inverse_norm
 
 
 class SingularLoadSystemError(FredloadError):

@@ -6,8 +6,10 @@ matrix products into quadrature approximations of operator composition.
 The resolvent G(t,s,lambda) of (I - lambda K)^{-1} = I + lambda * G[.] is
 obtained by a dense solve per lambda; the routes need only its images
 lambda * G W y, one solve with those right-hand sides, and its Taylor
-series only the scaled column powers (K W / g)^m y. The determinant of
-the discretized operator stands in for the Fredholm denominator; its zeros,
+series only the scaled column powers (K W / g)^m y. Probe columns in that
+same solve estimate the condition of I - lambda K W, which decides whether
+lambda is too close to a characteristic number. The determinant of the
+discretized operator stands in for the Fredholm denominator; its zeros,
 the characteristic numbers, are the reciprocals of the real eigenvalues of
 K W.
 """
@@ -39,11 +41,13 @@ __all__ = [
     "resolvent_images",
     "find_characteristic_numbers",
     "det_magnitude",
-    "DET_PROXIMITY_TOL",
+    "COND_LIMIT",
 ]
 
-# |det(I - lambda K W)| at or below this counts as "at a characteristic number".
-DET_PROXIMITY_TOL = 1e-8
+# A lambda whose estimated condition number of I - lambda K W exceeds this
+# counts as "at a characteristic number": a solve there keeps fewer than
+# about eight significant digits.
+COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +68,11 @@ class DiscreteKernel:
         object.__setattr__(self, "values", values)
 
     def system_matrix(self, lam: float) -> np.ndarray:
-        """I - lambda * K * W for the rule's weights W."""
-        return np.eye(self.rule.n) - lam * (self.values * self.rule.weights)
+        """I - lambda * K * W for the rule's weights W, built in place."""
+        matrix = self.values * self.rule.weights
+        matrix *= -lam
+        matrix.flat[:: self.rule.n + 1] += 1.0
+        return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +149,12 @@ def scaled_powers(kernel: DiscreteKernel, columns: np.ndarray, depth: int) -> It
 _COLLAPSE_RATIO = 1e-6
 
 
+def _probe(n: int) -> np.ndarray:
+    """The fixed-seed N x 4 Gaussian probe block of the nilpotency test and
+    the resolvent's norm estimate."""
+    return np.random.default_rng(0).standard_normal((n, 4))
+
+
 def nilpotency_index(kernel: DiscreteKernel, depth: int, tol: float = 1e-10) -> Optional[int]:
     """Smallest p with (K W)^{p+1} negligible but (K W)^p not, judged on
     Q_m = (K W / g)^m P for a fixed-seed N x 4 probe P (scaled_powers) and
@@ -154,9 +167,8 @@ def nilpotency_index(kernel: DiscreteKernel, depth: int, tol: float = 1e-10) -> 
     ratio, whereas annihilation drops to the roundoff floor. Later terms
     stay negligible, as max|Q_m| never grows, so the first negligible term
     decides and the recurrence stops there."""
-    probe = np.random.default_rng(0).standard_normal((kernel.rule.n, 4))
     mags: list[float] = []
-    for q in scaled_powers(kernel, probe, depth):
+    for q in scaled_powers(kernel, _probe(kernel.rule.n), depth):
         mags.append(float(np.max(np.abs(q))))
         if mags[-1] <= tol * (1.0 + mags[0]):
             p = len(mags) - 1
@@ -164,14 +176,26 @@ def nilpotency_index(kernel: DiscreteKernel, depth: int, tol: float = 1e-10) -> 
     return None
 
 
-def _slogdet_or_raise(kernel: DiscreteKernel, lam: float) -> tuple[np.ndarray, float, float]:
-    system = kernel.system_matrix(lam)
-    sign, logdet = np.linalg.slogdet(system)
-    if sign == 0:
-        raise CharacteristicNumberError(lam, 0.0)
-    if logdet <= math.log(DET_PROXIMITY_TOL):
-        raise CharacteristicNumberError(lam, math.exp(logdet))
-    return system, float(sign), float(logdet)
+def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.ndarray:
+    """Z with (I - lambda K W) Z = rhs for an N x m block, from one LU.
+
+    The probe block P is solved alongside, and max_i ||Z_P[:, i]|| / ||P[:, i]||
+    estimates ||(I - lambda K W)^{-1}|| from below (Dixon, SIAM J. Numer.
+    Anal. 20, 1983). lambda is refused when LAPACK finds the matrix exactly
+    singular or when (1 + |lambda| g) times the estimate, g the operator
+    norm, exceeds COND_LIMIT."""
+    probe = _probe(kernel.rule.n)
+    try:
+        z = np.linalg.solve(kernel.system_matrix(lam), np.column_stack([rhs, probe]))
+    except np.linalg.LinAlgError:
+        raise CharacteristicNumberError(lam, math.inf) from None
+    width = z.shape[1] - probe.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a near-singular solve: inf / nan
+        growth = np.linalg.norm(z[:, width:], axis=0) / np.linalg.norm(probe, axis=0)
+    inverse_norm = float(np.max(growth))
+    if not (1.0 + abs(lam) * operator_norm(kernel)) * inverse_norm <= COND_LIMIT:
+        raise CharacteristicNumberError(lam, inverse_norm)
+    return z[:, :width]
 
 
 def resolvent(kernel: DiscreteKernel, lam: float) -> ResolventData:
@@ -180,24 +204,21 @@ def resolvent(kernel: DiscreteKernel, lam: float) -> ResolventData:
     Satisfies (I - lambda K W)(I + lambda G W) = I and, for small
     |lambda| * norm, the iterated-kernel series G = sum lambda^{n-1} K_n.
     """
-    system, sign, logdet = _slogdet_or_raise(kernel, lam)
-    gamma = np.linalg.solve(system, kernel.values)
-    return ResolventData(lam=lam, gamma=gamma, det_sign=sign, det_log=logdet)
+    gamma = _solve_or_raise(kernel, lam, kernel.values)
+    sign, logdet = np.linalg.slogdet(kernel.system_matrix(lam))
+    return ResolventData(lam=lam, gamma=gamma, det_sign=float(sign), det_log=float(logdet))
 
 
 def resolvent_apply(kernel: DiscreteKernel, lam: float, g: GridFunction) -> GridFunction:
     """Solve (I - lambda K W) y = g on the grid; y = g + lambda * G W g."""
-    system, _, _ = _slogdet_or_raise(kernel, lam)
-    y = np.linalg.solve(system, g.values)
-    return GridFunction(kernel.rule, y)
+    return GridFunction(kernel.rule, _solve_or_raise(kernel, lam, g.values)[:, 0])
 
 
 def resolvent_images(kernel: DiscreteKernel, lam: float, columns: np.ndarray) -> np.ndarray:
     """lambda * G W y for each column y of an N x m block, by one solve of
     (I - lambda K W) Z = lambda K W Y."""
-    system, _, _ = _slogdet_or_raise(kernel, lam)
     weighted = kernel.rule.weights[:, None] * columns
-    return np.linalg.solve(system, lam * (kernel.values @ weighted))
+    return _solve_or_raise(kernel, lam, lam * (kernel.values @ weighted))
 
 
 def det_magnitude(kernel: DiscreteKernel, lam: float) -> float:
@@ -208,17 +229,44 @@ def det_magnitude(kernel: DiscreteKernel, lam: float) -> float:
         return float(np.exp(logdet))
 
 
+# eigvals splits the defective double eigenvalue of (-2 + 6 s) + t (-6 + 12 s)
+# by up to 5.3 sqrt(eps) max|mu| at N = 8-1024; this leaves a factor of three.
+_CLUSTER_RADIUS = 16.0 * math.sqrt(np.finfo(float).eps)
+
+
 def find_characteristic_numbers(
     kernel: DiscreteKernel, lam_min: float, lam_max: float
 ) -> list[float]:
     """Zeros of det(I - lambda K W) in [lam_min, lam_max], sorted and
     repeated by multiplicity: the real 1/mu over the eigenvalues mu of K W
-    (Bornemann, Math. Comp. 79, 2010). Real means |Im mu| <= 1e-9 |mu|;
-    |mu| <= 1e-12 max|mu| is the roundoff floor of a finite-rank kernel."""
+    (Bornemann, Math. Comp. 79, 2010). |mu| <= 1e-12 max|mu| is the
+    roundoff floor of a finite-rank kernel and is dropped.
+
+    eigvals splits a defective multiple eigenvalue by a few sqrt(eps) max|mu|,
+    often into a complex pair. Eigenvalues chained by steps of at most
+    _CLUSTER_RADIUS sqrt(max|mu| max(|mu_i|, |mu_j|)) therefore count as one
+    eigenvalue of the cluster's size at the cluster's mean, which is
+    well-conditioned even when its members are not (Wilkinson, The
+    Algebraic Eigenvalue Problem, 1965). The radius shrinks with |mu|, so
+    a dense tail of small simple eigenvalues stays apart. A mean is real
+    when |Im| <= 1e-9 |mean|."""
     if not lam_min < lam_max:
         raise ValueError("need lam_min < lam_max")
     mu = np.linalg.eigvals(kernel.values * kernel.rule.weights)
-    floor = 1e-12 * float(np.max(np.abs(mu), initial=0.0))
-    real = mu[(np.abs(mu.imag) <= 1e-9 * np.abs(mu)) & (np.abs(mu) > floor)]
-    roots = sorted(1.0 / float(m.real) for m in real)
-    return [r for r in roots if lam_min <= r <= lam_max]
+    top = float(np.max(np.abs(mu), initial=0.0))
+    mu = mu[np.abs(mu) > 1e-12 * top]
+    size = np.abs(mu)
+    radius = _CLUSTER_RADIUS * np.sqrt(top * np.maximum(size[:, None], size[None, :]))
+    close = np.abs(mu[:, None] - mu[None, :]) <= radius
+    label = np.arange(mu.size)
+    while True:  # every member ends up labelled by its cluster's first index
+        new = np.min(np.where(close, label[None, :], mu.size), axis=1, initial=mu.size)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, group, count = np.unique(label, return_inverse=True, return_counts=True)
+    mean = (np.bincount(group, mu.real) + 1j * np.bincount(group, mu.imag)) / count
+    real = np.abs(mean.imag) <= 1e-9 * np.abs(mean)
+    roots = np.sort(np.repeat(1.0 / mean.real[real], count[real]))
+    return [float(r) for r in roots if lam_min <= r <= lam_max]

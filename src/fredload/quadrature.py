@@ -4,13 +4,16 @@ This module is the single source of nodes, weights, numerical integration
 and off-node evaluation for the whole package. Nodes and weights are
 computed by Newton iteration on the Legendre recurrence; off-node values
 come from barycentric Lagrange interpolation (second form), which is the
-package's definition of "x(t) between nodes".
+package's definition of "x(t) between nodes". Its weights have the closed
+form (-1)^j sqrt((1 - x_j^2) w_j) at the Gauss-Legendre nodes x_j with
+weights w_j on [-1, 1] (Wang and Xiang, Math. Comp. 81, 2012), which
+holds for every interval, as a common factor of the weights cancels.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -32,19 +35,20 @@ _NEWTON_TOL = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and positive weights on [a, b], nodes strictly increasing."""
+    """Nodes and positive weights on [a, b], nodes strictly increasing, and
+    the barycentric interpolation weights of the nodes."""
 
     a: float
     b: float
     nodes: np.ndarray
     weights: np.ndarray
-    _bary: dict = field(default_factory=dict, repr=False, compare=False)
+    barycentric: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be 1-d and the same length")
+        if nodes.ndim != 1 or not nodes.shape == weights.shape == np.shape(self.barycentric):
+            raise ValueError("nodes and both weight sets must be 1-d and the same length")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if nodes[0] < self.a or nodes[-1] > self.b:
@@ -59,21 +63,6 @@ class QuadratureRule:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    def barycentric_weights(self) -> np.ndarray:
-        """Barycentric weights for the node set, normalized to unit max."""
-        cached = self._bary.get("w")
-        if cached is None:
-            x = self.nodes
-            diff = x[:, None] - x[None, :]
-            np.fill_diagonal(diff, 1.0)
-            # Scale pairwise differences to curb under/overflow for large n.
-            scale = 4.0 / (self.b - self.a)
-            w = 1.0 / np.prod(diff * scale, axis=1)
-            w /= np.max(np.abs(w))
-            w.setflags(write=False)
-            self._bary["w"] = cached = w
-        return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +113,18 @@ def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@functools.lru_cache(maxsize=None)
+def _barycentric_weights(m: int) -> np.ndarray:
+    """(-1)^j sqrt((1 - x_j^2) w_j) over the m-point rule on [-1, 1],
+    normalized to unit max and returned read-only."""
+    x, w = _legendre_nodes(m)
+    bary = np.sqrt((1.0 - x) * (1.0 + x) * w)
+    bary[1::2] *= -1.0
+    bary /= np.max(np.abs(bary))
+    bary.flags.writeable = False
+    return bary
+
+
 def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     """m-point Gauss-Legendre rule on [a, b], exact through degree 2m-1."""
     if m < 1:
@@ -133,7 +134,9 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     x, w = _legendre_nodes(m)
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     weights = 0.5 * (b - a) * w
-    return QuadratureRule(a=float(a), b=float(b), nodes=nodes, weights=weights)
+    return QuadratureRule(
+        a=float(a), b=float(b), nodes=nodes, weights=weights, barycentric=_barycentric_weights(m)
+    )
 
 
 def integrate(rule: QuadratureRule, f: Union[Callable[[float], float], GridFunction]) -> float:
@@ -163,7 +166,7 @@ def interp_matrix(rule: QuadratureRule, ts) -> np.ndarray:
     diff = ts[:, None] - rule.nodes
     hit = diff == 0.0
     diff[hit] = 1.0
-    ratios = rule.barycentric_weights() / diff
+    ratios = rule.barycentric / diff
     on_node = np.any(hit, axis=1)
     ratios[on_node] = hit[on_node]
     return ratios / np.sum(ratios, axis=1, keepdims=True)

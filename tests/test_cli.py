@@ -312,6 +312,40 @@ def test_oracle_check_zero_threshold_fails(write, capsys):
     assert "exceeds threshold" in captured.err
 
 
+# The nilpotent route solves this exactly, x = 1 + 1e5 (t - 1/2) at lambda =
+# 0.1, and the dense oracle is off by about 3.5e-5 on a solution of size 5e4.
+SCALED_NILPOTENT_FILE = """\
+interval = 0 1
+kernel = 1e6*(t - 1/2)
+source = 1
+
+[load]
+coeff = 0
+integral = 1 on [0, 1]
+"""
+
+
+def test_oracle_check_threshold_is_relative_to_the_solution(write, capsys):
+    path = write(SCALED_NILPOTENT_FILE)
+    assert main(["oracle-check", path, "--lambda", "0.1"]) == 0
+    out = capsys.readouterr().out
+    disagreement = float(out.split("max disagreement: ")[1])
+    assert 1e-6 < disagreement < 1e-6 * 5e4
+    assert main(["oracle-check", path, "--lambda", "0.1", "--threshold", "1e-12"]) == 1
+    assert "exceeds threshold" in capsys.readouterr().err
+
+
+def test_find_poles_reports_a_defective_double_root(write, capsys):
+    text = "interval = 0 1\nkernel = (-2 + 6*s) + t*(-6 + 12*s)\nsource = 1\n\n" \
+        "[load]\ncoeff = 0\npoint = 1 @ 0.5\n"
+    rc = main(["find-poles", write(text), "--lambda-min", "0", "--lambda-max", "3"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    _, rows = _csv_rows(captured.out)
+    assert [float(row[0]) for row in rows] == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert "characteristic numbers found: 2" in captured.err
+
+
 def test_parse_error_exit_code(write, capsys):
     rc = main(["analyze", write("interval = 0 1\nkernel = t +\n")])
     captured = capsys.readouterr()

@@ -155,7 +155,7 @@ def test_resolvent_at_characteristic_number():
     kernel = _kernel("1")
     with pytest.raises(CharacteristicNumberError) as err:
         fl.resolvent(kernel, 1.0)
-    assert err.value.det_magnitude <= 1e-8
+    assert 2.0 * err.value.inverse_norm > fl.kernel_ops.COND_LIMIT
 
 
 def test_resolvent_apply_identity_at_zero():
@@ -268,6 +268,29 @@ def test_characteristic_number_of_loaded_regular_example():
     roots = fl.find_characteristic_numbers(_example_kernel("loaded_regular.prob"), -6.0, 6.0)
     assert len(roots) == 1
     assert roots[0] == pytest.approx(6.0 - 2.0 * np.sqrt(3.0), abs=1e-13)
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 64, 128, 512])
+def test_defective_double_root_is_found(nodes):
+    # K W has the eigenvalue 1 in a 2 x 2 Jordan block, det = (1 - lambda)^2;
+    # eigvals splits it by about 5 sqrt(eps), sometimes into a complex pair.
+    kernel = _kernel("(-2 + 6*s) + t*(-6 + 12*s)", nodes=nodes)
+    mu = np.linalg.eigvals(kernel.values * kernel.rule.weights)
+    assert np.max(np.abs(mu - 1.0)) > 1e-9
+    roots = fl.find_characteristic_numbers(kernel, 0.0, 3.0)
+    assert len(roots) == 2
+    assert np.max(np.abs(np.array(roots) - 1.0)) <= 1e-12
+
+
+def test_dense_tail_of_simple_roots_stays_apart():
+    # min(t, s) has the simple eigenvalues 1/((k - 1/2) pi)^2, spaced far below
+    # sqrt(eps) max|mu| in the tail; every one is still its own root.
+    kernel = _kernel("(t + s - abs(t - s))/2", nodes=256)
+    mu = np.linalg.eigvals(kernel.values * kernel.rule.weights)
+    expected = sorted(1.0 / m.real for m in mu if abs(m) > 1e-12 * np.max(np.abs(mu)))
+    roots = fl.find_characteristic_numbers(kernel, 0.0, 1e10)
+    assert len(roots) == len(expected) == 256
+    assert roots == expected
 
 
 def test_nilpotent_example_has_no_characteristic_numbers():

@@ -132,7 +132,7 @@ def _barycentric_row(rule, t):
         row = np.zeros(rule.n)
         row[hit[0]] = 1.0
         return row
-    ratios = rule.barycentric_weights() / (t - rule.nodes)
+    ratios = rule.barycentric / (t - rule.nodes)
     return ratios / np.sum(ratios)
 
 
@@ -148,6 +148,29 @@ def test_interp_matrix_rows_equal_scalar_rows(m):
         assert np.array_equal(row, interp_weights(rule, t))
     for i in range(0, m, 2):  # exact node hits are unit rows
         assert np.array_equal(matrix[2 + i // 2], np.eye(m)[i])
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 64, 512])
+def test_closed_form_barycentric_weights_match_the_product_formula(m):
+    rule = gauss_legendre(m, 2.0, 3.0)
+    diff = rule.nodes[:, None] - rule.nodes[None, :]
+    np.fill_diagonal(diff, 1.0)
+    reference = 1.0 / np.prod(4.0 * diff, axis=1)  # scaled by 4/(b - a) against under- and overflow
+    reference *= np.sign(reference[0] * rule.barycentric[0]) / np.max(np.abs(reference))
+    assert np.max(np.abs(rule.barycentric - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("m", [512, 1500])
+def test_interpolation_reproduces_polynomials_at_large_node_counts(m):
+    # The closed-form weights stay finite where a product over node pairs
+    # under- or overflows.
+    rule = gauss_legendre(m, -1.0, 3.0)
+    assert np.all(np.isfinite(rule.barycentric))
+    coeffs = np.random.default_rng(20).uniform(-1.0, 1.0, 21)
+    ts = np.linspace(-1.0, 3.0, 97)
+    values = interp_matrix(rule, ts) @ np.polynomial.polynomial.polyval(rule.nodes / 3.0, coeffs)
+    exact = np.polynomial.polynomial.polyval(ts / 3.0, coeffs)
+    assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_interp_matrix_outside_interval():

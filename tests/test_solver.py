@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fredload as fl
+from fredload import cli
 from fredload import solver as solver_module
 from fredload.errors import (
     NoSolutionError,
@@ -513,16 +514,68 @@ def _count_iterate_kernels(monkeypatch):
     return calls
 
 
+def _count_nxn_solves(monkeypatch, nodes):
+    # np.linalg.solve calls on an N x N matrix: each is one LU of I - lambda K W.
+    calls = []
+    original = np.linalg.solve
+
+    def counted(matrix, rhs):
+        if np.shape(matrix)[-1] >= nodes:
+            calls.append(np.shape(rhs))
+        return original(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
 def test_solve_auto_regular_factors_once_and_skips_iterated_kernels(monkeypatch):
-    # No route forms iterated kernels, and the regular route gets A(lambda),
-    # b(lambda) and x from one factorization of I - lambda K W.
-    problem, kernel = _example("loaded_regular.prob")
+    # No route forms iterated kernels, and the regular and identity-load
+    # routes get A(lambda), b(lambda) and x from one factorization of
+    # I - lambda K W, with no determinant on the side.
     iterate_calls = _count_iterate_kernels(monkeypatch)
     slogdet_calls = _count_calls(monkeypatch, np.linalg, "slogdet")
-    solution = fl.solve_auto(problem, kernel, 0.2)
-    assert solution.route == "regular"
+    solves = _count_nxn_solves(monkeypatch, 64)
+    for name, lam, route in [("loaded_regular.prob", 0.2, "regular"),
+                             ("identity_pole.prob", 0.25, "irregular")]:
+        problem, kernel = _example(name)
+        solves.clear()
+        assert fl.solve_auto(problem, kernel, lam).route == route
+        assert len(solves) == 1
     assert len(iterate_calls) == 0
-    assert len(slogdet_calls) == 1
+    assert len(slogdet_calls) == 0
+
+
+def test_sweep_factors_once_per_lambda(monkeypatch, capsys):
+    slogdet_calls = _count_calls(monkeypatch, np.linalg, "slogdet")
+    solves = _count_nxn_solves(monkeypatch, 64)
+    args = ["sweep", str(EXAMPLES / "loaded_regular.prob"), "--nodes", "64",
+            "--lambda-min", "0.05", "--lambda-max", "0.5", "--steps", "4"]
+    assert cli.main(args) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert len(solves) == 4
+    assert len(slogdet_calls) == 0
+
+
+def test_cosine_sum_far_from_its_roots_solves():
+    # det(I - lambda K W) = (1 - pi lambda)^20 is 4e-14 at lambda = 0.25, yet
+    # I - lambda K W is well-conditioned (cond about 6), so no route may refuse.
+    kernel_text = " + ".join(f"cos({k}*(t - s))" for k in range(1, 11))
+    problem = make_problem(kernel_text, "1 + t", [("0.1", fl.point_load(1.0))], b=2.0 * np.pi)
+    kernel = _discretized(problem)
+    assert abs(np.prod(1.0 - 0.25 * np.linalg.eigvals(kernel.values * kernel.rule.weights))) < 1e-12
+    solution = fl.solve_auto(problem, kernel, 0.25)
+    reference = fl.dense_solve(problem, kernel, 0.25)
+    assert solution.route == "regular"
+    assert np.max(np.abs(solution.x.values - reference.x.values)) <= 1e-12
+
+
+def test_refuses_lambda_next_to_a_characteristic_number():
+    problem, kernel = _example("loaded_regular.prob")
+    root = 6.0 - 2.0 * np.sqrt(3.0)
+    with pytest.raises(fl.CharacteristicNumberError) as err:
+        fl.solve_auto(problem, kernel, root + 1e-9)
+    assert err.value.inverse_norm > 1e8
+    assert "estimated ||(I - lambda K W)^{-1}||" in str(err.value)
 
 
 def test_solve_auto_forms_no_iterated_kernels_when_loads_annihilate(monkeypatch):
