@@ -40,7 +40,6 @@ from .functionals import (
 from .kernel_ops import (
     DiscreteKernel,
     IteratedKernels,
-    ResolventData,
     discretize,
     find_characteristic_numbers,
     iterate_kernels,
@@ -82,6 +81,7 @@ from .solver import (
     solve_auto,
     solve_irregular,
     solve_nilpotent,
+    solve_prepared,
     solve_regular,
     solve_successive,
     successive_bound,

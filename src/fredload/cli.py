@@ -37,7 +37,7 @@ from .kernel_ops import DiscreteKernel, discretize
 from .problem import ProblemSpec
 from .problemfile import Numerics, load_problem_file
 from .quadrature import interpolate
-from .solver import Solution
+from .solver import Prepared, Solution
 
 __all__ = ["main", "entry"]
 
@@ -80,21 +80,24 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _dispatch(
-    problem: ProblemSpec,
-    kernel: DiscreteKernel,
-    lam: float,
-    route: str,
-    numerics: Numerics,
+def _dispatch(prep: Prepared, lam: float, route: str, numerics: Numerics) -> Solution:
+    """One solve on an analysis reused across lambda; `route` is not oracle."""
+    if route == "auto":
+        return solver.solve_prepared(prep, lam)
+    if route == "successive":
+        return solver.solve_successive(prep, lam, numerics.q, numerics.max_iter)
+    return getattr(solver, f"solve_{route}")(prep, lam)  # regular, nilpotent, irregular
+
+
+def _solve_once(
+    problem: ProblemSpec, kernel: DiscreteKernel, lam: float, route: str, numerics: Numerics
 ) -> Solution:
     if route == "auto":
         return solver.solve_auto(problem, kernel, lam, numerics.truncation, numerics.tol)
     if route == "oracle":
         return oracle.dense_solve(problem, kernel, lam)
     prep = solver.prepare(problem, kernel, numerics.truncation, numerics.tol)
-    if route == "successive":
-        return solver.solve_successive(prep, lam, numerics.q, numerics.max_iter)
-    return getattr(solver, f"solve_{route}")(prep, lam)  # regular, nilpotent, irregular
+    return _dispatch(prep, lam, route, numerics)
 
 
 def _setup(args) -> tuple[ProblemSpec, DiscreteKernel, Numerics]:
@@ -178,7 +181,7 @@ def cmd_analyze(args) -> int:
             out,
         )
     if classification.is_irregular_identity:
-        pole, _ = solver.pole_order(prep.taylor)
+        pole, _ = prep.pole
         if pole is None:
             _emit(
                 f"pole order: none (load coupling vanishes up to depth {numerics.truncation})",
@@ -211,7 +214,7 @@ def _solution_summary(solution: Solution) -> None:
 def cmd_solve(args) -> int:
     problem, kernel, numerics = _setup(args)
     lam = _required_lambda(numerics)
-    solution = _dispatch(problem, kernel, lam, args.route, numerics)
+    solution = _solve_once(problem, kernel, lam, args.route, numerics)
     out = sys.stdout
     _emit("t,x", out)
     for t, x in zip(kernel.rule.nodes, solution.x.values):
@@ -230,10 +233,15 @@ def cmd_sweep(args) -> int:
     out = sys.stdout
     header = "lambda," + ",".join(f"x({p:g})" for p in probes) + ",x_gamma_norm,residual,status"
     _emit(header, out)
+    # After the header: an error in the analysis leaves it on stdout, as a row's does.
+    prep = None
+    if args.route != "oracle":
+        prep = solver.prepare(problem, kernel, numerics.truncation, numerics.tol)
     for lam in np.linspace(lam_min, lam_max, steps):
         lam = float(lam)
         try:
-            solution = _dispatch(problem, kernel, lam, args.route, numerics)
+            solution = (oracle.dense_solve(problem, kernel, lam) if prep is None
+                        else _dispatch(prep, lam, args.route, numerics))
         except FredloadError as exc:
             code, status = _outcome(exc)
             if status not in (EXIT_NO_SOLUTION, EXIT_ROUTE):
@@ -276,7 +284,7 @@ def cmd_oracle_check(args) -> int:
     problem, kernel, numerics = _setup(args)
     lam = _required_lambda(numerics)
     route = args.route if args.route != "oracle" else "auto"
-    solution = _dispatch(problem, kernel, lam, route, numerics)
+    solution = _solve_once(problem, kernel, lam, route, numerics)
     reference = oracle.dense_solve(problem, kernel, lam)
     disagreement = float(np.max(np.abs(solution.x.values - reference.x.values)))
     out = sys.stdout

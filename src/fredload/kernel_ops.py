@@ -29,7 +29,6 @@ from .quadrature import GridFunction, QuadratureRule
 __all__ = [
     "DiscreteKernel",
     "IteratedKernels",
-    "ResolventData",
     "discretize",
     "iterate_kernels",
     "nilpotency_index",
@@ -89,17 +88,6 @@ class IteratedKernels:
     def kernel(self, n: int) -> np.ndarray:
         """K_n for 1 <= n <= depth."""
         return self.kernels[n - 1]
-
-
-@dataclass(frozen=True, eq=False)
-class ResolventData:
-    """The resolvent kernel sampled on the grid at one lambda, plus the
-    signed log-determinant of I - lambda K W."""
-
-    lam: float
-    gamma: np.ndarray
-    det_sign: float
-    det_log: float
 
 
 def discretize(kernel: Expr, rule: QuadratureRule) -> DiscreteKernel:
@@ -198,15 +186,13 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
     return z[:, :width]
 
 
-def resolvent(kernel: DiscreteKernel, lam: float) -> ResolventData:
-    """Resolvent kernel G = (I - lambda K W)^{-1} K by dense solve.
+def resolvent(kernel: DiscreteKernel, lam: float) -> np.ndarray:
+    """Resolvent kernel G = (I - lambda K W)^{-1} K on the grid, by dense solve.
 
     Satisfies (I - lambda K W)(I + lambda G W) = I and, for small
     |lambda| * norm, the iterated-kernel series G = sum lambda^{n-1} K_n.
     """
-    gamma = _solve_or_raise(kernel, lam, kernel.values)
-    sign, logdet = np.linalg.slogdet(kernel.system_matrix(lam))
-    return ResolventData(lam=lam, gamma=gamma, det_sign=float(sign), det_log=float(logdet))
+    return _solve_or_raise(kernel, lam, kernel.values)
 
 
 def resolvent_apply(kernel: DiscreteKernel, lam: float, g: GridFunction) -> GridFunction:

@@ -21,7 +21,7 @@ as A~_m = A_m / g^m (taylor_A) and built from the column recurrence
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -45,6 +45,14 @@ __all__ = [
     "taylor_A",
     "classify",
 ]
+
+# Relative tolerances: A0 = E when max|A0 - E| <= IDENTITY_TOL (1 + max|A0|);
+# otherwise E - A0 is regular when |det(E - A0)| > DET_TOL (1 + max|A0|). In the
+# zero-order system, singular values of E - A0 up to RANK_TOL max(1, sigma_max)
+# count as zero, and a defect above RANK_TOL (1 + ||f_gamma||) means no solution.
+IDENTITY_TOL = 1e-10
+DET_TOL = 1e-10
+RANK_TOL = 1e-10
 
 
 def assemble_A0(problem: ProblemSpec) -> np.ndarray:
@@ -120,10 +128,7 @@ class NonUnique:
 
 ZeroOrderOutcome = Union[UniqueLoads, NoSolution, NonUnique]
 
-
-def solve_zero_order_system(
-    A0: np.ndarray, f_gamma: np.ndarray, tol: float = 1e-10
-) -> ZeroOrderOutcome:
+def solve_zero_order_system(A0: np.ndarray, f_gamma: np.ndarray) -> ZeroOrderOutcome:
     """Solve (E - A0) c = f_gamma, classifying the outcome.
 
     Singular-but-consistent systems return the minimum-norm particular
@@ -134,14 +139,14 @@ def solve_zero_order_system(
     system = np.eye(n) - A0
     u, sing, vt = np.linalg.svd(system)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
-    rank = int(np.sum(sing > tol * max(scale, 1.0)))
+    rank = int(np.sum(sing > RANK_TOL * max(scale, 1.0)))
     if rank == n:
         return UniqueLoads(c=np.linalg.solve(system, f_gamma))
     inv_sing = np.zeros_like(sing)
     inv_sing[:rank] = 1.0 / sing[:rank]
     particular = vt.T @ (inv_sing * (u.T @ f_gamma))
     defect = float(np.linalg.norm(system @ particular - f_gamma, np.inf))
-    if defect > tol * (1.0 + float(np.linalg.norm(f_gamma, np.inf))):
+    if defect > RANK_TOL * (1.0 + float(np.linalg.norm(f_gamma, np.inf))):
         return NoSolution(defect=defect)
     return NonUnique(particular=particular, nullspace=vt[rank:].T.copy())
 
@@ -162,21 +167,15 @@ class Classification:
         return self.kind == "irregular-identity"
 
 
-def classify(
-    A0: np.ndarray,
-    tol_identity: Optional[float] = None,
-    tol_det: float = 1e-10,
-) -> Classification:
+def classify(A0: np.ndarray) -> Classification:
     """Regular when det(E - A0) is bounded away from zero; the identity
     case A0 = E gets its own label; a singular E - A0 with A0 != E is not
     handled by any route in this package."""
     n = A0.shape[0]
     norm = float(np.max(np.abs(A0))) if A0.size else 0.0
-    if tol_identity is None:
-        tol_identity = 1e-10 * (1.0 + norm)
     det = float(np.linalg.det(np.eye(n) - A0))
-    if float(np.max(np.abs(A0 - np.eye(n)))) <= tol_identity:
+    if float(np.max(np.abs(A0 - np.eye(n)))) <= IDENTITY_TOL * (1.0 + norm):
         return Classification(kind="irregular-identity", det=det)
-    if abs(det) > tol_det * (1.0 + norm):
+    if abs(det) > DET_TOL * (1.0 + norm):
         return Classification(kind="regular", det=det)
     return Classification(kind="unsupported-irregular", det=det)

@@ -13,12 +13,13 @@ Four constructive paths produce x(t, lambda) on the master grid:
               vector is lambda^{-p} * nu(lambda) with nu built from the
               Taylor coefficients of A(lambda).
 
-Which route applies depends only on lambda-independent quantities: A0 and
-its classification, whether the loads annihilate the kernel slices, the
-nilpotency index and the Taylor coefficients. `prepare` computes them once
-into a `Prepared` value that every route reads; the last two come from the
-column recurrence (K W / g)^m y, never from an N x N power of K W. Every
-route reports the max-norm defect of the full equation on the grid,
+Everything but A(lambda) and b(lambda) is fixed by the problem: A0, its
+classification, the annihilation reports, the nilpotency index, the Taylor
+coefficients (from the column recurrence (K W / g)^m y) and, for A0 = E,
+the pole order and certified radius. `prepare` computes them once into a
+`Prepared` value that the routes and `solve_prepared`'s route decision
+read, so a sweep pays per lambda for one resolvent solve and n x n algebra.
+Every route reports the max-norm defect of the full equation on the grid,
 recomputed from the returned grid function alone.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -64,6 +65,7 @@ __all__ = [
     "solve_successive",
     "solve_nilpotent",
     "solve_irregular",
+    "solve_prepared",
     "solve_auto",
     "residual",
     "successive_bound",
@@ -71,22 +73,28 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION = 30
+# The pole order is the first m with max|A~_m| above POLE_COEFF_TOL (1 + max_k max|A~_k|),
+# and the certified radius rho is where the contraction bound q reaches RADIUS_Q.
 POLE_COEFF_TOL = 1e-9
+RADIUS_Q = 0.9
 
 
 @dataclass(frozen=True, eq=False)
-class IrregularExpansion:
-    """Laurent data at lambda = 0: pole order, growth g = series_scale(K), the
-    scaled Taylor coefficients A~_p..A~_M of the load coupling (A_m = g^m A~_m),
-    the contraction bound at the requested lambda, and the certified radius."""
+class Laurent:
+    """Laurent data at lambda = 0 for A0 = E: pole order p, g = series_scale(K),
+    the scaled coefficients A~_p..A~_M (A_m = g^m A~_m) and the certified radius."""
 
     pole_order: int
     growth: float
     coefficients: tuple[np.ndarray, ...]
-    nu_series: Callable[[float], np.ndarray]
-    q: float
     rho: float
-    tail_bound: float
+
+
+@dataclass(frozen=True, eq=False)
+class IrregularExpansion(Laurent):
+    """The Laurent data with the contraction bound q at the solved lambda."""
+
+    q: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +116,8 @@ class Prepared:
     """What the routes need that does not depend on lambda, for one problem
     on one grid: A0, f_gamma, the classification of A0 and the per-load
     annihilation reports at `tol`. The zero-order outcome, the nilpotency
-    index and the Taylor coefficients up to `truncation` are computed on
-    first use, so a regular solve never forms them."""
+    index, the Taylor coefficients up to `truncation` and the Laurent data
+    are computed on first use, so a regular solve never forms them."""
 
     problem: ProblemSpec
     kernel: DiscreteKernel
@@ -138,6 +146,37 @@ class Prepared:
     def taylor(self) -> list[np.ndarray]:
         """A~_1..A~_truncation of A(lambda) = sum_m (lambda g)^m A~_m."""
         return taylor_A(self.problem, self.kernel, self.truncation)
+
+    @cached_property
+    def pole(self) -> tuple[Optional[int], float]:
+        """(p, reference) of pole_order on the Taylor coefficients."""
+        return pole_order(self.taylor)
+
+    @cached_property
+    def laurent(self) -> Laurent:
+        """The irregular route's lambda-independent data; raises
+        RoutePreconditionError when the pole expansion does not apply."""
+        if self.truncation < 2:
+            raise RoutePreconditionError(
+                f"the irregular route needs truncation >= 2, got {self.truncation}"
+            )
+        pole, reference = self.pole
+        if pole is None:
+            raise RoutePreconditionError(
+                "the load coupling A(lambda) vanishes to working precision at "
+                f"every order up to {self.truncation}; no pole order can be assigned"
+            )
+        coefficients = tuple(self.taylor[pole - 1 :])
+        a_p = coefficients[0]
+        if _nearly_singular(a_p, reference):
+            raise RoutePreconditionError(
+                f"the leading coefficient matrix A_{pole} of the load coupling "
+                "is singular; the pole expansion does not apply"
+            )
+        solved = (np.linalg.solve(a_p, a_m) for a_m in coefficients[1:])
+        radius = _contraction_radius([float(np.linalg.norm(c, np.inf)) for c in solved])
+        growth = series_scale(self.kernel)
+        return Laurent(pole, growth, coefficients, radius / growth)
 
     @cached_property
     def successive_l(self) -> float:
@@ -323,9 +362,10 @@ def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
     return _solution(prep, lam, x_vals, "nilpotent", note=note)
 
 
-def _contraction_radius(norms: list[float], q_max: float = 0.9) -> float:
-    """Largest r with sum_m norms[m] * r^(m+1) <= q_max (norms[m] is the
-    coefficient of r^{m+1}); bisection on a monotone bound."""
+def _contraction_radius(norms: list[float]) -> float:
+    """Largest r with sum_m norms[m] * r^(m+1) <= RADIUS_Q (norms[m] is the
+    coefficient of r^{m+1}); bisection on a monotone bound until the
+    bracket has no double strictly inside it."""
 
     def q_bound(r: float) -> float:
         total = 0.0
@@ -338,28 +378,24 @@ def _contraction_radius(norms: list[float], q_max: float = 0.9) -> float:
         return total
 
     hi = 1e-8
-    for _ in range(120):
-        if q_bound(hi) > q_max:
-            break
+    while q_bound(hi) <= RADIUS_Q:
         hi *= 2.0
         if hi > 1e12:
             return math.inf
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if q_bound(mid) <= q_max:
+    lo, mid = 0.0, 0.5 * hi
+    while lo < mid < hi:
+        if q_bound(mid) <= RADIUS_Q:
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     return lo
 
 
-def pole_order(
-    coeff_mats: list[np.ndarray], pole_tol: float = POLE_COEFF_TOL
-) -> tuple[Optional[int], float]:
+def pole_order(coeff_mats: list[np.ndarray]) -> tuple[Optional[int], float]:
     """(p, reference) for the scaled Taylor coefficients A~_m of the load
     coupling (taylor_A), each on its own scale: with r_m = max|A~_m|, p is
-    the first m with r_m > pole_tol * (1 + max r_m), None if none, and
+    the first m with r_m > POLE_COEFF_TOL * (1 + max r_m), None if none, and
     reference = 1 + max r_m. A non-finite A~_m is an error."""
     mags = [float(np.max(np.abs(a))) for a in coeff_mats]
     bad = next((m for m, mag in enumerate(mags, start=1) if not math.isfinite(mag)), None)
@@ -368,16 +404,15 @@ def pole_order(
             f"the Taylor coefficient A_{bad} of the load coupling is not finite"
         )
     scale = 1.0 + max(mags, default=0.0)
-    return next((m for m, r in enumerate(mags, start=1) if r > pole_tol * scale), None), scale
+    return next((m for m, r in enumerate(mags, start=1) if r > POLE_COEFF_TOL * scale), None), scale
 
 
-def solve_irregular(prep: Prepared, lam: float, pole_tol: float = POLE_COEFF_TOL) -> Solution:
+def solve_irregular(prep: Prepared, lam: float) -> Solution:
     """Laurent route for A0 = E, in lambda g so that no term overflows: with
     A(lambda) = sum_{m>=p} (lambda g)^m A~_m (taylor_A) and A~_p invertible,
     x_gamma = (lambda g)^{-p} nu~ where nu~ sums the geometric series
     -(I + A~_p^{-1} B)^{-1} A~_p^{-1} b(lambda), B = sum_{m>p} (lambda g)^{m-p} A~_m.
     It is summed in closed form by a dense solve; the contraction bound q certifies it."""
-    problem, kernel, truncation = prep.problem, prep.kernel, prep.truncation
     classification = prep.classification
     if classification.kind == "unsupported-irregular":
         raise RoutePreconditionError(
@@ -392,57 +427,41 @@ def solve_irregular(prep: Prepared, lam: float, pole_tol: float = POLE_COEFF_TOL
         raise RoutePreconditionError(
             "the load vector has a pole at lambda = 0; request a nonzero lambda"
         )
-    if truncation < 2:
-        raise RoutePreconditionError(
-            f"the irregular route needs truncation >= 2, got {truncation}"
-        )
-    coeff_mats, growth = prep.taylor, series_scale(kernel)
-    pole, reference = pole_order(coeff_mats, pole_tol)
-    if pole is None:
-        raise RoutePreconditionError(
-            "the load coupling A(lambda) vanishes to working precision at "
-            f"every order up to {truncation}; no pole order can be assigned"
-        )
-    a_p = coeff_mats[pole - 1]
-    if _nearly_singular(a_p, reference):
-        raise RoutePreconditionError(
-            f"the leading coefficient matrix A_{pole} of the load coupling "
-            "is singular; the pole expansion does not apply"
-        )
-    tail = coeff_mats[pole:]
-    tail_norms = [float(np.linalg.norm(np.linalg.solve(a_p, a_m), np.inf)) for a_m in tail]
-    rho = _contraction_radius(tail_norms) / growth
-
-    def b_matrix(lam2: float) -> np.ndarray:
-        mu = np.float64(lam2 * growth)
-        with np.errstate(over="ignore", invalid="ignore"):  # far outside rho: q = inf or nan
-            return sum((mu**k * a_m for k, a_m in enumerate(tail, start=1)), np.zeros_like(a_p))
-
-    def nu_series(lam2: float) -> np.ndarray:  # x_gamma = lambda^{-p} nu(lambda)
-        rhs = assemble_lambda_system(problem, kernel, lam2, prep.f_gamma)[1]
-        return -np.linalg.solve(a_p + b_matrix(lam2), rhs) * (1.0 / growth) ** pole
-
-    q_at = float(np.linalg.norm(np.linalg.solve(a_p, b_matrix(lam)), np.inf))
+    laurent = prep.laurent
+    a_p, tail = laurent.coefficients[0], laurent.coefficients[1:]
+    mu = np.float64(lam * laurent.growth)
+    with np.errstate(over="ignore", invalid="ignore"):  # far outside rho: q = inf or nan
+        b_mat = sum((mu**k * a_m for k, a_m in enumerate(tail, start=1)), np.zeros_like(a_p))
+    q_at = float(np.linalg.norm(np.linalg.solve(a_p, b_mat), np.inf))
     if not q_at < 1.0:
         raise RoutePreconditionError(
             f"no contraction at lambda={lam!r}: q = {q_at:.6g} >= 1 "
-            f"(certified radius rho = {rho:.6g})"
+            f"(certified radius rho = {laurent.rho:.6g})"
         )
-    tail_bound = q_at ** (truncation - pole + 1) / (1.0 - q_at)
-    # nu_series(lam), with b(lam) from the factorization that also rebuilds x.
-    _, rhs, basis = assemble_lambda_system(problem, kernel, lam, prep.f_gamma)
-    x_gamma = -np.linalg.solve(a_p + b_matrix(lam), rhs) / (lam * growth) ** pole
-    expansion = IrregularExpansion(
-        pole_order=pole,
-        growth=growth,
-        coefficients=tuple(coeff_mats[pole - 1 :]),
-        nu_series=nu_series,
-        q=q_at,
-        rho=rho,
-        tail_bound=tail_bound,
-    )
+    _, rhs, basis = assemble_lambda_system(prep.problem, prep.kernel, lam, prep.f_gamma)
+    pole = laurent.pole_order
+    x_gamma = -np.linalg.solve(a_p + b_mat, rhs) / (lam * laurent.growth) ** pole
     values = basis @ np.append(x_gamma, 1.0)
+    expansion = IrregularExpansion(**vars(laurent), q=q_at)
     return _solution(prep, lam, values, "irregular", x_gamma, pole_order=pole, expansion=expansion)
+
+
+def solve_prepared(prep: Prepared, lam: float) -> Solution:
+    """Pick a route from the problem's structure.
+
+    When the loads annihilate the kernel, the zero-order system decides
+    solvability outright (no continuous solution when it is inconsistent)
+    and a nilpotent kernel gets the exact polynomial route. Otherwise the
+    classification of A0 selects the regular or irregular path (which
+    rejects a singular E - A0 with A0 != E).
+    """
+    if prep.annihilates:
+        _zero_order_loads(prep)  # raises NoSolutionError when inconsistent
+        if prep.nilpotency is not None:
+            return solve_nilpotent(prep, lam)
+    if prep.classification.is_regular:
+        return solve_regular(prep, lam)
+    return solve_irregular(prep, lam)
 
 
 def solve_auto(
@@ -452,19 +471,5 @@ def solve_auto(
     truncation: int = DEFAULT_TRUNCATION,
     tol: float = 1e-10,
 ) -> Solution:
-    """Pick a route from the problem's structure.
-
-    When the loads annihilate the kernel, the zero-order system decides
-    solvability outright (no continuous solution when it is inconsistent)
-    and a nilpotent kernel gets the exact polynomial route. Otherwise the
-    classification of A0 selects the regular or irregular path (which
-    rejects a singular E - A0 with A0 != E).
-    """
-    prep = prepare(problem, kernel, truncation, tol)
-    if prep.annihilates:
-        _zero_order_loads(prep)  # raises NoSolutionError when inconsistent
-        if prep.nilpotency is not None:
-            return solve_nilpotent(prep, lam)
-    if prep.classification.is_regular:
-        return solve_regular(prep, lam)
-    return solve_irregular(prep, lam)
+    """solve_prepared on a fresh prepare(problem, kernel, truncation, tol)."""
+    return solve_prepared(prepare(problem, kernel, truncation, tol), lam)

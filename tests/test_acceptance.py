@@ -234,8 +234,8 @@ def test_criterion_09_resolvent_identities_random_kernels():
         if norm < 1e-6:
             continue
         lam = float(rng.uniform(-0.5, 0.5)) / norm
-        data = fl.resolvent(kernel, lam)
-        gw = data.gamma * rule.weights
+        gamma = fl.resolvent(kernel, lam)
+        gw = gamma * rule.weights
         kw = kernel.values * rule.weights
         worst_identity = max(
             worst_identity,
@@ -243,7 +243,7 @@ def test_criterion_09_resolvent_identities_random_kernels():
         )
         iterated = fl.iterate_kernels(kernel, 30)
         series = sum(lam ** (m - 1) * iterated.kernel(m) for m in range(1, 31))
-        worst_neumann = max(worst_neumann, float(np.max(np.abs(series - data.gamma))))
+        worst_neumann = max(worst_neumann, float(np.max(np.abs(series - gamma))))
         checked += 1
     ok = worst_identity <= 1e-8 and worst_neumann <= 1e-8
     _report(

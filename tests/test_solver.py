@@ -361,9 +361,8 @@ def test_irregular_expansion_metadata():
     # contraction bound at lambda = 0.25 is sum_{m>=2} 0.25^{m-1} ~ 1/3
     assert expansion.q == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert expansion.rho == pytest.approx(0.9 / 1.9, abs=1e-4)
-    # the series evaluator agrees with the solved load vector
-    nu = expansion.nu_series(0.25)
-    assert nu / 0.25 == pytest.approx(solution.x_gamma, rel=1e-12)
+    # The bisection for rho stops once its bracket collapses, at this exact double.
+    assert expansion.rho == 0.4736842106231244
 
 
 def test_irregular_nu_series_matches_explicit_partial_sums():
@@ -383,7 +382,8 @@ def test_irregular_nu_series_matches_explicit_partial_sums():
         total += term
         term = -c_mat @ term
     explicit = -total
-    assert explicit == pytest.approx(expansion.nu_series(lam), abs=1e-12)
+    # x_gamma = lambda^{-p} nu(lambda), with p = 1 and growth g = 1 here.
+    assert explicit == pytest.approx(lam**expansion.pole_order * solution.x_gamma, abs=1e-12)
 
 
 def test_laurent_limit_of_lambda_times_loads():
@@ -546,14 +546,39 @@ def test_solve_auto_regular_factors_once_and_skips_iterated_kernels(monkeypatch)
 
 
 def test_sweep_factors_once_per_lambda(monkeypatch, capsys):
+    # One analysis per sweep, whatever the route, and one LU per lambda.
     slogdet_calls = _count_calls(monkeypatch, np.linalg, "slogdet")
     solves = _count_nxn_solves(monkeypatch, 64)
-    args = ["sweep", str(EXAMPLES / "loaded_regular.prob"), "--nodes", "64",
-            "--lambda-min", "0.05", "--lambda-max", "0.5", "--steps", "4"]
-    assert cli.main(args) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 5
-    assert len(solves) == 4
+    prepares = _count_calls(monkeypatch, solver_module, "prepare")
+    a0_calls = _count_calls(monkeypatch, solver_module, "assemble_A0")
+    taylor_calls = _count_calls(monkeypatch, solver_module, "taylor_A")
+    # identity_pole stops at 0.4, inside its certified radius 0.47.
+    for name, route, lam_max, taylor in [("loaded_regular.prob", "auto", "0.5", 0),
+                                         ("identity_pole.prob", "auto", "0.4", 1),
+                                         ("loaded_regular.prob", "successive", "0.5", 0)]:
+        for calls in (solves, prepares, a0_calls, taylor_calls):
+            calls.clear()
+        args = ["sweep", str(EXAMPLES / name), "--nodes", "64", "--route", route,
+                "--lambda-min", "0.05", "--lambda-max", lam_max, "--steps", "4"]
+        assert cli.main(args) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 4
+        assert (len(prepares), len(a0_calls), len(taylor_calls)) == (1, 1, taylor)
+        if route == "auto":
+            assert all(row.endswith(",ok") for row in rows)
+            assert len(solves) == 4
     assert len(slogdet_calls) == 0
+
+
+def test_irregular_reuses_the_laurent_data_of_one_prepared(monkeypatch):
+    problem, kernel = golden_identity_problem()
+    prep = fl.prepare(problem, kernel)
+    calls = _count_calls(monkeypatch, solver_module, "pole_order")
+    first = fl.solve_irregular(prep, 0.25)
+    second = fl.solve_irregular(prep, 0.1)
+    assert len(calls) == 1
+    assert first.expansion.rho == second.expansion.rho
+    assert second.x_gamma == pytest.approx([-10.0], rel=1e-12)
 
 
 def test_cosine_sum_far_from_its_roots_solves():
