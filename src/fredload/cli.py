@@ -215,10 +215,8 @@ def cmd_solve(args) -> int:
     problem, kernel, numerics = _setup(args)
     lam = _required_lambda(numerics)
     solution = _solve_once(problem, kernel, lam, args.route, numerics)
-    out = sys.stdout
-    _emit("t,x", out)
-    for t, x in zip(kernel.rule.nodes, solution.x.values):
-        _emit(f"{_fmt(t)},{_fmt(x)}", out)
+    points = zip(kernel.rule.nodes.tolist(), solution.x.values.tolist())
+    _emit("\n".join(["t,x", *(f"{_fmt(t)},{_fmt(x)}" for t, x in points)]), sys.stdout)
     _solution_summary(solution)
     return EXIT_OK
 

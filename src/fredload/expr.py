@@ -15,7 +15,10 @@ Grammar (LL(1), whitespace-insensitive, no implicit multiplication):
 
 "^" binds tightest and unary minus binds looser than "^", so -2^2 = -4
 and 2^3^2 = 512. Evaluation is plain IEEE double precision; the evaluator
-accepts numpy arrays in the bindings and broadcasts.
+accepts numpy arrays in the bindings and broadcasts. A node whose operand
+is an array the evaluation allocated writes its result into that array,
+so sampling a kernel allocates one N x N array per broadcast product, not
+one per node; bindings are never written.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ _FUNCTIONS = {
     "abs": np.abs,
 }
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,26 @@ def _check_finite(value, node: Node):
     return value
 
 
+def _read_only(value) -> np.ndarray:
+    view = np.asarray(value, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+def _scratch(value, other=None) -> bool:
+    """Whether `value` is an array this evaluation allocated (bindings are
+    read-only views) that can hold value op other: the result keeps its shape."""
+    return (
+        isinstance(value, np.ndarray)
+        and value.flags.writeable
+        and (
+            not isinstance(other, np.ndarray)
+            or other.shape == value.shape
+            or np.broadcast_shapes(value.shape, other.shape) == value.shape
+        )
+    )
+
+
 def _eval_node(node: Node, bindings: Mapping[str, object]):
     if isinstance(node, Num):
         return node.value
@@ -242,22 +266,21 @@ def _eval_node(node: Node, bindings: Mapping[str, object]):
         except KeyError:
             raise DomainEvalError(f"no binding for variable '{node.name}'", node.name)
     if isinstance(node, Neg):
-        return -_eval_node(node.operand, bindings)
+        operand = _eval_node(node.operand, bindings)
+        return np.negative(operand, out=operand) if _scratch(operand) else -operand
     if isinstance(node, Call):
         arg = _eval_node(node.arg, bindings)
-        return _check_finite(_FUNCTIONS[node.func](arg), node)
+        func = _FUNCTIONS[node.func]
+        return _check_finite(func(arg, out=arg) if _scratch(arg) else func(arg), node)
     left = _eval_node(node.left, bindings)
     right = _eval_node(node.right, bindings)
-    if node.op == "+":
-        value = np.add(left, right)
-    elif node.op == "-":
-        value = np.subtract(left, right)
-    elif node.op == "*":
-        value = np.multiply(left, right)
-    elif node.op == "/":
-        value = np.divide(left, right)
+    ufunc = _OPERATORS[node.op]
+    if _scratch(left, right):
+        value = ufunc(left, right, out=left)
+    elif _scratch(right, left):
+        value = ufunc(left, right, out=right)
     else:
-        value = np.power(left, right)
+        value = ufunc(left, right)
     return _check_finite(value, node)
 
 
@@ -266,21 +289,26 @@ def evaluate(expr: Expr, bindings: Mapping[str, object]):
 
     Bindings may be floats or numpy arrays (broadcast elementwise). A scalar
     result is returned as float. Non-finite intermediate results raise
-    DomainEvalError naming the offending subexpression.
+    DomainEvalError naming the offending subexpression: each operator and
+    function node checks its own result, and a root that is a number or a
+    variable, possibly negated, is checked here. Array bindings are passed
+    down as read-only views, so an array result may be one of them.
     """
     missing = expr.variables - set(bindings)
     if missing:
         name = sorted(missing)[0]
         raise DomainEvalError(f"no binding for variable '{name}'", name)
-    coerced = {
-        k: float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
-        for k, v in bindings.items()
-    }
+    coerced = {k: float(v) if np.ndim(v) == 0 else _read_only(v) for k, v in bindings.items()}
     with np.errstate(all="ignore"):
-        value = _check_finite(_eval_node(expr.root, coerced), expr.root)
+        value = _eval_node(expr.root, coerced)
+    leaf = expr.root
+    while isinstance(leaf, Neg):
+        leaf = leaf.operand
+    if isinstance(leaf, (Num, Var)):  # no operator node has checked the value
+        _check_finite(value, expr.root)
     if np.ndim(value) == 0:
         return float(value)
-    return np.asarray(value, dtype=float)
+    return value
 
 
 def unparse(node: Node) -> str:

@@ -9,7 +9,10 @@ Each integral term carries its own quadrature sub-rule because [a_i, b_i]
 generally does not line up with the master grid; grid functions are
 evaluated off-node by barycentric interpolation. On a master grid every
 load is therefore one row v of grid weights with <gamma, x> ~ v @ x(nodes),
-and the n loads of a problem stack into the n x N load-row matrix V.
+the load's coefficients times the interpolation matrix of its points,
+summed in the barycentric Cauchy form without forming that matrix; the n
+loads of a problem stack into the n x N load-row matrix V, built once per
+(problem, rule).
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from typing import TYPE_CHECKING, Callable, Union
 import numpy as np
 
 from .expr import Expr, evaluate
-from .quadrature import GridFunction, QuadratureRule, gauss_legendre, interp_matrix
+from .quadrature import (
+    GridFunction,
+    QuadratureRule,
+    _require_within,
+    gauss_legendre,
+    interp_matrix,
+)
 
 if TYPE_CHECKING:
     from .kernel_ops import DiscreteKernel
@@ -114,25 +123,38 @@ def apply(gamma: Functional, x: Union[Callable[[float], float], GridFunction, Ex
 
 
 def load_row(gamma: Functional, rule: QuadratureRule) -> np.ndarray:
-    """Grid weights v with <gamma, x> ~ v @ x(nodes) for grid functions:
-    point values and sub-rule nodes interpolated in one matrix."""
-    ts = [np.array([p.t0 for p in gamma.point_terms])]
-    coeffs = [np.array([p.alpha for p in gamma.point_terms])]
-    for term in gamma.integral_terms:
-        ts.append(term.rule.nodes)
-        coeffs.append(term.rule.weights * evaluate(term.weight, {"s": term.rule.nodes}))
-    return np.concatenate(coeffs) @ interp_matrix(rule, np.concatenate(ts))
+    """Grid weights v with <gamma, x> ~ v @ x(nodes) for grid functions.
+
+    With the point values and sub-rule nodes ts, their coefficients c and
+    the rule's barycentric weights b, v = c @ interp_matrix(rule, ts),
+    summed without the matrix in the Cauchy form v = b * (C^T (c / (C b)))
+    with C_ij = 1 / (ts_i - x_j); a point that hits a node exactly adds its
+    coefficient to that node."""
+    ts = np.concatenate([[p.t0 for p in gamma.point_terms]]
+                        + [term.rule.nodes for term in gamma.integral_terms])
+    coeffs = np.concatenate(
+        [[p.alpha for p in gamma.point_terms]]
+        + [term.rule.weights * evaluate(term.weight, {"s": term.rule.nodes})
+           for term in gamma.integral_terms]
+    )
+    _require_within(rule, ts)
+    nodes, bary = rule.nodes, rule.barycentric
+    at = np.minimum(np.searchsorted(nodes, ts), rule.n - 1)
+    hit = nodes[at] == ts
+    cauchy = np.subtract.outer(ts[~hit], nodes)
+    np.divide(1.0, cauchy, out=cauchy)
+    row = bary * ((coeffs[~hit] / (cauchy @ bary)) @ cauchy)
+    np.add.at(row, at[hit], coeffs[hit])
+    return row
 
 
 def load_rows(problem: "ProblemSpec", rule: QuadratureRule) -> np.ndarray:
     """The n x N matrix V whose row k is load_row(gamma_k, rule), built
     once per (problem, rule) and returned read-only."""
-    rows = problem._load_rows.get(rule)
-    if rows is None:
-        rows = np.vstack([load_row(load.functional, rule) for load in problem.loads])
-        rows.setflags(write=False)
-        problem._load_rows[rule] = rows
-    return rows
+    return problem.on_grid(
+        ("load_rows", rule),
+        lambda: np.vstack([load_row(load.functional, rule) for load in problem.loads]),
+    )
 
 
 def apply_to_kernel_slices(gamma: Functional, kernel: "DiscreteKernel") -> GridFunction:
@@ -154,7 +176,7 @@ def check_condition_one(
     problem: "ProblemSpec", kernel: "DiscreteKernel", tol: float = 1e-10
 ) -> list[ConditionReport]:
     """Check, for each load, max_s |<gamma_k, K(., s)>| <= tol * (1 + max|K|)."""
-    threshold = tol * (1.0 + float(np.max(np.abs(kernel.values))))
+    threshold = tol * (1.0 + kernel.max_abs)
     slices = load_rows(problem, kernel.rule) @ kernel.values
     return [
         ConditionReport(holds=deviation <= threshold, deviation=deviation, tol_used=threshold)

@@ -7,8 +7,10 @@ The resolvent G(t,s,lambda) of (I - lambda K)^{-1} = I + lambda * G[.] is
 obtained by a dense solve per lambda; the routes need only its images
 lambda * G W y, one solve with those right-hand sides, and its Taylor
 series only the scaled column powers (K W / g)^m y. Probe columns in that
-same solve estimate the condition of I - lambda K W, which decides whether
-lambda is too close to a characteristic number. The determinant of the
+same solve, drawn once per N, estimate the condition of I - lambda K W,
+which decides whether lambda is too close to a characteristic number.
+The lambda-independent scalars g (the operator norm) and max|K| are
+computed once per kernel, on DiscreteKernel. The determinant of the
 discretized operator stands in for the Fredholm denominator; its zeros,
 the characteristic numbers, are the reciprocals of the real eigenvalues of
 K W.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -51,7 +54,9 @@ COND_LIMIT = 1e8
 
 @dataclass(frozen=True, eq=False)
 class DiscreteKernel:
-    """Kernel sampled at node pairs: values[i, j] = K(t_i, s_j)."""
+    """Kernel sampled at node pairs: values[i, j] = K(t_i, s_j), with its
+    lambda-independent scalars computed once: max|K| on construction, where
+    it is the finiteness check, and the operator norm g on first use."""
 
     rule: QuadratureRule
     values: np.ndarray
@@ -61,10 +66,20 @@ class DiscreteKernel:
         n = self.rule.n
         if values.shape != (n, n):
             raise ValueError(f"kernel matrix must be {n} x {n}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("kernel values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        if not math.isfinite(self.max_abs):
+            raise ValueError("kernel values must be finite")
+
+    @cached_property
+    def max_abs(self) -> float:
+        """max|K_ij|; non-finite exactly when some value is."""
+        return float(np.max(np.abs(self.values), initial=0.0))
+
+    @cached_property
+    def norm(self) -> float:
+        """Discrete sup-norm of the integral operator: max_i sum_j w_j |K_ij|."""
+        return float(np.max(np.abs(self.values) @ self.rule.weights, initial=0.0))
 
     def system_matrix(self, lam: float) -> np.ndarray:
         """I - lambda * K * W for the rule's weights W, built in place."""
@@ -91,11 +106,11 @@ class IteratedKernels:
 
 
 def discretize(kernel: Expr, rule: QuadratureRule) -> DiscreteKernel:
-    """Sample K(t,s) at all node pairs of the rule."""
-    t = rule.nodes[:, None]
-    s = rule.nodes[None, :]
-    values = evaluate(kernel, {"t": t, "s": s})
-    values = np.broadcast_to(np.asarray(values, dtype=float), (rule.n, rule.n)).copy()
+    """Sample K(t,s) at all node pairs of the rule; a sample that is not
+    already N x N (one that ignores t or s) is broadcast into a copy."""
+    values = evaluate(kernel, {"t": rule.nodes[:, None], "s": rule.nodes[None, :]})
+    if np.shape(values) != (rule.n, rule.n):
+        values = np.broadcast_to(values, (rule.n, rule.n)).copy()
     return DiscreteKernel(rule=rule, values=values)
 
 
@@ -112,15 +127,14 @@ def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:
 
 
 def operator_norm(kernel: DiscreteKernel) -> float:
-    """Discrete sup-norm of the integral operator: max_i sum_j w_j |K_ij|."""
-    if kernel.rule.n == 0:
-        return 0.0
-    return float(np.max(np.abs(kernel.values) @ kernel.rule.weights))
+    """Discrete sup-norm of the integral operator: max_i sum_j w_j |K_ij|
+    (DiscreteKernel.norm)."""
+    return kernel.norm
 
 
 def series_scale(kernel: DiscreteKernel) -> float:
     """g = operator_norm(kernel), or 1 for a null kernel: ||K W / g|| = 1 in the max norm."""
-    return operator_norm(kernel) or 1.0
+    return kernel.norm or 1.0
 
 
 def scaled_powers(kernel: DiscreteKernel, columns: np.ndarray, depth: int) -> Iterator[np.ndarray]:
@@ -137,10 +151,13 @@ def scaled_powers(kernel: DiscreteKernel, columns: np.ndarray, depth: int) -> It
 _COLLAPSE_RATIO = 1e-6
 
 
+@lru_cache(maxsize=None)
 def _probe(n: int) -> np.ndarray:
     """The fixed-seed N x 4 Gaussian probe block of the nilpotency test and
-    the resolvent's norm estimate."""
-    return np.random.default_rng(0).standard_normal((n, 4))
+    the resolvent's norm estimate, drawn once per N and returned read-only."""
+    probe = np.random.default_rng(0).standard_normal((n, 4))
+    probe.flags.writeable = False
+    return probe
 
 
 def nilpotency_index(kernel: DiscreteKernel, depth: int, tol: float = 1e-10) -> Optional[int]:
@@ -171,7 +188,7 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
     estimates ||(I - lambda K W)^{-1}|| from below (Dixon, SIAM J. Numer.
     Anal. 20, 1983). lambda is refused when LAPACK finds the matrix exactly
     singular or when (1 + |lambda| g) times the estimate, g the operator
-    norm, exceeds COND_LIMIT."""
+    norm (DiscreteKernel.norm), exceeds COND_LIMIT."""
     probe = _probe(kernel.rule.n)
     try:
         z = np.linalg.solve(kernel.system_matrix(lam), np.column_stack([rhs, probe]))
@@ -181,7 +198,7 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular solve: inf / nan
         growth = np.linalg.norm(z[:, width:], axis=0) / np.linalg.norm(probe, axis=0)
     inverse_norm = float(np.max(growth))
-    if not (1.0 + abs(lam) * operator_norm(kernel)) * inverse_norm <= COND_LIMIT:
+    if not (1.0 + abs(lam) * kernel.norm) * inverse_norm <= COND_LIMIT:
         raise CharacteristicNumberError(lam, inverse_norm)
     return z[:, :width]
 
@@ -218,6 +235,10 @@ def det_magnitude(kernel: DiscreteKernel, lam: float) -> float:
 # eigvals splits the defective double eigenvalue of (-2 + 6 s) + t (-6 + 12 s)
 # by up to 5.3 sqrt(eps) max|mu| at N = 8-1024; this leaves a factor of three.
 _CLUSTER_RADIUS = 16.0 * math.sqrt(np.finfo(float).eps)
+# eigvals splits the defective zero eigenvalue of a nilpotent K W into |mu| up
+# to 3e-9 g for t - 1/2 (Jordan blocks of size 2) and 1.5e-6 g for
+# (t - 1/2) + (6 s^2 - 6 s + 1) (size 3) at N = 16-512.
+_RING = 1e-4
 
 
 def find_characteristic_numbers(
@@ -225,8 +246,15 @@ def find_characteristic_numbers(
 ) -> list[float]:
     """Zeros of det(I - lambda K W) in [lam_min, lam_max], sorted and
     repeated by multiplicity: the real 1/mu over the eigenvalues mu of K W
-    (Bornemann, Math. Comp. 79, 2010). |mu| <= 1e-12 max|mu| is the
-    roundoff floor of a finite-rank kernel and is dropped.
+    (Bornemann, Math. Comp. 79, 2010). With g the operator norm
+    (DiscreteKernel.norm), |mu| <= 1e-12 g is the roundoff floor of a
+    finite-rank kernel and is dropped; a floor relative to max|mu| would
+    keep the all-roundoff spectrum of a nilpotent kernel. The zero
+    eigenvalue of a nilpotent part of K W is defective, and eigvals splits
+    it into a ring of |mu| up to about eps^(1/k) g for a Jordan block of
+    size k, above that floor. So when the eigenvalues with |mu| <= _RING g
+    sum to at most 1e-12 g, as the trace of a nilpotent block is zero,
+    they are that ring and are dropped too.
 
     eigvals splits a defective multiple eigenvalue by a few sqrt(eps) max|mu|,
     often into a complex pair. Eigenvalues chained by steps of at most
@@ -240,7 +268,11 @@ def find_characteristic_numbers(
         raise ValueError("need lam_min < lam_max")
     mu = np.linalg.eigvals(kernel.values * kernel.rule.weights)
     top = float(np.max(np.abs(mu), initial=0.0))
-    mu = mu[np.abs(mu) > 1e-12 * top]
+    floor = 1e-12 * kernel.norm
+    ring = np.abs(mu) <= _RING * kernel.norm
+    if abs(np.sum(mu[ring])) <= floor:
+        floor = _RING * kernel.norm
+    mu = mu[np.abs(mu) > floor]
     size = np.abs(mu)
     radius = _CLUSTER_RADIUS * np.sqrt(top * np.maximum(size[:, None], size[None, :]))
     close = np.abs(mu[:, None] - mu[None, :]) <= radius

@@ -11,6 +11,7 @@ time; everything else lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class ProblemSpec:
     kernel: Expr
     source: Expr
     loads: tuple[Load, ...]
-    _load_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _on_grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads", tuple(self.loads))
@@ -71,14 +72,26 @@ class ProblemSpec:
         return gauss_legendre(nodes, self.a, self.b)
 
     def source_values(self, rule: QuadratureRule) -> np.ndarray:
-        """f sampled at the rule's nodes."""
-        vals = evaluate(self.source, {"t": rule.nodes})
-        return np.broadcast_to(np.asarray(vals, dtype=float), (rule.n,)).copy()
+        """f sampled at the rule's nodes, once per rule, read-only."""
+        return self.on_grid(
+            ("source", rule),
+            lambda: np.broadcast_to(evaluate(self.source, {"t": rule.nodes}), (rule.n,)).copy(),
+        )
 
     def coeff_values(self, rule: QuadratureRule) -> np.ndarray:
-        """N x n matrix with column k = a_k sampled at the rule's nodes."""
-        out = np.empty((rule.n, self.n))
-        for k, load in enumerate(self.loads):
-            vals = evaluate(load.coeff, {"t": rule.nodes})
-            out[:, k] = np.broadcast_to(np.asarray(vals, dtype=float), (rule.n,))
-        return out
+        """N x n matrix with column k = a_k sampled at the rule's nodes,
+        once per rule, read-only."""
+        return self.on_grid(("coeffs", rule), lambda: np.column_stack([
+            np.broadcast_to(evaluate(load.coeff, {"t": rule.nodes}), (rule.n,))
+            for load in self.loads
+        ]))
+
+    def on_grid(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The lambda-independent grid array named by key, a (name, rule)
+        pair: build() on first use, then the same read-only array."""
+        value = self._on_grid.get(key)
+        if value is None:
+            value = build()
+            value.setflags(write=False)
+            self._on_grid[key] = value
+        return value

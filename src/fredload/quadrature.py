@@ -155,14 +155,19 @@ def integrate(rule: QuadratureRule, f: Union[Callable[[float], float], GridFunct
     return float(np.dot(rule.weights, values))
 
 
-def interp_matrix(rule: QuadratureRule, ts) -> np.ndarray:
-    """Matrix L with L @ values = interpolated values at the points ts:
-    barycentric second form, unit rows for exact node hits."""
-    ts = np.asarray(ts, dtype=float)
+def _require_within(rule: QuadratureRule, ts: np.ndarray) -> None:
+    """Raise ValueError naming the first of the points ts outside [a, b]."""
     outside = (ts < rule.a) | (ts > rule.b)
     if np.any(outside):
         t = float(ts[outside][0])
         raise ValueError(f"t={t!r} outside the interval [{rule.a!r}, {rule.b!r}]")
+
+
+def interp_matrix(rule: QuadratureRule, ts) -> np.ndarray:
+    """Matrix L with L @ values = interpolated values at the points ts:
+    barycentric second form, unit rows for exact node hits."""
+    ts = np.asarray(ts, dtype=float)
+    _require_within(rule, ts)
     diff = ts[:, None] - rule.nodes
     hit = diff == 0.0
     diff[hit] = 1.0

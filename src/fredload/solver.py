@@ -40,7 +40,7 @@ from .errors import (
     SingularLoadSystemError,
 )
 from .functionals import ConditionReport
-from .kernel_ops import DiscreteKernel, discretize, nilpotency_index, operator_norm, series_scale
+from .kernel_ops import DiscreteKernel, discretize, nilpotency_index, series_scale
 from .load_system import (
     Classification,
     NonUnique,
@@ -186,7 +186,7 @@ class Prepared:
         a_sup = float(np.max(np.sum(np.abs(self.problem.coeff_values(self.kernel.rule)), axis=1)))
         gamma_max = max(functionals.functional_norm(ld.functional) for ld in self.problem.loads)
         amplification = 1.0 + a_sup * float(np.linalg.norm(inv, np.inf)) * gamma_max
-        return amplification * operator_norm(self.kernel)
+        return amplification * self.kernel.norm
 
 
 def prepare(

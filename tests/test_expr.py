@@ -156,3 +156,79 @@ def test_vectorized_matches_scalar():
 
 def test_integer_bindings_are_coerced():
     assert ev("t^-1", ("t",), t=2) == 0.5
+
+
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _out_of_place(node, bindings):
+    # The reference: the same ufunc per node, each result a new array.
+    if isinstance(node, ex.Num):
+        return node.value
+    if isinstance(node, ex.Var):
+        return bindings[node.name]
+    if isinstance(node, ex.Neg):
+        return -_out_of_place(node.operand, bindings)
+    if isinstance(node, ex.Call):
+        return ex._FUNCTIONS[node.func](_out_of_place(node.arg, bindings))
+    return _UFUNCS[node.op](_out_of_place(node.left, bindings), _out_of_place(node.right, bindings))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0.6311*exp(-0.3713*(t - s))*cos(1.967*t*s)",
+        "t*s + 0.5*(1-t)*(1-s)",
+        "(t + s - abs(t - s))/2",
+        "-(t - s)^2 + sqrt(abs(t - s))",
+        "log(1 + t*s) / (2 + sin(3*t))",
+        "(2 + t)^(-s) - -s",
+        "-(-(t))*s + exp(-t)",
+        "e^t - pi*s^3",
+        "2*3 + t",
+        "1/(1 + t*t)",
+        "cos(t - s) + cos(2*(t - s))",
+        "-t",
+        "s",
+        "3",
+    ],
+)
+def test_in_place_evaluation_is_bitwise_the_out_of_place_one(text):
+    # Odd lengths, so the vectorized loops run their remainder code as well.
+    t = np.linspace(0.1, 0.9, 67)[:, None]
+    s = np.linspace(0.2, 0.8, 45)[None, :]
+    before = t.copy(), s.copy()
+    e = ex.parse(text, ("t", "s"))
+    got = ex.evaluate(e, {"t": t, "s": s})
+    reference = _out_of_place(e.root, {"t": t, "s": s})
+    assert np.shape(got) == np.shape(reference)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(reference, dtype=float).tobytes()
+    # Bindings are read, never written, and keep their flags.
+    assert np.array_equal(t, before[0]) and np.array_equal(s, before[1])
+    assert t.flags.writeable and s.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("log(t - s)", "log((t - s))"),
+        ("1/(t - s) + 2*t", "(1.0 / (t - s))"),
+        ("2*sqrt(t - s)", "sqrt((t - s))"),
+        ("exp(1000*t*s)", "exp(((1000.0 * t) * s))"),
+    ],
+)
+def test_domain_error_names_the_node_and_leaves_bindings_alone(text, name):
+    t = np.linspace(0.0, 1.0, 6)[:, None]
+    s = np.linspace(0.0, 1.0, 6)[None, :]
+    before = t.copy(), s.copy()
+    with pytest.raises(DomainEvalError) as err:
+        ex.evaluate(ex.parse(text, ("t", "s")), {"t": t, "s": s})
+    assert err.value.node_text == name
+    assert np.array_equal(t, before[0]) and np.array_equal(s, before[1])
+
+
+@pytest.mark.parametrize("text, name", [("t", "t"), ("-t", "(-t)"), ("1e999", "inf")])
+def test_root_without_an_operator_is_still_checked(text, name):
+    with pytest.raises(DomainEvalError) as err:
+        ex.evaluate(ex.parse(text, ("t",)), {"t": np.array([0.5, np.nan])})
+    assert err.value.node_text == name

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredload as fl
+from fredload.functionals import load_row
+from fredload.quadrature import interp_matrix
 from util import make_problem, poly_integral
 
 
@@ -146,6 +150,55 @@ def test_load_rows_match_exact_application(x_text):
     approx = fl.load_rows(problem, rule) @ grid
     for name, gamma, value in zip(cases, cases.values(), approx):
         assert value == pytest.approx(fl.apply(gamma, x), abs=1e-13), name
+
+
+@st.composite
+def _load_on(draw, rule):
+    """A load whose point terms sit on a node, at a or b, or anywhere in
+    [a, b], and whose integral terms span [a, b] with the master's own nodes
+    (every node a hit) or a subinterval."""
+    a, b, n = rule.a, rule.b, rule.n
+    place = st.one_of(
+        st.integers(0, n - 1).map(lambda i: float(rule.nodes[i])),
+        st.sampled_from([a, b]),
+        st.floats(a, b),
+    )
+    points = draw(st.lists(st.builds(fl.PointTerm, st.floats(-2.0, 2.0), place), max_size=3))
+    span = st.one_of(
+        st.just((a, b, n)),
+        st.tuples(st.floats(0.0, 0.9), st.floats(0.05, 1.0), st.sampled_from([1, 7, 64])).map(
+            lambda f: (a + f[0] * (b - a), min(b, a + (f[0] + f[1] * (1.0 - f[0])) * (b - a)), f[2])
+        ),
+    )
+    spans = draw(st.lists(span, min_size=0 if points else 1, max_size=2))
+    weight = fl.parse("1 + s*s", {"s"})
+    terms = [fl.IntegralTerm(lo, hi, weight, fl.gauss_legendre(m, lo, hi)) for lo, hi, m in spans]
+    return fl.Functional(tuple(points), tuple(terms))
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 16, 512])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_load_row_is_the_interpolation_matrix_product(nodes, data):
+    # The load row sums coeffs @ interp_matrix(rule, ts) without forming the
+    # matrix; the oracle shares load_row, so only this reference checks it.
+    rule = fl.gauss_legendre(nodes, -0.5, 1.75)
+    gamma = data.draw(_load_on(rule))
+    ts = [p.t0 for p in gamma.point_terms]
+    coeffs = [p.alpha for p in gamma.point_terms]
+    for term in gamma.integral_terms:
+        ts.extend(term.rule.nodes)
+        coeffs.extend(term.rule.weights * (1.0 + term.rule.nodes**2))
+    matrix = interp_matrix(rule, ts)
+    reference = np.asarray(coeffs) @ matrix
+    scale = np.max(np.abs(coeffs) @ np.abs(matrix))
+    assert np.max(np.abs(load_row(gamma, rule) - reference)) <= 1e-13 * scale
+
+
+def test_load_row_rejects_a_point_outside_the_rule():
+    rule = fl.gauss_legendre(8, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"t=1.5 outside the interval \[0.0, 1.0\]"):
+        load_row(fl.point_load(1.5), rule)
 
 
 def test_load_rows_built_once_per_problem_and_rule():

@@ -295,6 +295,16 @@ def test_nilpotent_example_has_no_characteristic_numbers():
     assert fl.find_characteristic_numbers(kernel, -1e6, 1e6) == []
 
 
+@pytest.mark.parametrize("text", ["t - 1/2", "(t - 1/2) + (6*s^2 - 6*s + 1)"])
+@pytest.mark.parametrize("nodes", [16, 64, 256, 512])
+def test_nilpotent_kernel_has_no_characteristic_numbers_at_any_scale(text, nodes):
+    # (K W)^2 = 0 and (K W)^3 = 0: eigvals splits the defective zero
+    # eigenvalue into |mu| up to about 3e-9 g and 1.5e-6 g, which would read
+    # as roots near 1e9 and 1e6.
+    kernel = _kernel(text, nodes=nodes)
+    assert fl.find_characteristic_numbers(kernel, -1e30, 1e30) == []
+
+
 def test_simple_roots_are_determinant_sign_changes():
     rng = np.random.default_rng(5)
     rule = fl.gauss_legendre(32, 0.0, 1.0)

@@ -1,6 +1,7 @@
 """Solution routes: regular, successive, nilpotent, irregular; residual."""
 
 import dataclasses
+import functools
 import importlib
 import pathlib
 import pkgutil
@@ -568,6 +569,29 @@ def test_sweep_factors_once_per_lambda(monkeypatch, capsys):
             assert all(row.endswith(",ok") for row in rows)
             assert len(solves) == 4
     assert len(slogdet_calls) == 0
+
+
+@pytest.mark.parametrize("name, lam_max", [("loaded_regular.prob", "0.5"),
+                                           ("identity_pole.prob", "0.4"),
+                                           ("nilpotent.prob", "0.5")])
+def test_sweep_computes_each_lambda_independent_quantity_once(monkeypatch, capsys, name, lam_max):
+    # Across a 5-step sweep: one sample of each coefficient and of the source
+    # on the grid, one operator-norm pass and one draw of the probe block.
+    samples = _count_calls(monkeypatch, fl.problem, "evaluate")
+    norms = []
+    norm = fl.DiscreteKernel.norm.func
+    counted = functools.cached_property(lambda kernel: norms.append(kernel) or norm(kernel))
+    counted.__set_name__(fl.DiscreteKernel, "norm")
+    monkeypatch.setattr(fl.DiscreteKernel, "norm", counted)
+    fl.kernel_ops._probe.cache_clear()
+    draws = _count_calls(monkeypatch, np.random, "default_rng")
+    args = ["sweep", str(EXAMPLES / name), "--nodes", "64",
+            "--lambda-min", "0.05", "--lambda-max", lam_max, "--steps", "5"]
+    assert cli.main(args) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",ok") for row in rows)
+    loads = load_problem_file(str(EXAMPLES / name)).build(64).n
+    assert (len(samples), len(norms), len(draws)) == (loads + 1, 1, 1)
 
 
 def test_irregular_reuses_the_laurent_data_of_one_prepared(monkeypatch):
