@@ -149,7 +149,7 @@ def cmd_analyze(args) -> int:
     problem, kernel, numerics = _setup(args)
     prep = solver.prepare(problem, kernel, numerics.truncation, numerics.tol)
     classification, pnil = prep.classification, prep.nilpotency
-    norm = kernel_ops.operator_norm(kernel)
+    norm = kernel.norm
 
     out = sys.stdout
     _emit(f"interval: [{_fmt(problem.a)}, {_fmt(problem.b)}]", out)
@@ -262,7 +262,7 @@ def cmd_find_poles(args) -> int:
     lam_min, lam_max = _required_range(numerics)
     if numerics.scan_points < 2:
         raise ProblemFileError("find-poles needs at least 2 scan points")
-    roots = kernel_ops.find_characteristic_numbers(kernel, lam_min, lam_max)
+    roots = kernel_ops.find_characteristic_numbers(kernel, lam_min, lam_max, numerics.truncation)
     spacing = (lam_max - lam_min) / (numerics.scan_points - 1)
     out = sys.stdout
     _emit("lambda,abs_det_left,abs_det_right", out)

@@ -127,13 +127,12 @@ def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:
 
 
 def operator_norm(kernel: DiscreteKernel) -> float:
-    """Discrete sup-norm of the integral operator: max_i sum_j w_j |K_ij|
-    (DiscreteKernel.norm)."""
+    """Public alias of DiscreteKernel.norm."""
     return kernel.norm
 
 
 def series_scale(kernel: DiscreteKernel) -> float:
-    """g = operator_norm(kernel), or 1 for a null kernel: ||K W / g|| = 1 in the max norm."""
+    """g = kernel.norm, or 1 for a null kernel: ||K W / g|| = 1 in the max norm."""
     return kernel.norm or 1.0
 
 
@@ -235,26 +234,22 @@ def det_magnitude(kernel: DiscreteKernel, lam: float) -> float:
 # eigvals splits the defective double eigenvalue of (-2 + 6 s) + t (-6 + 12 s)
 # by up to 5.3 sqrt(eps) max|mu| at N = 8-1024; this leaves a factor of three.
 _CLUSTER_RADIUS = 16.0 * math.sqrt(np.finfo(float).eps)
-# eigvals splits the defective zero eigenvalue of a nilpotent K W into |mu| up
-# to 3e-9 g for t - 1/2 (Jordan blocks of size 2) and 1.5e-6 g for
-# (t - 1/2) + (6 s^2 - 6 s + 1) (size 3) at N = 16-512.
-_RING = 1e-4
 
 
 def find_characteristic_numbers(
-    kernel: DiscreteKernel, lam_min: float, lam_max: float
+    kernel: DiscreteKernel, lam_min: float, lam_max: float, depth: int = 30
 ) -> list[float]:
     """Zeros of det(I - lambda K W) in [lam_min, lam_max], sorted and
     repeated by multiplicity: the real 1/mu over the eigenvalues mu of K W
     (Bornemann, Math. Comp. 79, 2010). With g the operator norm
     (DiscreteKernel.norm), |mu| <= 1e-12 g is the roundoff floor of a
-    finite-rank kernel and is dropped; a floor relative to max|mu| would
-    keep the all-roundoff spectrum of a nilpotent kernel. The zero
-    eigenvalue of a nilpotent part of K W is defective, and eigvals splits
-    it into a ring of |mu| up to about eps^(1/k) g for a Jordan block of
-    size k, above that floor. So when the eigenvalues with |mu| <= _RING g
-    sum to at most 1e-12 g, as the trace of a nilpotent block is zero,
-    they are that ring and are dropped too.
+    finite-rank kernel and is dropped. A K W that nilpotency_index finds
+    nilpotent within `depth` (the series truncation, 30 by default) has no
+    characteristic numbers and gives []: its zero eigenvalue is defective,
+    and eigvals splits it into roundoff of about eps^(1/k) g for a Jordan
+    block of size k, far above any floor that keeps small simple
+    eigenvalues. That test also counts an eigenvalue below about 1e-6 g
+    beside a nilpotent part as zero.
 
     eigvals splits a defective multiple eigenvalue by a few sqrt(eps) max|mu|,
     often into a complex pair. Eigenvalues chained by steps of at most
@@ -266,13 +261,11 @@ def find_characteristic_numbers(
     when |Im| <= 1e-9 |mean|."""
     if not lam_min < lam_max:
         raise ValueError("need lam_min < lam_max")
+    if nilpotency_index(kernel, depth) is not None:
+        return []
     mu = np.linalg.eigvals(kernel.values * kernel.rule.weights)
     top = float(np.max(np.abs(mu), initial=0.0))
-    floor = 1e-12 * kernel.norm
-    ring = np.abs(mu) <= _RING * kernel.norm
-    if abs(np.sum(mu[ring])) <= floor:
-        floor = _RING * kernel.norm
-    mu = mu[np.abs(mu) > floor]
+    mu = mu[np.abs(mu) > 1e-12 * kernel.norm]
     size = np.abs(mu)
     radius = _CLUSTER_RADIUS * np.sqrt(top * np.maximum(size[:, None], size[None, :]))
     close = np.abs(mu[:, None] - mu[None, :]) <= radius

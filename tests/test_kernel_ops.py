@@ -305,6 +305,15 @@ def test_nilpotent_kernel_has_no_characteristic_numbers_at_any_scale(text, nodes
     assert fl.find_characteristic_numbers(kernel, -1e30, 1e30) == []
 
 
+@pytest.mark.parametrize("nodes", [16, 64, 512])
+def test_small_pair_of_opposite_eigenvalues_is_kept(nodes):
+    # K W has the eigenvalues 1 and +-5e-6, a pair summing to zero like the
+    # roundoff of a split nilpotent block: the roots +-2e5 stay.
+    kernel = _kernel("1 + 1e-5*sin(2*pi*(t + s))", nodes=nodes)
+    roots = fl.find_characteristic_numbers(kernel, -1e6, 1e6)
+    assert roots == pytest.approx([-2e5, 1.0, 2e5], rel=1e-9)
+
+
 def test_simple_roots_are_determinant_sign_changes():
     rng = np.random.default_rng(5)
     rule = fl.gauss_legendre(32, 0.0, 1.0)
