@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import Optional
 
@@ -72,14 +73,6 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _emit(line: str, out) -> None:
-    print(line, file=out)
-
-
-def _summary(line: str) -> None:
-    print(line, file=sys.stderr)
-
-
 def _dispatch(prep: Prepared, lam: float, route: str, numerics: Numerics) -> Solution:
     """One solve on an analysis reused across lambda; `route` is not oracle."""
     if route == "auto":
@@ -100,6 +93,10 @@ def _solve_once(
     return _dispatch(prep, lam, route, numerics)
 
 
+def _finite_or_none(value: Optional[float]) -> bool:
+    return value is None or math.isfinite(value)
+
+
 def _setup(args) -> tuple[ProblemSpec, DiscreteKernel, Numerics]:
     parsed = load_problem_file(args.file)
     numerics = parsed.numerics
@@ -108,12 +105,17 @@ def _setup(args) -> tuple[ProblemSpec, DiscreteKernel, Numerics]:
         if getattr(args, name, None) is not None:
             setattr(numerics, name, getattr(args, name))
     # Numeric settings are outside input like the file, so a bad one exits 4.
+    threshold = getattr(args, "threshold", 0.0)
     for label, value, rule, valid in (
         ("node count", numerics.nodes, ">= 1", numerics.nodes >= 1),
         ("tol", numerics.tol, "> 0", numerics.tol > 0),
         ("q", numerics.q, "in (0, 1)", 0 < numerics.q < 1),
         ("truncation", numerics.truncation, ">= 1", numerics.truncation >= 1),
         ("max_iter", numerics.max_iter, ">= 1", numerics.max_iter >= 1),
+        ("lambda", numerics.lam, "finite", _finite_or_none(numerics.lam)),
+        ("lambda_min", numerics.lam_min, "finite", _finite_or_none(numerics.lam_min)),
+        ("lambda_max", numerics.lam_max, "finite", _finite_or_none(numerics.lam_max)),
+        ("threshold", threshold, "finite and >= 0", 0 <= threshold < math.inf),
     ):
         if not valid:
             raise ProblemFileError(f"{label} must be {rule}, got {value}")
@@ -151,64 +153,59 @@ def cmd_analyze(args) -> int:
     classification, pnil = prep.classification, prep.nilpotency
     norm = kernel.norm
 
-    out = sys.stdout
-    _emit(f"interval: [{_fmt(problem.a)}, {_fmt(problem.b)}]", out)
-    _emit(f"nodes: {kernel.rule.n}", out)
-    _emit(f"loads: {problem.n}", out)
-    _emit("A0:", out)
+    print(f"interval: [{_fmt(problem.a)}, {_fmt(problem.b)}]")
+    print(f"nodes: {kernel.rule.n}")
+    print(f"loads: {problem.n}")
+    print("A0:")
     for row in prep.A0:
-        _emit("  [" + ", ".join(_fmt(v) for v in row) + "]", out)
-    _emit(f"det(E - A0): {_fmt(classification.det)}", out)
-    _emit(f"classification: {classification.kind}", out)
+        print("  [" + ", ".join(_fmt(v) for v in row) + "]")
+    print(f"det(E - A0): {_fmt(classification.det)}")
+    print(f"classification: {classification.kind}")
     for k, report in enumerate(prep.reports, start=1):
         status = "holds" if report.holds else "fails"
-        _emit(
+        print(
             f"condition (load {k} annihilates kernel slices): {status} "
-            f"(max deviation {_fmt(report.deviation)})",
-            out,
+            f"(max deviation {_fmt(report.deviation)})"
         )
     if pnil is None:
-        _emit(f"nilpotency index: none found within depth {numerics.truncation}", out)
+        print(f"nilpotency index: none found within depth {numerics.truncation}")
     else:
-        _emit(f"nilpotency index: {pnil}", out)
-    _emit(f"operator norm: {_fmt(norm)}", out)
+        print(f"nilpotency index: {pnil}")
+    print(f"operator norm: {_fmt(norm)}")
     if classification.is_regular:
         bound_l = prep.successive_l
         admissible = float("inf") if bound_l == 0.0 else numerics.q / bound_l
-        _emit(f"successive bound l: {_fmt(bound_l)}", out)
-        _emit(
-            f"successive admissible |lambda| <= q/l: {_fmt(admissible)} (q = {numerics.q:g})",
-            out,
-        )
+        print(f"successive bound l: {_fmt(bound_l)}")
+        print(f"successive admissible |lambda| <= q/l: {_fmt(admissible)} (q = {numerics.q:g})")
     if classification.is_irregular_identity:
         pole, _ = prep.pole
         if pole is None:
-            _emit(
-                f"pole order: none (load coupling vanishes up to depth {numerics.truncation})",
-                out,
-            )
+            print(f"pole order: none (load coupling vanishes up to depth {numerics.truncation})")
         else:
             cond = float(np.linalg.cond(prep.taylor[pole - 1]))
-            _emit(f"pole order: {pole}", out)
-            _emit(f"leading coefficient condition number: {_fmt(cond)}", out)
+            print(f"pole order: {pole}")
+            print(f"leading coefficient condition number: {_fmt(cond)}")
     return EXIT_OK
 
 
 def _solution_summary(solution: Solution) -> None:
-    _summary(f"route: {solution.route}")
-    _summary(f"lambda: {_fmt(solution.lam)}")
-    _summary("x_gamma: [" + ", ".join(_fmt(v) for v in solution.x_gamma) + "]")
-    _summary(f"residual: {_fmt(solution.residual)}")
-    _summary(f"classification: {solution.classification.kind}")
+    lines = [
+        f"route: {solution.route}",
+        f"lambda: {_fmt(solution.lam)}",
+        "x_gamma: [" + ", ".join(_fmt(v) for v in solution.x_gamma) + "]",
+        f"residual: {_fmt(solution.residual)}",
+        f"classification: {solution.classification.kind}",
+    ]
     if solution.pole_order is not None:
-        _summary(f"pole order: {solution.pole_order}")
+        lines.append(f"pole order: {solution.pole_order}")
     if solution.expansion is not None:
-        _summary(f"contraction q at lambda: {_fmt(solution.expansion.q)}")
-        _summary(f"certified radius rho: {_fmt(solution.expansion.rho)}")
+        lines.append(f"contraction q at lambda: {_fmt(solution.expansion.q)}")
+        lines.append(f"certified radius rho: {_fmt(solution.expansion.rho)}")
     if solution.history is not None:
-        _summary(f"iterations: {len(solution.history)}")
+        lines.append(f"iterations: {len(solution.history)}")
     if solution.note:
-        _summary(f"note: {solution.note}")
+        lines.append(f"note: {solution.note}")
+    print("\n".join(lines), file=sys.stderr)
 
 
 def cmd_solve(args) -> int:
@@ -216,7 +213,7 @@ def cmd_solve(args) -> int:
     lam = _required_lambda(numerics)
     solution = _solve_once(problem, kernel, lam, args.route, numerics)
     points = zip(kernel.rule.nodes.tolist(), solution.x.values.tolist())
-    _emit("\n".join(["t,x", *(f"{_fmt(t)},{_fmt(x)}" for t, x in points)]), sys.stdout)
+    print("\n".join(["t,x", *(f"{_fmt(t)},{_fmt(x)}" for t, x in points)]))
     _solution_summary(solution)
     return EXIT_OK
 
@@ -228,9 +225,8 @@ def cmd_sweep(args) -> int:
     if steps < 2:
         raise ProblemFileError("sweep needs at least 2 steps")
     probes = [problem.a, 0.5 * (problem.a + problem.b), problem.b]
-    out = sys.stdout
     header = "lambda," + ",".join(f"x({p:g})" for p in probes) + ",x_gamma_norm,residual,status"
-    _emit(header, out)
+    print(header)
     # After the header: an error in the analysis leaves it on stdout, as a row's does.
     prep = None
     if args.route != "oracle":
@@ -244,16 +240,12 @@ def cmd_sweep(args) -> int:
             code, status = _outcome(exc)
             if status not in (EXIT_NO_SOLUTION, EXIT_ROUTE):
                 raise
-            _emit(f"{_fmt(lam)},,,,,,unsolvable:{code}", out)
+            print(f"{_fmt(lam)},,,,,,unsolvable:{code}")
             continue
         values = [interpolate(solution.x, p) for p in probes]
         norm = float(np.max(np.abs(solution.x_gamma)))
-        _emit(
-            f"{_fmt(lam)},"
-            + ",".join(_fmt(v) for v in values)
-            + f",{_fmt(norm)},{_fmt(solution.residual)},ok",
-            out,
-        )
+        row = ",".join(_fmt(v) for v in [lam, *values, norm, solution.residual])
+        print(f"{row},ok")
     return EXIT_OK
 
 
@@ -264,17 +256,13 @@ def cmd_find_poles(args) -> int:
         raise ProblemFileError("find-poles needs at least 2 scan points")
     roots = kernel_ops.find_characteristic_numbers(kernel, lam_min, lam_max, numerics.truncation)
     spacing = (lam_max - lam_min) / (numerics.scan_points - 1)
-    out = sys.stdout
-    _emit("lambda,abs_det_left,abs_det_right", out)
+    print("lambda,abs_det_left,abs_det_right")
     for root in roots:
         left = max(lam_min, root - spacing)
         right = min(lam_max, root + spacing)
-        _emit(
-            f"{_fmt(root)},{_fmt(kernel_ops.det_magnitude(kernel, left))},"
-            f"{_fmt(kernel_ops.det_magnitude(kernel, right))}",
-            out,
-        )
-    _summary(f"characteristic numbers found: {len(roots)}")
+        dets = (kernel_ops.det_magnitude(kernel, left), kernel_ops.det_magnitude(kernel, right))
+        print(",".join(_fmt(v) for v in (root, *dets)))
+    print(f"characteristic numbers found: {len(roots)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -285,17 +273,15 @@ def cmd_oracle_check(args) -> int:
     solution = _solve_once(problem, kernel, lam, route, numerics)
     reference = oracle.dense_solve(problem, kernel, lam)
     disagreement = float(np.max(np.abs(solution.x.values - reference.x.values)))
-    out = sys.stdout
-    _emit(f"route: {solution.route}", out)
-    _emit(f"route residual: {_fmt(solution.residual)}", out)
-    _emit(f"oracle residual: {_fmt(reference.residual)}", out)
-    _emit(f"max disagreement: {_fmt(disagreement)}", out)
-    if args.threshold is None:
-        return EXIT_OK
+    print(f"route: {solution.route}")
+    print(f"route residual: {_fmt(solution.residual)}")
+    print(f"oracle residual: {_fmt(reference.residual)}")
+    print(f"max disagreement: {_fmt(disagreement)}")
     # The oracle's own error grows with the solution, so the bound is relative above |x| = 1.
     bound = args.threshold * max(1.0, float(np.max(np.abs(reference.x.values))))
     if disagreement > bound:
-        _summary(f"disagreement {_fmt(disagreement)} exceeds threshold {_fmt(bound)}")
+        print(f"disagreement {_fmt(disagreement)} exceeds threshold {_fmt(bound)}",
+              file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK
 
@@ -363,17 +349,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except FredloadError as exc:
         code, status = _outcome(exc)
-        _summary(f"error[{code}]: {exc}")
+        print(f"error[{code}]: {exc}", file=sys.stderr)
         return status
     except Exception as exc:  # last resort: keep the exit-code contract
-        _summary(f"error[internal]: {type(exc).__name__}: {exc}")
+        print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from . import functionals
-from .kernel_ops import DiscreteKernel, resolvent_images, scaled_powers
+from .kernel_ops import COND_LIMIT, DiscreteKernel, resolvent_images, scaled_powers
 from .problem import Load, ProblemSpec
 
 __all__ = [
@@ -44,15 +44,26 @@ __all__ = [
     "b_lambda",
     "taylor_A",
     "classify",
+    "numerical_rank",
 ]
 
-# Relative tolerances: A0 = E when max|A0 - E| <= IDENTITY_TOL (1 + max|A0|);
-# otherwise E - A0 is regular when |det(E - A0)| > DET_TOL (1 + max|A0|). In the
-# zero-order system, singular values of E - A0 up to RANK_TOL max(1, sigma_max)
-# count as zero, and a defect above RANK_TOL (1 + ||f_gamma||) means no solution.
+# An n x n system is judged by its singular values against kernel_ops.COND_LIMIT,
+# the limit that also refuses I - lambda K W (numerical_rank); E - A0 is regular
+# when it has full rank. A0 = E when max|A0 - E| <= IDENTITY_TOL (1 + max|A0|),
+# and a zero-order defect above CONSISTENCY_TOL (1 + ||f_gamma||) means no solution.
 IDENTITY_TOL = 1e-10
-DET_TOL = 1e-10
-RANK_TOL = 1e-10
+CONSISTENCY_TOL = 1e-10
+
+
+def numerical_rank(matrix: np.ndarray, scale: float = 0.0) -> int:
+    """How many singular values sigma of `matrix` count: those with
+    COND_LIMIT * sigma > max(sigma_max, scale). `scale` is the natural size
+    of an assembled matrix, so that one collapsed to roundoff is not judged
+    well-conditioned; with scale 0 the rank is full exactly when the
+    condition number is at most COND_LIMIT."""
+    sing = np.linalg.svd(matrix, compute_uv=False)
+    reference = max(float(sing[0]), scale)
+    return int(np.count_nonzero(COND_LIMIT * sing > reference))
 
 
 def assemble_A0(problem: ProblemSpec) -> np.ndarray:
@@ -137,16 +148,15 @@ def solve_zero_order_system(A0: np.ndarray, f_gamma: np.ndarray) -> ZeroOrderOut
     """
     n = A0.shape[0]
     system = np.eye(n) - A0
-    u, sing, vt = np.linalg.svd(system)
-    scale = sing[0] if sing.size and sing[0] > 0 else 1.0
-    rank = int(np.sum(sing > RANK_TOL * max(scale, 1.0)))
+    rank = numerical_rank(system)
     if rank == n:
         return UniqueLoads(c=np.linalg.solve(system, f_gamma))
+    u, sing, vt = np.linalg.svd(system)
     inv_sing = np.zeros_like(sing)
     inv_sing[:rank] = 1.0 / sing[:rank]
     particular = vt.T @ (inv_sing * (u.T @ f_gamma))
     defect = float(np.linalg.norm(system @ particular - f_gamma, np.inf))
-    if defect > RANK_TOL * (1.0 + float(np.linalg.norm(f_gamma, np.inf))):
+    if defect > CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(f_gamma, np.inf))):
         return NoSolution(defect=defect)
     return NonUnique(particular=particular, nullspace=vt[rank:].T.copy())
 
@@ -168,14 +178,14 @@ class Classification:
 
 
 def classify(A0: np.ndarray) -> Classification:
-    """Regular when det(E - A0) is bounded away from zero; the identity
-    case A0 = E gets its own label; a singular E - A0 with A0 != E is not
-    handled by any route in this package."""
+    """Regular when E - A0 has full numerical rank; the identity case
+    A0 = E gets its own label; a singular E - A0 with A0 != E is not
+    handled by any route in this package. det is for display only."""
     n = A0.shape[0]
-    norm = float(np.max(np.abs(A0))) if A0.size else 0.0
-    det = float(np.linalg.det(np.eye(n) - A0))
-    if float(np.max(np.abs(A0 - np.eye(n)))) <= IDENTITY_TOL * (1.0 + norm):
+    system = np.eye(n) - A0
+    det = float(np.linalg.det(system))
+    if float(np.max(np.abs(system))) <= IDENTITY_TOL * (1.0 + np.max(np.abs(A0))):
         return Classification(kind="irregular-identity", det=det)
-    if abs(det) > DET_TOL * (1.0 + norm):
+    if numerical_rank(system) == n:
         return Classification(kind="regular", det=det)
     return Classification(kind="unsupported-irregular", det=det)

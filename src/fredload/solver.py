@@ -51,6 +51,7 @@ from .load_system import (
     assemble_f_gamma,
     assemble_lambda_system,
     classify,
+    numerical_rank,
     solve_zero_order_system,
     taylor_A,
 )
@@ -168,7 +169,7 @@ class Prepared:
             )
         coefficients = tuple(self.taylor[pole - 1 :])
         a_p = coefficients[0]
-        if _nearly_singular(a_p, reference):
+        if numerical_rank(a_p, reference) < len(a_p):
             raise RoutePreconditionError(
                 f"the leading coefficient matrix A_{pole} of the load coupling "
                 "is singular; the pole expansion does not apply"
@@ -254,8 +255,9 @@ def residual(problem: ProblemSpec, solution: Solution) -> float:
 
 
 def solve_regular(prep: Prepared, lam: float) -> Solution:
-    """Direct route for det(E - A0) != 0: solve the n x n system
-    (E - A0 - A(lambda)) x_gamma = b(lambda), then reconstruct x."""
+    """Direct route for a regular E - A0: solve the n x n system
+    (E - A0 - A(lambda)) x_gamma = b(lambda), refused when numerical_rank
+    finds it singular on the scale of its assembly, then reconstruct x."""
     problem, kernel, A0, classification = prep.problem, prep.kernel, prep.A0, prep.classification
     if not classification.is_regular:
         raise RoutePreconditionError(
@@ -265,22 +267,12 @@ def solve_regular(prep: Prepared, lam: float) -> Solution:
     a_lam, rhs, basis = assemble_lambda_system(problem, kernel, lam, prep.f_gamma)
     system = np.eye(problem.n) - A0 - a_lam
     scale = 1.0 + float(np.max(np.abs(A0))) + float(np.max(np.abs(a_lam)))
-    if _nearly_singular(system, scale):
+    if numerical_rank(system, scale) < problem.n:
         raise SingularLoadSystemError(
             f"load system E - A0 - A(lambda) is singular at lambda={lam!r}"
         )
     x_gamma = np.linalg.solve(system, rhs)
     return _solution(prep, lam, basis @ np.append(x_gamma, 1.0), "regular", x_gamma)
-
-
-def _nearly_singular(matrix: np.ndarray, scale: float = 0.0) -> bool:
-    # `scale` supplies the natural magnitude of the assembly; without it a
-    # 1 x 1 system that collapsed to roundoff would look well-conditioned.
-    sing = np.linalg.svd(matrix, compute_uv=False)
-    reference = max(float(sing[0]), scale)
-    if reference == 0.0:
-        return True
-    return float(sing[-1]) <= 1e-12 * reference
 
 
 def successive_bound(problem: ProblemSpec, kernel: DiscreteKernel) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: commands, CSV output, exit codes."""
 
+import argparse
 import pathlib
 import warnings
 
@@ -66,6 +67,27 @@ source = 1
 [load]
 coeff = 0.5
 point = 1 @ 0
+"""
+
+# Point loads at 0, 1/2 and 1 with coefficients 0.9999 times the quadratic
+# Lagrange basis on those points: A0 = 0.9999 E, so E - A0 = 1e-4 E has
+# condition number 1 although det(E - A0) = 1e-12.
+THREE_LOAD_FILE = """\
+interval = 0 1
+kernel = exp(-(t - s)^2)
+source = 1 + t
+
+[load]
+coeff = 0.9999*2*(t - 0.5)*(t - 1)
+point = 1 @ 0
+
+[load]
+coeff = -0.9999*4*t*(t - 1)
+point = 1 @ 0.5
+
+[load]
+coeff = 0.9999*2*t*(t - 0.5)
+point = 1 @ 1
 """
 
 RANK_ONE_TS_FILE = """\
@@ -422,6 +444,48 @@ def test_out_of_range_numeric_settings_are_parse_errors(write, flags, message, c
     assert captured.err == f"error[parse-error]: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "nilpotent", "--lambda", "nan"], "lambda must be finite, got nan"),
+        (["solve", "loaded_regular", "--lambda", "inf"], "lambda must be finite, got inf"),
+        (["solve", "loaded_regular", "--lambda=-inf"], "lambda must be finite, got -inf"),
+        (["sweep", "loaded_regular", "--lambda-min", "nan", "--lambda-max", "1"],
+         "lambda_min must be finite, got nan"),
+        (["sweep", "loaded_regular", "--lambda-min", "0", "--lambda-max", "inf"],
+         "lambda_max must be finite, got inf"),
+        (["oracle-check", "loaded_regular", "--threshold", "nan"],
+         "threshold must be finite and >= 0, got nan"),
+        (["oracle-check", "loaded_regular", "--threshold", "inf"],
+         "threshold must be finite and >= 0, got inf"),
+        (["oracle-check", "loaded_regular", "--threshold=-1e-6"],
+         "threshold must be finite and >= 0, got -1e-06"),
+    ],
+    ids=["lambda-nan", "lambda-inf", "lambda-minus-inf", "lambda_min-nan", "lambda_max-inf",
+         "threshold-nan", "threshold-inf", "threshold-negative"],
+)
+def test_non_finite_numeric_settings_are_parse_errors(argv, message, capsys):
+    command, name, *flags = argv
+    rc = main([command, str(EXAMPLES / f"{name}.prob"), *flags])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == f"error[parse-error]: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, key", [("solve", "lambda"), ("sweep", "lambda_min"), ("sweep", "lambda_max")]
+)
+def test_non_finite_file_lambdas_are_parse_errors(write, command, key, capsys):
+    values = {"lambda": "0.25", "lambda_min": "0.1", "lambda_max": "0.4", key: "nan"}
+    block = "".join(f"{k} = {v}\n" for k, v in values.items())
+    rc = main([command, write(GOLDEN_FILE_TEXT.replace("lambda = 0.25\n", block))])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err == f"error[parse-error]: {key} must be finite, got nan\n"
+
+
 def test_irregular_route_needs_two_terms_of_truncation(capsys):
     rc = main(["solve", str(EXAMPLES / "identity_pole.prob"), "--truncation", "1"])
     captured = capsys.readouterr()
@@ -583,3 +647,53 @@ def test_find_poles_rejects_one_scan_point(write, capsys):
     rc = main(["find-poles", path, "--lambda-min", "0", "--lambda-max", "2", "--scan-points", "1"])
     assert rc == 4
     assert capsys.readouterr().err.startswith("error[parse-error]: ")
+
+
+@pytest.mark.parametrize("nodes", ["16", "64", "512"])
+def test_well_conditioned_load_system_with_tiny_determinant_is_regular(write, nodes, capsys):
+    path = write(THREE_LOAD_FILE)
+    assert main(["analyze", path, "--nodes", nodes]) == 0
+    assert "classification: regular\n" in capsys.readouterr().out
+    assert main(["solve", path, "--lambda", "0.3", "--nodes", nodes]) == 0
+    assert "route: regular\n" in capsys.readouterr().err
+    rc = main(["oracle-check", path, "--lambda", "0.3", "--threshold", "1e-9", "--nodes", nodes])
+    assert rc == 0
+    assert "route: regular\n" in capsys.readouterr().out
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = str(EXAMPLES / "loaded_regular.prob")
+    assert main(["analyze", path, "--nodes", "16"]) == 0
+    assert main(["solve", path, "--nodes", "16"]) == 0
+    assert main(["sweep", path, "--nodes", "16", "--lambda-min", "0", "--lambda-max", "0.2",
+                 "--steps", "2"]) == 0
+    assert main(["find-poles", path, "--nodes", "16", "--lambda-min", "0",
+                 "--lambda-max", "1"]) == 0
+    assert main(["oracle-check", path, "--nodes", "16"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["no-such-command"], ["solve"], ["solve", "x.prob", "--route", "fastest"]],
+    ids=["empty", "unknown-command", "missing-file", "bad-route"],
+)
+def test_usage_errors_exit_four_after_a_successful_call(argv, capsys):
+    assert main(["analyze", str(EXAMPLES / "nilpotent.prob"), "--nodes", "16"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fredload")
+    assert "\nerror[parse-error]: " in captured.err

@@ -5,12 +5,16 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fredload as fl
+from fredload.kernel_ops import COND_LIMIT
 from fredload.load_system import (
     NonUnique,
     NoSolution,
     UniqueLoads,
+    numerical_rank,
     solve_zero_order_system,
 )
 from fredload.problemfile import load_problem_file
@@ -91,6 +95,48 @@ def test_classify_cases():
 def test_classify_tolerates_quadrature_noise():
     a0 = np.eye(2) + 1e-13 * np.ones((2, 2))
     assert fl.classify(a0).kind == "irregular-identity"
+
+
+def _orthogonal(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    log_scale=st.floats(-6.0, 6.0),
+    # condition numbers 1..1e12, at least a factor 10 away from COND_LIMIT = 1e8
+    log_cond=st.one_of(st.floats(0.0, 7.0), st.floats(9.0, 12.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classify_and_zero_order_system_judge_e_minus_a0_by_its_condition(
+    n, log_scale, log_cond, seed
+):
+    # E - A0 = s U diag(sigma) V^T: the two decisions on one matrix agree,
+    # and neither depends on its scale s or its determinant.
+    rng = np.random.default_rng(seed)
+    sigma = np.logspace(0.0, -log_cond, n)
+    system = 10.0**log_scale * _orthogonal(rng, n) @ np.diag(sigma) @ _orthogonal(rng, n).T
+    a0 = np.eye(n) - system
+    well_conditioned = sigma[0] / sigma[-1] <= COND_LIMIT
+    regular = fl.classify(a0).is_regular
+    unique = isinstance(solve_zero_order_system(a0, rng.standard_normal(n)), UniqueLoads)
+    assert regular == unique == well_conditioned
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_numerical_rank_counts_singular_values_against_cond_limit(scale):
+    rng = np.random.default_rng(7)
+    u, v = _orthogonal(rng, 3), _orthogonal(rng, 3)
+    for cond, rank in ((1e7, 3), (1e9, 2)):
+        matrix = scale * u @ np.diag([1.0, 0.5, 1.0 / cond]) @ v.T
+        assert numerical_rank(matrix) == rank
+        # A natural size 100 times sigma_max makes the test 100 times stricter.
+        assert numerical_rank(matrix, 100.0 * scale) == 2
+        assert fl.classify(np.eye(3) - matrix).is_regular == (rank == 3)
+    assert numerical_rank(np.zeros((3, 3))) == 0
+    assert numerical_rank(np.zeros((3, 3)), scale) == 0
 
 
 def test_A_lambda_vanishes_at_zero():
