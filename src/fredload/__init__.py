@@ -30,11 +30,10 @@ from .functionals import (
     IntegralTerm,
     PointTerm,
     apply,
-    apply_to_kernel_slices,
     check_condition_one,
     functional_norm,
     integral_load,
-    load_rows,
+    kernel_slices,
     point_load,
 )
 from .kernel_ops import (
@@ -44,7 +43,6 @@ from .kernel_ops import (
     find_characteristic_numbers,
     iterate_kernels,
     nilpotency_index,
-    operator_norm,
     resolvent,
     resolvent_apply,
     series_scale,

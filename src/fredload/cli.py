@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from typing import Optional
 
@@ -287,6 +288,14 @@ def cmd_oracle_check(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    # argparse takes only -<digits>[.<digits>] for a negative number, so after
+    # a flag "-1e-3" or "-inf" would read as an option; accept every float form.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
+
     # argparse exits with status 2 on usage errors, which is reserved here
     # for "no solution exists"; remap to the parse-error code.
     def error(self, message):

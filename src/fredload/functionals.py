@@ -6,30 +6,28 @@ A load has the form
     <gamma, x> = sum_i alpha_i * x(t_i) + sum_i integral_{a_i}^{b_i} m_i(s) x(s) ds
 
 Each integral term carries its own quadrature sub-rule because [a_i, b_i]
-generally does not line up with the master grid; grid functions are
-evaluated off-node by barycentric interpolation. On a master grid every
-load is therefore one row v of grid weights with <gamma, x> ~ v @ x(nodes),
-the load's coefficients times the interpolation matrix of its points,
-summed in the barycentric Cauchy form without forming that matrix; the n
-loads of a problem stack into the n x N load-row matrix V, built once per
-(problem, rule).
+generally does not line up with the master grid, so a load is the finite
+sum <gamma, x> = weights @ x(points) over its point values and sub-rule
+nodes (Functional.discrete), which apply, load_row and functional_norm read.
+
+The solver never applies a load to a grid function x, which may have a kink
+from a coefficient or the source: the Nystrom identity x(t) = f(t) +
+sum_k a_k(t) c_k + lambda sum_j w_j K(t, s_j) x_j holds at every t, so a
+load of x needs only f, a and the kernel slices KG[k, j] = <gamma_k, K(., s_j)>
+(kernel_slices), the load rows (barycentric interpolation, in the Cauchy
+form) applied to the smooth t-slices of K once per (problem, kernel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
 from .expr import Expr, evaluate
-from .quadrature import (
-    GridFunction,
-    QuadratureRule,
-    _require_within,
-    gauss_legendre,
-    interp_matrix,
-)
+from .quadrature import GridFunction, QuadratureRule, _require_within, gauss_legendre, interp_matrix
 
 if TYPE_CHECKING:
     from .kernel_ops import DiscreteKernel
@@ -42,9 +40,8 @@ __all__ = [
     "point_load",
     "integral_load",
     "apply",
-    "apply_to_kernel_slices",
     "load_row",
-    "load_rows",
+    "kernel_slices",
     "check_condition_one",
     "ConditionReport",
     "functional_norm",
@@ -88,6 +85,20 @@ class Functional:
         if not self.point_terms and not self.integral_terms:
             raise ValueError("a load needs at least one point or integral term")
 
+    @cached_property
+    def discrete(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, weights) with <gamma, x> = weights @ x(points): each point
+        value with its alpha, then each sub-rule's nodes with the rule
+        weights times m(s). Built on first use, read-only."""
+        terms = self.integral_terms
+        points = [[p.t0 for p in self.point_terms]] + [term.rule.nodes for term in terms]
+        weights = [[p.alpha for p in self.point_terms]] + [
+            term.rule.weights * evaluate(term.weight, {"s": term.rule.nodes}) for term in terms]
+        form = np.concatenate(points, dtype=float), np.concatenate(weights, dtype=float)
+        for array in form:
+            array.setflags(write=False)
+        return form
+
 
 def point_load(t0: float, alpha: float = 1.0) -> Functional:
     """The local load x -> alpha * x(t0)."""
@@ -111,32 +122,19 @@ def _values_at(x, ts: np.ndarray) -> np.ndarray:
 
 
 def apply(gamma: Functional, x: Union[Callable[[float], float], GridFunction, Expr]) -> float:
-    """Apply the load to x; grid functions are interpolated off-node."""
-    total = 0.0
-    for p in gamma.point_terms:
-        total += p.alpha * float(_values_at(x, np.array([p.t0]))[0])
-    for term in gamma.integral_terms:
-        snodes = term.rule.nodes
-        m_vals = evaluate(term.weight, {"s": snodes})
-        total += float(np.dot(term.rule.weights, np.multiply(m_vals, _values_at(x, snodes))))
-    return total
+    """Apply the load to x, weights @ x(points); grid functions are interpolated."""
+    points, weights = gamma.discrete
+    return float(weights @ _values_at(x, points))
 
 
 def load_row(gamma: Functional, rule: QuadratureRule) -> np.ndarray:
-    """Grid weights v with <gamma, x> ~ v @ x(nodes) for grid functions.
+    """Grid weights v with <gamma, y> ~ v @ y(nodes) for y smooth between nodes.
 
-    With the point values and sub-rule nodes ts, their coefficients c and
-    the rule's barycentric weights b, v = c @ interp_matrix(rule, ts),
-    summed without the matrix in the Cauchy form v = b * (C^T (c / (C b)))
-    with C_ij = 1 / (ts_i - x_j); a point that hits a node exactly adds its
-    coefficient to that node."""
-    ts = np.concatenate([[p.t0 for p in gamma.point_terms]]
-                        + [term.rule.nodes for term in gamma.integral_terms])
-    coeffs = np.concatenate(
-        [[p.alpha for p in gamma.point_terms]]
-        + [term.rule.weights * evaluate(term.weight, {"s": term.rule.nodes})
-           for term in gamma.integral_terms]
-    )
+    With the load's points ts and weights c, and the rule's barycentric
+    weights b, v = c @ interp_matrix(rule, ts), summed without the matrix
+    in the Cauchy form v = b * (C^T (c / (C b))) with C_ij = 1 / (ts_i - x_j);
+    a point that hits a node exactly adds its weight to that node."""
+    ts, coeffs = gamma.discrete
     _require_within(rule, ts)
     nodes, bary = rule.nodes, rule.barycentric
     at = np.minimum(np.searchsorted(nodes, ts), rule.n - 1)
@@ -148,18 +146,14 @@ def load_row(gamma: Functional, rule: QuadratureRule) -> np.ndarray:
     return row
 
 
-def load_rows(problem: "ProblemSpec", rule: QuadratureRule) -> np.ndarray:
-    """The n x N matrix V whose row k is load_row(gamma_k, rule), built
-    once per (problem, rule) and returned read-only."""
+def kernel_slices(problem: "ProblemSpec", kernel: "DiscreteKernel") -> np.ndarray:
+    """KG[k, j] = <gamma_k, K(., s_j)>, the one way a load reads the grid: the
+    load rows times the kernel samples, built once per (problem, kernel), read-only."""
     return problem.on_grid(
-        ("load_rows", rule),
-        lambda: np.vstack([load_row(load.functional, rule) for load in problem.loads]),
+        ("kernel_slices", kernel),
+        lambda: np.vstack([load_row(load.functional, kernel.rule) for load in problem.loads])
+        @ kernel.values,
     )
-
-
-def apply_to_kernel_slices(gamma: Functional, kernel: "DiscreteKernel") -> GridFunction:
-    """The grid function s |-> <gamma, K(., s)> over the master s-nodes."""
-    return GridFunction(kernel.rule, load_row(gamma, kernel.rule) @ kernel.values)
 
 
 @dataclass(frozen=True)
@@ -177,19 +171,13 @@ def check_condition_one(
 ) -> list[ConditionReport]:
     """Check, for each load, max_s |<gamma_k, K(., s)>| <= tol * (1 + max|K|)."""
     threshold = tol * (1.0 + kernel.max_abs)
-    slices = load_rows(problem, kernel.rule) @ kernel.values
     return [
         ConditionReport(holds=deviation <= threshold, deviation=deviation, tol_used=threshold)
-        for deviation in np.max(np.abs(slices), axis=1).tolist()
+        for deviation in np.max(np.abs(kernel_slices(problem, kernel)), axis=1).tolist()
     ]
 
 
 def functional_norm(gamma: Functional) -> float:
-    """Upper bound for |<gamma, x>| / max|x|: sum|alpha_i| + sum integral|m_i|."""
-    total = sum(abs(p.alpha) for p in gamma.point_terms)
-    for term in gamma.integral_terms:
-        m_vals = np.broadcast_to(
-            np.abs(evaluate(term.weight, {"s": term.rule.nodes})), (term.rule.n,)
-        )
-        total += float(np.dot(term.rule.weights, m_vals))
-    return float(total)
+    """Upper bound for |<gamma, x>| / max|x|: sum|weights|, that is
+    sum|alpha_i| + sum integral|m_i|, as the sub-rule weights are positive."""
+    return float(np.sum(np.abs(gamma.discrete[1])))

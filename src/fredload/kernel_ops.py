@@ -35,7 +35,6 @@ __all__ = [
     "discretize",
     "iterate_kernels",
     "nilpotency_index",
-    "operator_norm",
     "scaled_powers",
     "series_scale",
     "resolvent",
@@ -124,11 +123,6 @@ def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:
         for _ in range(depth - 1):
             out.append(kernel.values @ (kernel.rule.weights[:, None] * out[-1]))
     return IteratedKernels(rule=kernel.rule, kernels=tuple(out))
-
-
-def operator_norm(kernel: DiscreteKernel) -> float:
-    """Public alias of DiscreteKernel.norm."""
-    return kernel.norm
 
 
 def series_scale(kernel: DiscreteKernel) -> float:

@@ -6,27 +6,29 @@ c_k = <gamma_k, x>. Two systems appear:
   (E - A0) c = f_gamma                      when the loads annihilate K
   (E - A0 - A(lambda)) c = b(lambda)        in general
 
-with A0[i,k] = <gamma_i, a_k>, f_gamma[i] = <gamma_i, f>,
-A(lambda)[i,k] = <gamma_i, lambda * (G W a_k)(t)> and
-b(lambda)[i] = <gamma_i, f> + <gamma_i, lambda * (G W f)(t)>, where G is
-the resolvent kernel on the grid. With the load rows V (functionals.load_rows)
-both come from Z = lambda G W [a | f] without forming G: A(lambda) = V Z_a
-and b(lambda) = f_gamma + V Z_f. The lambda factor is kept inside A so
-that A(0) = 0 exactly and the Taylor expansion of A starts at lambda^1
-with coefficient matrices A_m[i,k] = <gamma_i, (K_m W a_k)(t)>, kept scaled
-as A~_m = A_m / g^m (taylor_A) and built from the column recurrence
-(K W / g)^m a, so no N x N iterated kernel is formed.
+with A0[i,k] = <gamma_i, a_k> and f_gamma[i] = <gamma_i, f> applied to the
+expressions exactly. By the Nystrom identity x = f + a c + lambda K W x, a
+load reads the grid only through the kernel slices KG[i, j] =
+<gamma_i, K(., s_j)> (functionals.kernel_slices). One solve of
+(I - lambda K W) Z = lambda K W [a | f] gives x = ([a | f] + Z) [c; 1],
+A(lambda) = lambda KG W (a + Z_a) and b(lambda) = f_gamma + lambda KG W (f + Z_f).
+The lambda factor is kept inside A so that A(0) = 0 exactly and its Taylor
+coefficients are A_m = KG W (K W)^{m-1} a, kept scaled as A~_m = A_m / g^m
+(taylor_A) and built from the column recurrence (K W / g)^m a, so no N x N
+iterated kernel is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 import numpy as np
 
 from . import functionals
-from .kernel_ops import COND_LIMIT, DiscreteKernel, resolvent_images, scaled_powers
+from .functionals import kernel_slices
+from .kernel_ops import COND_LIMIT, DiscreteKernel, resolvent_images, scaled_powers, series_scale
 from .problem import Load, ProblemSpec
 
 __all__ = [
@@ -68,33 +70,29 @@ def numerical_rank(matrix: np.ndarray, scale: float = 0.0) -> int:
 
 def assemble_A0(problem: ProblemSpec) -> np.ndarray:
     """A0[i, k] = <gamma_i, a_k>, by exact evaluation of a_k."""
-    n = problem.n
-    out = np.empty((n, n))
-    for i, row_load in enumerate(problem.loads):
-        for k, col_load in enumerate(problem.loads):
-            out[i, k] = functionals.apply(row_load.functional, col_load.coeff)
-    return out
+    loads = problem.loads
+    return np.array([[functionals.apply(row.functional, col.coeff) for col in loads]
+                     for row in loads])
 
 
 def assemble_f_gamma(problem: ProblemSpec) -> np.ndarray:
     """f_gamma[i] = <gamma_i, f>."""
-    return np.asarray(
-        [functionals.apply(load.functional, problem.source) for load in problem.loads]
-    )
+    return np.array([functionals.apply(load.functional, problem.source) for load in problem.loads])
 
 
 def assemble_lambda_system(
     problem: ProblemSpec, kernel: DiscreteKernel, lam: float, f_gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A(lambda), b(lambda), Y) from one solve of (I - lambda K W) Z =
-    lambda K W [a | f] with n + 1 right-hand sides: A(lambda) = V Z_a,
-    b(lambda) = f_gamma + V Z_f, and Y = [a | f] + Z rebuilds the solution
-    as x = Y_a x_gamma + Y_f = u + lambda G W u for u = f + a x_gamma."""
+    """(A(lambda), b(lambda), B) from one solve of (I - lambda K W) Z =
+    lambda K W [a | f] with n + 1 right-hand sides: B = [a | f] + Z rebuilds
+    the solution as x = B_a x_gamma + B_f = u + lambda G W u for
+    u = f + a x_gamma, and the loads read it through the kernel slices,
+    A(lambda) = lambda KG W B_a and b(lambda) = f_gamma + lambda KG W B_f."""
     rule = kernel.rule
     columns = np.column_stack([problem.coeff_values(rule), problem.source_values(rule)])
-    images = resolvent_images(kernel, lam, columns)
-    coupled = functionals.load_rows(problem, rule) @ images
-    return coupled[:, :-1], f_gamma + coupled[:, -1], columns + images
+    basis = columns + resolvent_images(kernel, lam, columns)
+    coupled = lam * (kernel_slices(problem, kernel) @ (rule.weights[:, None] * basis))
+    return coupled[:, :-1], f_gamma + coupled[:, -1], basis
 
 
 def A_lambda(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> np.ndarray:
@@ -108,11 +106,12 @@ def b_lambda(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> np.nda
 
 
 def taylor_A(problem: ProblemSpec, kernel: DiscreteKernel, depth: int) -> list[np.ndarray]:
-    """Scaled coefficients A~_1..A~_depth, A~_m = V (K W / g)^m a with
-    g = series_scale(kernel), so A(lambda) = sum_m (lambda g)^m A~_m and
+    """Scaled coefficients A~_1..A~_depth, A~_m = KG W (K W / g)^{m-1} a / g
+    with g = series_scale(kernel), so A(lambda) = sum_m (lambda g)^m A~_m and
     A_m[i, k] = <gamma_i, (K_m W a_k)(t)> = g^m A~_m[i, k]."""
-    rows = functionals.load_rows(problem, kernel.rule)
-    return [rows @ y for y in scaled_powers(kernel, problem.coeff_values(kernel.rule), depth)]
+    coeffs = problem.coeff_values(kernel.rule)
+    weighted = kernel_slices(problem, kernel) * (kernel.rule.weights / series_scale(kernel))
+    return [weighted @ y for y in chain([coeffs], scaled_powers(kernel, coeffs, depth - 1))]
 
 
 @dataclass(frozen=True)

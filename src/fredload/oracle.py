@@ -1,18 +1,17 @@
 """Brute-force oracle: one dense linear system for the whole equation.
 
-The equation is discretized directly on the master grid with no load
-reduction, no resolvent and no n x n system: each load becomes a row v_k
-of grid weights (interpolation row for point terms, sub-rule quadrature
-pushed through interpolation for integral terms), and
+No load reduction and no resolvent: the unknowns are x at the N nodes and
+the n loads c, and one LU solves the bordered (N + n) system
 
-    M[i, j] = delta_ij - sum_k a_k(t_i) v_k[j] - lambda w_j K(t_i, s_j)
+    x - a c - lambda K W x = f,    c - A0 c - lambda KG W x = f_gamma.
 
-is solved by LU. Deliberately shares only the expression evaluator and
-the quadrature/interpolation machinery with the main pipeline, which
-includes the load-row matrix V = (v_k) of `functionals.load_rows`; the
-dense assembly and solve are the oracle's own, so agreement between the
-two is meaningful evidence. Classification of the load matrix is reused
-as labeling metadata only.
+Its second row applies each load to the Nystrom identity
+x = f + a c + lambda K W x, so no load reads x between the nodes. KG, A0
+and f_gamma are summed exactly from the expressions at each load's points
+(gamma_weights) by the oracle's own code: it shares only the expression
+evaluator, the quadrature rules and the grid samples of K, a and f with the
+routes, so agreement between the two is meaningful evidence. Its
+singularity test is its own too; the classification of its A0 is a label.
 """
 
 from __future__ import annotations
@@ -22,62 +21,81 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularLoadSystemError
-from .functionals import Functional, load_row, load_rows
+from .expr import evaluate
 from .kernel_ops import DiscreteKernel
 from .load_system import classify
 from .problem import ProblemSpec
-from .quadrature import GridFunction, QuadratureRule
+from .quadrature import GridFunction
 from .solver import Solution
 
 __all__ = ["DenseSystem", "gamma_weights", "assemble_dense", "dense_solve"]
 
+# The bordered matrix is singular below this estimated reciprocal condition number.
+RCOND_LIMIT = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class DenseSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-    load_rows: np.ndarray  # n x N, row k represents <gamma_k, .> on the grid
+    matrix: np.ndarray  # (N + n) x (N + n), unknowns (x at the nodes, c)
+    rhs: np.ndarray  # (f at the nodes, f_gamma)
+    a0: np.ndarray  # A0[i, k] = <gamma_i, a_k>
 
 
-def gamma_weights(gamma: Functional, rule: QuadratureRule) -> np.ndarray:
-    """Grid weights v with <gamma, x> ~ v @ x(nodes) for grid functions."""
-    return load_row(gamma, rule)
+def gamma_weights(gamma) -> tuple[np.ndarray, np.ndarray]:
+    """A load as a finite sum, <gamma, x> = weights @ x(points): its point
+    values with their coefficients, then the nodes of each integral term's
+    sub-rule with the quadrature weights times the integral weight m(s)."""
+    terms = gamma.integral_terms
+    points = [[p.t0 for p in gamma.point_terms]] + [term.rule.nodes for term in terms]
+    weights = [[p.alpha for p in gamma.point_terms]] + [
+        term.rule.weights * evaluate(term.weight, {"s": term.rule.nodes}) for term in terms]
+    return np.concatenate(points, dtype=float), np.concatenate(weights, dtype=float)
 
 
 def assemble_dense(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> DenseSystem:
     rule = kernel.rule
-    n_nodes = rule.n
-    rows = load_rows(problem, rule)
-    coeffs = problem.coeff_values(rule)
-    matrix = np.eye(n_nodes) - coeffs @ rows - lam * (kernel.values * rule.weights)
-    rhs = problem.source_values(rule)
-    return DenseSystem(matrix=matrix, rhs=rhs, load_rows=rows)
+    forms = [gamma_weights(load.functional) for load in problem.loads]
+
+    def applied(expr, s=0.0) -> np.ndarray:
+        """<gamma_i, expr(., s_j)>: a row per load, a column per s_j."""
+        return np.array([w @ np.broadcast_to(evaluate(expr, {"t": p[:, None], "s": s}),
+                                             (p.size, np.size(s))) for p, w in forms])
+
+    a0 = np.hstack([applied(load.coeff) for load in problem.loads])
+    matrix = np.block([
+        [np.eye(rule.n) - lam * (kernel.values * rule.weights), -problem.coeff_values(rule)],
+        [-lam * (applied(problem.kernel, rule.nodes) * rule.weights), np.eye(problem.n) - a0],
+    ])
+    rhs = np.concatenate([problem.source_values(rule), applied(problem.source)[:, 0]])
+    return DenseSystem(matrix=matrix, rhs=rhs, a0=a0)
 
 
 def dense_solve(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Solution:
-    """Solve the fully discretized equation in one shot."""
+    """Solve the bordered system M (x, c) = rhs by one LU, which also solves
+    for the probe columns P of the singularity test: four fixed-seed Gaussian
+    columns, and the unit columns of the n load unknowns, whose small rows
+    lambda KG W (w_j is about 1/N) a Gaussian column barely sees. M is
+    singular when LAPACK finds it so or when 1 / (||M|| ||M^{-1}||) is below
+    RCOND_LIMIT, both norms estimated from below by max_i ||M^{+-1} P_i|| / ||P_i||."""
     system = assemble_dense(problem, kernel, lam)
-    sing = np.linalg.svd(system.matrix, compute_uv=False)
-    if sing[0] == 0.0 or sing[-1] / sing[0] < 1e-12:
+    size, n_nodes = system.rhs.size, kernel.rule.n
+    probe = np.column_stack([np.random.default_rng(2024).standard_normal((size, 4)),
+                             np.eye(size, problem.n, -n_nodes)])
+    sizes = np.linalg.norm(probe, axis=0)
+    try:
+        solved = np.linalg.solve(system.matrix, np.column_stack([system.rhs, probe]))
+    except np.linalg.LinAlgError:
+        rcond = 0.0
+    else:
+        with np.errstate(all="ignore"):  # a near-singular solve: inf / nan
+            norm = np.max(np.linalg.norm(system.matrix @ probe, axis=0) / sizes)
+            rcond = 1.0 / (norm * np.max(np.linalg.norm(solved[:, 1:], axis=0) / sizes))
+    if not rcond >= RCOND_LIMIT:
         raise SingularLoadSystemError(
             f"dense system is singular at lambda={lam!r} (the loaded operator "
             "has a generalized characteristic value there)"
         )
-    x_vals = np.linalg.solve(system.matrix, system.rhs)
-    rule = kernel.rule
-    x_gamma = system.load_rows @ x_vals
-    defect = (
-        x_vals
-        - problem.coeff_values(rule) @ x_gamma
-        - lam * (kernel.values @ (rule.weights * x_vals))
-        - system.rhs
-    )
-    a0 = system.load_rows @ problem.coeff_values(rule)
-    return Solution(
-        lam=lam,
-        x=GridFunction(rule, x_vals),
-        x_gamma=x_gamma,
-        route="oracle",
-        residual=float(np.max(np.abs(defect))),
-        classification=classify(a0),
-    )
+    values = solved[:, 0].copy()  # a view would keep the probe images alive
+    residual = float(np.max(np.abs(system.matrix @ values - system.rhs)))
+    x = GridFunction(kernel.rule, values[:n_nodes])
+    return Solution(lam, x, values[n_nodes:], "oracle", residual, classify(system.a0))

@@ -87,8 +87,8 @@ class ProblemSpec:
         ]))
 
     def on_grid(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The lambda-independent grid array named by key, a (name, rule)
-        pair: build() on first use, then the same read-only array."""
+        """The lambda-independent grid array named by key, a (name, rule) or
+        (name, kernel) pair: build() on first use, then the same read-only array."""
         value = self._on_grid.get(key)
         if value is None:
             value = build()

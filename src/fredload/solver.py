@@ -19,8 +19,10 @@ coefficients (from the column recurrence (K W / g)^m y) and, for A0 = E,
 the pole order and certified radius. `prepare` computes them once into a
 `Prepared` value that the routes and `solve_prepared`'s route decision
 read, so a sweep pays per lambda for one resolvent solve and n x n algebra.
-Every route reports the max-norm defect of the full equation on the grid,
-recomputed from the returned grid function alone.
+Every route reports the max-norm defect of the bordered system
+x - a c - lambda K W x = f, c - A0 c - lambda KG W x = f_gamma at its grid
+function x and its own load vector c, so no load interpolates x (KG: the
+kernel slices <gamma_k, K(., s_j)> of functionals.kernel_slices).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (
     RoutePreconditionError,
     SingularLoadSystemError,
 )
-from .functionals import ConditionReport
+from .functionals import ConditionReport, kernel_slices
 from .kernel_ops import DiscreteKernel, discretize, nilpotency_index, series_scale
 from .load_system import (
     Classification,
@@ -221,37 +223,28 @@ def _zero_order_loads(prep: Prepared) -> tuple[np.ndarray, Optional[str]]:
     return outcome.c, None
 
 
-def _recomputed_loads(problem: ProblemSpec, x: GridFunction) -> np.ndarray:
-    return functionals.load_rows(problem, x.rule) @ x.values
+def _defect(prep: Prepared, lam: float, x: np.ndarray, c: np.ndarray) -> float:
+    """Max-norm defect of both rows of the bordered system at (x, c)."""
+    problem, kernel = prep.problem, prep.kernel
+    weighted = kernel.rule.weights * x
+    grid = x - problem.coeff_values(kernel.rule) @ c - lam * (kernel.values @ weighted)
+    grid -= problem.source_values(kernel.rule)
+    loads = c - prep.A0 @ c - lam * (kernel_slices(problem, kernel) @ weighted) - prep.f_gamma
+    return max(float(np.max(np.abs(grid))), float(np.max(np.abs(loads))))
 
 
-def _defect(problem: ProblemSpec, kernel: DiscreteKernel, lam: float, x: GridFunction) -> float:
-    rule = kernel.rule
-    c = _recomputed_loads(problem, x)
-    coeffs = problem.coeff_values(rule)
-    f_vals = problem.source_values(rule)
-    kx = kernel.values @ (rule.weights * x.values)
-    lhs = x.values - coeffs @ c - lam * kx - f_vals
-    return float(np.max(np.abs(lhs)))
-
-
-def _solution(
-    prep: Prepared, lam: float, values: np.ndarray, route: str,
-    x_gamma: Optional[np.ndarray] = None, **extra,
-) -> Solution:
-    """A route's result with its defect; x_gamma is recomputed from x unless given."""
+def _solution(prep: Prepared, lam: float, values: np.ndarray, route: str, c: np.ndarray,
+              **extra) -> Solution:
+    """A route's result: x on the grid, its load vector c as x_gamma, and their defect."""
     x = GridFunction(prep.kernel.rule, values)
-    if x_gamma is None:
-        x_gamma = _recomputed_loads(prep.problem, x)
-    residual = _defect(prep.problem, prep.kernel, lam, x)
-    return Solution(lam, x, x_gamma, route, residual, prep.classification, **extra)
+    return Solution(lam, x, c, route, _defect(prep, lam, values, c), prep.classification, **extra)
 
 
 def residual(problem: ProblemSpec, solution: Solution) -> float:
-    """Max-norm defect of the equation on the grid, with the loads
-    recomputed from the grid function (not read from the solution)."""
+    """Max-norm defect of the bordered system at the solution's grid
+    function and load vector, on a fresh analysis of the problem."""
     kernel = discretize(problem.kernel, solution.x.rule)
-    return _defect(problem, kernel, solution.lam, solution.x)
+    return _defect(prepare(problem, kernel), solution.lam, solution.x.values, solution.x_gamma)
 
 
 def solve_regular(prep: Prepared, lam: float) -> Solution:
@@ -284,10 +277,11 @@ def successive_bound(problem: ProblemSpec, kernel: DiscreteKernel) -> float:
 def solve_successive(prep: Prepared, lam: float, q: float = 0.9, max_iter: int = 200) -> Solution:
     """Fixed-point route: x_n = (I-L)^{-1}(lambda K x_{n-1} + f), x_0 = 0.
 
-    (I-L)^{-1} g is computed by solving (E - A0) c = g_gamma and returning
-    g + (a, c). The route refuses |lambda| beyond q / l, which guarantees
-    geometric convergence; the difference norms become the iterate history,
-    which stops once a difference is at most prep.tol.
+    (I-L)^{-1} h is h + (a, c) with (E - A0) c = <gamma, h>, and the loads read
+    h = lambda K W x_{n-1} + f as f_gamma + lambda KG W x_{n-1}. The route
+    refuses |lambda| beyond q / l, which guarantees geometric convergence; the
+    difference norms become the iterate history, which stops once a
+    difference is at most prep.tol. The last c is the reported load vector.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
@@ -310,22 +304,20 @@ def solve_successive(prep: Prepared, lam: float, q: float = 0.9, max_iter: int =
     system = np.eye(problem.n) - prep.A0
     coeffs = problem.coeff_values(rule)
     f_vals = problem.source_values(rule)
-    rows = functionals.load_rows(problem, rule)
-
-    def apply_inverse(g: np.ndarray) -> np.ndarray:
-        c = np.linalg.solve(system, rows @ g)
-        return g + coeffs @ c
+    slices = kernel_slices(problem, kernel)
 
     x_prev = np.zeros(rule.n)
     history: list[float] = []
     for _ in range(max_iter):
-        h = lam * (kernel.values @ (rule.weights * x_prev)) + f_vals
-        x_next = apply_inverse(h)
+        # h = lambda K W x_prev + f, read by the loads as f_gamma + lambda KG W x_prev
+        weighted = rule.weights * x_prev
+        c = np.linalg.solve(system, prep.f_gamma + lam * (slices @ weighted))
+        x_next = lam * (kernel.values @ weighted) + f_vals + coeffs @ c
         delta = float(np.max(np.abs(x_next - x_prev)))
         history.append(delta)
         x_prev = x_next
         if delta <= prep.tol:
-            return _solution(prep, lam, x_prev, "successive", history=tuple(history))
+            return _solution(prep, lam, x_prev, "successive", c, history=tuple(history))
     raise ConvergenceError(
         f"no convergence within {max_iter} iterations (last delta {history[-1]:.3e})"
     )
@@ -351,7 +343,7 @@ def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
     for _ in range(pnil):
         term = lam * (kernel.values @ (rule.weights * term))
         x_vals += term
-    return _solution(prep, lam, x_vals, "nilpotent", note=note)
+    return _solution(prep, lam, x_vals, "nilpotent", c, note=note)
 
 
 def _contraction_radius(norms: list[float]) -> float:

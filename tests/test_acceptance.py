@@ -183,7 +183,7 @@ def test_criterion_07_degeneration_to_zero_order_system():
         "t - 1/2", "1 + t", [("t", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))]
     )
     kernel = fl.discretize(problem.kernel, problem.master_rule(64))
-    norm = fl.operator_norm(kernel)
+    norm = kernel.norm
     worst_a = 0.0
     for lam in np.linspace(-0.5, 0.5, 11) / norm:
         worst_a = max(worst_a, float(np.max(np.abs(fl.A_lambda(problem, kernel, float(lam))))))
@@ -230,7 +230,7 @@ def test_criterion_09_resolvent_identities_random_kernels():
     checked = 0
     while checked < 20:
         kernel = fl.discretize(fl.parse(random_polynomial_kernel(rng), {"t", "s"}), rule)
-        norm = fl.operator_norm(kernel)
+        norm = kernel.norm
         if norm < 1e-6:
             continue
         lam = float(rng.uniform(-0.5, 0.5)) / norm

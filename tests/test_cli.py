@@ -697,3 +697,61 @@ def test_usage_errors_exit_four_after_a_successful_call(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: fredload")
     assert "\nerror[parse-error]: " in captured.err
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+2"])
+def test_negative_exponent_values_are_numbers(value, capsys):
+    path = str(EXAMPLES / "loaded_regular.prob")
+    assert main(["solve", path, "--nodes", "16", "--lambda", value]) == 0
+    assert f"lambda: {float(value):.17g}\n" in capsys.readouterr().err
+    assert main(["sweep", path, "--nodes", "16", "--lambda-min", value,
+                 "--lambda-max", "0.1", "--steps", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[0].startswith(f"{float(value):.17g},") and rows[0].endswith(",ok")
+    assert main(["sweep", path, "--nodes", "16", "--lambda-min", "-1e3",
+                 "--lambda-max", value, "--steps", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"{float(value):.17g},")
+    assert main(["oracle-check", path, "--nodes", "16", "--threshold", value]) == 4
+    assert capsys.readouterr().err == (
+        f"error[parse-error]: threshold must be finite and >= 0, got {float(value)}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--lambda", "-inf"], "lambda must be finite, got -inf"),
+        (["sweep", "--lambda-min", "-inf", "--lambda-max", "1"],
+         "lambda_min must be finite, got -inf"),
+        (["sweep", "--lambda-min", "0", "--lambda-max", "-inf"],
+         "lambda_max must be finite, got -inf"),
+        (["oracle-check", "--threshold", "-inf"], "threshold must be finite and >= 0, got -inf"),
+    ],
+    ids=["lambda", "lambda_min", "lambda_max", "threshold"],
+)
+def test_minus_inf_reaches_the_finiteness_check(argv, message, capsys):
+    command, *flags = argv
+    assert main([command, str(EXAMPLES / "loaded_regular.prob"), *flags]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[parse-error]: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "nodes, oracle_x_gamma", [("16", 2.17183608), ("64", 2.17107276), ("512", 2.17116512)]
+)
+def test_kinked_load_route_and_oracle_agree(nodes, oracle_x_gamma, capsys):
+    # x has a kink at the load's point 0.3; no load reads x between the nodes.
+    path = str(EXAMPLES / "kinked_load.prob")
+    assert main(["oracle-check", path, "--nodes", nodes, "--threshold", "1e-9"]) == 0
+    lines = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert float(lines["route residual"]) < 1e-12
+    x_gammas = []
+    for route in ("auto", "oracle"):
+        assert main(["solve", path, "--nodes", nodes, "--route", route]) == 0
+        err = capsys.readouterr().err
+        x_gammas.append(float(err.split("x_gamma: [")[1].split("]")[0]))
+    assert x_gammas[1] == pytest.approx(oracle_x_gamma, abs=1e-8)
+    assert x_gammas[0] == pytest.approx(x_gammas[1], abs=1e-12)
+    if nodes == "512":
+        assert x_gammas[0] == pytest.approx(2.1711643, abs=1e-6)

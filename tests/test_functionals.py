@@ -73,24 +73,24 @@ def _kernel(text, nodes=32):
     return fl.discretize(fl.parse(text, {"t", "s"}), rule)
 
 
+def _slices(text, gamma, nodes=32):
+    """The kernel-slice row s_j |-> <gamma, K(., s_j)> of a one-load problem."""
+    problem = make_problem(text, "1", [("1", gamma)])
+    return fl.kernel_slices(problem, _kernel(text, nodes))[0]
+
+
 def test_kernel_slices_point_load_at_zero():
-    kernel = _kernel("t*s")
-    sliced = fl.apply_to_kernel_slices(fl.point_load(0.0), kernel)
-    assert np.max(np.abs(sliced.values)) <= 1e-12
+    assert np.max(np.abs(_slices("t*s", fl.point_load(0.0)))) <= 1e-12
 
 
 def test_kernel_slices_integral_annihilates_centered_kernel():
-    kernel = _kernel("t - 1/2")
     gamma = fl.integral_load(0.0, 1.0, fl.parse("1", {"s"}), nodes=32)
-    sliced = fl.apply_to_kernel_slices(gamma, kernel)
-    assert np.max(np.abs(sliced.values)) <= 1e-12
+    assert np.max(np.abs(_slices("t - 1/2", gamma))) <= 1e-12
 
 
 def test_kernel_slices_constant_kernel():
-    kernel = _kernel("1")
     gamma = fl.integral_load(0.0, 1.0, fl.parse("1", {"s"}), nodes=32)
-    sliced = fl.apply_to_kernel_slices(gamma, kernel)
-    assert sliced.values == pytest.approx(np.ones(32), rel=1e-12)
+    assert _slices("1", gamma) == pytest.approx(np.ones(32), rel=1e-12)
 
 
 def test_condition_check_holds_for_annihilating_load():
@@ -137,19 +137,21 @@ def _load_cases(rule):
     }
 
 
-@pytest.mark.parametrize("x_text", ["exp(t)", "cos(3*t) + t^2", "1/(1 + t)"])
-def test_load_rows_match_exact_application(x_text):
-    # V @ x(nodes) interpolates x between the master nodes; apply on the
-    # expression evaluates it exactly. For analytic x on 64 Gauss nodes the
-    # interpolation error is at roundoff level.
+@pytest.mark.parametrize("k_text", ["exp(t*s)", "cos(3*t*s) + t^2", "1/(1 + t + s)"])
+def test_kernel_slices_match_exact_application(k_text):
+    # KG interpolates each t-slice K(., s_j) between the master nodes; apply
+    # on the expression evaluates it exactly. For a kernel analytic in t on
+    # 64 Gauss nodes the interpolation error is at roundoff level.
     rule = fl.gauss_legendre(64, 0.0, 1.0)
     cases = _load_cases(rule)
-    problem = make_problem("0", "1", [("1", gamma) for gamma in cases.values()])
-    x = fl.parse(x_text, {"t"})
-    grid = fl.evaluate(x, {"t": rule.nodes})
-    approx = fl.load_rows(problem, rule) @ grid
-    for name, gamma, value in zip(cases, cases.values(), approx):
-        assert value == pytest.approx(fl.apply(gamma, x), abs=1e-13), name
+    problem = make_problem(k_text, "1", [("1", gamma) for gamma in cases.values()])
+    kernel = fl.discretize(problem.kernel, rule)
+    slices = fl.kernel_slices(problem, kernel)
+    for j in (0, 17, 63):
+        s_j = float(rule.nodes[j])
+        k_slice = lambda t: float(fl.evaluate(problem.kernel, {"t": t, "s": s_j}))  # noqa: E731
+        for name, gamma, value in zip(cases, cases.values(), slices[:, j]):
+            assert value == pytest.approx(fl.apply(gamma, k_slice), abs=1e-13), name
 
 
 @st.composite
@@ -181,7 +183,7 @@ def _load_on(draw, rule):
 @given(data=st.data())
 def test_load_row_is_the_interpolation_matrix_product(nodes, data):
     # The load row sums coeffs @ interp_matrix(rule, ts) without forming the
-    # matrix; the oracle shares load_row, so only this reference checks it.
+    # matrix; every kernel slice KG is built from it.
     rule = fl.gauss_legendre(nodes, -0.5, 1.75)
     gamma = data.draw(_load_on(rule))
     ts = [p.t0 for p in gamma.point_terms]
@@ -201,16 +203,17 @@ def test_load_row_rejects_a_point_outside_the_rule():
         load_row(fl.point_load(1.5), rule)
 
 
-def test_load_rows_built_once_per_problem_and_rule():
-    problem = make_problem("0", "1", [("1", fl.point_load(0.4)), ("t", fl.point_load(0.9))])
-    rule = fl.gauss_legendre(32, 0.0, 1.0)
-    rows = fl.load_rows(problem, rule)
-    assert rows.shape == (2, 32)
-    assert fl.load_rows(problem, rule) is rows
-    assert not rows.flags.writeable
-    other = fl.gauss_legendre(32, 0.0, 1.0)
-    assert fl.load_rows(problem, other) is not rows
-    assert np.array_equal(fl.load_rows(problem, other), rows)
+def test_kernel_slices_built_once_per_problem_and_kernel():
+    problem = make_problem("exp(t*s)", "1",
+                           [("1", fl.point_load(0.4)), ("t", fl.point_load(0.9))])
+    kernel = _kernel("exp(t*s)")
+    slices = fl.kernel_slices(problem, kernel)
+    assert slices.shape == (2, 32)
+    assert fl.kernel_slices(problem, kernel) is slices
+    assert not slices.flags.writeable
+    other = _kernel("exp(t*s)")
+    assert fl.kernel_slices(problem, other) is not slices
+    assert np.array_equal(fl.kernel_slices(problem, other), slices)
 
 
 def test_functional_norm():
@@ -221,6 +224,21 @@ def test_functional_norm():
         ),
     )
     assert fl.functional_norm(gamma) == pytest.approx(5.0, rel=1e-12)
+
+
+def test_discrete_form_is_read_by_apply_and_norm():
+    sub = fl.gauss_legendre(16, 0.2, 0.7)
+    gamma = fl.Functional(
+        point_terms=(fl.PointTerm(-2.0, 0.5),),
+        integral_terms=(fl.IntegralTerm(0.2, 0.7, fl.parse("abs(s - 0.55)", {"s"}), sub),),
+    )
+    points, weights = gamma.discrete
+    assert gamma.discrete is gamma.discrete
+    assert not points.flags.writeable and not weights.flags.writeable
+    assert points.tolist() == [0.5, *sub.nodes.tolist()]
+    assert weights.tolist() == [-2.0, *(sub.weights * np.abs(sub.nodes - 0.55)).tolist()]
+    assert fl.apply(gamma, fl.parse("exp(t)", {"t"})) == float(weights @ np.exp(points))
+    assert fl.functional_norm(gamma) == float(np.sum(np.abs(weights)))
 
 
 def test_functional_needs_a_term():

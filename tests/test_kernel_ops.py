@@ -131,10 +131,10 @@ def test_scaled_powers_stay_bounded():
 
 
 def test_operator_norm_cases():
-    assert fl.operator_norm(_kernel("1")) == pytest.approx(1.0, rel=1e-12)
-    assert fl.operator_norm(_kernel("0", nodes=8)) == 0.0
+    assert _kernel("1").norm == pytest.approx(1.0, rel=1e-12)
+    assert _kernel("0", nodes=8).norm == 0.0
     kernel = _kernel("t")
-    assert fl.operator_norm(kernel) == pytest.approx(float(kernel.rule.nodes[-1]), rel=1e-12)
+    assert kernel.norm == pytest.approx(float(kernel.rule.nodes[-1]), rel=1e-12)
 
 
 def test_resolvent_at_zero():
@@ -213,7 +213,7 @@ def test_resolvent_identity_and_neumann_on_random_kernels():
         kernel = fl.discretize(
             fl.parse(random_polynomial_kernel(rng), {"t", "s"}), rule
         )
-        norm = fl.operator_norm(kernel)
+        norm = kernel.norm
         if norm == 0.0:
             continue
         lam = float(rng.uniform(-0.5, 0.5)) / norm

@@ -214,19 +214,28 @@ def _examples_and_random_problems(nodes=64):
         yield make_random_regular_problem(rng, nodes)[:2]
 
 
+def _iterated_images(kernel, iterated, columns, depth):
+    """K_m W y for m = 1..depth from the dense iterated kernels: with KG the
+    kernel slices, the loads read them as KG W K_{m-1} W y (K_0 W = I)."""
+    weighted = kernel.rule.weights[:, None] * columns
+    yield weighted
+    for m in range(1, depth):
+        yield kernel.rule.weights[:, None] * (iterated.kernel(m) @ weighted)
+
+
 def test_scaled_taylor_A_matches_iterated_kernels():
-    # A_m = V K_m W a from the dense iterated kernels is g^m times the scaled
-    # coefficient. The loads of nilpotent.prob and no_solution.prob annihilate
-    # the kernel, so their A_m are roundoff, hence the absolute floor.
+    # A_m = KG W K_{m-1} W a from the dense iterated kernels is g^m times the
+    # scaled coefficient. The loads of nilpotent.prob and no_solution.prob
+    # annihilate the kernel, so their A_m are roundoff, hence the absolute floor.
     for problem, kernel in _examples_and_random_problems():
         g = fl.series_scale(kernel)
         iterated = fl.iterate_kernels(kernel, 30)
-        rows = fl.load_rows(problem, kernel.rule)
-        weighted = kernel.rule.weights[:, None] * problem.coeff_values(kernel.rule)
+        slices = fl.kernel_slices(problem, kernel)
+        images = _iterated_images(kernel, iterated, problem.coeff_values(kernel.rule), 30)
         scaled = fl.taylor_A(problem, kernel, 30)
         assert len(scaled) == 30
-        for m, a_m in enumerate(scaled, start=1):
-            reference = rows @ (iterated.kernel(m) @ weighted)
+        for m, (a_m, image) in enumerate(zip(scaled, images), start=1):
+            reference = slices @ image
             gap = np.max(np.abs(g**m * a_m - reference))
             assert gap <= 1e-12 * np.max(np.abs(reference)) + 1e-15
 
@@ -238,10 +247,11 @@ def test_series_consistency_random_problems():
         iterated = fl.iterate_kernels(kernel, 30)
         g = fl.series_scale(kernel)
         a_coeffs = [g**m * a_m for m, a_m in enumerate(fl.taylor_A(problem, kernel, 30), start=1)]
-        # b_m = V K_m W f, the load rows applied to the iterated images of f
-        rows = fl.load_rows(problem, kernel.rule)
-        wf = kernel.rule.weights * problem.source_values(kernel.rule)
-        b_coeffs = [rows @ (iterated.kernel(m) @ wf) for m in range(1, 31)]
+        # b_m = KG W K_{m-1} W f, the kernel slices applied to the iterated images of f
+        slices = fl.kernel_slices(problem, kernel)
+        f_column = problem.source_values(kernel.rule)[:, None]
+        b_coeffs = [(slices @ image)[:, 0]
+                    for image in _iterated_images(kernel, iterated, f_column, 30)]
         a_series = sum(lam**m * a_coeffs[m - 1] for m in range(1, 31))
         b_series = fl.assemble_f_gamma(problem) + sum(
             lam**m * b_coeffs[m - 1] for m in range(1, 31)
@@ -257,7 +267,7 @@ def test_degeneration_under_exact_annihilation():
         "t - 1/2", "1 + t", [("t", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))]
     )
     kernel = _discretized(problem)
-    norm = fl.operator_norm(kernel)
+    norm = kernel.norm
     for lam in np.linspace(-0.5, 0.5, 7) / norm:
         assert np.max(np.abs(fl.A_lambda(problem, kernel, float(lam)))) <= 1e-8
     outcome = solve_zero_order_system(fl.assemble_A0(problem), fl.assemble_f_gamma(problem))

@@ -1,78 +1,92 @@
-"""Dense-discretization oracle: grid weights for loads and the one-shot solve."""
+"""Dense-discretization oracle: the discrete form of a load and the bordered solve."""
+
+import ast
+import inspect
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 import fredload as fl
+from fredload import oracle as oracle_module
+from fredload.errors import RoutePreconditionError
 from util import golden_identity_problem, make_problem, make_random_regular_problem, poly_integral
 
 
 def test_gamma_weights_unit_row_at_master_node():
-    rule = fl.gauss_legendre(16, 0.0, 1.0)
+    # A point load at a master node is that node with its coefficient, so the
+    # oracle's kernel-slice row is the kernel's own row at that node.
+    problem = make_problem("exp(t*s)", "1", [("0", fl.point_load(0.0))])
+    kernel = fl.discretize(problem.kernel, problem.master_rule(16))
     k = 7
-    gamma = fl.point_load(float(rule.nodes[k]))
-    v = fl.gamma_weights(gamma, rule)
-    expected = np.zeros(16)
-    expected[k] = 1.0
-    assert np.array_equal(v, expected)
+    points, weights = fl.gamma_weights(fl.point_load(float(kernel.rule.nodes[k]), alpha=1.0))
+    assert np.array_equal(points, [kernel.rule.nodes[k]])
+    assert np.array_equal(weights, [1.0])
+    row = weights @ np.exp(np.outer(points, kernel.rule.nodes))
+    assert np.array_equal(row, kernel.values[k])
 
 
 def test_gamma_weights_full_span_integral_sums_to_one():
-    rule = fl.gauss_legendre(64, 0.0, 1.0)
     gamma = fl.integral_load(0.0, 1.0, fl.parse("1", {"s"}))
-    v = fl.gamma_weights(gamma, rule)
-    assert np.sum(v) == pytest.approx(1.0, abs=1e-12)
+    points, weights = fl.gamma_weights(gamma)
+    assert np.array_equal(points, gamma.integral_terms[0].rule.nodes)
+    assert np.sum(weights) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_gamma_weights_match_functional_application():
-    rule = fl.gauss_legendre(64, 0.0, 1.0)
     gamma = fl.Functional(
         point_terms=(fl.PointTerm(2.0, 0.3),),
         integral_terms=(
             fl.IntegralTerm(0.1, 0.7, fl.parse("1 + s", {"s"}), fl.gauss_legendre(64, 0.1, 0.7)),
         ),
     )
-    v = fl.gamma_weights(gamma, rule)
-    g = fl.GridFunction(rule, np.exp(rule.nodes) * np.cos(rule.nodes))
-    assert float(v @ g.values) == pytest.approx(fl.apply(gamma, g), abs=1e-8)
+    points, weights = fl.gamma_weights(gamma)
+    x = fl.parse("exp(t) * cos(t)", {"t"})
+    assert float(weights @ fl.evaluate(x, {"t": points})) == pytest.approx(
+        fl.apply(gamma, x), abs=1e-14
+    )
 
 
 def test_gamma_weights_exact_on_polynomials():
-    # v @ p(nodes) must equal <gamma, p> exactly for degree < node count.
-    rule = fl.gauss_legendre(8, 0.0, 1.0)
+    # weights @ p(points) must equal <gamma, p> exactly while the sub-rule
+    # integrates m(s) p(s) exactly.
     gamma = fl.Functional(
         point_terms=(fl.PointTerm(1.5, 0.25),),
         integral_terms=(
             fl.IntegralTerm(0.0, 0.5, fl.parse("s", {"s"}), fl.gauss_legendre(8, 0.0, 0.5)),
         ),
     )
-    v = fl.gamma_weights(gamma, rule)
+    points, weights = fl.gamma_weights(gamma)
     coeffs = [1.0, -2.0, 0.0, 0.0, 0.0, 1.0]  # 1 - 2t + t^5
-    p_vals = sum(c * rule.nodes**k for k, c in enumerate(coeffs))
+    p_vals = sum(c * points**k for k, c in enumerate(coeffs))
     # point part: 1.5 * p(0.25); integral part: integral_0^0.5 s * p(s) ds
     shifted = [0.0] + list(coeffs)
     expected = 1.5 * sum(c * 0.25**k for k, c in enumerate(coeffs)) + poly_integral(
         shifted, 0.0, 0.5
     )
-    assert float(v @ p_vals) == pytest.approx(expected, abs=1e-12)
+    assert float(weights @ p_vals) == pytest.approx(expected, abs=1e-14)
 
 
 def test_gamma_weights_linearity():
-    rule = fl.gauss_legendre(24, 0.0, 1.0)
     g1 = fl.point_load(0.2, alpha=2.0)
     g2 = fl.integral_load(0.0, 1.0, fl.parse("s", {"s"}), nodes=24)
     combined = fl.Functional(
         point_terms=g1.point_terms, integral_terms=g2.integral_terms
     )
-    v = fl.gamma_weights(combined, rule)
-    assert v == pytest.approx(fl.gamma_weights(g1, rule) + fl.gamma_weights(g2, rule), abs=1e-14)
+    points, weights = fl.gamma_weights(combined)
+    parts = [fl.gamma_weights(g1), fl.gamma_weights(g2)]
+    assert np.array_equal(points, np.concatenate([part[0] for part in parts]))
+    assert np.array_equal(weights, np.concatenate([part[1] for part in parts]))
 
 
 def test_dense_system_is_identity_for_trivial_problem():
+    # N = 16 grid unknowns bordered by one load unknown.
     problem = make_problem("0", "1", [("0", fl.point_load(0.5))])
     kernel = fl.discretize(problem.kernel, problem.master_rule(16))
     system = fl.assemble_dense(problem, kernel, 0.0)
-    assert np.array_equal(system.matrix, np.eye(16))
+    assert np.array_equal(system.matrix, np.eye(17))
 
 
 def test_dense_solve_zero_kernel_returns_source():
@@ -105,3 +119,97 @@ def test_dense_solve_agrees_with_regular_route():
         reference = fl.dense_solve(problem, kernel, lam)
         assert np.max(np.abs(mine.x.values - reference.x.values)) <= 1e-8
         assert reference.residual <= 1e-10
+
+
+def test_dense_solve_refuses_by_its_own_condition_estimate(monkeypatch):
+    # A0 = E and x = -1/lambda: the bordered matrix has reciprocal condition
+    # about 2e-12 at lambda = 1e-9 and 2e-14 at 1e-11 (N = 512, by the SVD).
+    problem, kernel = golden_identity_problem(512)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    assert fl.dense_solve(problem, kernel, 1e-9).x_gamma == pytest.approx([-1e9], rel=1e-6)
+    with pytest.raises(fl.SingularLoadSystemError):
+        fl.dense_solve(problem, kernel, 1e-11)
+    assert calls == []
+
+
+_SMOOTH_KERNELS = ("exp({0}*t*s)", "cos({0}*(t + s))", "1/(1 + {0}*(t - s)^2)", "({0})*t*s - s^2")
+
+
+@st.composite
+def _kinked_problem(draw):
+    """A problem whose coefficients and source have kinks, abs(t - t0), with
+    a smooth kernel. 'identity' scales one load's coefficient to A0 = E, and
+    'nilpotent' takes K = (t - 1/2) cos(c (s - 1/2)), which composes with
+    itself to zero and which loads symmetric about 1/2 annihilate."""
+    mode = draw(st.sampled_from(["regular", "identity", "nilpotent"]))
+    where = st.floats(0.0, 1.0)
+    size = st.floats(-1.0, 1.0)
+    if mode == "nilpotent":
+        kernel = f"(t - 1/2)*cos({draw(st.floats(0.0, 3.0))!r}*(s - 1/2))"
+        loads = [fl.Functional((fl.PointTerm(draw(size), 0.5),), (fl.IntegralTerm(
+            0.0, 1.0, fl.parse(f"abs(s - 1/2) + {draw(size)!r}", {"s"}),
+            fl.gauss_legendre(32, 0.0, 1.0)),))]
+    else:
+        kernel = draw(st.sampled_from(_SMOOTH_KERNELS)).format(repr(draw(st.floats(0.2, 3.0))))
+        loads = []
+        for _ in range(1 if mode == "identity" else draw(st.integers(1, 2))):
+            lo = draw(st.floats(0.0, 0.6))
+            hi = lo + draw(st.floats(0.2, 0.4))
+            term = fl.IntegralTerm(lo, hi, fl.parse(f"abs(s - {draw(where)!r})", {"s"}),
+                                   fl.gauss_legendre(32, lo, hi))
+            loads.append(fl.Functional((fl.PointTerm(draw(size), draw(where)),), (term,)))
+    coeffs = [f"{draw(size)!r}*abs(t - {draw(where)!r}) + {draw(size)!r}" for _ in loads]
+    if mode == "identity":
+        scale = fl.apply(loads[0], fl.parse(coeffs[0], {"t"}))
+        assume(abs(scale) > 0.1)
+        coeffs = [f"({coeffs[0]})/{scale!r}"]
+    source = f"1 + {draw(size)!r}*abs(t - {draw(where)!r})"
+    return make_problem(kernel, source, list(zip(coeffs, loads))), draw(st.floats(0.05, 0.3))
+
+
+@pytest.mark.parametrize("nodes", [32, 64])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=_kinked_problem(), sign=st.sampled_from([-1.0, 1.0]))
+def test_every_applicable_route_agrees_with_the_oracle_on_kinked_data(nodes, case, sign):
+    # The kinks sit wherever they fall, away from the nodes, so a load that
+    # read x between the nodes would be off by O(1/N), far above 1e-9.
+    # Every warning of the solves is an error.
+    problem, size = case
+    kernel = fl.discretize(problem.kernel, problem.master_rule(nodes))
+    lam = sign * size / kernel.norm if kernel.norm else sign * size
+    prep = fl.prepare(problem, kernel)
+    kind = prep.classification.kind
+    assume(kind != "unsupported-irregular")
+    if kind == "regular":
+        assume(np.linalg.cond(np.eye(problem.n) - prep.A0) < 1e6)
+    routes = {
+        "auto": lambda: fl.solve_prepared(prep, lam),
+        "regular": lambda: fl.solve_regular(prep, lam),
+        "successive": lambda: fl.solve_successive(prep, lam, q=0.5),
+        "nilpotent": lambda: fl.solve_nilpotent(prep, lam),
+        "irregular": lambda: fl.solve_irregular(prep, lam),
+    }
+    solved = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reference = fl.dense_solve(problem, kernel, lam)
+        bound = 1e-9 * max(1.0, float(np.max(np.abs(reference.x.values))))
+        for name, route in routes.items():
+            try:
+                solution = route()
+            except RoutePreconditionError:
+                continue
+            solved.append(name)
+            assert np.max(np.abs(solution.x.values - reference.x.values)) <= bound, name
+            assert np.max(np.abs(solution.x_gamma - reference.x_gamma)) <= bound, name
+    event(",".join(solved))
+    assert "auto" in solved and len(solved) >= 2
+
+
+def test_oracle_shares_no_load_code():
+    tree = ast.parse(inspect.getsource(oracle_module))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "functionals" not in imported
+    assert not hasattr(oracle_module, "load_row")

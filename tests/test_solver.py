@@ -448,7 +448,7 @@ def test_holomorphy_proxy_polynomial_fit():
         [("0.3*t", fl.point_load(0.25)), ("0.2", fl.integral_load(0.0, 1.0, fl.parse("s", {"s"})))],
     )
     kernel = _discretized(problem)
-    norm = fl.operator_norm(kernel)
+    norm = kernel.norm
     lams = np.linspace(-0.15, 0.15, 9) / norm
     t_star_index = 10
     values = np.array(

@@ -125,7 +125,7 @@ def make_random_regular_problem(rng: np.random.Generator, nodes: int = 64, max_t
         source = poly_text(rng.uniform(-1, 1, size=int(rng.integers(1, 5))), "t")
         problem = make_problem(kernel_text, source, loads)
         kernel = fl.discretize(problem.kernel, problem.master_rule(nodes))
-        norm = fl.operator_norm(kernel)
+        norm = kernel.norm
         lam = float(rng.uniform(-0.5, 0.5)) / max(norm, 1e-3)
         if abs(lam) * norm > 0.5:
             lam = 0.5 * np.sign(lam) / max(norm, 1e-3)
