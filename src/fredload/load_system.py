@@ -27,7 +27,6 @@ from typing import Union
 import numpy as np
 
 from . import functionals
-from .functionals import kernel_slices
 from .kernel_ops import COND_LIMIT, DiscreteKernel, resolvent_images, scaled_powers, series_scale
 from .problem import Load, ProblemSpec
 
@@ -91,7 +90,7 @@ def assemble_lambda_system(
     rule = kernel.rule
     columns = np.column_stack([problem.coeff_values(rule), problem.source_values(rule)])
     basis = columns + resolvent_images(kernel, lam, columns)
-    coupled = lam * (kernel_slices(problem, kernel) @ (rule.weights[:, None] * basis))
+    coupled = lam * (functionals.kernel_slices(problem, kernel) @ (rule.weights[:, None] * basis))
     return coupled[:, :-1], f_gamma + coupled[:, -1], basis
 
 
@@ -110,7 +109,8 @@ def taylor_A(problem: ProblemSpec, kernel: DiscreteKernel, depth: int) -> list[n
     with g = series_scale(kernel), so A(lambda) = sum_m (lambda g)^m A~_m and
     A_m[i, k] = <gamma_i, (K_m W a_k)(t)> = g^m A~_m[i, k]."""
     coeffs = problem.coeff_values(kernel.rule)
-    weighted = kernel_slices(problem, kernel) * (kernel.rule.weights / series_scale(kernel))
+    scaled_weights = kernel.rule.weights / series_scale(kernel)
+    weighted = functionals.kernel_slices(problem, kernel) * scaled_weights
     return [weighted @ y for y in chain([coeffs], scaled_powers(kernel, coeffs, depth - 1))]
 
 

@@ -309,7 +309,6 @@ def solve_successive(prep: Prepared, lam: float, q: float = 0.9, max_iter: int =
     x_prev = np.zeros(rule.n)
     history: list[float] = []
     for _ in range(max_iter):
-        # h = lambda K W x_prev + f, read by the loads as f_gamma + lambda KG W x_prev
         weighted = rule.weights * x_prev
         c = np.linalg.solve(system, prep.f_gamma + lam * (slices @ weighted))
         x_next = lam * (kernel.values @ weighted) + f_vals + coeffs @ c
