@@ -35,11 +35,12 @@ from .errors import (
     RoutePreconditionError,
     SingularLoadSystemError,
 )
+from .expr import evaluate
 from .kernel_ops import DiscreteKernel, discretize
 from .problem import ProblemSpec
 from .problemfile import Numerics, load_problem_file
-from .quadrature import interpolate
 from .solver import Prepared, Solution
+from .tolerances import ORACLE_THRESHOLD
 
 __all__ = ["main", "entry"]
 
@@ -225,10 +226,16 @@ def cmd_sweep(args) -> int:
     steps = numerics.steps
     if steps < 2:
         raise ProblemFileError("sweep needs at least 2 steps")
-    probes = [problem.a, 0.5 * (problem.a + problem.b), problem.b]
+    probes = np.array([problem.a, 0.5 * (problem.a + problem.b), problem.b])
     header = "lambda," + ",".join(f"x({p:g})" for p in probes) + ",x_gamma_norm,residual,status"
     print(header)
     # After the header: an error in the analysis leaves it on stdout, as a row's does.
+    # x at the probes by the Nystrom identity x(t) = f(t) + a(t) c + lambda K(t, .) W x,
+    # exact between the nodes where x has a kink: the rows [f | a | K] at the probes.
+    at, weights = {"t": probes[:, None], "s": kernel.rule.nodes}, kernel.rule.weights
+    exprs = (problem.source, *(load.coeff for load in problem.loads), problem.kernel)
+    widths = [1] * (problem.n + 1) + [weights.size]
+    nystrom = np.hstack([np.broadcast_to(evaluate(e, at), (3, w)) for e, w in zip(exprs, widths)])
     prep = None
     if args.route != "oracle":
         prep = solver.prepare(problem, kernel, numerics.truncation, numerics.tol)
@@ -243,7 +250,8 @@ def cmd_sweep(args) -> int:
                 raise
             print(f"{_fmt(lam)},,,,,,unsolvable:{code}")
             continue
-        values = [interpolate(solution.x, p) for p in probes]
+        scaled = lam * weights * solution.x.values
+        values = nystrom @ np.concatenate([[1.0], solution.x_gamma, scaled])
         norm = float(np.max(np.abs(solution.x_gamma)))
         row = ",".join(_fmt(v) for v in [lam, *values, norm, solution.residual])
         print(f"{row},ok")
@@ -278,8 +286,9 @@ def cmd_oracle_check(args) -> int:
     print(f"route residual: {_fmt(solution.residual)}")
     print(f"oracle residual: {_fmt(reference.residual)}")
     print(f"max disagreement: {_fmt(disagreement)}")
-    # The oracle's own error grows with the solution, so the bound is relative above |x| = 1.
-    bound = args.threshold * max(1.0, float(np.max(np.abs(reference.x.values))))
+    # Relative to max|x_oracle|, or max|f| if larger, so no rescaling of f moves the verdict.
+    sizes = [np.max(np.abs(v)) for v in (reference.x.values, problem.source_values(kernel.rule))]
+    bound = args.threshold * float(max(sizes))
     if disagreement > bound:
         print(f"disagreement {_fmt(disagreement)} exceeds threshold {_fmt(bound)}",
               file=sys.stderr)
@@ -315,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="problem file")
         p.add_argument("--nodes", type=int, default=None, help="master rule node count")
         p.add_argument("--tol", type=float, default=None,
-                       help="tolerance for condition checks / iteration stopping")
+                       help="relative tolerance of the annihilation check and the "
+                            "successive route's stop")
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
         p.add_argument("--truncation", type=int, default=None,
                        help="series/iterated-kernel depth")
@@ -351,9 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_check)
     p_check.add_argument("--lambda", type=float, default=None, dest="lam")
     p_check.add_argument("--route", choices=ROUTES, default="auto")
-    p_check.add_argument("--threshold", type=float, default=1e-6,
+    p_check.add_argument("--threshold", type=float, default=ORACLE_THRESHOLD,
                          help="fail (exit 1) when max disagreement exceeds this "
-                              "times max(1, max|x_oracle|)")
+                              "times max(max|x_oracle|, max|f|)")
     p_check.set_defaults(func=cmd_oracle_check)
     return parser
 

@@ -10,12 +10,10 @@ generally does not line up with the master grid, so a load is the finite
 sum <gamma, x> = weights @ x(points) over its point values and sub-rule
 nodes (Functional.discrete), which apply, load_row and functional_norm read.
 
-The solver never applies a load to a grid function x, which may have a kink
-from a coefficient or the source: the Nystrom identity x(t) = f(t) +
-sum_k a_k(t) c_k + lambda sum_j w_j K(t, s_j) x_j holds at every t, so a
-load of x needs only f, a and the kernel slices KG[k, j] = <gamma_k, K(., s_j)>
-(kernel_slices), the load rows (barycentric interpolation, in the Cauchy
-form) applied to the smooth t-slices of K once per (problem, kernel).
+The solver never applies a load to a grid function x, which may have a
+kink: by the Nystrom identity x = f + a c + lambda K W x, a load of x needs
+only f, a and the kernel slices KG[k, j] = <gamma_k, K(., s_j)>, the load
+rows applied to the smooth t-slices of K once per (problem, kernel).
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ import numpy as np
 
 from .expr import Expr, evaluate
 from .quadrature import GridFunction, QuadratureRule, _require_within, gauss_legendre, interp_matrix
+from .tolerances import NODES, TOL
 
 if TYPE_CHECKING:
     from .kernel_ops import DiscreteKernel
@@ -105,7 +104,7 @@ def point_load(t0: float, alpha: float = 1.0) -> Functional:
     return Functional(point_terms=(PointTerm(alpha, t0),), integral_terms=())
 
 
-def integral_load(lower: float, upper: float, weight: Expr, nodes: int = 64) -> Functional:
+def integral_load(lower: float, upper: float, weight: Expr, nodes: int = NODES) -> Functional:
     """The integral load x -> integral of weight(s) x(s) ds over [lower, upper]."""
     term = IntegralTerm(lower, upper, weight, gauss_legendre(nodes, lower, upper))
     return Functional(point_terms=(), integral_terms=(term,))
@@ -159,22 +158,19 @@ def kernel_slices(problem: "ProblemSpec", kernel: "DiscreteKernel") -> np.ndarra
 @dataclass(frozen=True)
 class ConditionReport:
     """Per-load annihilation check: does the load send every kernel
-    t-slice to zero (within tol, scaled by the kernel's magnitude)?"""
+    t-slice to zero (within tol, on the scale of the load and the kernel)?"""
 
     holds: bool
     deviation: float
-    tol_used: float
 
 
 def check_condition_one(
-    problem: "ProblemSpec", kernel: "DiscreteKernel", tol: float = 1e-10
+    problem: "ProblemSpec", kernel: "DiscreteKernel", tol: float = TOL
 ) -> list[ConditionReport]:
-    """Check, for each load, max_s |<gamma_k, K(., s)>| <= tol * (1 + max|K|)."""
-    threshold = tol * (1.0 + kernel.max_abs)
-    return [
-        ConditionReport(holds=deviation <= threshold, deviation=deviation, tol_used=threshold)
-        for deviation in np.max(np.abs(kernel_slices(problem, kernel)), axis=1).tolist()
-    ]
+    """Check, for each load, max_s |<gamma_k, K(., s)>| <= tol ||gamma_k|| max|K|."""
+    deviations = np.max(np.abs(kernel_slices(problem, kernel)), axis=1).tolist()
+    return [ConditionReport(deviation <= tol * functional_norm(load.functional) * kernel.max_abs,
+                            deviation) for load, deviation in zip(problem.loads, deviations)]
 
 
 def functional_norm(gamma: Functional) -> float:

@@ -9,8 +9,7 @@ lambda * G W y, one solve with those right-hand sides, and its Taylor
 series only the scaled column powers (K W / g)^m y. Probe columns in that
 same solve, drawn once per N, estimate the condition of I - lambda K W,
 which decides whether lambda is too close to a characteristic number.
-The lambda-independent scalars g (the operator norm) and max|K| are
-computed once per kernel, on DiscreteKernel. The determinant of the
+The determinant of the
 discretized operator stands in for the Fredholm denominator; its zeros,
 the characteristic numbers, are the reciprocals of the real eigenvalues of
 K W.
@@ -28,6 +27,8 @@ import numpy as np
 from .errors import CharacteristicNumberError
 from .expr import Expr, evaluate
 from .quadrature import GridFunction, QuadratureRule
+from .tolerances import CLUSTER_RADIUS, COLLAPSE_RATIO, COND_LIMIT, EIGEN_FLOOR, NILPOTENT_TOL
+from .tolerances import REAL_RATIO, TRUNCATION
 
 __all__ = [
     "DiscreteKernel",
@@ -44,11 +45,6 @@ __all__ = [
     "det_magnitude",
     "COND_LIMIT",
 ]
-
-# A lambda whose estimated condition number of I - lambda K W exceeds this
-# counts as "at a characteristic number": a solve there keeps fewer than
-# about eight significant digits.
-COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +137,6 @@ def scaled_powers(kernel: DiscreteKernel, columns: np.ndarray, depth: int) -> It
         yield columns
 
 
-_COLLAPSE_RATIO = 1e-6
-
-
 @lru_cache(maxsize=None)
 def _probe(n: int) -> np.ndarray:
     """The fixed-seed N x 4 Gaussian probe block of the nilpotency test and
@@ -153,24 +146,22 @@ def _probe(n: int) -> np.ndarray:
     return probe
 
 
-def nilpotency_index(kernel: DiscreteKernel, depth: int, tol: float = 1e-10) -> Optional[int]:
+def nilpotency_index(kernel: DiscreteKernel, depth: int) -> Optional[int]:
     """Smallest p with (K W)^{p+1} negligible but (K W)^p not, judged on
     Q_m = (K W / g)^m P for a fixed-seed N x 4 probe P (scaled_powers) and
     m <= depth; None if no such p, 0 for a null kernel. If (K W)^k = 0 then
     Q_k = 0, and a generic probe does not vanish earlier.
 
-    Negligible means max|Q_m| <= tol * (1 + max|Q_1|) AND a collapse of at
-    least six orders of magnitude against Q_p: a contractive kernel also
-    drives max|Q_m| under any fixed threshold, but by a bounded per-step
-    ratio, whereas annihilation drops to the roundoff floor. Later terms
-    stay negligible, as max|Q_m| never grows, so the first negligible term
-    decides and the recurrence stops there."""
+    Negligible means below NILPOTENT_TOL and COLLAPSE_RATIO times Q_{m-1}:
+    a contractive kernel also drives max|Q_m| under any fixed threshold, but
+    by a bounded per-step ratio. max|Q_m| never grows, so the first
+    negligible term decides and the recurrence stops there."""
     mags: list[float] = []
     for q in scaled_powers(kernel, _probe(kernel.rule.n), depth):
         mags.append(float(np.max(np.abs(q))))
-        if mags[-1] <= tol * (1.0 + mags[0]):
+        if mags[-1] <= NILPOTENT_TOL * (1.0 + mags[0]):
             p = len(mags) - 1
-            return p if p == 0 or mags[p] <= _COLLAPSE_RATIO * mags[p - 1] else None
+            return p if p == 0 or mags[p] <= COLLAPSE_RATIO * mags[p - 1] else None
     return None
 
 
@@ -180,8 +171,7 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
     The probe block P is solved alongside, and max_i ||Z_P[:, i]|| / ||P[:, i]||
     estimates ||(I - lambda K W)^{-1}|| from below (Dixon, SIAM J. Numer.
     Anal. 20, 1983). lambda is refused when LAPACK finds the matrix exactly
-    singular or when (1 + |lambda| g) times the estimate, g the operator
-    norm (DiscreteKernel.norm), exceeds COND_LIMIT."""
+    singular or when (1 + |lambda| g) times the estimate exceeds COND_LIMIT."""
     probe = _probe(kernel.rule.n)
     try:
         z = np.linalg.solve(kernel.system_matrix(lam), np.column_stack([rhs, probe]))
@@ -225,43 +215,31 @@ def det_magnitude(kernel: DiscreteKernel, lam: float) -> float:
         return float(np.exp(logdet))
 
 
-# eigvals splits the defective double eigenvalue of (-2 + 6 s) + t (-6 + 12 s)
-# by up to 5.3 sqrt(eps) max|mu| at N = 8-1024; this leaves a factor of three.
-_CLUSTER_RADIUS = 16.0 * math.sqrt(np.finfo(float).eps)
-
-
 def find_characteristic_numbers(
-    kernel: DiscreteKernel, lam_min: float, lam_max: float, depth: int = 30
+    kernel: DiscreteKernel, lam_min: float, lam_max: float, depth: int = TRUNCATION
 ) -> list[float]:
     """Zeros of det(I - lambda K W) in [lam_min, lam_max], sorted and
     repeated by multiplicity: the real 1/mu over the eigenvalues mu of K W
-    (Bornemann, Math. Comp. 79, 2010). With g the operator norm
-    (DiscreteKernel.norm), |mu| <= 1e-12 g is the roundoff floor of a
-    finite-rank kernel and is dropped. A K W that nilpotency_index finds
-    nilpotent within `depth` (the series truncation, 30 by default) has no
-    characteristic numbers and gives []: its zero eigenvalue is defective,
-    and eigvals splits it into roundoff of about eps^(1/k) g for a Jordan
-    block of size k, far above any floor that keeps small simple
-    eigenvalues. That test also counts an eigenvalue below about 1e-6 g
-    beside a nilpotent part as zero.
+    (Bornemann, Math. Comp. 79, 2010), above the roundoff floor EIGEN_FLOOR.
+    A K W that nilpotency_index finds nilpotent within `depth` gives []: its
+    zero eigenvalue is defective, and eigvals splits it into roundoff of
+    about eps^(1/k) g for a Jordan block of size k.
 
-    eigvals splits a defective multiple eigenvalue by a few sqrt(eps) max|mu|,
-    often into a complex pair. Eigenvalues chained by steps of at most
-    _CLUSTER_RADIUS sqrt(max|mu| max(|mu_i|, |mu_j|)) therefore count as one
-    eigenvalue of the cluster's size at the cluster's mean, which is
-    well-conditioned even when its members are not (Wilkinson, The
-    Algebraic Eigenvalue Problem, 1965). The radius shrinks with |mu|, so
-    a dense tail of small simple eigenvalues stays apart. A mean is real
-    when |Im| <= 1e-9 |mean|."""
+    eigvals splits a defective multiple eigenvalue, often into a complex
+    pair, so a chain within CLUSTER_RADIUS counts as one eigenvalue of the
+    cluster's size at the cluster's mean, which is well-conditioned even
+    when its members are not (Wilkinson, The Algebraic Eigenvalue Problem,
+    1965). The radius shrinks with |mu|, so a tail of small simple
+    eigenvalues stays apart; a mean is real by REAL_RATIO."""
     if not lam_min < lam_max:
         raise ValueError("need lam_min < lam_max")
     if nilpotency_index(kernel, depth) is not None:
         return []
     mu = np.linalg.eigvals(kernel.values * kernel.rule.weights)
     top = float(np.max(np.abs(mu), initial=0.0))
-    mu = mu[np.abs(mu) > 1e-12 * kernel.norm]
+    mu = mu[np.abs(mu) > EIGEN_FLOOR * kernel.norm]
     size = np.abs(mu)
-    radius = _CLUSTER_RADIUS * np.sqrt(top * np.maximum(size[:, None], size[None, :]))
+    radius = CLUSTER_RADIUS * np.sqrt(top * np.maximum(size[:, None], size[None, :]))
     close = np.abs(mu[:, None] - mu[None, :]) <= radius
     label = np.arange(mu.size)
     while True:  # every member ends up labelled by its cluster's first index
@@ -272,6 +250,6 @@ def find_characteristic_numbers(
         label = new
     _, group, count = np.unique(label, return_inverse=True, return_counts=True)
     mean = (np.bincount(group, mu.real) + 1j * np.bincount(group, mu.imag)) / count
-    real = np.abs(mean.imag) <= 1e-9 * np.abs(mean)
+    real = np.abs(mean.imag) <= REAL_RATIO * np.abs(mean)
     roots = np.sort(np.repeat(1.0 / mean.real[real], count[real]))
     return [float(r) for r in roots if lam_min <= r <= lam_max]

@@ -27,8 +27,9 @@ from typing import Union
 import numpy as np
 
 from . import functionals
-from .kernel_ops import COND_LIMIT, DiscreteKernel, resolvent_images, scaled_powers, series_scale
+from .kernel_ops import DiscreteKernel, resolvent_images, scaled_powers, series_scale
 from .problem import Load, ProblemSpec
+from .tolerances import COND_LIMIT, CONSISTENCY_TOL, IDENTITY_TOL
 
 __all__ = [
     "ProblemSpec",
@@ -48,20 +49,12 @@ __all__ = [
     "numerical_rank",
 ]
 
-# An n x n system is judged by its singular values against kernel_ops.COND_LIMIT,
-# the limit that also refuses I - lambda K W (numerical_rank); E - A0 is regular
-# when it has full rank. A0 = E when max|A0 - E| <= IDENTITY_TOL (1 + max|A0|),
-# and a zero-order defect above CONSISTENCY_TOL (1 + ||f_gamma||) means no solution.
-IDENTITY_TOL = 1e-10
-CONSISTENCY_TOL = 1e-10
-
 
 def numerical_rank(matrix: np.ndarray, scale: float = 0.0) -> int:
-    """How many singular values sigma of `matrix` count: those with
-    COND_LIMIT * sigma > max(sigma_max, scale). `scale` is the natural size
-    of an assembled matrix, so that one collapsed to roundoff is not judged
-    well-conditioned; with scale 0 the rank is full exactly when the
-    condition number is at most COND_LIMIT."""
+    """How many singular values of `matrix` count against COND_LIMIT. `scale`
+    is the natural size of an assembled matrix, so that one collapsed to
+    roundoff is not judged well-conditioned; with scale 0 the rank is full
+    exactly when the condition number is at most COND_LIMIT."""
     sing = np.linalg.svd(matrix, compute_uv=False)
     reference = max(float(sing[0]), scale)
     return int(np.count_nonzero(COND_LIMIT * sing > reference))
@@ -143,7 +136,7 @@ def solve_zero_order_system(A0: np.ndarray, f_gamma: np.ndarray) -> ZeroOrderOut
 
     Singular-but-consistent systems return the minimum-norm particular
     solution together with an orthonormal null-space basis; inconsistent
-    ones report the least-squares defect.
+    ones (normwise backward error above CONSISTENCY_TOL) report the defect.
     """
     n = A0.shape[0]
     system = np.eye(n) - A0
@@ -155,7 +148,8 @@ def solve_zero_order_system(A0: np.ndarray, f_gamma: np.ndarray) -> ZeroOrderOut
     inv_sing[:rank] = 1.0 / sing[:rank]
     particular = vt.T @ (inv_sing * (u.T @ f_gamma))
     defect = float(np.linalg.norm(system @ particular - f_gamma, np.inf))
-    if defect > CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(f_gamma, np.inf))):
+    scale = np.linalg.norm(system, np.inf) * np.linalg.norm(particular, np.inf)
+    if defect > CONSISTENCY_TOL * float(scale + np.linalg.norm(f_gamma, np.inf)):
         return NoSolution(defect=defect)
     return NonUnique(particular=particular, nullspace=vt[rank:].T.copy())
 

@@ -18,6 +18,7 @@ import numpy as np
 from .expr import Expr, evaluate
 from .functionals import Functional
 from .quadrature import QuadratureRule, gauss_legendre
+from .tolerances import NODES
 
 __all__ = ["Load", "ProblemSpec"]
 
@@ -68,7 +69,7 @@ class ProblemSpec:
     def n(self) -> int:
         return len(self.loads)
 
-    def master_rule(self, nodes: int = 64) -> QuadratureRule:
+    def master_rule(self, nodes: int = NODES) -> QuadratureRule:
         return gauss_legendre(nodes, self.a, self.b)
 
     def source_values(self, rule: QuadratureRule) -> np.ndarray:

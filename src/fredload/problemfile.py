@@ -31,6 +31,7 @@ from .expr import Expr, parse as parse_expr
 from .functionals import Functional, IntegralTerm, PointTerm
 from .problem import Load, ProblemSpec
 from .quadrature import gauss_legendre
+from .tolerances import MAX_ITER, NODES, Q, TOL, TRUNCATION
 
 __all__ = ["Numerics", "ParsedProblem", "parse_problem_file", "load_problem_file"]
 
@@ -42,15 +43,15 @@ _INTEGRAL_RE = re.compile(r"^(?P<expr>.*\S)\s+on\s*\[\s*(?P<lo>[^,\]]+)\s*,\s*(?
 class Numerics:
     """Numeric defaults from the [numerics] block; CLI flags take priority."""
 
-    nodes: int = 64
+    nodes: int = NODES
     lam: Optional[float] = None
     lam_min: Optional[float] = None
     lam_max: Optional[float] = None
     steps: int = 20
-    tol: float = 1e-10
-    max_iter: int = 200
-    truncation: int = 30
-    q: float = 0.9
+    tol: float = TOL
+    max_iter: int = MAX_ITER
+    truncation: int = TRUNCATION
+    q: float = Q
     scan_points: int = 512
 
 

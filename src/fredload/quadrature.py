@@ -19,6 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainEvalError
+from .tolerances import NEWTON_TOL
 
 __all__ = [
     "QuadratureRule",
@@ -29,8 +30,6 @@ __all__ = [
     "interp_weights",
     "interp_matrix",
 ]
-
-_NEWTON_TOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,21 +90,17 @@ def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     computed once per node count and returned read-only."""
     k = np.arange(m)
     x = np.cos(np.pi * (k + 0.75) / (m + 0.5))
-    for _ in range(100):
+    dx = np.inf
+    for step in range(101):  # at most 100 Newton steps; P_m' at the final nodes gives w
         p_prev = np.ones_like(x)
         p = x.copy()
         for deg in range(2, m + 1):
             p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
         dp = m * (x * p - p_prev) / (x * x - 1.0)
+        if step == 100 or np.max(np.abs(dx)) < NEWTON_TOL:
+            break
         dx = p / dp
         x -= dx
-        if np.max(np.abs(dx)) < _NEWTON_TOL:
-            break
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for deg in range(2, m + 1):
-        p, p_prev = ((2 * deg - 1) * x * p - (deg - 1) * p_prev) / deg, p
-    dp = m * (x * p - p_prev) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     x, w = x[order], w[order]

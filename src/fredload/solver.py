@@ -19,10 +19,8 @@ coefficients (from the column recurrence (K W / g)^m y) and, for A0 = E,
 the pole order and certified radius. `prepare` computes them once into a
 `Prepared` value that the routes and `solve_prepared`'s route decision
 read, so a sweep pays per lambda for one resolvent solve and n x n algebra.
-Every route reports the max-norm defect of the bordered system
-x - a c - lambda K W x = f, c - A0 c - lambda KG W x = f_gamma at its grid
-function x and its own load vector c, so no load interpolates x (KG: the
-kernel slices <gamma_k, K(., s_j)> of functionals.kernel_slices).
+Every route reports the max-norm defect of the bordered system (_defect)
+at its grid function x and its own load vector c, so no load interpolates x.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from .load_system import (
     taylor_A,
 )
 from .quadrature import GridFunction
+from .tolerances import MAX_ITER, POLE_COEFF_TOL, Q, RADIUS_Q, TOL, TRUNCATION
 
 __all__ = [
     "Prepared",
@@ -74,12 +73,6 @@ __all__ = [
     "successive_bound",
     "pole_order",
 ]
-
-DEFAULT_TRUNCATION = 30
-# The pole order is the first m with max|A~_m| above POLE_COEFF_TOL (1 + max_k max|A~_k|),
-# and the certified radius rho is where the contraction bound q reaches RADIUS_Q.
-POLE_COEFF_TOL = 1e-9
-RADIUS_Q = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +136,7 @@ class Prepared:
 
     @cached_property
     def nilpotency(self) -> Optional[int]:
-        return nilpotency_index(self.kernel, self.truncation, self.tol)
+        return nilpotency_index(self.kernel, self.truncation)
 
     @cached_property
     def taylor(self) -> list[np.ndarray]:
@@ -195,8 +188,8 @@ class Prepared:
 def prepare(
     problem: ProblemSpec,
     kernel: DiscreteKernel,
-    truncation: int = DEFAULT_TRUNCATION,
-    tol: float = 1e-10,
+    truncation: int = TRUNCATION,
+    tol: float = TOL,
 ) -> Prepared:
     """Analyse the problem once for every route and every lambda."""
     if truncation < 1:
@@ -224,7 +217,8 @@ def _zero_order_loads(prep: Prepared) -> tuple[np.ndarray, Optional[str]]:
 
 
 def _defect(prep: Prepared, lam: float, x: np.ndarray, c: np.ndarray) -> float:
-    """Max-norm defect of both rows of the bordered system at (x, c)."""
+    """Max-norm defect of both rows of the bordered system at (x, c):
+    x - a c - lambda K W x = f and c - A0 c - lambda KG W x = f_gamma."""
     problem, kernel = prep.problem, prep.kernel
     weighted = kernel.rule.weights * x
     grid = x - problem.coeff_values(kernel.rule) @ c - lam * (kernel.values @ weighted)
@@ -269,19 +263,20 @@ def solve_regular(prep: Prepared, lam: float) -> Solution:
 
 
 def successive_bound(problem: ProblemSpec, kernel: DiscreteKernel) -> float:
-    """Computable upper estimate l for the norm of (I-L)^{-1} K, so the
-    fixed-point route is admitted for |lambda| <= q / l (Prepared.successive_l)."""
+    """Prepared.successive_l of a fresh analysis: the fixed-point route's l."""
     return prepare(problem, kernel).successive_l
 
 
-def solve_successive(prep: Prepared, lam: float, q: float = 0.9, max_iter: int = 200) -> Solution:
+def solve_successive(
+    prep: Prepared, lam: float, q: float = Q, max_iter: int = MAX_ITER
+) -> Solution:
     """Fixed-point route: x_n = (I-L)^{-1}(lambda K x_{n-1} + f), x_0 = 0.
 
     (I-L)^{-1} h is h + (a, c) with (E - A0) c = <gamma, h>, and the loads read
     h = lambda K W x_{n-1} + f as f_gamma + lambda KG W x_{n-1}. The route
     refuses |lambda| beyond q / l, which guarantees geometric convergence; the
     difference norms become the iterate history, which stops once a
-    difference is at most prep.tol. The last c is the reported load vector.
+    difference is at most prep.tol max|x_n|. The last c is the reported load vector.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
@@ -315,7 +310,7 @@ def solve_successive(prep: Prepared, lam: float, q: float = 0.9, max_iter: int =
         delta = float(np.max(np.abs(x_next - x_prev)))
         history.append(delta)
         x_prev = x_next
-        if delta <= prep.tol:
+        if delta <= prep.tol * float(np.max(np.abs(x_next))):
             return _solution(prep, lam, x_prev, "successive", c, history=tuple(history))
     raise ConvergenceError(
         f"no convergence within {max_iter} iterations (last delta {history[-1]:.3e})"
@@ -451,8 +446,8 @@ def solve_auto(
     problem: ProblemSpec,
     kernel: DiscreteKernel,
     lam: float,
-    truncation: int = DEFAULT_TRUNCATION,
-    tol: float = 1e-10,
+    truncation: int = TRUNCATION,
+    tol: float = TOL,
 ) -> Solution:
     """solve_prepared on a fresh prepare(problem, kernel, truncation, tol)."""
     return solve_prepared(prepare(problem, kernel, truncation, tol), lam)

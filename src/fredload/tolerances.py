@@ -1,0 +1,33 @@
+"""Every threshold and shared numeric default of the package, one line each.
+
+Each comment says what the value is compared against, on the scale of the
+data it judges, so that f -> s f, (K, lambda) -> (s K, lambda / s) and
+(a_k, gamma_k) -> (s a_k, gamma_k / s) leave every route decision unchanged,
+as they leave the equation. A `1 +` floor stays only where the 1 is the size
+of I, E or the probe beside the term. The oracle keeps its own RCOND_LIMIT.
+"""
+
+import math
+
+NODES = 64  # default master node count, and integral_load's sub-rule
+TRUNCATION = 30  # default series depth: Taylor terms and nilpotency probe steps
+TOL = 1e-10  # default --tol: annihilation max_j |KG[k, j]| <= TOL ||gamma_k|| max|K|,
+# and the successive route's stop max|x_n - x_{n-1}| <= TOL max|x_n|
+Q = 0.9  # default: the successive route runs for |lambda| <= Q / l
+MAX_ITER = 200  # default iteration budget of the successive route
+ORACLE_THRESHOLD = 1e-6  # default: oracle-check fails above it times max(max|x_oracle|, max|f|)
+# (1 + |lambda| g) ||(I - lambda K W)^{-1}|| above it refuses lambda; an n x n singular
+# value sigma counts when COND_LIMIT sigma > max(sigma_max, scale) (numerical_rank).
+COND_LIMIT = 1e8
+IDENTITY_TOL = 1e-10  # A0 = E when max|E - A0| <= IDENTITY_TOL (1 + max|A0|)
+CONSISTENCY_TOL = 1e-10  # no solution: defect > it (||E - A0|| ||c|| + ||f_gamma||)
+POLE_COEFF_TOL = 1e-9  # pole order: first max|A~_m| > POLE_COEFF_TOL (1 + max_k max|A~_k|)
+RADIUS_Q = 0.9  # rho: the |lambda| at which the contraction bound q reaches RADIUS_Q
+NILPOTENT_TOL = 1e-10  # probe term Q_m = (K W / g)^m P is negligible when max|Q_m| <=
+COLLAPSE_RATIO = 1e-6  # NILPOTENT_TOL (1 + max|Q_1|) and <= COLLAPSE_RATIO max|Q_{m-1}|
+EIGEN_FLOOR = 1e-12  # find-poles drops eigenvalues |mu| <= EIGEN_FLOOR g of K W
+REAL_RATIO = 1e-9  # an eigenvalue cluster's mean is real when |Im| <= REAL_RATIO |mean|
+# Eigenvalues chained by steps <= CLUSTER_RADIUS sqrt(max|mu| max(|mu_i|, |mu_j|)) are
+# one; eigvals splits a defective double one by up to 5.3 sqrt(eps) max|mu|.
+CLUSTER_RADIUS = 16.0 * math.sqrt(math.ulp(1.0))
+NEWTON_TOL = 1e-15  # Gauss-Legendre nodes: Newton stops once max|dx| < NEWTON_TOL

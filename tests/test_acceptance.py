@@ -160,7 +160,7 @@ def test_criterion_06_nilpotent_polynomial_route():
         "t - 1/2", "1", [("0", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))]
     )
     kernel = fl.discretize(problem.kernel, problem.master_rule(64))
-    pnil = fl.nilpotency_index(kernel, 6, tol=1e-10)
+    pnil = fl.nilpotency_index(kernel, 6)
     ok = pnil == 1
     worst_err = 0.0
     worst_residual = 0.0

@@ -642,6 +642,13 @@ def test_non_finite_kernel_is_a_domain_error(write, capsys):
     assert "'log((t - s))'" in err
 
 
+def test_sweep_kernel_non_finite_at_a_probe_is_a_domain_error(write, capsys):
+    # log(t) is finite on the grid but not at t = 0, where x is unbounded.
+    path = write(REGULAR_FILE.replace("t*s + 0.5*(1-t)*(1-s)", "log(t)*s"))
+    assert main(["sweep", path, "--lambda-min", "0.1", "--lambda-max", "0.2", "--steps", "2"]) == 4
+    assert capsys.readouterr().err.startswith("error[domain-error]: ")
+
+
 def test_find_poles_rejects_one_scan_point(write, capsys):
     path = write(CONSTANT_KERNEL_FILE)
     rc = main(["find-poles", path, "--lambda-min", "0", "--lambda-max", "2", "--scan-points", "1"])
@@ -755,3 +762,43 @@ def test_kinked_load_route_and_oracle_agree(nodes, oracle_x_gamma, capsys):
     assert x_gammas[0] == pytest.approx(x_gammas[1], abs=1e-12)
     if nodes == "512":
         assert x_gammas[0] == pytest.approx(2.1711643, abs=1e-6)
+
+
+def test_nilpotency_probe_reads_no_user_tolerance(write, capsys):
+    # analyze and find-poles judge the probe by the same table entry, whatever
+    # --tol says (the eigenvalue 2e-7 beside the nilpotent part counts as zero).
+    text = (EXAMPLES / "nilpotent.prob").read_text().replace(
+        "kernel = t - 1/2", "kernel = (t - 1/2) + 1e-6*(6*t^2 - 6*t + 1)*(6*s^2 - 6*s + 1)")
+    path = write(text)
+    for tol in ("1e-10", "1e-14", "1e-20"):
+        assert main(["analyze", path, "--tol", tol]) == 0
+        assert "nilpotency index: 1\n" in capsys.readouterr().out
+        assert main(["find-poles", path, "--tol", tol,
+                     "--lambda-min", "-1e10", "--lambda-max", "1e10"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["lambda,abs_det_left,abs_det_right"]
+
+
+@pytest.mark.parametrize("source", ["1 + t - t^2", "1e-12*(1 + t - t^2)"])
+def test_oracle_check_bound_is_relative_at_every_scale(write, source, capsys):
+    # A loose successive stop leaves 1.9e-4 of disagreement at unit scale; a
+    # source 1e-12 times smaller must not pass on an absolute floor.
+    text = (EXAMPLES / "loaded_regular.prob").read_text().replace(
+        "source = 1 + t - t^2", f"source = {source}")
+    argv = ["oracle-check", write(text), "--route", "successive", "--tol", "1e-2",
+            "--lambda", "0.05", "--nodes", "64"]
+    assert main(argv) == 1
+    assert "exceeds threshold" in capsys.readouterr().err
+
+
+def test_sweep_reads_x_at_the_probes_through_the_nystrom_identity(capsys):
+    # x has a kink at 0.3; interpolating it through the nodes reads 2.2436589
+    # and 4.6065365 at the ends, where the converged values are these.
+    argv = ["sweep", str(EXAMPLES / "kinked_load.prob"), "--nodes", "64",
+            "--lambda-min", "0.2", "--lambda-max", "0.3", "--steps", "2"]
+    assert main(argv) == 0
+    header, first, _ = capsys.readouterr().out.splitlines()
+    assert header.startswith("lambda,x(0),x(0.5),x(1),")
+    values = [float(v) for v in first.split(",")[:4]]
+    assert values[0] == 0.2
+    assert values[1] == pytest.approx(2.2387437, abs=2e-4)
+    assert values[3] == pytest.approx(4.6087742, abs=5e-4)

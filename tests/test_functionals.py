@@ -251,3 +251,16 @@ def test_integral_term_validation():
         fl.IntegralTerm(0.5, 0.5, fl.parse("1", {"s"}), fl.gauss_legendre(4, 0.0, 1.0))
     with pytest.raises(ValueError):
         fl.IntegralTerm(0.0, 0.5, fl.parse("1", {"s"}), fl.gauss_legendre(4, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_condition_check_is_relative_to_the_load_and_the_kernel(scale):
+    # t - 1/2 at x(0) is -1/2 of max|K| = 1/2 on every scale: not annihilated,
+    # though an absolute floor of 1e-10 would call the 1e-12 kernel annihilated.
+    for kernel_scale, alpha in ((scale, 1.0), (1.0, scale)):
+        problem = make_problem(f"{kernel_scale!r}*(t - 1/2)", "1",
+                               [("0.3", fl.point_load(0.0, alpha))])
+        kernel = fl.discretize(problem.kernel, problem.master_rule(32))
+        (report,) = fl.check_condition_one(problem, kernel)
+        assert not report.holds
+        assert report.deviation == pytest.approx(0.5 * kernel_scale * alpha, rel=1e-12)

@@ -62,15 +62,15 @@ def test_iterate_zero_kernel():
 
 
 def test_nilpotency_index_centered():
-    assert fl.nilpotency_index(_kernel("t - 1/2"), 6, tol=1e-10) == 1
+    assert fl.nilpotency_index(_kernel("t - 1/2"), 6) == 1
 
 
 def test_nilpotency_index_absent_for_constant():
-    assert fl.nilpotency_index(_kernel("1"), 6, tol=1e-10) is None
+    assert fl.nilpotency_index(_kernel("1"), 6) is None
 
 
 def test_nilpotency_index_null_kernel():
-    assert fl.nilpotency_index(_kernel("0", nodes=8), 3, tol=1e-10) == 0
+    assert fl.nilpotency_index(_kernel("0", nodes=8), 3) == 0
 
 
 def _dense_nilpotency_index(kernel, depth, tol=1e-10):
@@ -104,7 +104,7 @@ def _dense_nilpotency_index(kernel, depth, tol=1e-10):
 def test_nilpotency_index_from_probe_matches_iterated_kernels(text, index):
     kernel = _kernel(text)
     assert _dense_nilpotency_index(kernel, 30) == index
-    assert fl.nilpotency_index(kernel, 30, tol=1e-10) == index
+    assert fl.nilpotency_index(kernel, 30) == index
 
 
 def test_nilpotency_index_of_examples_matches_iterated_kernels():
@@ -112,7 +112,7 @@ def test_nilpotency_index_of_examples_matches_iterated_kernels():
     for name, index in expected.items():
         kernel = _example_kernel(f"{name}.prob")
         assert _dense_nilpotency_index(kernel, 30) == index
-        assert fl.nilpotency_index(kernel, 30, tol=1e-10) == index
+        assert fl.nilpotency_index(kernel, 30) == index
 
 
 def test_scaled_powers_stay_bounded():
@@ -339,4 +339,4 @@ def test_nilpotency_index_is_none_on_overflowing_iterates():
         warnings.simplefilter("error")
         iterated = fl.iterate_kernels(kernel, 30)
         assert not np.all(np.isfinite(iterated.kernel(30)))
-        assert fl.nilpotency_index(kernel, 30, tol=1e-10) is None
+        assert fl.nilpotency_index(kernel, 30) is None

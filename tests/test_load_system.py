@@ -86,6 +86,16 @@ def test_zero_order_mixed_rank():
     assert isinstance(inconsistent, NoSolution)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_zero_order_consistency_is_judged_by_the_backward_error(scale):
+    # The verdict depends on f_gamma's direction, not its size.
+    a0 = np.array([[1.0, 0.0], [0.0, 0.5]])
+    consistent = solve_zero_order_system(a0, scale * np.array([0.0, 2.0]))
+    assert isinstance(consistent, NonUnique)
+    assert consistent.particular == pytest.approx([0.0, 4.0 * scale], rel=1e-12)
+    assert isinstance(solve_zero_order_system(a0, scale * np.array([1.0, 2.0])), NoSolution)
+
+
 def test_classify_cases():
     assert fl.classify(np.zeros((1, 1))).kind == "regular"
     assert fl.classify(np.eye(3)).kind == "irregular-identity"

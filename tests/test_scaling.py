@@ -1,0 +1,138 @@
+"""Rescalings that leave the equation unchanged leave the route unchanged.
+
+x - sum_k a_k <gamma_k, x> - lambda K x = f is unchanged by f -> s f (x
+scales by s), by (K, lambda) -> (s K, lambda / s) and by (a_k, gamma_k) ->
+(s a_k, gamma_k / s) on every load (the load vector scales by 1 / s). Every
+structural test is judged on the scale of its own data, so the CLI must take
+the same route and exit with the same code on each rescaled problem file.
+"""
+
+import contextlib
+import functools
+import io
+import pathlib
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fredload.cli import main
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
+
+# A nilpotent kernel far below unit size, read by a point load that does not
+# annihilate it: an absolute annihilation floor calls it annihilating.
+SMALL_KERNEL_FILE = """\
+interval = 0 1
+kernel = 1e-12*(t - 1/2)
+source = 1
+
+[load]
+coeff = 0.3
+point = 1 @ 0
+
+[numerics]
+lambda = 1e12
+"""
+
+PROBLEMS = {path.stem: path.read_text() for path in sorted(EXAMPLES.glob("*.prob"))}
+PROBLEMS["small_kernel"] = SMALL_KERNEL_FILE
+
+
+def rescale(text: str, symmetry: str, s: float) -> str:
+    """The problem file with one rescaling applied to its data."""
+    lines = []
+    for line in text.splitlines():
+        key, _, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
+        if (key, symmetry) in (("source", "f"), ("kernel", "K"), ("coeff", "loads")):
+            line = f"{key} = ({s!r})*({value})"
+        elif symmetry == "loads" and key == "point":
+            alpha, t0 = (part.strip() for part in value.split("@"))
+            line = f"point = {float(alpha) / s!r} @ {t0}"
+        elif symmetry == "loads" and key == "integral":
+            weight, interval = re.fullmatch(r"(.*\S)\s+on\s*(\[.*\])", value).groups()
+            line = f"integral = ({1.0 / s!r})*({weight}) on {interval}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def file_lambda(text: str) -> float:
+    return float(re.search(r"^lambda\s*=\s*(\S+)", text, re.MULTILINE).group(1))
+
+
+@functools.lru_cache(maxsize=None)
+def run_solve(text: str, lam: float, nodes: int, route: str, tmp: pathlib.Path):
+    """(exit code, route, x at the nodes, x_gamma) of `fredload solve`."""
+    path = tmp / "problem.prob"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path), "--lambda", repr(lam), "--nodes", str(nodes),
+                     "--route", route])
+    if code != 0:
+        return code, None, None, None
+    x = np.array([float(row.split(",")[1]) for row in out.getvalue().splitlines()[1:]])
+    summary = dict(line.split(": ", 1) for line in err.getvalue().splitlines())
+    x_gamma = np.array([float(v) for v in summary["x_gamma"].strip("[]").split(",")])
+    return code, summary["route"], x, x_gamma
+
+
+def assert_scaled(scaled, reference, factor):
+    assert np.max(np.abs(scaled - factor * reference)) <= 1e-9 * np.max(np.abs(factor * reference))
+
+
+def check_rescaled(text, lam, symmetry, s, nodes, route, tmp):
+    reference = run_solve(text, lam, nodes, route, tmp)
+    scaled_lam = lam / s if symmetry == "K" else lam
+    result = run_solve(rescale(text, symmetry, s), scaled_lam, nodes, route, tmp)
+    assert result[:2] == reference[:2]
+    if reference[0] == 0:
+        x_factor, gamma_factor = {"f": (s, s), "K": (1.0, 1.0), "loads": (1.0, 1.0 / s)}[symmetry]
+        assert_scaled(result[2], reference[2], x_factor)
+        assert_scaled(result[3], reference[3], gamma_factor)
+
+
+SCALES = st.sampled_from([1e-12, 1e-6, 1e6, 1e12])
+NODES = st.sampled_from([16, 32])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(PROBLEMS)), symmetry=st.sampled_from(["f", "K", "loads"]),
+       s=SCALES, nodes=NODES)
+def test_rescaled_problem_takes_the_same_route(tmp_path_factory, name, symmetry, s, nodes):
+    text, tmp = PROBLEMS[name], tmp_path_factory.getbasetemp()
+    check_rescaled(text, file_lambda(text), symmetry, s, nodes, "auto", tmp)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(s=SCALES, nodes=NODES)
+def test_successive_route_scales_with_the_source(tmp_path_factory, s, nodes):
+    # lambda 0.05 is inside the admissible bound q / l of loaded_regular.
+    tmp = tmp_path_factory.getbasetemp()
+    check_rescaled(PROBLEMS["loaded_regular"], 0.05, "f", s, nodes, "successive", tmp)
+
+
+def test_rescale_writes_each_symmetry():
+    # The property tests above would pass vacuously on a line rescale left alone.
+    text = ("kernel = t*s\nsource = 1\ncoeff = 0.2\npoint = 2 @ 0.25\n"
+            "integral = 1 + s on [0.1, 0.9]  # a comment\n")
+    assert rescale(text, "K", 1e6).splitlines()[0] == "kernel = (1000000.0)*(t*s)"
+    assert rescale(text, "f", 1e6).splitlines()[1] == "source = (1000000.0)*(1)"
+    assert rescale(text, "loads", 1e6).splitlines()[2:] == [
+        "coeff = (1000000.0)*(0.2)", "point = 2e-06 @ 0.25", "integral = (1e-06)*(1 + s) on [0.1, 0.9]"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND in CHANGES.md: the singular-value test of E - A0 changes its verdict "
+    "when one load alone is rescaled, (a_k, gamma_k) -> (s a_k, gamma_k / s)"))
+def test_one_rescaled_load_keeps_the_regular_route(tmp_path):
+    # det(E - A0) is 0.569, yet its singular values are 1.9e5 and 3.0e-6; the oracle
+    # calls its bordered system singular too.
+    text = PROBLEMS["loaded_regular"].replace("coeff = 0.3*t", "coeff = 0.3e6*t").replace(
+        "point = 2 @ 0.25", "point = 2e-6 @ 0.25")
+    reference = run_solve(PROBLEMS["loaded_regular"], 0.2, 32, "auto", tmp_path)
+    result = run_solve(text, 0.2, 32, "auto", tmp_path)
+    assert result[:2] == reference[:2] == (0, "regular")
+    assert_scaled(result[2], reference[2], 1.0)

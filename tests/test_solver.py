@@ -156,6 +156,21 @@ def test_successive_agrees_with_regular_on_loaded_problem():
     assert np.max(np.abs(iterative.x.values - direct.x.values)) <= 1e-7
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_successive_stop_is_relative_to_the_iterate(scale):
+    # An absolute stop ends a source of size 1e-12 after one iteration, 3% off.
+    problem = make_problem(
+        "t*s + 0.5*(1-t)*(1-s)", f"{scale!r}*(1 + t - t^2)",
+        [("0.3*t", fl.point_load(0.25, 2.0)),
+         ("0.2", fl.integral_load(0.1, 0.9, fl.parse("1 + s", {"s"})))],
+    )
+    prep = fl.prepare(problem, _discretized(problem))
+    iterative = fl.solve_successive(prep, 0.05)
+    direct = fl.solve_regular(prep, 0.05)
+    assert len(iterative.history) == 9
+    assert iterative.x_gamma == pytest.approx(direct.x_gamma, rel=1e-9)
+
+
 # -------------------------------------------------------------- nilpotent
 
 
@@ -168,7 +183,7 @@ def _centered_problem(coeff="0", source="1"):
 def test_nilpotent_exact_solution_all_lambdas():
     problem = _centered_problem()
     kernel = _discretized(problem)
-    assert fl.nilpotency_index(kernel, 5, tol=1e-10) == 1
+    assert fl.nilpotency_index(kernel, 5) == 1
     for lam in [0.0, 1.0, 10.0]:
         solution = fl.solve_nilpotent(fl.prepare(problem, kernel, 5), lam)
         expected = 1.0 + lam * (kernel.rule.nodes - 0.5)
