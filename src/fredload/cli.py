@@ -146,6 +146,8 @@ def _required_range(numerics: Numerics) -> tuple[float, float]:
         )
     if not lam_min < lam_max:
         raise ProblemFileError(f"need lambda_min < lambda_max, got [{lam_min}, {lam_max}]")
+    if not math.isfinite(lam_max - lam_min):
+        raise ProblemFileError(f"lambda_max - lambda_min overflows on [{lam_min}, {lam_max}]")
     return lam_min, lam_max
 
 
@@ -198,9 +200,8 @@ def _solution_summary(solution: Solution) -> None:
         f"residual: {_fmt(solution.residual)}",
         f"classification: {solution.classification.kind}",
     ]
-    if solution.pole_order is not None:
-        lines.append(f"pole order: {solution.pole_order}")
     if solution.expansion is not None:
+        lines.append(f"pole order: {solution.expansion.pole_order}")
         lines.append(f"contraction q at lambda: {_fmt(solution.expansion.q)}")
         lines.append(f"certified radius rho: {_fmt(solution.expansion.rho)}")
     if solution.history is not None:

@@ -1,5 +1,5 @@
 """Loads: linear functionals combining point evaluations and weighted
-integrals, applied to callables, grid functions, and kernel slices.
+integrals, applied to expressions, grid functions, and kernel slices.
 
 A load has the form
 
@@ -8,7 +8,8 @@ A load has the form
 Each integral term carries its own quadrature sub-rule because [a_i, b_i]
 generally does not line up with the master grid, so a load is the finite
 sum <gamma, x> = weights @ x(points) over its point values and sub-rule
-nodes (Functional.discrete), which apply, load_row and functional_norm read.
+nodes (Functional.discrete), which apply, kernel_slices and functional_norm
+read; a grid function is read between its nodes by quadrature.interp_row.
 
 The solver never applies a load to a grid function x, which may have a
 kink: by the Nystrom identity x = f + a c + lambda K W x, a load of x needs
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .expr import Expr, evaluate
-from .quadrature import GridFunction, QuadratureRule, _require_within, gauss_legendre, interp_matrix
+from .quadrature import GridFunction, QuadratureRule, gauss_legendre, interp_row
 from .tolerances import NODES, TOL
 
 if TYPE_CHECKING:
@@ -39,7 +40,6 @@ __all__ = [
     "point_load",
     "integral_load",
     "apply",
-    "load_row",
     "kernel_slices",
     "check_condition_one",
     "ConditionReport",
@@ -110,39 +110,12 @@ def integral_load(lower: float, upper: float, weight: Expr, nodes: int = NODES) 
     return Functional(point_terms=(), integral_terms=(term,))
 
 
-def _values_at(x, ts: np.ndarray) -> np.ndarray:
-    """x at the points ts: expressions in one vectorized evaluation, grid
-    functions by one interpolation matrix, other callables point by point."""
-    if isinstance(x, GridFunction):
-        return interp_matrix(x.rule, ts) @ x.values
-    if isinstance(x, Expr):
-        return np.broadcast_to(evaluate(x, {"t": ts}), ts.shape)
-    return np.asarray([x(t) for t in ts], dtype=float)
-
-
-def apply(gamma: Functional, x: Union[Callable[[float], float], GridFunction, Expr]) -> float:
+def apply(gamma: Functional, x: Union[Expr, GridFunction]) -> float:
     """Apply the load to x, weights @ x(points); grid functions are interpolated."""
     points, weights = gamma.discrete
-    return float(weights @ _values_at(x, points))
-
-
-def load_row(gamma: Functional, rule: QuadratureRule) -> np.ndarray:
-    """Grid weights v with <gamma, y> ~ v @ y(nodes) for y smooth between nodes.
-
-    With the load's points ts and weights c, and the rule's barycentric
-    weights b, v = c @ interp_matrix(rule, ts), summed without the matrix
-    in the Cauchy form v = b * (C^T (c / (C b))) with C_ij = 1 / (ts_i - x_j);
-    a point that hits a node exactly adds its weight to that node."""
-    ts, coeffs = gamma.discrete
-    _require_within(rule, ts)
-    nodes, bary = rule.nodes, rule.barycentric
-    at = np.minimum(np.searchsorted(nodes, ts), rule.n - 1)
-    hit = nodes[at] == ts
-    cauchy = np.subtract.outer(ts[~hit], nodes)
-    np.divide(1.0, cauchy, out=cauchy)
-    row = bary * ((coeffs[~hit] / (cauchy @ bary)) @ cauchy)
-    np.add.at(row, at[hit], coeffs[hit])
-    return row
+    if isinstance(x, GridFunction):
+        return float(interp_row(x.rule, points, weights) @ x.values)
+    return float(weights @ np.broadcast_to(evaluate(x, {"t": points}), points.shape))
 
 
 def kernel_slices(problem: "ProblemSpec", kernel: "DiscreteKernel") -> np.ndarray:
@@ -150,7 +123,8 @@ def kernel_slices(problem: "ProblemSpec", kernel: "DiscreteKernel") -> np.ndarra
     load rows times the kernel samples, built once per (problem, kernel), read-only."""
     return problem.on_grid(
         ("kernel_slices", kernel),
-        lambda: np.vstack([load_row(load.functional, kernel.rule) for load in problem.loads])
+        lambda: np.vstack([interp_row(kernel.rule, *load.functional.discrete)
+                           for load in problem.loads])
         @ kernel.values,
     )
 

@@ -171,7 +171,9 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
     The probe block P is solved alongside, and max_i ||Z_P[:, i]|| / ||P[:, i]||
     estimates ||(I - lambda K W)^{-1}|| from below (Dixon, SIAM J. Numer.
     Anal. 20, 1983). lambda is refused when LAPACK finds the matrix exactly
-    singular or when (1 + |lambda| g) times the estimate exceeds COND_LIMIT."""
+    singular or when (1 + |lambda| g) times the estimate exceeds COND_LIMIT or
+    is below 0.5 / sqrt(N): an exact solve gives at least 1 / sqrt(N), as
+    ||A||_2 <= sqrt(N) (1 + |lambda| g), so less means the LU lost every digit."""
     probe = _probe(kernel.rule.n)
     try:
         z = np.linalg.solve(kernel.system_matrix(lam), np.column_stack([rhs, probe]))
@@ -181,7 +183,8 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular solve: inf / nan
         growth = np.linalg.norm(z[:, width:], axis=0) / np.linalg.norm(probe, axis=0)
     inverse_norm = float(np.max(growth))
-    if not (1.0 + abs(lam) * kernel.norm) * inverse_norm <= COND_LIMIT:
+    condition = (1.0 + abs(lam) * kernel.norm) * inverse_norm
+    if not 0.5 / math.sqrt(kernel.rule.n) <= condition <= COND_LIMIT:
         raise CharacteristicNumberError(lam, inverse_norm)
     return z[:, :width]
 

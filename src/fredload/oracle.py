@@ -75,21 +75,27 @@ def dense_solve(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Sol
     for the probe columns P of the singularity test: four fixed-seed Gaussian
     columns, and the unit columns of the n load unknowns, whose small rows
     lambda KG W (w_j is about 1/N) a Gaussian column barely sees. M is
-    singular when LAPACK finds it so or when 1 / (||M|| ||M^{-1}||) is below
-    RCOND_LIMIT, both norms estimated from below by max_i ||M^{+-1} P_i|| / ||P_i||."""
+    singular when LAPACK finds it so or when 1 / (||M'|| ||M'^{-1}||) is below
+    RCOND_LIMIT, both norms estimated from below by max_i ||M'^{+-1} P_i|| / ||P_i||,
+    for M' = T^{-1} M T in load units, T = diag(1_N, ||gamma_k||) (1 for a null
+    load), which (a_k, gamma_k) -> (s a_k, gamma_k / s) leaves unchanged."""
     system = assemble_dense(problem, kernel, lam)
     size, n_nodes = system.rhs.size, kernel.rule.n
     probe = np.column_stack([np.random.default_rng(2024).standard_normal((size, 4)),
                              np.eye(size, problem.n, -n_nodes)])
     sizes = np.linalg.norm(probe, axis=0)
+    units = np.ones((size, 1))
+    units[n_nodes:, 0] = [np.sum(np.abs(gamma_weights(ld.functional)[1])) or 1.0
+                          for ld in problem.loads]
+    probe *= units
     try:
         solved = np.linalg.solve(system.matrix, np.column_stack([system.rhs, probe]))
     except np.linalg.LinAlgError:
         rcond = 0.0
     else:
         with np.errstate(all="ignore"):  # a near-singular solve: inf / nan
-            norm = np.max(np.linalg.norm(system.matrix @ probe, axis=0) / sizes)
-            rcond = 1.0 / (norm * np.max(np.linalg.norm(solved[:, 1:], axis=0) / sizes))
+            norm = np.max(np.linalg.norm(system.matrix @ probe / units, axis=0) / sizes)
+            rcond = 1.0 / (norm * np.max(np.linalg.norm(solved[:, 1:] / units, axis=0) / sizes))
     if not rcond >= RCOND_LIMIT:
         raise SingularLoadSystemError(
             f"dense system is singular at lambda={lam!r} (the loaded operator "

@@ -11,7 +11,6 @@ time; everything else lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -87,9 +86,9 @@ class ProblemSpec:
             for load in self.loads
         ]))
 
-    def on_grid(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    def on_grid(self, key: tuple, build) -> np.ndarray:
         """The lambda-independent grid array named by key, a (name, rule) or
-        (name, kernel) pair: build() on first use, then the same read-only array."""
+        (name, kernel) pair: what build() returns on first use, then the same read-only array."""
         value = self._on_grid.get(key)
         if value is None:
             value = build()

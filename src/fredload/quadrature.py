@@ -3,22 +3,21 @@
 This module is the single source of nodes, weights, numerical integration
 and off-node evaluation for the whole package. Nodes and weights are
 computed by Newton iteration on the Legendre recurrence; off-node values
-come from barycentric Lagrange interpolation (second form), which is the
-package's definition of "x(t) between nodes". Its weights have the closed
-form (-1)^j sqrt((1 - x_j^2) w_j) at the Gauss-Legendre nodes x_j with
-weights w_j on [-1, 1] (Wang and Xiang, Math. Comp. 81, 2012), which
-holds for every interval, as a common factor of the weights cancels.
+come from barycentric Lagrange interpolation, the package's definition of
+"x(t) between nodes", summed by interp_row in one Cauchy-form pass for any
+combination of points. Its weights have the closed form
+(-1)^j sqrt((1 - x_j^2) w_j) at the Gauss-Legendre nodes x_j with weights
+w_j on [-1, 1] (Wang and Xiang, Math. Comp. 81, 2012), which holds for
+every interval, as a common factor of the weights cancels.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainEvalError
 from .tolerances import NEWTON_TOL
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "integrate",
     "interpolate",
     "interp_weights",
-    "interp_matrix",
+    "interp_row",
 ]
 
 
@@ -134,47 +133,40 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     )
 
 
-def integrate(rule: QuadratureRule, f: Union[Callable[[float], float], GridFunction]) -> float:
+def integrate(rule: QuadratureRule, f: GridFunction) -> float:
     """Sum of w_i * f(t_i) over the rule's nodes."""
-    if isinstance(f, GridFunction):
-        if f.rule is not rule and not np.array_equal(f.rule.nodes, rule.nodes):
-            raise ValueError("grid function is sampled on a different rule")
-        values = f.values
-    else:
-        values = np.asarray([f(t) for t in rule.nodes], dtype=float)
-        if not np.all(np.isfinite(values)):
-            bad = rule.nodes[~np.isfinite(values)][0]
-            raise DomainEvalError(
-                f"integrand is non-finite at node t={bad!r}", f"t={bad!r}"
-            )
-    return float(np.dot(rule.weights, values))
+    if f.rule is not rule and not np.array_equal(f.rule.nodes, rule.nodes):
+        raise ValueError("grid function is sampled on a different rule")
+    return float(np.dot(rule.weights, f.values))
 
 
-def _require_within(rule: QuadratureRule, ts: np.ndarray) -> None:
-    """Raise ValueError naming the first of the points ts outside [a, b]."""
+def interp_row(rule: QuadratureRule, ts, coeffs) -> np.ndarray:
+    """Grid weights v with v @ y(nodes) = sum_i coeffs_i p(ts_i), p the
+    barycentric interpolant of y through the rule's nodes.
+
+    With the rule's barycentric weights b, v = b * (C^T (coeffs / (C b)))
+    with C_ij = 1 / (ts_i - x_j), the Cauchy form of the second barycentric
+    formula summed over the points without forming their rows; a point that
+    hits a node exactly adds its coefficient to that node. A point outside
+    [a, b] is a ValueError naming the first such point."""
+    ts, coeffs = np.asarray(ts, dtype=float), np.asarray(coeffs, dtype=float)
     outside = (ts < rule.a) | (ts > rule.b)
     if np.any(outside):
         t = float(ts[outside][0])
         raise ValueError(f"t={t!r} outside the interval [{rule.a!r}, {rule.b!r}]")
-
-
-def interp_matrix(rule: QuadratureRule, ts) -> np.ndarray:
-    """Matrix L with L @ values = interpolated values at the points ts:
-    barycentric second form, unit rows for exact node hits."""
-    ts = np.asarray(ts, dtype=float)
-    _require_within(rule, ts)
-    diff = ts[:, None] - rule.nodes
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    ratios = rule.barycentric / diff
-    on_node = np.any(hit, axis=1)
-    ratios[on_node] = hit[on_node]
-    return ratios / np.sum(ratios, axis=1, keepdims=True)
+    nodes, bary = rule.nodes, rule.barycentric
+    at = np.minimum(np.searchsorted(nodes, ts), rule.n - 1)
+    hit = nodes[at] == ts
+    cauchy = np.subtract.outer(ts[~hit], nodes)
+    np.divide(1.0, cauchy, out=cauchy)
+    row = bary * ((coeffs[~hit] / (cauchy @ bary)) @ cauchy)
+    np.add.at(row, at[hit], coeffs[hit])
+    return row
 
 
 def interp_weights(rule: QuadratureRule, t: float) -> np.ndarray:
     """Row vector L with L @ values = interpolated value at t."""
-    return interp_matrix(rule, [t])[0]
+    return interp_row(rule, [t], [1.0])
 
 
 def interpolate(g: GridFunction, t: float) -> float:

@@ -101,7 +101,6 @@ class Solution:
     route: str
     residual: float
     classification: Classification
-    pole_order: Optional[int] = None
     history: Optional[tuple[float, ...]] = None
     expansion: Optional[IrregularExpansion] = None
     note: Optional[str] = None
@@ -417,11 +416,10 @@ def solve_irregular(prep: Prepared, lam: float) -> Solution:
             f"(certified radius rho = {laurent.rho:.6g})"
         )
     _, rhs, basis = assemble_lambda_system(prep.problem, prep.kernel, lam, prep.f_gamma)
-    pole = laurent.pole_order
-    x_gamma = -np.linalg.solve(a_p + b_mat, rhs) / (lam * laurent.growth) ** pole
+    x_gamma = -np.linalg.solve(a_p + b_mat, rhs) / (lam * laurent.growth) ** laurent.pole_order
     values = basis @ np.append(x_gamma, 1.0)
     expansion = IrregularExpansion(**vars(laurent), q=q_at)
-    return _solution(prep, lam, values, "irregular", x_gamma, pole_order=pole, expansion=expansion)
+    return _solution(prep, lam, values, "irregular", x_gamma, expansion=expansion)
 
 
 def solve_prepared(prep: Prepared, lam: float) -> Solution:

@@ -61,7 +61,7 @@ def test_criterion_01_golden_identity_example(tmp_path, capsys):
         x0 = fl.interpolate(solution.x, 0.0)
         worst_value = max(worst_value, abs(x0 - _golden_closed_form(float(lam))))
         worst_residual = max(worst_residual, solution.residual)
-        assert solution.pole_order == 1
+        assert solution.expansion.pole_order == 1
     ok = analyze_ok and worst_value <= 1e-6 and worst_residual <= 1e-6
     _report(
         1,
@@ -261,7 +261,7 @@ def test_criterion_10_quadrature_and_parser_units():
         rule = fl.gauss_legendre(m, 0.0, 1.0)
         for k in range(2 * m):
             exact = 1.0 / (k + 1)
-            got = fl.integrate(rule, lambda t, k=k: t**k)
+            got = fl.integrate(rule, fl.GridFunction(rule, rule.nodes**k))
             rel = abs(got - exact) / abs(exact)
             worst = max(worst, rel)
             quad_ok = quad_ok and rel <= 1e-12

@@ -553,6 +553,30 @@ def test_solve_route_failures_exit_3_with_code(write, lam, code, capsys):
     assert captured.err.startswith(f"error[{code}]: ")
 
 
+@pytest.mark.parametrize("lam", ["1e200", "1e300"])
+def test_lambda_whose_solve_loses_every_digit_is_refused(lam, capsys):
+    # The LU returns all-zero probe images here, an estimate below the
+    # 1 / sqrt(N) of every exact solve; accepted, it gave a residual of 6.7e284.
+    rc = main(["solve", str(EXAMPLES / "loaded_regular.prob"), "--nodes", "8", "--lambda", lam])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error[characteristic-number]: ")
+
+
+@pytest.mark.parametrize("command", ["sweep", "find-poles"])
+def test_lambda_range_wider_than_the_float_range_is_a_parse_error(command, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, str(EXAMPLES / "loaded_regular.prob"), "--nodes", "8",
+                   "--lambda-min", "-1e308", "--lambda-max", "1e308"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    message = "lambda_max - lambda_min overflows on [-1e+308, 1e+308]"
+    assert captured.err == f"error[parse-error]: {message}\n"
+
+
 def test_sweep_rows_name_route_failures(write, capsys):
     rc = main([
         "sweep", write(HALF_POINT_LOAD_FILE),

@@ -1,6 +1,6 @@
 """Loads: application, kernel-slice application, annihilation check."""
 
-import math
+import re
 
 import numpy as np
 import pytest
@@ -8,19 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredload as fl
-from fredload.functionals import load_row
-from fredload.quadrature import interp_matrix
-from util import make_problem, poly_integral
+from fredload.quadrature import interp_row
+from util import make_problem, poly_integral, poly_text
+
+T = {"t"}
 
 
 def test_point_eval_on_square():
     gamma = fl.point_load(0.0)
-    assert fl.apply(gamma, lambda t: t**2) == 0.0
+    assert fl.apply(gamma, fl.parse("t^2", T)) == 0.0
 
 
 def test_unit_integral_of_one():
     gamma = fl.integral_load(0.0, 1.0, fl.parse("1", {"s"}))
-    assert fl.apply(gamma, lambda t: 1.0) == pytest.approx(1.0, abs=1e-13)
+    assert fl.apply(gamma, fl.parse("1", T)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_mixed_load_closed_form():
@@ -34,7 +35,7 @@ def test_mixed_load_closed_form():
     )
     expected = 1.0 + poly_integral([0.0, 0.0, 1.0], 0.0, 0.5)
     assert expected == pytest.approx(1.0 + 1.0 / 24.0, abs=1e-16)
-    assert fl.apply(gamma, lambda t: t) == pytest.approx(expected, abs=1e-14)
+    assert fl.apply(gamma, fl.parse("t", T)) == pytest.approx(expected, abs=1e-14)
 
 
 def test_linearity():
@@ -56,7 +57,7 @@ def test_linearity():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_grid_and_callable_agree_for_smooth_x():
+def test_grid_and_expression_agree_for_smooth_x():
     rule = fl.gauss_legendre(64, 0.0, 1.0)
     gamma = fl.Functional(
         point_terms=(fl.PointTerm(1.0, 0.3),),
@@ -65,7 +66,7 @@ def test_grid_and_callable_agree_for_smooth_x():
         ),
     )
     g = fl.GridFunction(rule, np.exp(rule.nodes))
-    assert fl.apply(gamma, g) == pytest.approx(fl.apply(gamma, math.exp), abs=1e-8)
+    assert fl.apply(gamma, g) == pytest.approx(fl.apply(gamma, fl.parse("exp(t)", T)), abs=1e-8)
 
 
 def _kernel(text, nodes=32):
@@ -149,7 +150,7 @@ def test_kernel_slices_match_exact_application(k_text):
     slices = fl.kernel_slices(problem, kernel)
     for j in (0, 17, 63):
         s_j = float(rule.nodes[j])
-        k_slice = lambda t: float(fl.evaluate(problem.kernel, {"t": t, "s": s_j}))  # noqa: E731
+        k_slice = fl.parse(re.sub(r"\bs\b", f"({s_j!r})", k_text), T)
         for name, gamma, value in zip(cases, cases.values(), slices[:, j]):
             assert value == pytest.approx(fl.apply(gamma, k_slice), abs=1e-13), name
 
@@ -181,26 +182,20 @@ def _load_on(draw, rule):
 @pytest.mark.parametrize("nodes", [1, 2, 16, 512])
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
-def test_load_row_is_the_interpolation_matrix_product(nodes, data):
-    # The load row sums coeffs @ interp_matrix(rule, ts) without forming the
-    # matrix; every kernel slice KG is built from it.
+def test_interp_row_matches_exact_values(nodes, data):
+    # A polynomial of degree < N is its own interpolant, so the load row on its
+    # node values gives the load applied to its expression, which evaluates it
+    # at the load's points with no barycentric weights; a node hit is a unit row.
     rule = fl.gauss_legendre(nodes, -0.5, 1.75)
     gamma = data.draw(_load_on(rule))
-    ts = [p.t0 for p in gamma.point_terms]
-    coeffs = [p.alpha for p in gamma.point_terms]
-    for term in gamma.integral_terms:
-        ts.extend(term.rule.nodes)
-        coeffs.extend(term.rule.weights * (1.0 + term.rule.nodes**2))
-    matrix = interp_matrix(rule, ts)
-    reference = np.asarray(coeffs) @ matrix
-    scale = np.max(np.abs(coeffs) @ np.abs(matrix))
-    assert np.max(np.abs(load_row(gamma, rule) - reference)) <= 1e-13 * scale
-
-
-def test_load_row_rejects_a_point_outside_the_rule():
-    rule = fl.gauss_legendre(8, 0.0, 1.0)
-    with pytest.raises(ValueError, match=r"t=1.5 outside the interval \[0.0, 1.0\]"):
-        load_row(fl.point_load(1.5), rule)
+    coeffs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=min(nodes, 12)))
+    poly = fl.parse(poly_text(coeffs, "u").replace("u", "((t - 0.625)/1.125)"), T)
+    values = np.broadcast_to(fl.evaluate(poly, {"t": rule.nodes}), rule.nodes.shape)
+    got = interp_row(rule, *gamma.discrete) @ values
+    scale = fl.functional_norm(gamma) * max(np.max(np.abs(values)), 1e-300)
+    assert abs(got - fl.apply(gamma, poly)) <= 1e-13 * scale
+    i, alpha = data.draw(st.integers(0, nodes - 1)), data.draw(st.floats(-2.0, 2.0))
+    assert np.array_equal(interp_row(rule, [rule.nodes[i]], [alpha]), alpha * np.eye(nodes)[i])
 
 
 def test_kernel_slices_built_once_per_problem_and_kernel():

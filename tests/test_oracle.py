@@ -134,6 +134,18 @@ def test_dense_solve_refuses_by_its_own_condition_estimate(monkeypatch):
     assert calls == []
 
 
+def test_dense_solve_takes_a_null_load_in_unit_size():
+    # The singularity test works in load units ||gamma_k||; a load with zero
+    # weights has none, and must not make the bordered system singular.
+    problem = make_problem("t*s + 0.5*(1-t)*(1-s)", "1 + t - t^2",
+                           [("0.3*t", fl.point_load(0.25, alpha=0.0))])
+    kernel = fl.discretize(problem.kernel, problem.master_rule(16))
+    solution = fl.dense_solve(problem, kernel, 0.2)
+    assert solution.x_gamma == pytest.approx([0.0], abs=1e-15)
+    route = fl.solve_auto(problem, kernel, 0.2)
+    assert np.max(np.abs(solution.x.values - route.x.values)) <= 1e-12
+
+
 _SMOOTH_KERNELS = ("exp({0}*t*s)", "cos({0}*(t + s))", "1/(1 + {0}*(t - s)^2)", "({0})*t*s - s^2")
 
 

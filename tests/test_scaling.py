@@ -114,6 +114,24 @@ def test_successive_route_scales_with_the_source(tmp_path_factory, s, nodes):
     check_rescaled(PROBLEMS["loaded_regular"], 0.05, "f", s, nodes, "successive", tmp)
 
 
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_oracle_verdict_survives_rescaled_loads(tmp_path, name):
+    # The oracle judges its bordered system in load units, so its singularity
+    # verdict, and with it the exit code, ignores (a_k, gamma_k) -> (s a_k, gamma_k / s).
+    def oracle_check(text, nodes):
+        path = tmp_path / "problem.prob"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["oracle-check", str(path), "--lambda", "0.2", "--nodes", str(nodes)])
+
+    text = PROBLEMS[name]
+    for nodes in (16, 32, 64):
+        expected = oracle_check(text, nodes)
+        assert expected == (2 if name == "no_solution" else 0)
+        for s in (1e-12, 1e12):
+            assert oracle_check(rescale(text, "loads", s), nodes) == expected, (nodes, s)
+
+
 def test_rescale_writes_each_symmetry():
     # The property tests above would pass vacuously on a line rescale left alone.
     text = ("kernel = t*s\nsource = 1\ncoeff = 0.2\npoint = 2 @ 0.25\n"
@@ -128,8 +146,8 @@ def test_rescale_writes_each_symmetry():
     "FOUND in CHANGES.md: the singular-value test of E - A0 changes its verdict "
     "when one load alone is rescaled, (a_k, gamma_k) -> (s a_k, gamma_k / s)"))
 def test_one_rescaled_load_keeps_the_regular_route(tmp_path):
-    # det(E - A0) is 0.569, yet its singular values are 1.9e5 and 3.0e-6; the oracle
-    # calls its bordered system singular too.
+    # det(E - A0) is 0.569, yet its singular values are 1.9e5 and 3.0e-6; the oracle,
+    # which judges its bordered system in load units, solves this file.
     text = PROBLEMS["loaded_regular"].replace("coeff = 0.3*t", "coeff = 0.3e6*t").replace(
         "point = 2 @ 0.25", "point = 2e-6 @ 0.25")
     reference = run_solve(PROBLEMS["loaded_regular"], 0.2, 32, "auto", tmp_path)

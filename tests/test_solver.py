@@ -232,7 +232,7 @@ def test_route_agreement_nilpotent_regular_successive():
 def test_irregular_golden_closed_form():
     problem, kernel = golden_identity_problem()
     solution = fl.solve_irregular(fl.prepare(problem, kernel), 0.25)
-    assert solution.pole_order == 1
+    assert solution.expansion.pole_order == 1
     assert np.max(np.abs(solution.x.values + 4.0)) <= 1e-9
     assert fl.interpolate(solution.x, 0.0) == pytest.approx(-4.0, abs=1e-9)
     assert solution.residual <= 1e-9
@@ -255,7 +255,7 @@ def test_irregular_general_family_closed_form():
     t = kernel.rule.nodes
     for lam in [0.05, 0.1, 0.15, 0.2, 0.24]:
         solution = fl.solve_irregular(fl.prepare(problem, kernel), lam)
-        assert solution.pole_order == 1
+        assert solution.expansion.pole_order == 1
         x0 = (1.0 / am) * (-1.0 / lam - fm + bm)
         expected = (1 + t**2) - (1 + t / 2) * 1.0 + (1 + t) * x0
         assert np.max(np.abs(solution.x.values - expected)) <= 1e-6
@@ -338,7 +338,7 @@ def test_irregular_pole_order_does_not_depend_on_kernel_scale(c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solution = fl.solve_irregular(fl.prepare(problem, kernel), lam)
-    assert solution.pole_order == 1
+    assert solution.expansion.pole_order == 1
     assert solution.expansion.growth == pytest.approx(c, rel=1e-14)
     assert solution.x.values == pytest.approx(np.full(64, -1.0 / (c * lam)), rel=1e-9)
 
@@ -354,7 +354,7 @@ def test_irregular_reports_overflowing_taylor_coefficients():
             fl.solve_irregular(fl.prepare(problem, kernel, depth), 1e-13) for depth in (30, 20)
         ]
     for solution in solutions:
-        assert solution.pole_order == 1
+        assert solution.expansion.pole_order == 1
         assert solution.x.values == pytest.approx(np.full(64, -10.0), rel=1e-12)
 
 
