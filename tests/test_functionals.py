@@ -198,6 +198,15 @@ def test_interp_row_matches_exact_values(nodes, data):
     assert np.array_equal(interp_row(rule, [rule.nodes[i]], [alpha]), alpha * np.eye(nodes)[i])
 
 
+def test_load_row_rejects_a_point_outside_the_rule():
+    # The load's row on a rule is read through interp_row, which names the point.
+    rule = fl.gauss_legendre(8, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"t=1.5 outside the interval \[0.0, 1.0\]"):
+        interp_row(rule, *fl.point_load(1.5).discrete)
+    with pytest.raises(ValueError, match=r"t=1.5 outside the interval \[0.0, 1.0\]"):
+        fl.apply(fl.point_load(1.5), fl.GridFunction(rule, np.ones(8)))
+
+
 def test_kernel_slices_built_once_per_problem_and_kernel():
     problem = make_problem("exp(t*s)", "1",
                            [("1", fl.point_load(0.4)), ("t", fl.point_load(0.9))])
