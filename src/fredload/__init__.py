@@ -38,7 +38,6 @@ from .functionals import (
 )
 from .kernel_ops import (
     DiscreteKernel,
-    IteratedKernels,
     discretize,
     find_characteristic_numbers,
     iterate_kernels,
@@ -49,9 +48,6 @@ from .kernel_ops import (
 )
 from .load_system import (
     Classification,
-    NonUnique,
-    NoSolution,
-    UniqueLoads,
     A_lambda,
     assemble_A0,
     assemble_f_gamma,
@@ -75,7 +71,6 @@ from .solver import (
     Prepared,
     Solution,
     prepare,
-    residual,
     solve_auto,
     solve_irregular,
     solve_nilpotent,

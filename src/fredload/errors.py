@@ -43,11 +43,12 @@ class CharacteristicNumberError(FredloadError):
     exceeds kernel_ops.COND_LIMIT, or the estimate is below the 0.5 / sqrt(N)
     every exact solve reaches (a |lambda| so large the LU loses every digit).
     Carries the estimate of ||(I - lambda K W)^{-1}|| (inf when LAPACK finds
-    it exactly singular)."""
+    it exactly singular); `reason` says which."""
 
-    def __init__(self, lam: float, inverse_norm: float):
+    def __init__(self, lam: float, inverse_norm: float,
+                 reason: str = "is too close to a characteristic number"):
         super().__init__(
-            f"lambda={lam!r} is too close to a characteristic number "
+            f"lambda={lam!r} {reason} "
             f"(estimated ||(I - lambda K W)^{{-1}}|| = {inverse_norm:.3e})"
         )
         self.lam = lam

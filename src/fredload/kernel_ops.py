@@ -9,10 +9,9 @@ lambda * G W y, one solve with those right-hand sides, and its Taylor
 series only the scaled column powers (K W / g)^m y. Probe columns in that
 same solve, drawn once per N, estimate the condition of I - lambda K W,
 which decides whether lambda is too close to a characteristic number.
-The determinant of the
-discretized operator stands in for the Fredholm denominator; its zeros,
-the characteristic numbers, are the reciprocals of the real eigenvalues of
-K W.
+The determinant of the discretized operator stands in for the Fredholm
+denominator; its zeros, the characteristic numbers, are the reciprocals of
+the real eigenvalues of K W.
 """
 
 from __future__ import annotations
@@ -184,7 +183,11 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
         growth = np.linalg.norm(z[:, width:], axis=0) / np.linalg.norm(probe, axis=0)
     inverse_norm = float(np.max(growth))
     condition = (1.0 + abs(lam) * kernel.norm) * inverse_norm
-    if not 0.5 / math.sqrt(kernel.rule.n) <= condition <= COND_LIMIT:
+    if condition < 0.5 / math.sqrt(kernel.rule.n):
+        reason = (f"makes the solve of I - lambda K W lose every digit: (1 + |lambda| g) "
+                  f"times the estimate is below 0.5 / sqrt({kernel.rule.n})")
+        raise CharacteristicNumberError(lam, inverse_norm, reason)
+    if not condition <= COND_LIMIT:
         raise CharacteristicNumberError(lam, inverse_norm)
     return z[:, :width]
 

@@ -15,18 +15,22 @@ A(lambda) = lambda KG W (a + Z_a) and b(lambda) = f_gamma + lambda KG W (f + Z_f
 The lambda factor is kept inside A so that A(0) = 0 exactly and its Taylor
 coefficients are A_m = KG W (K W)^{m-1} a, kept scaled as A~_m = A_m / g^m
 (taylor_A) and built from the column recurrence (K W / g)^m a, so no N x N
-iterated kernel is formed.
+iterated kernel is formed. Whether an n x n load matrix M is singular,
+negligible or contractive is judged on U^{-1} M U in the load units
+U = diag(||gamma_k||), rounded to powers of two (load_units, in_load_units),
+which rescaling one load leaves alone; the solves use M itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Union
+from typing import Optional
 
 import numpy as np
 
 from . import functionals
+from .errors import NoSolutionError
 from .kernel_ops import DiscreteKernel, resolvent_images, scaled_powers, series_scale
 from .problem import Load, ProblemSpec
 from .tolerances import COND_LIMIT, CONSISTENCY_TOL, IDENTITY_TOL
@@ -35,9 +39,8 @@ __all__ = [
     "ProblemSpec",
     "Load",
     "Classification",
-    "UniqueLoads",
-    "NoSolution",
-    "NonUnique",
+    "load_units",
+    "in_load_units",
     "assemble_A0",
     "assemble_f_gamma",
     "assemble_lambda_system",
@@ -107,51 +110,52 @@ def taylor_A(problem: ProblemSpec, kernel: DiscreteKernel, depth: int) -> list[n
     return [weighted @ y for y in chain([coeffs], scaled_powers(kernel, coeffs, depth - 1))]
 
 
-@dataclass(frozen=True)
-class UniqueLoads:
-    c: np.ndarray
+def load_units(problem: ProblemSpec) -> np.ndarray:
+    """The load units u_k = ||gamma_k|| (functional_norm; 1 for a null load)
+    rounded to a power of two, so that in_load_units is exact. Rescaling one
+    load, (a_k, gamma_k) -> (s a_k, gamma_k / s), scales u_k, c_k and row and
+    column k of every n x n load matrix alike, up to that rounding."""
+    norms = [functionals.functional_norm(load.functional) or 1.0 for load in problem.loads]
+    return np.ldexp(1.0, np.round(np.log2(norms)).astype(int))
 
 
-@dataclass(frozen=True)
-class NoSolution:
-    """The right-hand side is not in the range of E - A0: no continuous
-    solution of the equation exists."""
-
-    defect: float
+def in_load_units(matrix: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """U^{-1} M U for U = diag(units): an n x n load matrix in load units, where
+    every decision on it is made. Products by powers of two are exact."""
+    return matrix * (units / units[:, None])
 
 
-@dataclass(frozen=True)
-class NonUnique:
-    """E - A0 is singular but consistent: any particular + null-space
-    combination satisfies the system."""
+def solve_zero_order_system(
+    A0: np.ndarray, f_gamma: np.ndarray, units: np.ndarray
+) -> tuple[np.ndarray, Optional[str]]:
+    """(c, note) for (E - A0) c = f_gamma, judged in load units (in_load_units).
 
-    particular: np.ndarray
-    nullspace: np.ndarray  # columns span the null space
-
-
-ZeroOrderOutcome = Union[UniqueLoads, NoSolution, NonUnique]
-
-def solve_zero_order_system(A0: np.ndarray, f_gamma: np.ndarray) -> ZeroOrderOutcome:
-    """Solve (E - A0) c = f_gamma, classifying the outcome.
-
-    Singular-but-consistent systems return the minimum-norm particular
-    solution together with an orthonormal null-space basis; inconsistent
-    ones (normwise backward error above CONSISTENCY_TOL) report the defect.
+    Full rank: c by one solve of the raw system, and no note. Otherwise c is
+    the minimum-norm solution in load units, with a note, and NoSolutionError
+    is raised when it is inconsistent (normwise backward error above
+    CONSISTENCY_TOL): the equation then has no continuous solution.
     """
     n = A0.shape[0]
     system = np.eye(n) - A0
-    rank = numerical_rank(system)
+    scaled = in_load_units(system, units)
+    rank = numerical_rank(scaled)
     if rank == n:
-        return UniqueLoads(c=np.linalg.solve(system, f_gamma))
-    u, sing, vt = np.linalg.svd(system)
+        return np.linalg.solve(system, f_gamma), None
+    rhs = f_gamma / units
+    u, sing, vt = np.linalg.svd(scaled)
     inv_sing = np.zeros_like(sing)
     inv_sing[:rank] = 1.0 / sing[:rank]
-    particular = vt.T @ (inv_sing * (u.T @ f_gamma))
-    defect = float(np.linalg.norm(system @ particular - f_gamma, np.inf))
-    scale = np.linalg.norm(system, np.inf) * np.linalg.norm(particular, np.inf)
-    if defect > CONSISTENCY_TOL * float(scale + np.linalg.norm(f_gamma, np.inf)):
-        return NoSolution(defect=defect)
-    return NonUnique(particular=particular, nullspace=vt[rank:].T.copy())
+    particular = vt.T @ (inv_sing * (u.T @ rhs))
+    defect = float(np.linalg.norm(scaled @ particular - rhs, np.inf))
+    scale = np.linalg.norm(scaled, np.inf) * np.linalg.norm(particular, np.inf)
+    if defect > CONSISTENCY_TOL * float(scale + np.linalg.norm(rhs, np.inf)):
+        raise NoSolutionError(
+            "the loads annihilate the kernel and the zero-order load "
+            "system is inconsistent: the equation has no solution in "
+            "the class of continuous functions"
+        )
+    note = "load system singular but consistent; minimum-norm load vector used"
+    return units * particular, note
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,8 @@ class Classification:
 def classify(A0: np.ndarray) -> Classification:
     """Regular when E - A0 has full numerical rank; the identity case
     A0 = E gets its own label; a singular E - A0 with A0 != E is not
-    handled by any route in this package. det is for display only."""
+    handled by any route in this package. det is for display only.
+    prepare passes A0 in load units (in_load_units)."""
     n = A0.shape[0]
     system = np.eye(n) - A0
     det = float(np.linalg.det(system))

@@ -104,4 +104,6 @@ def dense_solve(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Sol
     values = solved[:, 0].copy()  # a view would keep the probe images alive
     residual = float(np.max(np.abs(system.matrix @ values - system.rhs)))
     x = GridFunction(kernel.rule, values[:n_nodes])
-    return Solution(lam, x, values[n_nodes:], "oracle", residual, classify(system.a0))
+    loads = units[n_nodes:, 0]
+    classification = classify(system.a0 * (loads / loads[:, None]))  # T^{-1} A0 T
+    return Solution(lam, x, values[n_nodes:], "oracle", residual, classification)

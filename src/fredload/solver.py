@@ -33,24 +33,18 @@ from typing import Optional
 import numpy as np
 
 from . import functionals
-from .errors import (
-    ConvergenceError,
-    NoSolutionError,
-    RoutePreconditionError,
-    SingularLoadSystemError,
-)
+from .errors import ConvergenceError, RoutePreconditionError, SingularLoadSystemError
 from .functionals import ConditionReport, kernel_slices
-from .kernel_ops import DiscreteKernel, discretize, nilpotency_index, series_scale
+from .kernel_ops import DiscreteKernel, nilpotency_index, series_scale
 from .load_system import (
     Classification,
-    NonUnique,
-    NoSolution,
     ProblemSpec,
-    ZeroOrderOutcome,
     assemble_A0,
     assemble_f_gamma,
     assemble_lambda_system,
     classify,
+    in_load_units,
+    load_units,
     numerical_rank,
     solve_zero_order_system,
     taylor_A,
@@ -69,7 +63,6 @@ __all__ = [
     "solve_irregular",
     "solve_prepared",
     "solve_auto",
-    "residual",
     "successive_bound",
     "pole_order",
 ]
@@ -78,7 +71,8 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class Laurent:
     """Laurent data at lambda = 0 for A0 = E: pole order p, g = series_scale(K),
-    the scaled coefficients A~_p..A~_M (A_m = g^m A~_m) and the certified radius."""
+    the scaled coefficients A~_p..A~_M (A_m = g^m A~_m) and the certified
+    radius, found from A~_p^{-1} A~_m in load units."""
 
     pole_order: int
     growth: float
@@ -109,10 +103,11 @@ class Solution:
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """What the routes need that does not depend on lambda, for one problem
-    on one grid: A0, f_gamma, the classification of A0 and the per-load
-    annihilation reports at `tol`. The zero-order outcome, the nilpotency
-    index, the Taylor coefficients up to `truncation` and the Laurent data
-    are computed on first use, so a regular solve never forms them."""
+    on one grid: A0, f_gamma, the load units (load_units) in which every
+    n x n decision reads its matrix, the classification of A0 and the
+    per-load annihilation reports at `tol`. The zero-order outcome, the
+    nilpotency index, the Taylor coefficients up to `truncation` and the
+    Laurent data are computed on first use, so a regular solve never forms them."""
 
     problem: ProblemSpec
     kernel: DiscreteKernel
@@ -120,6 +115,7 @@ class Prepared:
     tol: float
     A0: np.ndarray
     f_gamma: np.ndarray
+    units: np.ndarray
     classification: Classification
     reports: tuple[ConditionReport, ...]
 
@@ -129,9 +125,10 @@ class Prepared:
         return all(r.holds for r in self.reports)
 
     @cached_property
-    def zero_order(self) -> ZeroOrderOutcome:
-        """(E - A0) c = f_gamma, which decides solvability under annihilating loads."""
-        return solve_zero_order_system(self.A0, self.f_gamma)
+    def zero_order(self) -> tuple[np.ndarray, Optional[str]]:
+        """(c, note) of (E - A0) c = f_gamma, which decides solvability under
+        annihilating loads: NoSolutionError when it is inconsistent."""
+        return solve_zero_order_system(self.A0, self.f_gamma, self.units)
 
     @cached_property
     def nilpotency(self) -> Optional[int]:
@@ -144,8 +141,8 @@ class Prepared:
 
     @cached_property
     def pole(self) -> tuple[Optional[int], float]:
-        """(p, reference) of pole_order on the Taylor coefficients."""
-        return pole_order(self.taylor)
+        """(p, reference) of pole_order on the Taylor coefficients in load units."""
+        return pole_order([in_load_units(a_m, self.units) for a_m in self.taylor])
 
     @cached_property
     def laurent(self) -> Laurent:
@@ -163,12 +160,12 @@ class Prepared:
             )
         coefficients = tuple(self.taylor[pole - 1 :])
         a_p = coefficients[0]
-        if numerical_rank(a_p, reference) < len(a_p):
+        if numerical_rank(in_load_units(a_p, self.units), reference) < len(a_p):
             raise RoutePreconditionError(
                 f"the leading coefficient matrix A_{pole} of the load coupling "
                 "is singular; the pole expansion does not apply"
             )
-        solved = (np.linalg.solve(a_p, a_m) for a_m in coefficients[1:])
+        solved = (in_load_units(np.linalg.solve(a_p, a_m), self.units) for a_m in coefficients[1:])
         radius = _contraction_radius([float(np.linalg.norm(c, np.inf)) for c in solved])
         growth = series_scale(self.kernel)
         return Laurent(pole, growth, coefficients, radius / growth)
@@ -194,25 +191,10 @@ def prepare(
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     reports = tuple(functionals.check_condition_one(problem, kernel, tol))
-    A0 = assemble_A0(problem)
-    return Prepared(
-        problem, kernel, truncation, tol, A0, assemble_f_gamma(problem), classify(A0), reports
-    )
-
-
-def _zero_order_loads(prep: Prepared) -> tuple[np.ndarray, Optional[str]]:
-    """The load vector from prep.zero_order and a note if it is not unique."""
-    outcome = prep.zero_order
-    if isinstance(outcome, NoSolution):
-        raise NoSolutionError(
-            "the loads annihilate the kernel and the zero-order load "
-            "system is inconsistent: the equation has no solution in "
-            "the class of continuous functions"
-        )
-    if isinstance(outcome, NonUnique):
-        note = "load system singular but consistent; minimum-norm load vector used"
-        return outcome.particular, note
-    return outcome.c, None
+    A0, units = assemble_A0(problem), load_units(problem)
+    classification = classify(in_load_units(A0, units))
+    return Prepared(problem, kernel, truncation, tol, A0, assemble_f_gamma(problem), units,
+                    classification, reports)
 
 
 def _defect(prep: Prepared, lam: float, x: np.ndarray, c: np.ndarray) -> float:
@@ -233,17 +215,11 @@ def _solution(prep: Prepared, lam: float, values: np.ndarray, route: str, c: np.
     return Solution(lam, x, c, route, _defect(prep, lam, values, c), prep.classification, **extra)
 
 
-def residual(problem: ProblemSpec, solution: Solution) -> float:
-    """Max-norm defect of the bordered system at the solution's grid
-    function and load vector, on a fresh analysis of the problem."""
-    kernel = discretize(problem.kernel, solution.x.rule)
-    return _defect(prepare(problem, kernel), solution.lam, solution.x.values, solution.x_gamma)
-
-
 def solve_regular(prep: Prepared, lam: float) -> Solution:
     """Direct route for a regular E - A0: solve the n x n system
     (E - A0 - A(lambda)) x_gamma = b(lambda), refused when numerical_rank
-    finds it singular on the scale of its assembly, then reconstruct x."""
+    finds it singular in load units on the scale of its assembly, then
+    reconstruct x."""
     problem, kernel, A0, classification = prep.problem, prep.kernel, prep.A0, prep.classification
     if not classification.is_regular:
         raise RoutePreconditionError(
@@ -251,13 +227,13 @@ def solve_regular(prep: Prepared, lam: float) -> Solution:
             f"{classification.kind} (det = {classification.det:.3e})"
         )
     a_lam, rhs, basis = assemble_lambda_system(problem, kernel, lam, prep.f_gamma)
-    system = np.eye(problem.n) - A0 - a_lam
-    scale = 1.0 + float(np.max(np.abs(A0))) + float(np.max(np.abs(a_lam)))
-    if numerical_rank(system, scale) < problem.n:
+    a0_units, a_lam_units = (in_load_units(m, prep.units) for m in (A0, a_lam))
+    scale = 1.0 + float(np.max(np.abs(a0_units))) + float(np.max(np.abs(a_lam_units)))
+    if numerical_rank(np.eye(problem.n) - a0_units - a_lam_units, scale) < problem.n:
         raise SingularLoadSystemError(
             f"load system E - A0 - A(lambda) is singular at lambda={lam!r}"
         )
-    x_gamma = np.linalg.solve(system, rhs)
+    x_gamma = np.linalg.solve(np.eye(problem.n) - A0 - a_lam, rhs)
     return _solution(prep, lam, basis @ np.append(x_gamma, 1.0), "regular", x_gamma)
 
 
@@ -329,7 +305,7 @@ def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
             f"the loads do not annihilate the kernel slices (max deviation "
             f"{worst:.3e}); use the regular or irregular route"
         )
-    c, note = _zero_order_loads(prep)
+    c, note = prep.zero_order
     kernel, rule = prep.kernel, prep.kernel.rule
     term = problem.source_values(rule) + problem.coeff_values(rule) @ c
     x_vals = term.copy()
@@ -389,7 +365,8 @@ def solve_irregular(prep: Prepared, lam: float) -> Solution:
     A(lambda) = sum_{m>=p} (lambda g)^m A~_m (taylor_A) and A~_p invertible,
     x_gamma = (lambda g)^{-p} nu~ where nu~ sums the geometric series
     -(I + A~_p^{-1} B)^{-1} A~_p^{-1} b(lambda), B = sum_{m>p} (lambda g)^{m-p} A~_m.
-    It is summed in closed form by a dense solve; the contraction bound q certifies it."""
+    It is summed in closed form by a dense solve; the contraction bound q,
+    ||A~_p^{-1} B|| in load units, certifies it."""
     classification = prep.classification
     if classification.kind == "unsupported-irregular":
         raise RoutePreconditionError(
@@ -409,7 +386,7 @@ def solve_irregular(prep: Prepared, lam: float) -> Solution:
     mu = np.float64(lam * laurent.growth)
     with np.errstate(over="ignore", invalid="ignore"):  # far outside rho: q = inf or nan
         b_mat = sum((mu**k * a_m for k, a_m in enumerate(tail, start=1)), np.zeros_like(a_p))
-    q_at = float(np.linalg.norm(np.linalg.solve(a_p, b_mat), np.inf))
+    q_at = float(np.linalg.norm(in_load_units(np.linalg.solve(a_p, b_mat), prep.units), np.inf))
     if not q_at < 1.0:
         raise RoutePreconditionError(
             f"no contraction at lambda={lam!r}: q = {q_at:.6g} >= 1 "
@@ -432,7 +409,7 @@ def solve_prepared(prep: Prepared, lam: float) -> Solution:
     rejects a singular E - A0 with A0 != E).
     """
     if prep.annihilates:
-        _zero_order_loads(prep)  # raises NoSolutionError when inconsistent
+        prep.zero_order  # raises NoSolutionError when inconsistent
         if prep.nilpotency is not None:
             return solve_nilpotent(prep, lam)
     if prep.classification.is_regular:

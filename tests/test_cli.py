@@ -557,11 +557,15 @@ def test_solve_route_failures_exit_3_with_code(write, lam, code, capsys):
 def test_lambda_whose_solve_loses_every_digit_is_refused(lam, capsys):
     # The LU returns all-zero probe images here, an estimate below the
     # 1 / sqrt(N) of every exact solve; accepted, it gave a residual of 6.7e284.
+    # The message names the lost solve, not a characteristic number nearby.
     rc = main(["solve", str(EXAMPLES / "loaded_regular.prob"), "--nodes", "8", "--lambda", lam])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert captured.err.startswith("error[characteristic-number]: ")
+    assert captured.err == (
+        f"error[characteristic-number]: lambda={float(lam)!r} makes the solve of "
+        "I - lambda K W lose every digit: (1 + |lambda| g) times the estimate is below "
+        "0.5 / sqrt(8) (estimated ||(I - lambda K W)^{-1}|| = 0.000e+00)\n")
 
 
 @pytest.mark.parametrize("command", ["sweep", "find-poles"])

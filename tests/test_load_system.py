@@ -9,14 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredload as fl
+from fredload.errors import NoSolutionError
 from fredload.kernel_ops import COND_LIMIT
-from fredload.load_system import (
-    NonUnique,
-    NoSolution,
-    UniqueLoads,
-    numerical_rank,
-    solve_zero_order_system,
-)
+from fredload.load_system import load_units, numerical_rank, solve_zero_order_system
 from fredload.problemfile import load_problem_file
 from util import make_problem, make_random_regular_problem
 
@@ -58,42 +53,57 @@ def test_assemble_f_gamma():
     assert fl.assemble_f_gamma(problem) == pytest.approx([0.25, 1.0 / 3.0], abs=1e-13)
 
 
+NON_UNIQUE = "load system singular but consistent; minimum-norm load vector used"
+
+
 def test_zero_order_unique():
-    outcome = solve_zero_order_system(np.zeros((1, 1)), np.array([1.0]))
-    assert isinstance(outcome, UniqueLoads)
-    assert outcome.c == pytest.approx([1.0])
+    c, note = solve_zero_order_system(np.zeros((1, 1)), np.array([1.0]), np.ones(1))
+    assert note is None
+    assert c == pytest.approx([1.0])
 
 
 def test_zero_order_no_solution():
-    outcome = solve_zero_order_system(np.eye(1), np.array([1.0]))
-    assert isinstance(outcome, NoSolution)
-    assert outcome.defect == pytest.approx(1.0)
+    with pytest.raises(NoSolutionError, match="zero-order load system is inconsistent"):
+        solve_zero_order_system(np.eye(1), np.array([1.0]), np.ones(1))
 
 
 def test_zero_order_non_unique():
-    outcome = solve_zero_order_system(np.eye(1), np.array([0.0]))
-    assert isinstance(outcome, NonUnique)
-    assert outcome.nullspace.shape == (1, 1)
-    assert abs(outcome.nullspace[0, 0]) == pytest.approx(1.0)
+    c, note = solve_zero_order_system(np.eye(1), np.array([0.0]), np.ones(1))
+    assert note == NON_UNIQUE
+    assert np.array_equal(c, [0.0])
 
 
 def test_zero_order_mixed_rank():
     a0 = np.diag([1.0, 0.0])
-    consistent = solve_zero_order_system(a0, np.array([0.0, 2.0]))
-    assert isinstance(consistent, NonUnique)
-    assert consistent.particular == pytest.approx([0.0, 2.0], abs=1e-12)
-    inconsistent = solve_zero_order_system(a0, np.array([1.0, 2.0]))
-    assert isinstance(inconsistent, NoSolution)
+    c, note = solve_zero_order_system(a0, np.array([0.0, 2.0]), np.ones(2))
+    assert note == NON_UNIQUE
+    assert c == pytest.approx([0.0, 2.0], abs=1e-12)
+    with pytest.raises(NoSolutionError):
+        solve_zero_order_system(a0, np.array([1.0, 2.0]), np.ones(2))
+
+
+def test_zero_order_minimum_norm_vector_is_taken_in_load_units():
+    # E - A0 = [[1, -1], [-1, 1]] with c = (0.5, -0.5) of minimum norm. Load 1
+    # rescaled by s = 4, (a_1, gamma_1) -> (4 a_1, gamma_1 / 4), scales A0[i, k]
+    # by s_k / s_i, f_gamma_1 and the unit of load 1 by 1 / 4: c_1 follows.
+    a0, f_gamma = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0])
+    c, _ = solve_zero_order_system(a0, f_gamma, np.ones(2))
+    assert c == pytest.approx([0.5, -0.5], rel=1e-15)
+    s = np.array([4.0, 1.0])
+    scaled, note = solve_zero_order_system(a0 * s / s[:, None], f_gamma / s, 1.0 / s)
+    assert note == NON_UNIQUE
+    assert np.array_equal(scaled, c / s)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_zero_order_consistency_is_judged_by_the_backward_error(scale):
     # The verdict depends on f_gamma's direction, not its size.
     a0 = np.array([[1.0, 0.0], [0.0, 0.5]])
-    consistent = solve_zero_order_system(a0, scale * np.array([0.0, 2.0]))
-    assert isinstance(consistent, NonUnique)
-    assert consistent.particular == pytest.approx([0.0, 4.0 * scale], rel=1e-12)
-    assert isinstance(solve_zero_order_system(a0, scale * np.array([1.0, 2.0])), NoSolution)
+    c, note = solve_zero_order_system(a0, scale * np.array([0.0, 2.0]), np.ones(2))
+    assert note == NON_UNIQUE
+    assert c == pytest.approx([0.0, 4.0 * scale], rel=1e-12)
+    with pytest.raises(NoSolutionError):
+        solve_zero_order_system(a0, scale * np.array([1.0, 2.0]), np.ones(2))
 
 
 def test_classify_cases():
@@ -124,15 +134,19 @@ def test_classify_and_zero_order_system_judge_e_minus_a0_by_its_condition(
     n, log_scale, log_cond, seed
 ):
     # E - A0 = s U diag(sigma) V^T: the two decisions on one matrix agree,
-    # and neither depends on its scale s or its determinant.
+    # and neither depends on its scale s or its determinant. A system that is
+    # not unique comes back with a note, or raises NoSolutionError.
     rng = np.random.default_rng(seed)
     sigma = np.logspace(0.0, -log_cond, n)
     system = 10.0**log_scale * _orthogonal(rng, n) @ np.diag(sigma) @ _orthogonal(rng, n).T
     a0 = np.eye(n) - system
     well_conditioned = sigma[0] / sigma[-1] <= COND_LIMIT
     regular = fl.classify(a0).is_regular
-    unique = isinstance(solve_zero_order_system(a0, rng.standard_normal(n)), UniqueLoads)
-    assert regular == unique == well_conditioned
+    try:
+        _, note = solve_zero_order_system(a0, rng.standard_normal(n), np.ones(n))
+    except NoSolutionError:
+        note = "no solution"
+    assert regular == (note is None) == well_conditioned
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
@@ -280,10 +294,11 @@ def test_degeneration_under_exact_annihilation():
     norm = kernel.norm
     for lam in np.linspace(-0.5, 0.5, 7) / norm:
         assert np.max(np.abs(fl.A_lambda(problem, kernel, float(lam)))) <= 1e-8
-    outcome = solve_zero_order_system(fl.assemble_A0(problem), fl.assemble_f_gamma(problem))
-    assert isinstance(outcome, UniqueLoads)
+    c, note = solve_zero_order_system(
+        fl.assemble_A0(problem), fl.assemble_f_gamma(problem), load_units(problem))
+    assert note is None
     solution = fl.solve_regular(fl.prepare(problem, kernel), 0.4 / norm)
-    assert solution.x_gamma == pytest.approx(outcome.c, abs=1e-8)
+    assert solution.x_gamma == pytest.approx(c, abs=1e-8)
 
 
 def test_necessity_of_zero_order_system():

@@ -12,6 +12,7 @@ import functools
 import io
 import pathlib
 import re
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredload.cli import main
+from util import random_load_problem
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
@@ -41,17 +43,20 @@ PROBLEMS = {path.stem: path.read_text() for path in sorted(EXAMPLES.glob("*.prob
 PROBLEMS["small_kernel"] = SMALL_KERNEL_FILE
 
 
-def rescale(text: str, symmetry: str, s: float) -> str:
-    """The problem file with one rescaling applied to its data."""
-    lines = []
+def rescale(text: str, symmetry: str, s: float, load: Optional[int] = None) -> str:
+    """The problem file with one rescaling applied to its data; the load
+    rescaling applies to every load, or to load number `load` (from 0) alone."""
+    lines, block = [], -1
     for line in text.splitlines():
         key, _, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
-        if (key, symmetry) in (("source", "f"), ("kernel", "K"), ("coeff", "loads")):
+        block += key == "[load]"
+        loads = symmetry == "loads" and load in (None, block)
+        if (key, symmetry) in (("source", "f"), ("kernel", "K")) or (key == "coeff" and loads):
             line = f"{key} = ({s!r})*({value})"
-        elif symmetry == "loads" and key == "point":
+        elif loads and key == "point":
             alpha, t0 = (part.strip() for part in value.split("@"))
             line = f"point = {float(alpha) / s!r} @ {t0}"
-        elif symmetry == "loads" and key == "integral":
+        elif loads and key == "integral":
             weight, interval = re.fullmatch(r"(.*\S)\s+on\s*(\[.*\])", value).groups()
             line = f"integral = ({1.0 / s!r})*({weight}) on {interval}"
         lines.append(line)
@@ -140,17 +145,49 @@ def test_rescale_writes_each_symmetry():
     assert rescale(text, "f", 1e6).splitlines()[1] == "source = (1000000.0)*(1)"
     assert rescale(text, "loads", 1e6).splitlines()[2:] == [
         "coeff = (1000000.0)*(0.2)", "point = 2e-06 @ 0.25", "integral = (1e-06)*(1 + s) on [0.1, 0.9]"]
+    two = "[load]\ncoeff = 1\npoint = 2 @ 0\n[load]\ncoeff = t\npoint = 3 @ 1\n"
+    assert rescale(two, "loads", 4.0, load=1).splitlines() == [
+        "[load]", "coeff = 1", "point = 2 @ 0", "[load]", "coeff = (4.0)*(t)", "point = 0.75 @ 1"]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND in CHANGES.md: the singular-value test of E - A0 changes its verdict "
-    "when one load alone is rescaled, (a_k, gamma_k) -> (s a_k, gamma_k / s)"))
-def test_one_rescaled_load_keeps_the_regular_route(tmp_path):
-    # det(E - A0) is 0.569, yet its singular values are 1.9e5 and 3.0e-6; the oracle,
-    # which judges its bordered system in load units, solves this file.
+ROUTES = {"loaded_regular": "regular", "regular": "regular", "identity": "irregular",
+          "annihilating": "nilpotent"}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(ROUTES)), seed=st.integers(0, 2**32 - 1),
+       load=st.integers(0, 2),
+       s=st.one_of(st.sampled_from([2.0**-40, 2.0**40]),
+                   st.floats(-12.0, 12.0).map(lambda e: 10.0**e)))
+def test_one_rescaled_load_keeps_route_and_solution(tmp_path_factory, kind, seed, load, s):
+    # Rescaling one load alone, (a_k, gamma_k) -> (s a_k, gamma_k / s), leaves x
+    # and scales x_gamma_k by 1 / s. The n x n decisions read their matrices in
+    # load units, so neither the route nor the exit code may move. Random problems
+    # cover a regular A0, A0 = E and loads annihilating a nilpotent kernel.
+    tmp = tmp_path_factory.getbasetemp()
+    if kind == "loaded_regular":
+        text, lam = PROBLEMS[kind], 0.2
+    else:
+        text, lam = random_load_problem(np.random.default_rng(seed), kind)
+    load %= text.count("[load]")
+    reference = run_solve(text, lam, 32, "auto", tmp)
+    assert reference[:2] == (0, ROUTES[kind])
+    result = run_solve(rescale(text, "loads", s, load), lam, 32, "auto", tmp)
+    assert result[:2] == reference[:2]
+    assert_scaled(result[2], reference[2], 1.0)
+    undo = np.ones(reference[3].size)
+    undo[load] = s
+    assert_scaled(result[3] * undo, reference[3], 1.0)
+
+
+def test_one_rescaled_load_of_loaded_regular_is_judged_in_load_units(tmp_path):
+    # The file of the former FOUND: A0 = [[0.15, 4e-7], [1.928e5, 0.24]] has
+    # singular values 1.9e5 and 3.0e-6, yet det(E - A0) = 0.569; in load units
+    # E - A0 is the unscaled file's.
     text = PROBLEMS["loaded_regular"].replace("coeff = 0.3*t", "coeff = 0.3e6*t").replace(
         "point = 2 @ 0.25", "point = 2e-6 @ 0.25")
-    reference = run_solve(PROBLEMS["loaded_regular"], 0.2, 32, "auto", tmp_path)
-    result = run_solve(text, 0.2, 32, "auto", tmp_path)
-    assert result[:2] == reference[:2] == (0, "regular")
-    assert_scaled(result[2], reference[2], 1.0)
+    for nodes in (32, 64):
+        reference = run_solve(PROBLEMS["loaded_regular"], 0.2, nodes, "auto", tmp_path)
+        result = run_solve(text, 0.2, nodes, "auto", tmp_path)
+        assert result[:2] == reference[:2] == (0, "regular")
+        assert_scaled(result[2], reference[2], 1.0)

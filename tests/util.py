@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 import fredload as fl
+from fredload.problemfile import parse_problem_file
 
 
 def poly_integral(coeffs, lo: float, hi: float) -> float:
@@ -144,3 +145,86 @@ def make_random_regular_problem(rng: np.random.Generator, nodes: int = 64, max_t
             continue
         return problem, kernel, lam
     raise RuntimeError("could not generate a regular problem")
+
+
+def _random_load_terms(rng: np.random.Generator) -> list[str]:
+    """Problem-file lines of one load: a point term, an integral term or both."""
+    terms = []
+    if rng.random() < 0.6:
+        terms.append(f"point = {float(rng.uniform(-1, 1))!r} @ {float(rng.uniform(0, 1))!r}")
+    if rng.random() < 0.6 or not terms:
+        lo = float(rng.uniform(0.0, 0.5))
+        hi = float(rng.uniform(lo + 0.2, 1.0))
+        terms.append(f"integral = {poly_text(rng.uniform(-1, 1, size=2), 's')} on [{lo!r}, {hi!r}]")
+    return terms
+
+
+def _problem_text(kernel: str, source: str, loads) -> str:
+    """loads: (coeff text, term lines) per load."""
+    blocks = [f"interval = 0 1\nkernel = {kernel}\nsource = {source}\n"]
+    blocks += ["\n".join(["[load]", f"coeff = {coeff}", *terms]) + "\n" for coeff, terms in loads]
+    return "\n".join(blocks)
+
+
+def random_load_problem(rng: np.random.Generator, kind: str, nodes: int = 32):
+    """(problem-file text, lambda) for n = 2-3 loads and polynomial data, of one kind:
+
+      regular       random coefficients a_k: a regular E - A0, the regular route;
+      identity      a_k = sum_j phi_j (G^{-1})_jk for random phi_j and
+                    G[i, j] = <gamma_i, phi_j>, so A0 = E: the irregular route;
+      annihilating  the kernel p(t) q(s) with <gamma_k, p> = 0 for every load and
+                    integral p q = 0: the loads annihilate a nilpotent kernel, and
+                    the zero-order system gives the load vector (the nilpotent route).
+
+    lambda keeps |lambda| g <= 0.5, and for A0 = E it is a tenth of rho at most.
+    Draws are repeated until the unscaled problem solves on its kind's route."""
+    routes = {"regular": "regular", "identity": "irregular", "annihilating": "nilpotent"}
+    for _ in range(200):
+        n = int(rng.integers(2, 4))
+        terms = [_random_load_terms(rng) for _ in range(n)]
+        source = poly_text(rng.uniform(-1, 1, size=int(rng.integers(1, 4))), "t")
+        coeffs = [poly_text(rng.uniform(-0.4, 0.4, size=int(rng.integers(1, 4))), "t")
+                  for _ in range(n)]
+        functionals = [ld.functional for ld in
+                       parse_problem_file(_problem_text("0", "0", [("0", t) for t in terms]))
+                       .build(nodes).loads]
+
+        def applied(coefficients):
+            """<gamma_i, sum_m coefficients[m] t^m> for every load i."""
+            return np.array([fl.apply(g, fl.parse(poly_text(coefficients, "t"), {"t"}))
+                             for g in functionals])
+
+        if kind == "annihilating":
+            # p spans the null space of the n x (n + 1) matrix <gamma_k, t^m>.
+            moments = np.column_stack([applied(np.eye(n + 1)[m]) for m in range(n + 1)])
+            p = np.linalg.svd(moments)[2][-1]
+            # q moves along the s^m against which p has the largest moment.
+            q = rng.uniform(-1, 1, size=3)
+            moment = [poly_integral(np.convolve(p, np.eye(3)[m]), 0.0, 1.0) for m in range(3)]
+            m = int(np.argmax(np.abs(moment)))
+            q[m] -= poly_integral(np.convolve(p, q), 0.0, 1.0) / moment[m]
+            kernel = f"({poly_text(p, 't')})*({poly_text(q, 's')})"
+        else:
+            kernel = " + ".join(
+                f"({poly_text(rng.uniform(-0.6, 0.6, size=3), 't')})*"
+                f"({poly_text(rng.uniform(-0.6, 0.6, size=3), 's')})" for _ in range(n))
+        if kind == "identity":
+            phi = rng.uniform(-1, 1, size=(3, n))
+            gram = np.column_stack([applied(phi[:, j]) for j in range(n)])
+            if np.linalg.cond(gram) > 1e3:
+                continue
+            solved = phi @ np.linalg.inv(gram)
+            coeffs = [poly_text(solved[:, k], "t") for k in range(n)]
+        text = _problem_text(kernel, source, zip(coeffs, terms))
+        problem = parse_problem_file(text).build(nodes)
+        discrete = fl.discretize(problem.kernel, problem.master_rule(nodes))
+        prep = fl.prepare(problem, discrete)
+        lam = float(rng.uniform(-0.5, 0.5)) / max(discrete.norm, 1e-3)
+        try:
+            if kind == "identity":
+                lam = float(np.sign(lam)) * min(abs(lam), 0.1 * prep.laurent.rho)
+            if fl.solve_prepared(prep, lam).route == routes[kind]:
+                return text, lam
+        except fl.FredloadError:
+            continue
+    raise RuntimeError(f"could not generate a problem of kind {kind}")
