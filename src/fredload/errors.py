@@ -40,8 +40,9 @@ class DomainEvalError(FredloadError):
 class CharacteristicNumberError(FredloadError):
     """lambda is at or too close to a characteristic number: the discretized
     operator I - lambda*K*W is singular, its estimated condition number
-    exceeds kernel_ops.COND_LIMIT, or the estimate is below the 0.5 / sqrt(N)
-    every exact solve reaches (a |lambda| so large the LU loses every digit).
+    exceeds kernel_ops.COND_LIMIT (for a |lambda| g above COND_LIMIT, whatever
+    the spectrum), or the estimate is below the 0.5 / sqrt(N) every exact
+    solve reaches (a |lambda| so large the LU loses every digit).
     Carries the estimate of ||(I - lambda K W)^{-1}|| (inf when LAPACK finds
     it exactly singular); `reason` says which."""
 

@@ -3,15 +3,19 @@
 Everything here works on the Nystrom discretization: an N x N sample of
 the kernel on the master rule, with the diagonal weight matrix W turning
 matrix products into quadrature approximations of operator composition.
-The resolvent G(t,s,lambda) of (I - lambda K)^{-1} = I + lambda * G[.] is
-obtained by a dense solve per lambda; the routes need only its images
-lambda * G W y, one solve with those right-hand sides, and its Taylor
-series only the scaled column powers (K W / g)^m y. Probe columns in that
-same solve, drawn once per N, estimate the condition of I - lambda K W,
-which decides whether lambda is too close to a characteristic number.
-The determinant of the discretized operator stands in for the Fredholm
-denominator; its zeros, the characteristic numbers, are the reciprocals of
-the real eigenvalues of K W.
+K W is factored once per kernel into a low-rank core K W = Q C with
+M = C Q (DiscreteKernel.core), the degenerate-kernel method (Atkinson, The
+Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 2),
+and every per-lambda and spectral step is r x r work on it: the images
+lambda G W y = Q (I_r - lambda M)^{-1} lambda C y (Woodbury) of the
+resolvent G of (I - lambda K)^{-1} = I + lambda * G[.], its Taylor series
+through (K W / g)^m y = Q (M / g)^{m-1} C y / g, the Fredholm denominator's
+stand-in det(I - lambda K W) = det(I_r - lambda M) (Sylvester), and its
+zeros, the characteristic numbers, from the real eigenvalues of M. On the
+trivial core, Q = I, this is the dense computation. Probe columns in the
+resolvent solve, drawn once per N, estimate the condition of
+I - lambda K W, which decides whether lambda is too close to a
+characteristic number.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ import numpy as np
 from .errors import CharacteristicNumberError
 from .expr import Expr, evaluate
 from .quadrature import GridFunction, QuadratureRule
-from .tolerances import CLUSTER_RADIUS, COLLAPSE_RATIO, COND_LIMIT, EIGEN_FLOOR, NILPOTENT_TOL
-from .tolerances import REAL_RATIO, TRUNCATION
+from .tolerances import CLUSTER_RADIUS, COLLAPSE_RATIO, COND_LIMIT, CORE_BLOCK, CORE_BUDGET
+from .tolerances import CORE_MIN_NODES, CORE_TOL, EIGEN_FLOOR, NILPOTENT_TOL, REAL_RATIO, TRUNCATION
 
 __all__ = [
+    "Core",
     "DiscreteKernel",
     "IteratedKernels",
     "discretize",
@@ -47,10 +52,63 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
+class Core:
+    """K W = Q C with Q (N x r) orthonormal, C = Q^T K W (r x N) and M = C Q
+    (r x r), which has the nonzero eigenvalues of K W. C is kept as its
+    unweighted rows QtK = Q^T K, so C Y is QtK (W Y). The trivial core keeps
+    Q = I implicit (Q is None): QtK is K itself and M = K W, so lift and
+    on_range are the identity and every formula is the dense one."""
+
+    Q: Optional[np.ndarray]
+    QtK: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.QtK.shape[0]
+
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """Q z."""
+        return z if self.Q is None else self.Q @ z
+
+    def on_range(self, rows: np.ndarray) -> np.ndarray:
+        """rows Q."""
+        return rows if self.Q is None else rows @ self.Q
+
+    def compress(self, y: np.ndarray) -> np.ndarray:
+        """C y for an N-vector or an N x k block y."""
+        return self.QtK @ ((self.weights if y.ndim == 1 else self.weights[:, None]) * y)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """C Q, r x r."""
+        return self.on_range(self.QtK * self.weights)
+
+    def system(self, lam: float) -> np.ndarray:
+        """I_r - lambda M, built in place."""
+        matrix = self.M * -lam
+        matrix.flat[:: self.rank + 1] += 1.0
+        return matrix
+
+    @cached_property
+    def probe_terms(self) -> tuple:
+        """(Q^T P, C P_perp, ||P_perp||^2, ||P||) per column of the probe block P
+        (_probe), P_perp = P - Q Q^T P, for the refusal test of _solve_or_raise."""
+        probe = _probe(self.weights.size)
+        sizes = np.linalg.norm(probe, axis=0)
+        if self.Q is None:  # P_perp = 0: the dense solve against P itself
+            return probe, 0.0, 0.0, sizes
+        projected = self.Q.T @ probe
+        perp = probe - self.Q @ projected
+        return projected, self.compress(perp), np.sum(perp**2, axis=0), sizes
+
+
+@dataclass(frozen=True, eq=False)
 class DiscreteKernel:
     """Kernel sampled at node pairs: values[i, j] = K(t_i, s_j), with its
-    lambda-independent scalars computed once: max|K| on construction, where
-    it is the finiteness check, and the operator norm g on first use."""
+    lambda-independent quantities computed once: max|K| on construction, where
+    it is the finiteness check, and the operator norm g and the core of
+    K W (Core) on first use."""
 
     rule: QuadratureRule
     values: np.ndarray
@@ -75,12 +133,38 @@ class DiscreteKernel:
         """Discrete sup-norm of the integral operator: max_i sum_j w_j |K_ij|."""
         return float(np.max(np.abs(self.values) @ self.rule.weights, initial=0.0))
 
-    def system_matrix(self, lam: float) -> np.ndarray:
-        """I - lambda * K * W for the rule's weights W, built in place."""
-        matrix = self.values * self.rule.weights
-        matrix *= -lam
-        matrix.flat[:: self.rule.n + 1] += 1.0
-        return matrix
+    @cached_property
+    def core(self) -> Core:
+        """The low-rank core of K W, by an adaptive randomized range finder
+        (Halko, Martinsson and Tropp, SIAM Review 53, 2011, Alg. 4.2). Blocks
+        K W Omega of CORE_BLOCK fixed-seed Gaussian columns extend Q until
+        ||K W P - Q Q^T K W P||_F <= N CORE_TOL ||K W P||_F for the probe P;
+        the SVD of C then trims r to the singular values whose tail is above
+        half that. Trivial below CORE_MIN_NODES, or when Q would pass
+        max(CORE_BLOCK, N / CORE_BUDGET) columns."""
+        n, values, weights = self.rule.n, self.values, self.rule.weights
+        if n >= CORE_MIN_NODES:
+            target = values @ (weights[:, None] * _probe(n))
+            limit = n * CORE_TOL * float(np.linalg.norm(target))
+
+            def misses(q: np.ndarray) -> bool:
+                return float(np.linalg.norm(target - q @ (q.T @ target))) > limit
+
+            draw = np.random.default_rng(1)
+            q = np.empty((n, 0))
+            while q.shape[1] + CORE_BLOCK <= max(CORE_BLOCK, n // CORE_BUDGET):
+                block = values @ (weights[:, None] * draw.standard_normal((n, CORE_BLOCK)))
+                q = np.linalg.qr(np.hstack([q, block]))[0]
+                if misses(q):
+                    continue
+                qtk = q.T @ values
+                u, sing, _ = np.linalg.svd(qtk * weights, full_matrices=False)
+                tail = np.sqrt(np.cumsum(sing[::-1] ** 2))[::-1]
+                u = u[:, : max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0])))]
+                if misses(q @ u):
+                    return Core(q, qtk, weights)
+                return Core(q @ u, u.T @ qtk, weights)
+        return Core(None, values, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,20 +210,24 @@ def series_scale(kernel: DiscreteKernel) -> float:
 
 
 def scaled_powers(kernel: DiscreteKernel, columns: np.ndarray, depth: int) -> Iterator[np.ndarray]:
-    """Yield (K W / g)^m Y for m = 1..depth and an N x k block Y, g = series_scale,
-    so K_m W Y is g^m times the m-th term. Each step is one N x N by N x k
-    product instead of an N x N iterated kernel; max|term| never grows, so
-    none overflows."""
-    step = kernel.values * (kernel.rule.weights / series_scale(kernel))
+    """Yield (K W / g)^m Y = Q (M / g)^{m-1} C Y / g for m = 1..depth and an
+    N x k block Y on the core, g = series_scale, so K_m W Y is g^m times the
+    m-th term. After the first step, each is one r x r by r x k product and
+    no N x N iterated kernel is formed; max|term| never grows, so none overflows."""
+    core = kernel.core
+    matrix = core.QtK * (kernel.rule.weights / series_scale(kernel))  # C / g
+    step, lift = core.on_range(matrix), core.lift  # M / g and Q
     for _ in range(depth):
-        columns = step @ columns
-        yield columns
+        columns = matrix @ columns
+        yield lift(columns)
+        matrix = step
 
 
 @lru_cache(maxsize=None)
 def _probe(n: int) -> np.ndarray:
-    """The fixed-seed N x 4 Gaussian probe block of the nilpotency test and
-    the resolvent's norm estimate, drawn once per N and returned read-only."""
+    """The fixed-seed N x 4 Gaussian probe block of the nilpotency test, the
+    resolvent's norm estimate and the core's acceptance test, drawn once per
+    N and returned read-only."""
     probe = np.random.default_rng(0).standard_normal((n, 4))
     probe.flags.writeable = False
     return probe
@@ -165,22 +253,27 @@ def nilpotency_index(kernel: DiscreteKernel, depth: int) -> Optional[int]:
 
 
 def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Z with (I - lambda K W) Z = rhs for an N x m block, from one LU.
+    """Y with (I_r - lambda M) Y = rhs for an r x m block on the core, from one LU.
 
-    The probe block P is solved alongside, and max_i ||Z_P[:, i]|| / ||P[:, i]||
-    estimates ||(I - lambda K W)^{-1}|| from below (Dixon, SIAM J. Numer.
-    Anal. 20, 1983). lambda is refused when LAPACK finds the matrix exactly
+    The probe block P is solved alongside: (I - lambda K W)^{-1} P is
+    P_perp + Q Y_P with (I_r - lambda M) Y_P = Q^T P + lambda C P_perp, so
+    its column norms are sqrt(||P_perp||^2 + ||Y_P||^2), and their largest
+    ratio to ||P|| estimates ||(I - lambda K W)^{-1}|| from below (Dixon,
+    SIAM J. Numer. Anal. 20, 1983); on the trivial core Y_P solves I - lambda K W
+    against P itself. lambda is refused when LAPACK finds the matrix exactly
     singular or when (1 + |lambda| g) times the estimate exceeds COND_LIMIT or
     is below 0.5 / sqrt(N): an exact solve gives at least 1 / sqrt(N), as
-    ||A||_2 <= sqrt(N) (1 + |lambda| g), so less means the LU lost every digit."""
-    probe = _probe(kernel.rule.n)
+    ||A||_2 <= sqrt(N) (1 + |lambda| g), so less means the LU lost every digit.
+    Above COND_LIMIT, the message names |lambda| g when it alone is above it."""
+    core = kernel.core
+    projected, coupled, perp_squares, sizes = core.probe_terms
     try:
-        z = np.linalg.solve(kernel.system_matrix(lam), np.column_stack([rhs, probe]))
+        z = np.linalg.solve(core.system(lam), np.column_stack([rhs, projected + lam * coupled]))
     except np.linalg.LinAlgError:
         raise CharacteristicNumberError(lam, math.inf) from None
-    width = z.shape[1] - probe.shape[1]
+    width = rhs.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular solve: inf / nan
-        growth = np.linalg.norm(z[:, width:], axis=0) / np.linalg.norm(probe, axis=0)
+        growth = np.sqrt(perp_squares + np.sum(z[:, width:] ** 2, axis=0)) / sizes
     inverse_norm = float(np.max(growth))
     condition = (1.0 + abs(lam) * kernel.norm) * inverse_norm
     if condition < 0.5 / math.sqrt(kernel.rule.n):
@@ -188,35 +281,40 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
                   f"times the estimate is below 0.5 / sqrt({kernel.rule.n})")
         raise CharacteristicNumberError(lam, inverse_norm, reason)
     if not condition <= COND_LIMIT:
+        if abs(lam) * kernel.norm > COND_LIMIT:
+            reason = f"is too large: |lambda| g alone exceeds COND_LIMIT = {COND_LIMIT:g}"
+            raise CharacteristicNumberError(lam, inverse_norm, reason)
         raise CharacteristicNumberError(lam, inverse_norm)
     return z[:, :width]
 
 
 def resolvent(kernel: DiscreteKernel, lam: float) -> np.ndarray:
-    """Resolvent kernel G = (I - lambda K W)^{-1} K on the grid, by dense solve.
+    """Resolvent kernel G = (I - lambda K W)^{-1} K = K + (I - lambda K W)^{-1}
+    lambda K W K on the grid, the second term by resolvent_images.
 
     Satisfies (I - lambda K W)(I + lambda G W) = I and, for small
     |lambda| * norm, the iterated-kernel series G = sum lambda^{n-1} K_n.
     """
-    return _solve_or_raise(kernel, lam, kernel.values)
+    return kernel.values + resolvent_images(kernel, lam, kernel.values)
 
 
 def resolvent_apply(kernel: DiscreteKernel, lam: float, g: GridFunction) -> GridFunction:
     """Solve (I - lambda K W) y = g on the grid; y = g + lambda * G W g."""
-    return GridFunction(kernel.rule, _solve_or_raise(kernel, lam, g.values)[:, 0])
+    images = resolvent_images(kernel, lam, g.values[:, None])
+    return GridFunction(kernel.rule, g.values + images[:, 0])
 
 
 def resolvent_images(kernel: DiscreteKernel, lam: float, columns: np.ndarray) -> np.ndarray:
-    """lambda * G W y for each column y of an N x m block, by one solve of
-    (I - lambda K W) Z = lambda K W Y."""
-    weighted = kernel.rule.weights[:, None] * columns
-    return _solve_or_raise(kernel, lam, lam * (kernel.values @ weighted))
+    """lambda * G W y for each column y of an N x m block: Z = (I - lambda K W)^{-1}
+    lambda K W Y = Q (I_r - lambda M)^{-1} lambda C Y (Woodbury), one r x r solve."""
+    core = kernel.core
+    return core.lift(_solve_or_raise(kernel, lam, lam * core.compress(columns)))
 
 
 def det_magnitude(kernel: DiscreteKernel, lam: float) -> float:
-    """|det(I - lambda K W)|, the discrete stand-in for the Fredholm
-    denominator's magnitude at lambda."""
-    _, logdet = np.linalg.slogdet(kernel.system_matrix(lam))  # -inf when singular
+    """|det(I - lambda K W)| = |det(I_r - lambda M)| (Sylvester), the discrete
+    stand-in for the Fredholm denominator's magnitude at lambda."""
+    _, logdet = np.linalg.slogdet(kernel.core.system(lam))  # -inf when singular
     with np.errstate(over="ignore"):  # beyond the float range: inf
         return float(np.exp(logdet))
 
@@ -226,7 +324,8 @@ def find_characteristic_numbers(
 ) -> list[float]:
     """Zeros of det(I - lambda K W) in [lam_min, lam_max], sorted and
     repeated by multiplicity: the real 1/mu over the eigenvalues mu of K W
-    (Bornemann, Math. Comp. 79, 2010), above the roundoff floor EIGEN_FLOOR.
+    (Bornemann, Math. Comp. 79, 2010), read from the core's M, which has
+    the nonzero ones, above the roundoff floor EIGEN_FLOOR g.
     A K W that nilpotency_index finds nilpotent within `depth` gives []: its
     zero eigenvalue is defective, and eigvals splits it into roundoff of
     about eps^(1/k) g for a Jordan block of size k.
@@ -241,7 +340,7 @@ def find_characteristic_numbers(
         raise ValueError("need lam_min < lam_max")
     if nilpotency_index(kernel, depth) is not None:
         return []
-    mu = np.linalg.eigvals(kernel.values * kernel.rule.weights)
+    mu = np.linalg.eigvals(kernel.core.M)
     top = float(np.max(np.abs(mu), initial=0.0))
     mu = mu[np.abs(mu) > EIGEN_FLOOR * kernel.norm]
     size = np.abs(mu)

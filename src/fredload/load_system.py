@@ -133,12 +133,14 @@ def solve_zero_order_system(
     Full rank: c by one solve of the raw system, and no note. Otherwise c is
     the minimum-norm solution in load units, with a note, and NoSolutionError
     is raised when it is inconsistent (normwise backward error above
-    CONSISTENCY_TOL): the equation then has no continuous solution.
+    CONSISTENCY_TOL): the equation then has no continuous solution. An A0
+    that is E to IDENTITY_TOL (_is_identity, as in classify) has rank 0, so
+    the roundoff left in E - A0 is not inverted.
     """
     n = A0.shape[0]
     system = np.eye(n) - A0
     scaled = in_load_units(system, units)
-    rank = numerical_rank(scaled)
+    rank = 0 if _is_identity(scaled, in_load_units(A0, units)) else numerical_rank(scaled)
     if rank == n:
         return np.linalg.solve(system, f_gamma), None
     rhs = f_gamma / units
@@ -174,6 +176,12 @@ class Classification:
         return self.kind == "irregular-identity"
 
 
+def _is_identity(system: np.ndarray, A0: np.ndarray) -> bool:
+    """A0 = E to working precision, for system = E - A0:
+    max|E - A0| <= IDENTITY_TOL (1 + max|A0|)."""
+    return float(np.max(np.abs(system))) <= IDENTITY_TOL * (1.0 + float(np.max(np.abs(A0))))
+
+
 def classify(A0: np.ndarray) -> Classification:
     """Regular when E - A0 has full numerical rank; the identity case
     A0 = E gets its own label; a singular E - A0 with A0 != E is not
@@ -182,7 +190,7 @@ def classify(A0: np.ndarray) -> Classification:
     n = A0.shape[0]
     system = np.eye(n) - A0
     det = float(np.linalg.det(system))
-    if float(np.max(np.abs(system))) <= IDENTITY_TOL * (1.0 + np.max(np.abs(A0))):
+    if _is_identity(system, A0):
         return Classification(kind="irregular-identity", det=det)
     if numerical_rank(system) == n:
         return Classification(kind="regular", det=det)

@@ -294,8 +294,9 @@ def solve_successive(
 
 def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
     """Polynomial route: when (K W)^{p+1} = 0 and the loads annihilate the
-    kernel, x = u + sum_{m=1}^{p} lambda^m (K W)^m u by p matrix-vector products,
-    with u = f + (a, c) and c from the zero-order system. Exact for every lambda."""
+    kernel, x = u + sum_{m=1}^{p} lambda^m (K W)^m u by p products with the
+    core, K W = Q C, with u = f + (a, c) and c from the zero-order system.
+    Exact for every lambda."""
     problem, pnil = prep.problem, prep.nilpotency
     if pnil is None:
         raise RoutePreconditionError(f"kernel is not nilpotent within depth {prep.truncation}")
@@ -306,11 +307,11 @@ def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
             f"{worst:.3e}); use the regular or irregular route"
         )
     c, note = prep.zero_order
-    kernel, rule = prep.kernel, prep.kernel.rule
+    core, rule = prep.kernel.core, prep.kernel.rule
     term = problem.source_values(rule) + problem.coeff_values(rule) @ c
     x_vals = term.copy()
     for _ in range(pnil):
-        term = lam * (kernel.values @ (rule.weights * term))
+        term = lam * core.lift(core.compress(term))
         x_vals += term
     return _solution(prep, lam, x_vals, "nilpotent", c, note=note)
 

@@ -31,3 +31,9 @@ REAL_RATIO = 1e-9  # an eigenvalue cluster's mean is real when |Im| <= REAL_RATI
 # one; eigvals splits a defective double one by up to 5.3 sqrt(eps) max|mu|.
 CLUSTER_RADIUS = 16.0 * math.sqrt(math.ulp(1.0))
 NEWTON_TOL = 1e-15  # Gauss-Legendre nodes: Newton stops once max|dx| < NEWTON_TOL
+# The low-rank core of K W (DiscreteKernel.core) is built from N = CORE_MIN_NODES on; a
+CORE_MIN_NODES = 192  # solve on it took 0.98, 0.97, 0.94 of the dense time at N = 128, 160, 192
+# It is accepted when ||K W P - Q C P||_F <= N CORE_TOL ||K W P||_F for the probe P, the
+CORE_TOL = math.ulp(1.0)  # product's roundoff: 10 eps fails the constant kernel (54 eps, N = 512)
+CORE_BLOCK = 16  # range-finder columns per block; past max(CORE_BLOCK, N / CORE_BUDGET)
+CORE_BUDGET = 8  # columns the range finder gives up, and the core is the trivial Q = I

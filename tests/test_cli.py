@@ -200,6 +200,24 @@ def test_solve_no_solution_exit_code(write, capsys):
     assert "no solution in the class of continuous functions" in captured.err
 
 
+@pytest.mark.parametrize("kernel, point", [("t*s", "0"), ("t - 1/2", "0.5")])
+@pytest.mark.parametrize("coeff", ["1", "0.7 + 0.2 + 0.1"])
+@pytest.mark.parametrize("nodes", ["16", "64"])
+def test_a0_one_ulp_below_one_has_no_solution_like_a0_one(write, capsys, kernel, point,
+                                                           coeff, nodes):
+    # coeff 0.7 + 0.2 + 0.1 is 1 - 1 ulp, so A0 = E to IDENTITY_TOL and the
+    # loads annihilate the kernel: (E - A0) c = f_gamma = 1 is inconsistent.
+    # Inverting the roundoff in E - A0 exited 3 on no_solution.prob and gave
+    # x_gamma 9.0e15 with residual 0.75 on the nilpotent kernel t - 1/2.
+    text = (EXAMPLES / "no_solution.prob").read_text().replace("kernel = t*s", f"kernel = {kernel}")
+    text = text.replace("coeff = 1", f"coeff = {coeff}").replace("point = 1 @ 0", f"point = 1 @ {point}")
+    assert f"coeff = {coeff}\npoint = 1 @ {point}\n" in text
+    rc = main(["solve", write(text), "--nodes", nodes])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith("error[no-solution]: ")
+
+
 def test_solve_zero_kernel_returns_source_samples(write, capsys):
     rc = main(["solve", write(ZERO_KERNEL_FILE), "--lambda", "0.5"])
     captured = capsys.readouterr()

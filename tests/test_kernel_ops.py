@@ -325,8 +325,8 @@ def test_simple_roots_are_determinant_sign_changes():
             step = 1e-6 * (1.0 + abs(root))
             if any(abs(other - root) <= 2.0 * step for other in roots[:i] + roots[i + 1 :]):
                 continue
-            left, _ = np.linalg.slogdet(kernel.system_matrix(root - step))
-            right, _ = np.linalg.slogdet(kernel.system_matrix(root + step))
+            left, _ = np.linalg.slogdet(kernel.core.system(root - step))
+            right, _ = np.linalg.slogdet(kernel.core.system(root + step))
             assert left * right < 0.0, (root, left, right)
             checked += 1
     assert checked >= 5

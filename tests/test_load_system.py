@@ -73,6 +73,17 @@ def test_zero_order_non_unique():
     assert np.array_equal(c, [0.0])
 
 
+def test_zero_order_system_of_an_a0_one_ulp_from_e_has_rank_zero():
+    # classify calls A0 = 1 - 1 ulp the identity; so does the zero-order system,
+    # which must not invert the roundoff left in E - A0.
+    a0 = np.array([[0.7 + 0.2 + 0.1]])
+    assert a0[0, 0] == 1.0 - 2.0**-53 and fl.classify(a0).is_irregular_identity
+    with pytest.raises(NoSolutionError):
+        solve_zero_order_system(a0, np.array([1.0]), np.ones(1))
+    c, note = solve_zero_order_system(a0, np.array([0.0]), np.ones(1))
+    assert (note, c.tolist()) == (NON_UNIQUE, [0.0])
+
+
 def test_zero_order_mixed_rank():
     a0 = np.diag([1.0, 0.0])
     c, note = solve_zero_order_system(a0, np.array([0.0, 2.0]), np.ones(2))

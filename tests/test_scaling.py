@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredload.cli import main
+from fredload.tolerances import CORE_MIN_NODES
 from util import random_load_problem
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -109,6 +110,35 @@ NODES = st.sampled_from([16, 32])
 def test_rescaled_problem_takes_the_same_route(tmp_path_factory, name, symmetry, s, nodes):
     text, tmp = PROBLEMS[name], tmp_path_factory.getbasetemp()
     check_rescaled(text, file_lambda(text), symmetry, s, nodes, "auto", tmp)
+
+
+CORE_NODES = 256  # at least CORE_MIN_NODES: the routes read the low-rank core of K W
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@pytest.mark.parametrize("symmetry", ["f", "K", "loads"])
+@pytest.mark.parametrize("s", [1e-12, 1e12])
+def test_rescaled_problem_takes_the_same_route_on_the_core(tmp_path, name, symmetry, s):
+    # The range finder's acceptance and trim are relative to K W itself.
+    assert CORE_NODES >= CORE_MIN_NODES
+    text = PROBLEMS[name]
+    check_rescaled(text, file_lambda(text), symmetry, s, CORE_NODES, "auto", tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@pytest.mark.parametrize("s", [1e-12, 1e12])
+def test_one_rescaled_load_keeps_route_and_solution_on_the_core(tmp_path, name, s):
+    text = PROBLEMS[name]
+    lam = file_lambda(text)
+    reference = run_solve(text, lam, CORE_NODES, "auto", tmp_path)
+    for load in range(text.count("[load]")):
+        result = run_solve(rescale(text, "loads", s, load), lam, CORE_NODES, "auto", tmp_path)
+        assert result[:2] == reference[:2], load
+        if reference[0] == 0:
+            assert_scaled(result[2], reference[2], 1.0)
+            undo = np.ones(reference[3].size)
+            undo[load] = s
+            assert_scaled(result[3] * undo, reference[3], 1.0)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
