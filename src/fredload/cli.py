@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "successive route's stop")
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
         p.add_argument("--truncation", type=int, default=None,
-                       help="series/iterated-kernel depth")
+                       help="series depth: Taylor terms and nilpotency probe steps")
         p.add_argument("--q", type=float, default=None,
                        help="contraction target in (0, 1)")
 

@@ -34,6 +34,10 @@ from .errors import DomainEvalError, ExprSyntaxError, UndefinedVariableError
 
 __all__ = ["Expr", "parse", "evaluate", "unparse"]
 
+# evaluate and unparse recurse once per tree level, so parse bounds the depth
+# far inside Python's default recursion limit of 1000 frames.
+MAX_DEPTH = 200
+
 _FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -208,26 +212,40 @@ class _Parser:
 def parse(text: str, allowed_vars: Iterable[str] = ("t",)) -> Expr:
     """Parse `text` into an Expr whose variables must come from `allowed_vars`.
 
-    Raises ExprSyntaxError (with position) on malformed input and
-    UndefinedVariableError for variables outside the declared set.
+    Raises ExprSyntaxError (with position) on malformed input, on nesting too
+    deep for the recursive-descent parser and on a tree more than MAX_DEPTH
+    levels deep, and UndefinedVariableError for variables outside the declared set.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    allowed = frozenset(allowed_vars)
-    root = _Parser(text, allowed).parse()
-    return Expr(root=root, variables=_collect_vars(root), text=text)
+    parser = _Parser(text, frozenset(allowed_vars))
+    try:
+        root = parser.parse()
+    except RecursionError:
+        at = parser.tokens[parser.i - 1][2]
+        raise ExprSyntaxError("expression nested too deeply", at) from None
+    variables, depth = _walk(root)
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
+    return Expr(root=root, variables=variables, text=text)
 
 
-def _collect_vars(node: Node) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return _collect_vars(node.operand)
-    if isinstance(node, BinOp):
-        return _collect_vars(node.left) | _collect_vars(node.right)
-    if isinstance(node, Call):
-        return _collect_vars(node.arg)
-    return frozenset()
+def _walk(root: Node) -> tuple[frozenset[str], int]:
+    """The variables of a tree and its depth, by an explicit stack, so that a
+    tree too deep for the recursive evaluator is measured without recursion."""
+    names, depth, stack = set(), 0, [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, Neg):
+            stack.append((node.operand, level + 1))
+        elif isinstance(node, Call):
+            stack.append((node.arg, level + 1))
+        elif isinstance(node, BinOp):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+    return frozenset(names), depth
 
 
 def _check_finite(value, node: Node):

@@ -102,12 +102,12 @@ class Solution:
 
 @dataclass(frozen=True, eq=False)
 class Prepared:
-    """What the routes need that does not depend on lambda, for one problem
-    on one grid: A0, f_gamma, the load units (load_units) in which every
-    n x n decision reads its matrix, the classification of A0 and the
-    per-load annihilation reports at `tol`. The zero-order outcome, the
-    nilpotency index, the Taylor coefficients up to `truncation` and the
-    Laurent data are computed on first use, so a regular solve never forms them."""
+    """What the routes need that does not depend on lambda, for one problem on one
+    grid: A0, f_gamma, the load units (load_units) in which every n x n decision
+    reads its matrix, the classification of A0 and the per-load annihilation reports
+    at `tol`. The zero-order outcome, the nilpotency index, the Taylor coefficients up
+    to `truncation`, the Laurent data and the successive route's coupling and bound l
+    are computed on first use, so a regular solve never forms them."""
 
     problem: ProblemSpec
     kernel: DiscreteKernel
@@ -171,14 +171,17 @@ class Prepared:
         return Laurent(pole, growth, coefficients, radius / growth)
 
     @cached_property
+    def coupling(self) -> np.ndarray:
+        """a (E - A0)^{-1}, N x n, by one n x n solve: (I-L)^{-1} h = h + coupling <gamma, h>."""
+        system = (np.eye(self.problem.n) - self.A0).T
+        return np.linalg.solve(system, self.problem.coeff_values(self.kernel.rule).T).T
+
+    @cached_property
     def successive_l(self) -> float:
-        """Computable upper estimate l for the norm of (I-L)^{-1} K, so the
-        fixed-point route is admitted for |lambda| <= q / l."""
-        inv = np.linalg.inv(np.eye(self.problem.n) - self.A0)
-        a_sup = float(np.max(np.sum(np.abs(self.problem.coeff_values(self.kernel.rule)), axis=1)))
-        gamma_max = max(functionals.functional_norm(ld.functional) for ld in self.problem.loads)
-        amplification = 1.0 + a_sup * float(np.linalg.norm(inv, np.inf)) * gamma_max
-        return amplification * self.kernel.norm
+        """l = g + max_i sum_k |coupling_ik| sum_j w_j |KG_kj| >= ||K W + coupling KG W||, the
+        operator solve_successive iterates; one load's rescaling cancels between its two factors."""
+        slices = np.abs(kernel_slices(self.problem, self.kernel)) @ self.kernel.rule.weights
+        return self.kernel.norm + float(np.max(np.abs(self.coupling) @ slices, initial=0.0))
 
 
 def prepare(
@@ -247,11 +250,12 @@ def solve_successive(
 ) -> Solution:
     """Fixed-point route: x_n = (I-L)^{-1}(lambda K x_{n-1} + f), x_0 = 0.
 
-    (I-L)^{-1} h is h + (a, c) with (E - A0) c = <gamma, h>, and the loads read
-    h = lambda K W x_{n-1} + f as f_gamma + lambda KG W x_{n-1}. The route
-    refuses |lambda| beyond q / l, which guarantees geometric convergence; the
-    difference norms become the iterate history, which stops once a
-    difference is at most prep.tol max|x_n|. The last c is the reported load vector.
+    The loads read lambda K W x_{n-1} + f as f_gamma + lambda KG W x_{n-1}, so a
+    step is x_n = lambda (K W + coupling KG W) x_{n-1} + f + coupling f_gamma
+    (Prepared.coupling), with no n x n solve. |lambda| beyond q / l, l bounding
+    that operator's max-norm, is refused; below it the differences, kept as the
+    history, shrink geometrically until one is at most prep.tol max|x_n|. Then
+    c solves (E - A0) c = f_gamma + lambda KG W x_{n-1} once.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
@@ -270,23 +274,19 @@ def solve_successive(
             f"|lambda|={abs(lam):.6g} exceeds the admissible bound q/l = "
             f"{admissible:.6g} (q={q}, l={bound_l:.6g})"
         )
-    rule = kernel.rule
-    system = np.eye(problem.n) - prep.A0
-    coeffs = problem.coeff_values(rule)
-    f_vals = problem.source_values(rule)
-    slices = kernel_slices(problem, kernel)
-
-    x_prev = np.zeros(rule.n)
-    history: list[float] = []
+    rule, coupling, slices = kernel.rule, prep.coupling, kernel_slices(problem, kernel)
+    base = problem.source_values(rule) + coupling @ prep.f_gamma
+    x_prev, history = np.zeros(rule.n), []
     for _ in range(max_iter):
         weighted = rule.weights * x_prev
-        c = np.linalg.solve(system, prep.f_gamma + lam * (slices @ weighted))
-        x_next = lam * (kernel.values @ weighted) + f_vals + coeffs @ c
+        loads = slices @ weighted
+        x_next = lam * (kernel.values @ weighted + coupling @ loads) + base
         delta = float(np.max(np.abs(x_next - x_prev)))
         history.append(delta)
-        x_prev = x_next
         if delta <= prep.tol * float(np.max(np.abs(x_next))):
-            return _solution(prep, lam, x_prev, "successive", c, history=tuple(history))
+            c = np.linalg.solve(np.eye(problem.n) - prep.A0, prep.f_gamma + lam * loads)
+            return _solution(prep, lam, x_next, "successive", c, history=tuple(history))
+        x_prev = x_next
     raise ConvergenceError(
         f"no convergence within {max_iter} iterations (last delta {history[-1]:.3e})"
     )

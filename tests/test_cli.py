@@ -393,6 +393,28 @@ def test_parse_error_exit_code(write, capsys):
     assert "error[parse-error]" in captured.err
 
 
+@pytest.mark.parametrize("depth", [150, 300, 1000, 5000])
+@pytest.mark.parametrize("nest", [
+    lambda d: "(" * d + "t*s" + ")" * d,
+    lambda d: "-" * d + "t*s",
+    lambda d: "sin(" * d + "t*s" + ")" * d,
+    lambda d: "+".join(["t*s"] * d),
+], ids=["parentheses", "unary-minus", "calls", "sum"])
+@pytest.mark.parametrize("command", [["analyze"], ["solve", "--lambda", "0.1"]])
+def test_deep_nesting_is_a_value_or_a_parse_error(write, capsys, command, nest, depth):
+    # Input nested too deeply for the recursive parser, or a tree deeper than
+    # the evaluator's recursion allows, is outside input: exit 4, never 1.
+    text = REGULAR_FILE.replace("kernel = t*s + 0.5*(1-t)*(1-s)", f"kernel = {nest(depth)}")
+    rc = main([command[0], write(text), "--nodes", "8", *command[1:]])
+    err = capsys.readouterr().err
+    assert rc in (0, 4), err
+    if rc == 4:
+        assert err.startswith("error[parse-error]: ")
+        assert "nested too deeply" in err or "deeper than 200 levels" in err
+    if depth >= 300:
+        assert rc == 4
+
+
 def test_missing_file_exit_code(capsys):
     rc = main(["analyze", "/nonexistent/path.prob"])
     captured = capsys.readouterr()

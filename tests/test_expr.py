@@ -134,7 +134,7 @@ def test_print_parse_round_trip():
     rng = np.random.default_rng(42)
     for _ in range(50):
         root = _random_node(rng, 4)
-        original = ex.Expr(root=root, variables=ex._collect_vars(root), text="")
+        original = ex.Expr(root=root, variables=ex._walk(root)[0], text="")
         reparsed = ex.parse(ex.unparse(root), ("t", "s"))
         for _ in range(10):
             t, s = rng.uniform(0, 1), rng.uniform(0, 1)
@@ -232,3 +232,18 @@ def test_root_without_an_operator_is_still_checked(text, name):
     with pytest.raises(DomainEvalError) as err:
         ex.evaluate(ex.parse(text, ("t",)), {"t": np.array([0.5, np.nan])})
     assert err.value.node_text == name
+
+
+@pytest.mark.parametrize("chain", [
+    lambda d: "-" * (d - 1) + "t",  # nested negations
+    lambda d: "+".join(["t"] * d),  # a left-leaning sum, built without recursion
+    lambda d: "^".join(["1"] * d),  # a right-leaning power tower
+], ids=["negation", "sum", "power"])
+def test_parse_bounds_the_tree_depth_that_evaluate_and_unparse_recurse_over(chain):
+    deepest = ex.parse(chain(ex.MAX_DEPTH))
+    assert ex._walk(deepest.root)[1] == ex.MAX_DEPTH
+    assert math.isfinite(ex.evaluate(deepest, {"t": 0.5}))
+    assert ex.unparse(deepest.root).count("(") >= ex.MAX_DEPTH - 1
+    with pytest.raises(ExprSyntaxError, match=f"deeper than {ex.MAX_DEPTH} levels"):
+        ex.parse(chain(ex.MAX_DEPTH + 1))
+

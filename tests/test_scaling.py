@@ -20,7 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredload.cli import main
-from fredload.tolerances import CORE_MIN_NODES
+from fredload.functionals import kernel_slices
+from fredload.kernel_ops import discretize
+from fredload.load_system import assemble_A0
+from fredload.problemfile import parse_problem_file
+from fredload.solver import prepare
+from fredload.tolerances import CORE_MIN_NODES, Q
 from util import random_load_problem
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -184,30 +189,77 @@ ROUTES = {"loaded_regular": "regular", "regular": "regular", "identity": "irregu
           "annihilating": "nilpotent"}
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
+def successive_l(text: str, nodes: int) -> float:
+    """Prepared.successive_l of a problem file at `nodes` nodes."""
+    problem = parse_problem_file(text).build(nodes)
+    return prepare(problem, discretize(problem.kernel, problem.master_rule(nodes))).successive_l
+
+
+@settings(derandomize=True, max_examples=160, deadline=None)
 @given(kind=st.sampled_from(sorted(ROUTES)), seed=st.integers(0, 2**32 - 1),
        load=st.integers(0, 2),
        s=st.one_of(st.sampled_from([2.0**-40, 2.0**40]),
-                   st.floats(-12.0, 12.0).map(lambda e: 10.0**e)))
-def test_one_rescaled_load_keeps_route_and_solution(tmp_path_factory, kind, seed, load, s):
+                   st.floats(-12.0, 12.0).map(lambda e: 10.0**e)),
+       successive=st.booleans())
+def test_one_rescaled_load_keeps_route_and_solution(tmp_path_factory, kind, seed, load, s,
+                                                    successive):
     # Rescaling one load alone, (a_k, gamma_k) -> (s a_k, gamma_k / s), leaves x
     # and scales x_gamma_k by 1 / s. The n x n decisions read their matrices in
     # load units, so neither the route nor the exit code may move. Random problems
-    # cover a regular A0, A0 = E and loads annihilating a nilpotent kernel.
+    # cover a regular A0, A0 = E and loads annihilating a nilpotent kernel. On a
+    # regular A0 the successive route runs at half its admissible |lambda| q / l,
+    # which the rescaled file must admit too.
     tmp = tmp_path_factory.getbasetemp()
     if kind == "loaded_regular":
         text, lam = PROBLEMS[kind], 0.2
     else:
         text, lam = random_load_problem(np.random.default_rng(seed), kind)
+    route, expected = "auto", ROUTES[kind]
+    if successive and expected == "regular":
+        route = expected = "successive"
+        lam = 0.5 * Q / successive_l(text, 32)
     load %= text.count("[load]")
-    reference = run_solve(text, lam, 32, "auto", tmp)
-    assert reference[:2] == (0, ROUTES[kind])
-    result = run_solve(rescale(text, "loads", s, load), lam, 32, "auto", tmp)
+    reference = run_solve(text, lam, 32, route, tmp)
+    assert reference[:2] == (0, expected)
+    result = run_solve(rescale(text, "loads", s, load), lam, 32, route, tmp)
     assert result[:2] == reference[:2]
     assert_scaled(result[2], reference[2], 1.0)
     undo = np.ones(reference[3].size)
     undo[load] = s
     assert_scaled(result[3] * undo, reference[3], 1.0)
+
+
+def dense_successive_norm(text: str, nodes: int) -> float:
+    """max-norm of K W + a (E - A0)^{-1} KG W, formed densely."""
+    problem = parse_problem_file(text).build(nodes)
+    kernel = discretize(problem.kernel, problem.master_rule(nodes))
+    weights = kernel.rule.weights
+    coupling = problem.coeff_values(kernel.rule) @ np.linalg.inv(
+        np.eye(problem.n) - assemble_A0(problem))
+    operator = kernel.values * weights + coupling @ (kernel_slices(problem, kernel) * weights)
+    return float(np.linalg.norm(operator, np.inf))
+
+
+REGULAR_EXAMPLES = ["kinked_load", "loaded_regular", "nilpotent"]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(source=st.one_of(st.sampled_from(REGULAR_EXAMPLES), st.integers(0, 2**32 - 1)),
+       nodes=st.sampled_from([32, CORE_NODES]), load=st.integers(0, 2),
+       s=st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
+def test_successive_bound_covers_the_iterated_operator_and_ignores_one_load_scale(
+        source, nodes, load, s):
+    # l bounds the max-norm of the operator the successive route iterates, and
+    # column k of a (E - A0)^{-1} and row k of KG scale inversely, so rescaling
+    # one load leaves l alone up to roundoff.
+    if isinstance(source, str):
+        text = PROBLEMS[source]
+    else:
+        text, _ = random_load_problem(np.random.default_rng(source), "regular")
+    bound = successive_l(text, nodes)
+    assert bound >= dense_successive_norm(text, nodes) * (1.0 - 1e-12)
+    rescaled = successive_l(rescale(text, "loads", s, load % text.count("[load]")), nodes)
+    assert abs(rescaled - bound) <= 1e-12 * bound
 
 
 def test_one_rescaled_load_of_loaded_regular_is_judged_in_load_units(tmp_path):

@@ -171,6 +171,38 @@ def test_successive_stop_is_relative_to_the_iterate(scale):
     assert iterative.x_gamma == pytest.approx(direct.x_gamma, rel=1e-9)
 
 
+def test_successive_solves_the_load_system_once_per_call(monkeypatch):
+    # The coupling a (E - A0)^{-1} is one n x n solve per problem; the loop
+    # applies it, so each call solves E - A0 once more, for the reported c,
+    # however many steps it takes. No explicit inverse is formed.
+    problem = make_problem(
+        "t*s + 0.5*(1-t)*(1-s)", "1 + t - t^2",
+        [("0.3*t", fl.point_load(0.25, 2.0)),
+         ("0.2", fl.integral_load(0.1, 0.9, fl.parse("1 + s", {"s"})))],
+    )
+    prep = fl.prepare(problem, _discretized(problem))
+    lams = (0.05, -0.3, 0.6)
+    direct = [fl.solve_regular(prep, lam).x_gamma for lam in lams]
+    solve, load_solves = np.linalg.solve, []
+
+    def counting_solve(matrix, rhs):
+        load_solves.append(np.shape(matrix) == (problem.n, problem.n))
+        return solve(matrix, rhs)
+
+    def no_inverse(matrix):
+        raise AssertionError("explicit inverse")
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    steps = []
+    for lam, reference in zip(lams, direct):
+        solution = fl.solve_successive(prep, lam)
+        steps.append(len(solution.history))
+        assert solution.x_gamma == pytest.approx(reference, rel=1e-8)
+    assert len(set(steps)) == 3
+    assert sum(load_solves) == 1 + len(lams)
+
+
 # -------------------------------------------------------------- nilpotent
 
 
