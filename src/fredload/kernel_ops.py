@@ -136,34 +136,39 @@ class DiscreteKernel:
     @cached_property
     def core(self) -> Core:
         """The low-rank core of K W, by an adaptive randomized range finder
-        (Halko, Martinsson and Tropp, SIAM Review 53, 2011, Alg. 4.2). Blocks
-        K W Omega of CORE_BLOCK fixed-seed Gaussian columns extend Q until
-        ||K W P - Q Q^T K W P||_F <= N CORE_TOL ||K W P||_F for the probe P;
-        the SVD of C then trims r to the singular values whose tail is above
-        half that. Trivial below CORE_MIN_NODES, or when Q would pass
-        max(CORE_BLOCK, N / CORE_BUDGET) columns."""
+        (Halko, Martinsson and Tropp, SIAM Review 53, 2011, Alg. 4.2). One
+        product K W [P | Omega] gives the acceptance target K W P for the probe
+        P and the first block of CORE_BLOCK fixed-seed Gaussian columns; each
+        later block is as wide as Q, so Q doubles until it reaches exactly the
+        budget max(CORE_BLOCK, N / CORE_BUDGET). Q is accepted once
+        ||K W P - Q Q^T K W P||_F <= N CORE_TOL ||K W P||_F; the SVD of the
+        r x r R of (Q^T K W)^T = Q' R, whose left singular vectors are C's,
+        then trims r to the singular values whose tail is above half that.
+        Trivial below CORE_MIN_NODES, or when the budget is spent."""
         n, values, weights = self.rule.n, self.values, self.rule.weights
         if n >= CORE_MIN_NODES:
-            target = values @ (weights[:, None] * _probe(n))
+            draw, budget = np.random.default_rng(1), max(CORE_BLOCK, n // CORE_BUDGET)
+            omega = np.hstack([_probe(n), draw.standard_normal((n, CORE_BLOCK))])
+            target, block = np.hsplit(values @ (weights[:, None] * omega), [-CORE_BLOCK])
             limit = n * CORE_TOL * float(np.linalg.norm(target))
 
             def misses(q: np.ndarray) -> bool:
                 return float(np.linalg.norm(target - q @ (q.T @ target))) > limit
 
-            draw = np.random.default_rng(1)
-            q = np.empty((n, 0))
-            while q.shape[1] + CORE_BLOCK <= max(CORE_BLOCK, n // CORE_BUDGET):
-                block = values @ (weights[:, None] * draw.standard_normal((n, CORE_BLOCK)))
+            q = np.linalg.qr(block)[0]
+            while misses(q):
+                width = min(q.shape[1], budget - q.shape[1])
+                if width == 0:
+                    return Core(None, values, weights)
+                block = values @ (weights[:, None] * draw.standard_normal((n, width)))
                 q = np.linalg.qr(np.hstack([q, block]))[0]
-                if misses(q):
-                    continue
-                qtk = q.T @ values
-                u, sing, _ = np.linalg.svd(qtk * weights, full_matrices=False)
-                tail = np.sqrt(np.cumsum(sing[::-1] ** 2))[::-1]
-                u = u[:, : max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0])))]
-                if misses(q @ u):
-                    return Core(q, qtk, weights)
-                return Core(q @ u, u.T @ qtk, weights)
+            qtk = q.T @ values
+            u, sing, _ = np.linalg.svd(np.linalg.qr((qtk * weights).T, mode="r").T)
+            tail = np.sqrt(np.cumsum(sing[::-1] ** 2))[::-1]
+            u = u[:, : max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0])))]
+            if misses(q @ u):
+                return Core(q, qtk, weights)
+            return Core(q @ u, u.T @ qtk, weights)
         return Core(None, values, weights)
 
 

@@ -100,14 +100,15 @@ def b_lambda(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> np.nda
     return assemble_lambda_system(problem, kernel, lam, assemble_f_gamma(problem))[1]
 
 
-def taylor_A(problem: ProblemSpec, kernel: DiscreteKernel, depth: int) -> list[np.ndarray]:
-    """Scaled coefficients A~_1..A~_depth, A~_m = KG W (K W / g)^{m-1} a / g
-    with g = series_scale(kernel), so A(lambda) = sum_m (lambda g)^m A~_m and
-    A_m[i, k] = <gamma_i, (K_m W a_k)(t)> = g^m A~_m[i, k]."""
+def taylor_A(problem: ProblemSpec, kernel: DiscreteKernel, depth: int) -> np.ndarray:
+    """Scaled coefficients A~_1..A~_depth as one depth x n x n array, A~_m =
+    KG W (K W / g)^{m-1} a / g with g = series_scale(kernel), so A(lambda) =
+    sum_m (lambda g)^m A~_m and A_m[i, k] = <gamma_i, (K_m W a_k)(t)> = g^m A~_m[i, k]."""
     coeffs = problem.coeff_values(kernel.rule)
     scaled_weights = kernel.rule.weights / series_scale(kernel)
     weighted = functionals.kernel_slices(problem, kernel) * scaled_weights
-    return [weighted @ y for y in chain([coeffs], scaled_powers(kernel, coeffs, depth - 1))]
+    terms = chain([coeffs], scaled_powers(kernel, coeffs, depth - 1))
+    return np.stack([weighted @ y for y in terms])
 
 
 def load_units(problem: ProblemSpec) -> np.ndarray:
@@ -120,8 +121,8 @@ def load_units(problem: ProblemSpec) -> np.ndarray:
 
 
 def in_load_units(matrix: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """U^{-1} M U for U = diag(units): an n x n load matrix in load units, where
-    every decision on it is made. Products by powers of two are exact."""
+    """U^{-1} M U for U = diag(units): an n x n load matrix, or a stack of them, in
+    load units, where every decision on it is made. Products by powers of two are exact."""
     return matrix * (units / units[:, None])
 
 

@@ -76,7 +76,7 @@ class Laurent:
 
     pole_order: int
     growth: float
-    coefficients: tuple[np.ndarray, ...]
+    coefficients: np.ndarray
     rho: float
 
 
@@ -135,14 +135,14 @@ class Prepared:
         return nilpotency_index(self.kernel, self.truncation)
 
     @cached_property
-    def taylor(self) -> list[np.ndarray]:
-        """A~_1..A~_truncation of A(lambda) = sum_m (lambda g)^m A~_m."""
+    def taylor(self) -> np.ndarray:
+        """A~_1..A~_truncation of A(lambda) = sum_m (lambda g)^m A~_m, stacked."""
         return taylor_A(self.problem, self.kernel, self.truncation)
 
     @cached_property
     def pole(self) -> tuple[Optional[int], float]:
         """(p, reference) of pole_order on the Taylor coefficients in load units."""
-        return pole_order([in_load_units(a_m, self.units) for a_m in self.taylor])
+        return pole_order(in_load_units(self.taylor, self.units))
 
     @cached_property
     def laurent(self) -> Laurent:
@@ -158,15 +158,15 @@ class Prepared:
                 "the load coupling A(lambda) vanishes to working precision at "
                 f"every order up to {self.truncation}; no pole order can be assigned"
             )
-        coefficients = tuple(self.taylor[pole - 1 :])
+        coefficients = self.taylor[pole - 1 :]
         a_p = coefficients[0]
         if numerical_rank(in_load_units(a_p, self.units), reference) < len(a_p):
             raise RoutePreconditionError(
                 f"the leading coefficient matrix A_{pole} of the load coupling "
                 "is singular; the pole expansion does not apply"
             )
-        solved = (in_load_units(np.linalg.solve(a_p, a_m), self.units) for a_m in coefficients[1:])
-        radius = _contraction_radius([float(np.linalg.norm(c, np.inf)) for c in solved])
+        solved = in_load_units(np.linalg.solve(a_p, coefficients[1:]), self.units)
+        radius = _contraction_radius(np.max(np.sum(np.abs(solved), axis=2), axis=1).tolist())
         growth = series_scale(self.kernel)
         return Laurent(pole, growth, coefficients, radius / growth)
 
@@ -202,13 +202,17 @@ def prepare(
 
 def _defect(prep: Prepared, lam: float, x: np.ndarray, c: np.ndarray) -> float:
     """Max-norm defect of both rows of the bordered system at (x, c):
-    x - a c - lambda K W x = f and c - A0 c - lambda KG W x = f_gamma."""
+    x - a c - lambda K W x = f and c - A0 c - lambda KG W x = f_gamma, both divided by
+    a power of two s > max|x| / 2, at most 2^1023 (exact), so no term overflows where
+    the defect does not."""
     problem, kernel = prep.problem, prep.kernel
+    s = math.ldexp(1.0, min(math.frexp(float(np.max(np.abs(x))))[1], 1023))
+    x, c = x / s, c / s
     weighted = kernel.rule.weights * x
     grid = x - problem.coeff_values(kernel.rule) @ c - lam * (kernel.values @ weighted)
-    grid -= problem.source_values(kernel.rule)
-    loads = c - prep.A0 @ c - lam * (kernel_slices(problem, kernel) @ weighted) - prep.f_gamma
-    return max(float(np.max(np.abs(grid))), float(np.max(np.abs(loads))))
+    grid -= problem.source_values(kernel.rule) / s
+    loads = c - prep.A0 @ c - lam * (kernel_slices(problem, kernel) @ weighted) - prep.f_gamma / s
+    return s * max(float(np.max(np.abs(grid))), float(np.max(np.abs(loads))))
 
 
 def _solution(prep: Prepared, lam: float, values: np.ndarray, route: str, c: np.ndarray,
@@ -346,19 +350,19 @@ def _contraction_radius(norms: list[float]) -> float:
     return lo
 
 
-def pole_order(coeff_mats: list[np.ndarray]) -> tuple[Optional[int], float]:
+def pole_order(coeff_mats: np.ndarray) -> tuple[Optional[int], float]:
     """(p, reference) for the scaled Taylor coefficients A~_m of the load
-    coupling (taylor_A), each on its own scale: with r_m = max|A~_m|, p is
-    the first m with r_m > POLE_COEFF_TOL * (1 + max r_m), None if none, and
-    reference = 1 + max r_m. A non-finite A~_m is an error."""
-    mags = [float(np.max(np.abs(a))) for a in coeff_mats]
-    bad = next((m for m, mag in enumerate(mags, start=1) if not math.isfinite(mag)), None)
-    if bad is not None:
+    coupling (taylor_A), an M x n x n stack, each on its own scale: with
+    r_m = max|A~_m|, p is the first m with r_m > POLE_COEFF_TOL * (1 + max r_m),
+    None if none, and reference = 1 + max r_m. A non-finite A~_m is an error."""
+    mags = np.max(np.abs(coeff_mats), axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(mags))
+    if bad.size:
         raise RoutePreconditionError(
-            f"the Taylor coefficient A_{bad} of the load coupling is not finite"
+            f"the Taylor coefficient A_{bad[0] + 1} of the load coupling is not finite"
         )
-    scale = 1.0 + max(mags, default=0.0)
-    return next((m for m, r in enumerate(mags, start=1) if r > POLE_COEFF_TOL * scale), None), scale
+    scale = 1.0 + float(np.max(mags))
+    return next((int(m) + 1 for m in np.flatnonzero(mags > POLE_COEFF_TOL * scale)), None), scale
 
 
 def solve_irregular(prep: Prepared, lam: float) -> Solution:

@@ -35,5 +35,5 @@ NEWTON_TOL = 1e-15  # Gauss-Legendre nodes: Newton stops once max|dx| < NEWTON_T
 CORE_MIN_NODES = 192  # solve on it took 0.98, 0.97, 0.94 of the dense time at N = 128, 160, 192
 # It is accepted when ||K W P - Q C P||_F <= N CORE_TOL ||K W P||_F for the probe P, the
 CORE_TOL = math.ulp(1.0)  # product's roundoff: 10 eps fails the constant kernel (54 eps, N = 512)
-CORE_BLOCK = 16  # range-finder columns per block; past max(CORE_BLOCK, N / CORE_BUDGET)
+CORE_BLOCK = 8  # first range-finder block, then Q doubles; past max(CORE_BLOCK, N / CORE_BUDGET)
 CORE_BUDGET = 8  # columns the range finder gives up, and the core is the trivial Q = I

@@ -65,6 +65,58 @@ def test_core_factors_k_w(text, rank, nodes):
     assert kernel.core is core  # cached on the kernel, like the norm
 
 
+def _products_with_values(kernel):
+    """The widths (columns of K X, rows of Y K) of the matrix products with
+    kernel.values that building kernel.core takes, in order."""
+    widths = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                left, right = inputs
+                widths.append(right.shape[1] if isinstance(left, Counted) else left.shape[0])
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    object.__setattr__(kernel, "values", kernel.values.view(Counted))
+    kernel.core
+    return widths
+
+
+# One instance of each generated benchmark family (regular, identity, nilpotent)
+# and its rank at N = 512, and the regular family's top corner (c2 = 3).
+FAMILY_KERNELS = [("0.6523*exp(-0.3121*(t - s))*cos(1.874*t*s)", 7),
+                  ("0.9*exp(1.0*(t - s))*cos(3.0*t*s)", 8),
+                  ("0.5512 + 0.2211*t*s + 0.1123*cos(2.718*(t - s))", 4),
+                  ("1.7*(t - 0.3)*(s - 0.9166666666666666)", 1)]
+
+
+@pytest.mark.parametrize("name, rank", [("loaded_regular", 2), ("identity_pole", 1),
+                                        ("nilpotent", 1), ("kinked_load", 8),
+                                        ("no_solution", 1)])
+def test_example_cores_take_one_sketch_pass(name, rank):
+    # K W [P | Omega] and Q^T K: the first block of CORE_BLOCK columns is accepted.
+    problem = load_problem_file(str(EXAMPLES / f"{name}.prob")).build(512)
+    kernel = fl.discretize(problem.kernel, problem.master_rule(512))
+    assert _products_with_values(kernel) == [4 + CORE_BLOCK, CORE_BLOCK]
+    assert kernel.core.Q is not None and kernel.core.rank == rank <= CORE_BLOCK
+
+
+@pytest.mark.parametrize("text, rank", FAMILY_KERNELS)
+def test_benchmark_family_cores_take_one_sketch_pass(text, rank):
+    kernel = _kernel(text, 512)
+    assert len(_products_with_values(kernel)) == 2
+    assert kernel.core.Q is not None and kernel.core.rank == rank
+
+
+@pytest.mark.parametrize("text, rank", [("exp(-(t - s)^2)", 9), ("cos(14*t*s)", 14)])
+def test_core_past_the_first_block_doubles_q(text, rank):
+    # A second block as wide as Q: K W [P | Omega_8], K W Omega_8 and a
+    # 16-row Q^T K, the 36 columns two 16-column blocks and the probe took.
+    kernel = _kernel(text, 512)
+    assert _products_with_values(kernel) == [12, 8, 16]
+    assert kernel.core.rank == rank
+
+
 def test_core_is_trivial_below_the_crossover():
     kernel = _kernel("t*s + 0.5*(1-t)*(1-s)", CORE_MIN_NODES - 1)
     core = kernel.core

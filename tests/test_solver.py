@@ -18,13 +18,17 @@ from fredload.errors import (
     RoutePreconditionError,
     SingularLoadSystemError,
 )
-from fredload.problemfile import load_problem_file
+from fredload.load_system import in_load_units
+from fredload.problemfile import load_problem_file, parse_problem_file
+from fredload.tolerances import POLE_COEFF_TOL
 from util import (
     golden_identity_problem,
     make_problem,
     make_random_regular_problem,
     poly_integral,
 )
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def _discretized(problem, nodes=64):
@@ -398,6 +402,47 @@ def test_pole_order_rejects_non_finite_coefficients():
     assert fl.solver.pole_order([0.0 * finite, finite]) == (2, 2.0)
 
 
+TWO_LOAD_IDENTITY = """\
+interval = 0 1
+kernel = cos(t - s) + 0.5*t*s
+source = 1 + t
+
+[load]
+coeff = 1 - t
+point = 1 @ 0
+
+[load]
+coeff = t
+point = 1 @ 1
+"""
+
+
+@pytest.mark.parametrize("nodes", [64, 512])
+@pytest.mark.parametrize("name", ["identity_pole", "two_loads"])
+def test_stacked_laurent_data_match_a_per_coefficient_reference(name, nodes):
+    # One M x n x n stack of Taylor coefficients; pole order and rho keep the
+    # bits of the coefficient-by-coefficient computation.
+    text = TWO_LOAD_IDENTITY if name == "two_loads" else (EXAMPLES / f"{name}.prob").read_text()
+    problem = parse_problem_file(text).build(nodes)
+    kernel = _discretized(problem, nodes)
+    prep = fl.prepare(problem, kernel)
+    assert prep.classification.is_irregular_identity
+    taylor = fl.taylor_A(problem, kernel, prep.truncation)
+    assert isinstance(taylor, np.ndarray)
+    assert taylor.shape == (prep.truncation, problem.n, problem.n)
+    assert np.array_equal(prep.taylor, taylor)
+    mags = [float(np.max(np.abs(in_load_units(a_m, prep.units)))) for a_m in taylor]
+    reference = 1.0 + max(mags)
+    pole = next(m for m, r in enumerate(mags, start=1) if r > POLE_COEFF_TOL * reference)
+    norms = [float(np.linalg.norm(in_load_units(np.linalg.solve(taylor[pole - 1], a_m),
+                                                   prep.units), np.inf))
+             for a_m in taylor[pole:]]
+    rho = solver_module._contraction_radius(norms) / fl.series_scale(kernel)
+    assert prep.pole == (pole, reference)
+    assert (prep.laurent.pole_order, prep.laurent.rho) == (pole, rho)
+    assert np.array_equal(prep.laurent.coefficients, taylor[pole - 1:])
+
+
 def test_irregular_expansion_metadata():
     problem, kernel = golden_identity_problem()
     solution = fl.solve_irregular(fl.prepare(problem, kernel), 0.25)
@@ -483,6 +528,59 @@ def test_residual_detects_corruption():
     assert _fresh_defect(problem, kernel, corrupted) >= 0.5
 
 
+def _unscaled_defect(prep, lam, solution):
+    """The max-norm defect of both bordered rows, computed without scaling."""
+    problem, kernel = prep.problem, prep.kernel
+    x, c = solution.x.values, solution.x_gamma
+    weighted = kernel.rule.weights * x
+    grid = x - problem.coeff_values(kernel.rule) @ c - lam * (kernel.values @ weighted)
+    grid -= problem.source_values(kernel.rule)
+    loads = c - prep.A0 @ c - lam * (fl.kernel_slices(problem, kernel) @ weighted) - prep.f_gamma
+    return max(float(np.max(np.abs(grid))), float(np.max(np.abs(loads))))
+
+
+def test_residual_keeps_the_bits_of_the_unscaled_defect():
+    # The defect divides by a power of two, which is exact: it equals the
+    # unscaled max-norm defect bit for bit.
+    rng = np.random.default_rng(17)
+    problem, kernel, lam = make_random_regular_problem(rng)
+    prep = fl.prepare(problem, kernel)
+    solution = fl.solve_regular(prep, lam)
+    assert solution.residual == _unscaled_defect(prep, lam, solution)
+
+
+@pytest.mark.parametrize("nodes", [64, 512])
+def test_residual_of_a_solution_near_the_float_range_is_finite(nodes):
+    # x = -2^30 / (2^60 lambda) is 9.3e290 at lambda = 1e-300 and K W x is
+    # 1e309; the defect applies K W to x / s, s >= max|x|, and stays finite.
+    problem = make_problem("2^60", "2^30", [("1", fl.point_load(0.0))])
+    solution = fl.solve_irregular(fl.prepare(problem, _discretized(problem, nodes)), 1e-300)
+    assert solution.x.values == pytest.approx(np.full(nodes, -(2.0**-30) / 1e-300), rel=1e-12)
+    assert solution.residual <= 1e-12 * 2.0**30
+
+
+@pytest.mark.parametrize("nodes", [16, 512])
+def test_residual_of_a_solution_past_two_to_the_1023_is_finite(nodes):
+    # x = -2^10 / lambda is -1.02e308 at lambda = 1e-305, above 2^1023: the
+    # power of two stops at 2^1023 (2^1024 is out of range), x / s stays
+    # below 2, and the defect keeps the bits of the unscaled one.
+    problem = make_problem("1", "2^10", [("1", fl.point_load(0.0))])
+    prep = fl.prepare(problem, _discretized(problem, nodes))
+    solution = fl.solve_irregular(prep, 1e-305)
+    assert 2.0**1023 <= np.max(np.abs(solution.x.values)) <= np.finfo(float).max
+    assert solution.residual == _unscaled_defect(prep, 1e-305, solution) <= 1e-12 * 2.0**10
+
+
+@pytest.mark.parametrize("nodes", [16, 512])
+def test_residual_at_a_huge_lambda_warns_nothing(nodes):
+    # x = 1 + lambda (t - 1/2) is exact, but roundoff in K W x, times lambda
+    # twice, puts the defect near 1e583; no term of it may overflow on the way.
+    args = ["solve", str(EXAMPLES / "nilpotent.prob"), "--nodes", str(nodes), "--lambda", "1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(args) == 0
+
+
 def test_residual_of_oracle_solution_is_tiny():
     rng = np.random.default_rng(29)
     problem, kernel, lam = make_random_regular_problem(rng)
@@ -534,7 +632,6 @@ def test_solve_auto_routes():
         fl.solve_auto(incompatible, incompatible_kernel, 0.3)
 
 
-EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def _count_calls(monkeypatch, owner, name):
