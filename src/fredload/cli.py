@@ -215,8 +215,8 @@ def cmd_solve(args) -> int:
     problem, kernel, numerics = _setup(args)
     lam = _required_lambda(numerics)
     solution = _solve_once(problem, kernel, lam, args.route, numerics)
-    points = zip(kernel.rule.nodes.tolist(), solution.x.values.tolist())
-    print("\n".join(["t,x", *(f"{_fmt(t)},{_fmt(x)}" for t, x in points)]))
+    rows = map("{:.17g},{:.17g}".format, kernel.rule.nodes.tolist(), solution.x.values.tolist())
+    print("\n".join(["t,x", *rows]))
     _solution_summary(solution)
     return EXIT_OK
 

@@ -27,11 +27,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import CharacteristicNumberError
+from .errors import CharacteristicNumberError, DomainEvalError
 from .expr import Expr, evaluate
 from .quadrature import GridFunction, QuadratureRule
 from .tolerances import CLUSTER_RADIUS, COLLAPSE_RATIO, COND_LIMIT, CORE_BLOCK, CORE_BUDGET
-from .tolerances import CORE_MIN_NODES, CORE_TOL, EIGEN_FLOOR, NILPOTENT_TOL, REAL_RATIO, TRUNCATION
+from .tolerances import CORE_MIN_NODES, CORE_TOL, EIGEN_FLOOR, GRID_BLOCK, NILPOTENT_TOL
+from .tolerances import REAL_RATIO, TRUNCATION
 
 __all__ = [
     "Core",
@@ -45,6 +46,7 @@ __all__ = [
     "resolvent",
     "resolvent_apply",
     "resolvent_images",
+    "binary_scale",
     "find_characteristic_numbers",
     "det_magnitude",
     "COND_LIMIT",
@@ -125,13 +127,21 @@ class DiscreteKernel:
 
     @cached_property
     def max_abs(self) -> float:
-        """max|K_ij|; non-finite exactly when some value is."""
-        return float(np.max(np.abs(self.values), initial=0.0))
+        """max|K_ij| = max(max K, -min K), with no copy of K; non-finite exactly
+        when some value is, as a NaN makes both NaN."""
+        return float(max(self.values.max(), -self.values.min()))
 
     @cached_property
     def norm(self) -> float:
-        """Discrete sup-norm of the integral operator: max_i sum_j w_j |K_ij|."""
-        return float(np.max(np.abs(self.values) @ self.rule.weights, initial=0.0))
+        """Discrete sup-norm of the integral operator: max_i sum_j w_j |K_ij|,
+        summed over row blocks of GRID_BLOCK elements in one reused buffer."""
+        values, n = self.values, self.rule.n
+        step = max(1, GRID_BLOCK // n)
+        scratch, sums = np.empty((min(step, n), n)), np.empty(n)
+        for lo in range(0, n, step):
+            block = np.abs(values[lo : lo + step], out=scratch[: min(step, n - lo)])
+            np.matmul(block, self.rule.weights, out=sums[lo : lo + step])
+        return float(np.max(sums))
 
     @cached_property
     def core(self) -> Core:
@@ -189,11 +199,27 @@ class IteratedKernels:
 
 
 def discretize(kernel: Expr, rule: QuadratureRule) -> DiscreteKernel:
-    """Sample K(t,s) at all node pairs of the rule; a sample that is not
-    already N x N (one that ignores t or s) is broadcast into a copy."""
-    values = evaluate(kernel, {"t": rule.nodes[:, None], "s": rule.nodes[None, :]})
-    if np.shape(values) != (rule.n, rule.n):
-        values = np.broadcast_to(values, (rule.n, rule.n)).copy()
+    """Sample K(t,s) at all node pairs of the rule. Above GRID_BLOCK elements
+    the rows are evaluated in blocks of at most GRID_BLOCK elements, each
+    written into the one N x N result, so no other N x N array is formed; a
+    block's DomainEvalError gives way to the whole grid's, which names the
+    node that fails first over every row. On the whole grid, a sample that is
+    not already N x N (one that ignores t or s) is broadcast into a copy."""
+    n, nodes = rule.n, rule.nodes
+    step = max(1, GRID_BLOCK // n)
+    if step < n:
+        values = np.empty((n, n))
+        try:
+            for lo in range(0, n, step):
+                values[lo : lo + step] = evaluate(
+                    kernel, {"t": nodes[lo : lo + step, None], "s": nodes[None, :]})
+        except DomainEvalError:
+            pass
+        else:
+            return DiscreteKernel(rule=rule, values=values)
+    values = evaluate(kernel, {"t": nodes[:, None], "s": nodes[None, :]})
+    if np.shape(values) != (n, n):
+        values = np.broadcast_to(values, (n, n)).copy()
     return DiscreteKernel(rule=rule, values=values)
 
 
@@ -314,6 +340,14 @@ def resolvent_images(kernel: DiscreteKernel, lam: float, columns: np.ndarray) ->
     lambda K W Y = Q (I_r - lambda M)^{-1} lambda C Y (Woodbury), one r x r solve."""
     core = kernel.core
     return core.lift(_solve_or_raise(kernel, lam, lam * core.compress(columns)))
+
+
+def binary_scale(columns: np.ndarray) -> np.ndarray:
+    """Per column of an N x m block, or for an N-vector, the power of two s
+    just above max|y|, at most 2^1023 (1 for a zero column): max|y / s| < 1,
+    and dividing or multiplying by s is exact."""
+    exponent = np.frexp(np.max(np.abs(columns), axis=0))[1]
+    return np.ldexp(1.0, np.minimum(exponent, 1023))
 
 
 def det_magnitude(kernel: DiscreteKernel, lam: float) -> float:

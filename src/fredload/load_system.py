@@ -31,7 +31,7 @@ import numpy as np
 
 from . import functionals
 from .errors import NoSolutionError
-from .kernel_ops import DiscreteKernel, resolvent_images, scaled_powers, series_scale
+from .kernel_ops import DiscreteKernel, binary_scale, resolvent_images, scaled_powers, series_scale
 from .problem import Load, ProblemSpec
 from .tolerances import COND_LIMIT, CONSISTENCY_TOL, IDENTITY_TOL
 
@@ -82,11 +82,18 @@ def assemble_lambda_system(
     lambda K W [a | f] with n + 1 right-hand sides: B = [a | f] + Z rebuilds
     the solution as x = B_a x_gamma + B_f = u + lambda G W u for
     u = f + a x_gamma, and the loads read it through the kernel slices,
-    A(lambda) = lambda KG W B_a and b(lambda) = f_gamma + lambda KG W B_f."""
+    A(lambda) = lambda KG W B_a and b(lambda) = f_gamma + lambda KG W B_f.
+    Both products act on [a | f] / s, each column divided by its binary_scale
+    s, and are multiplied back by s, so that neither K W [a | f] nor KG W B
+    overflows where A(lambda), b(lambda) and B do not; the scaling is exact."""
     rule = kernel.rule
     columns = np.column_stack([problem.coeff_values(rule), problem.source_values(rule)])
-    basis = columns + resolvent_images(kernel, lam, columns)
-    coupled = lam * (functionals.kernel_slices(problem, kernel) @ (rule.weights[:, None] * basis))
+    scale = binary_scale(columns)
+    basis = columns / scale
+    basis += resolvent_images(kernel, lam, basis)
+    slices = functionals.kernel_slices(problem, kernel)
+    coupled = lam * (slices @ (rule.weights[:, None] * basis)) * scale
+    basis *= scale
     return coupled[:, :-1], f_gamma + coupled[:, -1], basis
 
 

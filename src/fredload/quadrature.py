@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import NEWTON_TOL
+from .tolerances import GRID_BLOCK, NEWTON_TOL
 
 __all__ = [
     "QuadratureRule",
@@ -146,9 +146,11 @@ def interp_row(rule: QuadratureRule, ts, coeffs) -> np.ndarray:
 
     With the rule's barycentric weights b, v = b * (C^T (coeffs / (C b)))
     with C_ij = 1 / (ts_i - x_j), the Cauchy form of the second barycentric
-    formula summed over the points without forming their rows; a point that
-    hits a node exactly adds its coefficient to that node. A point outside
-    [a, b] is a ValueError naming the first such point."""
+    formula summed over the points without forming their rows. C is formed
+    in place for chunks of points of at most GRID_BLOCK elements, and their
+    sums are added up; a point that hits a node exactly adds its coefficient
+    to that node. A point outside [a, b] is a ValueError naming the first
+    such point."""
     ts, coeffs = np.asarray(ts, dtype=float), np.asarray(coeffs, dtype=float)
     outside = (ts < rule.a) | (ts > rule.b)
     if np.any(outside):
@@ -157,9 +159,15 @@ def interp_row(rule: QuadratureRule, ts, coeffs) -> np.ndarray:
     nodes, bary = rule.nodes, rule.barycentric
     at = np.minimum(np.searchsorted(nodes, ts), rule.n - 1)
     hit = nodes[at] == ts
-    cauchy = np.subtract.outer(ts[~hit], nodes)
-    np.divide(1.0, cauchy, out=cauchy)
-    row = bary * ((coeffs[~hit] / (cauchy @ bary)) @ cauchy)
+    off, weights = ts[~hit], coeffs[~hit]
+    step = max(1, GRID_BLOCK // rule.n)
+    row, scratch = np.zeros(rule.n), np.empty((min(step, off.size), rule.n))
+    for lo in range(0, off.size, step):
+        chunk = off[lo : lo + step]
+        cauchy = np.subtract.outer(chunk, nodes, out=scratch[: chunk.size])
+        np.divide(1.0, cauchy, out=cauchy)
+        row += (weights[lo : lo + step] / (cauchy @ bary)) @ cauchy
+    row *= bary
     np.add.at(row, at[hit], coeffs[hit])
     return row
 

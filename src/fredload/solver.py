@@ -35,7 +35,7 @@ import numpy as np
 from . import functionals
 from .errors import ConvergenceError, RoutePreconditionError, SingularLoadSystemError
 from .functionals import ConditionReport, kernel_slices
-from .kernel_ops import DiscreteKernel, nilpotency_index, series_scale
+from .kernel_ops import DiscreteKernel, binary_scale, nilpotency_index, series_scale
 from .load_system import (
     Classification,
     ProblemSpec,
@@ -203,10 +203,10 @@ def prepare(
 def _defect(prep: Prepared, lam: float, x: np.ndarray, c: np.ndarray) -> float:
     """Max-norm defect of both rows of the bordered system at (x, c):
     x - a c - lambda K W x = f and c - A0 c - lambda KG W x = f_gamma, both divided by
-    a power of two s > max|x| / 2, at most 2^1023 (exact), so no term overflows where
-    the defect does not."""
+    the power of two s = binary_scale(x) (exact), so no term overflows where the
+    defect does not."""
     problem, kernel = prep.problem, prep.kernel
-    s = math.ldexp(1.0, min(math.frexp(float(np.max(np.abs(x))))[1], 1023))
+    s = float(binary_scale(x))
     x, c = x / s, c / s
     weighted = kernel.rule.weights * x
     grid = x - problem.coeff_values(kernel.rule) @ c - lam * (kernel.values @ weighted)
@@ -259,7 +259,9 @@ def solve_successive(
     (Prepared.coupling), with no n x n solve. |lambda| beyond q / l, l bounding
     that operator's max-norm, is refused; below it the differences, kept as the
     history, shrink geometrically until one is at most prep.tol max|x_n|. Then
-    c solves (E - A0) c = f_gamma + lambda KG W x_{n-1} once.
+    c solves (E - A0) c = f_gamma + lambda KG W x_{n-1} once. The loop runs on
+    x_n / s, s the binary_scale of f + coupling f_gamma, so that K W x_n does not
+    overflow where x_n does not; the scaling is exact.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
@@ -280,16 +282,18 @@ def solve_successive(
         )
     rule, coupling, slices = kernel.rule, prep.coupling, kernel_slices(problem, kernel)
     base = problem.source_values(rule) + coupling @ prep.f_gamma
+    scale = float(binary_scale(base))  # the loop runs on x / scale, exactly
+    base = base / scale
     x_prev, history = np.zeros(rule.n), []
     for _ in range(max_iter):
         weighted = rule.weights * x_prev
         loads = slices @ weighted
         x_next = lam * (kernel.values @ weighted + coupling @ loads) + base
         delta = float(np.max(np.abs(x_next - x_prev)))
-        history.append(delta)
+        history.append(scale * delta)
         if delta <= prep.tol * float(np.max(np.abs(x_next))):
-            c = np.linalg.solve(np.eye(problem.n) - prep.A0, prep.f_gamma + lam * loads)
-            return _solution(prep, lam, x_next, "successive", c, history=tuple(history))
+            c = np.linalg.solve(np.eye(problem.n) - prep.A0, prep.f_gamma + lam * loads * scale)
+            return _solution(prep, lam, scale * x_next, "successive", c, history=tuple(history))
         x_prev = x_next
     raise ConvergenceError(
         f"no convergence within {max_iter} iterations (last delta {history[-1]:.3e})"

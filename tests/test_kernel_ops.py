@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import fredload as fl
-from fredload.errors import CharacteristicNumberError
+from fredload.errors import CharacteristicNumberError, DomainEvalError
+from fredload.expr import evaluate
 from fredload.problemfile import load_problem_file
+from fredload.tolerances import GRID_BLOCK
 from util import poly_integral, random_polynomial_kernel
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -36,6 +38,66 @@ def test_discretize_exponential_entries():
     t = kernel.rule.nodes
     expected = np.exp(t[:, None] - t[None, :])
     assert kernel.values == pytest.approx(expected, rel=1e-15)
+
+
+# Every operator and function, both constants, unary minus, and terms in t
+# alone, in s alone and in neither.
+BLOCK_KERNELS = [
+    "t*s + 0.5*(1-t)*(1-s)",
+    "exp(t*s) - sin(t - s)/(2 + cos(pi*s))",
+    "sqrt(1 + t^2*s) * log(e + abs(t - s))",
+    "-(t - 1/2) + 3^s",
+    "t^3 - 2",
+    "cos(s)",
+    "2.5",
+]
+
+
+def _whole_grid(expr, rule):
+    return evaluate(expr, {"t": rule.nodes[:, None], "s": rule.nodes[None, :]})
+
+
+@pytest.mark.parametrize("n", [191, 512, 1000])
+@pytest.mark.parametrize("text", BLOCK_KERNELS)
+def test_blocked_sample_equals_the_whole_grid_evaluation(n, text):
+    # Rows per block: 191^2 fits one block (the whole-grid code), 512 rows come
+    # in four blocks of 128, and 1000 rows in 15 blocks of 65 and a ragged 25.
+    assert GRID_BLOCK // n == {191: 343, 512: 128, 1000: 65}[n]
+    rule = fl.gauss_legendre(n, 0.0, 1.0)
+    expr = fl.parse(text, {"t", "s"})
+    kernel = fl.discretize(expr, rule)
+    assert kernel.values.shape == (n, n)
+    assert np.array_equal(kernel.values, np.broadcast_to(_whole_grid(expr, rule), (n, n)))
+    assert kernel.max_abs == float(np.max(np.abs(kernel.values)))
+    expected_norm = float(np.max(np.abs(kernel.values) @ rule.weights))
+    assert kernel.norm == pytest.approx(expected_norm, rel=1e-14, abs=0.0)
+
+
+def test_blocked_sample_names_the_node_the_whole_grid_names():
+    # sqrt(0.95 - t) fails only in the last block of rows and log(t - 0.05) only
+    # in the first: the first block alone meets the log, the whole grid the sqrt.
+    rule = fl.gauss_legendre(512, 0.0, 1.0)
+    expr = fl.parse("sqrt(0.95 - t) + log(t - 0.05) + s", {"t", "s"})
+    with pytest.raises(DomainEvalError) as whole:
+        _whole_grid(expr, rule)
+    first_rows = rule.nodes[: GRID_BLOCK // rule.n, None]
+    with pytest.raises(DomainEvalError) as first_block:
+        evaluate(expr, {"t": first_rows, "s": rule.nodes[None, :]})
+    assert first_block.value.node_text != whole.value.node_text
+    with pytest.raises(DomainEvalError) as blocked:
+        fl.discretize(expr, rule)
+    assert blocked.value.node_text == whole.value.node_text == "sqrt((0.95 - t))"
+    assert str(blocked.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_max_abs_is_the_finiteness_check(bad):
+    rule = fl.gauss_legendre(4, 0.0, 1.0)
+    assert fl.DiscreteKernel(rule, np.full((4, 4), -3.0)).max_abs == 3.0
+    values = np.full((4, 4), -3.0)
+    values[2, 1] = bad
+    with pytest.raises(ValueError, match="kernel values must be finite"):
+        fl.DiscreteKernel(rule, values)
 
 
 def test_iterate_centered_kernel_vanishes_at_depth_two():

@@ -14,6 +14,7 @@ from fredload.quadrature import (
     interp_weights,
     interpolate,
 )
+from fredload.tolerances import GRID_BLOCK
 
 
 def test_single_node_rule_is_midpoint():
@@ -152,6 +153,26 @@ def test_interp_matrix_rows_equal_scalar_rows(m):
     coeffs = rng.uniform(-2.0, 2.0, ts.size)
     scale = np.max(np.abs(coeffs) @ np.abs(matrix))
     assert np.max(np.abs(interp_row(rule, ts, coeffs) - coeffs @ matrix)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("m, points", [(64, 64), (512, 512), (1000, 1000)])
+def test_chunked_interp_row_matches_the_one_matrix_formula(m, points):
+    # An integral load whose sub-rule has the master node count: above GRID_BLOCK
+    # elements C is formed in chunks of points (at m = 1000, 15 of 65 and a
+    # ragged 25), and the chunks' sum agrees with the one-matrix formula
+    # b * (C^T u), u = c / (C b), relative to the size |b| (|C|^T |u|) of the
+    # terms it sums; in one chunk it is the formula itself.
+    rule, sub = gauss_legendre(m, 0.0, 1.0), gauss_legendre(points, 0.1, 0.9)
+    ts, coeffs = sub.nodes, sub.weights * (1.0 + sub.nodes)
+    assert np.intersect1d(ts, rule.nodes).size == 0
+    cauchy = 1.0 / np.subtract.outer(ts, rule.nodes)
+    u = coeffs / (cauchy @ rule.barycentric)
+    reference = rule.barycentric * (u @ cauchy)
+    row = interp_row(rule, ts, coeffs)
+    if points * m <= GRID_BLOCK:
+        assert np.array_equal(row, reference)
+    terms = np.abs(rule.barycentric) * (np.abs(u) @ np.abs(cauchy))
+    assert np.all(np.abs(row - reference) <= 1e-15 * terms)
 
 
 @pytest.mark.parametrize("m", [1, 2, 9, 64, 512])
