@@ -71,8 +71,8 @@ def _outcome(exc: FredloadError) -> tuple[str, int]:
     return next((code, status) for cls, code, status in _OUTCOMES if isinstance(exc, cls))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+FLOAT_FORMAT = "{:.17g}"  # every number the CLI prints
+_fmt = FLOAT_FORMAT.format
 
 
 def _dispatch(prep: Prepared, lam: float, route: str, numerics: Numerics) -> Solution:
@@ -215,7 +215,8 @@ def cmd_solve(args) -> int:
     problem, kernel, numerics = _setup(args)
     lam = _required_lambda(numerics)
     solution = _solve_once(problem, kernel, lam, args.route, numerics)
-    rows = map("{:.17g},{:.17g}".format, kernel.rule.nodes.tolist(), solution.x.values.tolist())
+    rows = map(f"{FLOAT_FORMAT},{FLOAT_FORMAT}".format, kernel.rule.nodes.tolist(),
+               solution.x.values.tolist())
     print("\n".join(["t,x", *rows]))
     _solution_summary(solution)
     return EXIT_OK

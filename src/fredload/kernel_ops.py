@@ -199,27 +199,22 @@ class IteratedKernels:
 
 
 def discretize(kernel: Expr, rule: QuadratureRule) -> DiscreteKernel:
-    """Sample K(t,s) at all node pairs of the rule. Above GRID_BLOCK elements
-    the rows are evaluated in blocks of at most GRID_BLOCK elements, each
-    written into the one N x N result, so no other N x N array is formed; a
-    block's DomainEvalError gives way to the whole grid's, which names the
-    node that fails first over every row. On the whole grid, a sample that is
-    not already N x N (one that ignores t or s) is broadcast into a copy."""
+    """Sample K(t,s) at all node pairs of the rule. The rows are evaluated in
+    blocks of at most GRID_BLOCK elements (one block when N^2 fits), each
+    written into the one N x N result, so no other N x N array is formed and
+    a block that ignores t or s broadcasts into it. A block's DomainEvalError
+    gives way to the whole grid's, which names the node that fails first
+    over every row."""
     n, nodes = rule.n, rule.nodes
     step = max(1, GRID_BLOCK // n)
-    if step < n:
-        values = np.empty((n, n))
-        try:
-            for lo in range(0, n, step):
-                values[lo : lo + step] = evaluate(
-                    kernel, {"t": nodes[lo : lo + step, None], "s": nodes[None, :]})
-        except DomainEvalError:
-            pass
-        else:
-            return DiscreteKernel(rule=rule, values=values)
-    values = evaluate(kernel, {"t": nodes[:, None], "s": nodes[None, :]})
-    if np.shape(values) != (n, n):
-        values = np.broadcast_to(values, (n, n)).copy()
+    values = np.empty((n, n))
+    try:
+        for lo in range(0, n, step):
+            values[lo : lo + step] = evaluate(
+                kernel, {"t": nodes[lo : lo + step, None], "s": nodes[None, :]})
+    except DomainEvalError:
+        evaluate(kernel, {"t": nodes[:, None], "s": nodes[None, :]})
+        raise
     return DiscreteKernel(rule=rule, values=values)
 
 

@@ -304,7 +304,8 @@ def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
     """Polynomial route: when (K W)^{p+1} = 0 and the loads annihilate the
     kernel, x = u + sum_{m=1}^{p} lambda^m (K W)^m u by p products with the
     core, K W = Q C, with u = f + (a, c) and c from the zero-order system.
-    Exact for every lambda."""
+    Exact for every lambda. The products run on u / s, s = binary_scale(u),
+    so that C u does not overflow where x does not; the scaling is exact."""
     problem, pnil = prep.problem, prep.nilpotency
     if pnil is None:
         raise RoutePreconditionError(f"kernel is not nilpotent within depth {prep.truncation}")
@@ -317,11 +318,13 @@ def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
     c, note = prep.zero_order
     core, rule = prep.kernel.core, prep.kernel.rule
     term = problem.source_values(rule) + problem.coeff_values(rule) @ c
+    scale = float(binary_scale(term))
+    term = term / scale
     x_vals = term.copy()
     for _ in range(pnil):
         term = lam * core.lift(core.compress(term))
         x_vals += term
-    return _solution(prep, lam, x_vals, "nilpotent", c, note=note)
+    return _solution(prep, lam, scale * x_vals, "nilpotent", c, note=note)
 
 
 def _contraction_radius(norms: list[float]) -> float:

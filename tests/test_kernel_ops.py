@@ -60,7 +60,7 @@ def _whole_grid(expr, rule):
 @pytest.mark.parametrize("n", [191, 512, 1000])
 @pytest.mark.parametrize("text", BLOCK_KERNELS)
 def test_blocked_sample_equals_the_whole_grid_evaluation(n, text):
-    # Rows per block: 191^2 fits one block (the whole-grid code), 512 rows come
+    # Rows per block: 191 rows fit one block, 512 rows come
     # in four blocks of 128, and 1000 rows in 15 blocks of 65 and a ragged 25.
     assert GRID_BLOCK // n == {191: 343, 512: 128, 1000: 65}[n]
     rule = fl.gauss_legendre(n, 0.0, 1.0)

@@ -172,29 +172,41 @@ def test_oracle_verdict_survives_rescaled_loads(tmp_path, name):
             assert oracle_check(rescale(text, "loads", s), nodes) == expected, (nodes, s)
 
 
-# loaded_regular with f -> 2^1000 f and K -> 2^40 K, solved at lambda / 2^40:
-# K W [a | f] and KG W B are about 2^1041, beyond the float range, while x is
-# about 2^1001.
-POWER_OF_TWO_FILE = PROBLEMS["loaded_regular"].replace(
-    "kernel = t*s + 0.5*(1-t)*(1-s)", "kernel = 2^40*(t*s + 0.5*(1-t)*(1-s))").replace(
-    "source = 1 + t - t^2", "source = 2^1000*(1 + t - t^2)")
+def power_of_two(name: str, kernel: str, source: str) -> str:
+    """The example with f -> 2^1000 f and K -> 2^40 K."""
+    text = PROBLEMS[name]
+    assert text.count(f"kernel = {kernel}\n") == text.count(f"source = {source}\n") == 1
+    return text.replace(f"kernel = {kernel}\n", f"kernel = 2^40*({kernel})\n").replace(
+        f"source = {source}\n", f"source = 2^1000*({source})\n")
+
+
+# Each route on an example with f -> 2^1000 f and K -> 2^40 K, solved at
+# lambda / 2^40: the products with K (K W [a | f] and KG W B, K W x, C u) are
+# about 2^1041, beyond the float range, while x is about 2^1001.
+POWER_OF_TWO_CASES = {
+    "regular": ("loaded_regular", "t*s + 0.5*(1-t)*(1-s)", "1 + t - t^2", 0.25),
+    "successive": ("loaded_regular", "t*s + 0.5*(1-t)*(1-s)", "1 + t - t^2", 0.25),
+    "nilpotent": ("nilpotent", "t - 1/2", "1", 10.0),
+    "irregular": ("identity_pole", "1", "1", 0.25),
+}
 
 
 @pytest.mark.parametrize("nodes", [64, 512])
-@pytest.mark.parametrize("route", ["regular", "successive"])
+@pytest.mark.parametrize("route", sorted(POWER_OF_TWO_CASES))
 def test_power_of_two_rescaling_near_the_float_range(tmp_path, nodes, route):
     # Every product with K runs on columns divided by a power of two and is
     # multiplied back, exactly, so x is 2^1000 times the unscaled x.
-    assert POWER_OF_TWO_FILE.count("^40") == POWER_OF_TWO_FILE.count("^1000") == 1
-    reference = run_solve(PROBLEMS["loaded_regular"], 0.25, nodes, route, tmp_path)
-    result = run_solve(POWER_OF_TWO_FILE, 0.25 / 2**40, nodes, route, tmp_path)
+    name, kernel, source, lam = POWER_OF_TWO_CASES[route]
+    text = power_of_two(name, kernel, source)
+    reference = run_solve(PROBLEMS[name], lam, nodes, route, tmp_path)
+    result = run_solve(text, lam / 2**40, nodes, route, tmp_path)
     assert result[:2] == reference[:2] == (0, route)
     np.testing.assert_allclose(result[2], 2.0**1000 * reference[2], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(result[3], 2.0**1000 * reference[3], rtol=1e-13, atol=0.0)
     path = tmp_path / "rescaled.prob"
-    path.write_text(POWER_OF_TWO_FILE)
+    path.write_text(text)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        checked = main(["oracle-check", str(path), "--lambda", repr(0.25 / 2**40),
+        checked = main(["oracle-check", str(path), "--lambda", repr(lam / 2**40),
                         "--nodes", str(nodes), "--route", route])
     assert checked == 0
 
