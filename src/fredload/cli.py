@@ -233,7 +233,9 @@ def cmd_sweep(args) -> int:
     print(header)
     # After the header: an error in the analysis leaves it on stdout, as a row's does.
     # x at the probes by the Nystrom identity x(t) = f(t) + a(t) c + lambda K(t, .) W x,
-    # exact between the nodes where x has a kink: the rows [f | a | K] at the probes.
+    # exact between the nodes where x has a kink: the rows [f | a | K] at the probes,
+    # applied to (1, c, lambda W x) / s for the power of two s = binary_scale (exact),
+    # so that no partial sum overflows where x(t) does not.
     at, weights = {"t": probes[:, None], "s": kernel.rule.nodes}, kernel.rule.weights
     exprs = (problem.source, *(load.coeff for load in problem.loads), problem.kernel)
     widths = [1] * (problem.n + 1) + [weights.size]
@@ -252,8 +254,9 @@ def cmd_sweep(args) -> int:
                 raise
             print(f"{_fmt(lam)},,,,,,unsolvable:{code}")
             continue
-        scaled = lam * weights * solution.x.values
-        values = nystrom @ np.concatenate([[1.0], solution.x_gamma, scaled])
+        terms = np.concatenate([[1.0], solution.x_gamma, lam * weights * solution.x.values])
+        scale = kernel_ops.binary_scale(terms)
+        values = scale * (nystrom @ (terms / scale))
         norm = float(np.max(np.abs(solution.x_gamma)))
         row = ",".join(_fmt(v) for v in [lam, *values, norm, solution.residual])
         print(f"{row},ok")

@@ -15,10 +15,7 @@ Grammar (LL(1), whitespace-insensitive, no implicit multiplication):
 
 "^" binds tightest and unary minus binds looser than "^", so -2^2 = -4
 and 2^3^2 = 512. Evaluation is plain IEEE double precision; the evaluator
-accepts numpy arrays in the bindings and broadcasts. A node whose operand
-is an array the evaluation allocated writes its result into that array,
-so sampling a kernel allocates one N x N array per broadcast product, not
-one per node; bindings are never written.
+accepts numpy arrays in the bindings and broadcasts.
 """
 
 from __future__ import annotations
@@ -255,26 +252,6 @@ def _check_finite(value, node: Node):
     return value
 
 
-def _read_only(value) -> np.ndarray:
-    view = np.asarray(value, dtype=float).view()
-    view.flags.writeable = False
-    return view
-
-
-def _scratch(value, other=None) -> bool:
-    """Whether `value` is an array this evaluation allocated (bindings are
-    read-only views) that can hold value op other: the result keeps its shape."""
-    return (
-        isinstance(value, np.ndarray)
-        and value.flags.writeable
-        and (
-            not isinstance(other, np.ndarray)
-            or other.shape == value.shape
-            or np.broadcast_shapes(value.shape, other.shape) == value.shape
-        )
-    )
-
-
 def _eval_node(node: Node, bindings: Mapping[str, object]):
     if isinstance(node, Num):
         return node.value
@@ -284,22 +261,11 @@ def _eval_node(node: Node, bindings: Mapping[str, object]):
         except KeyError:
             raise DomainEvalError(f"no binding for variable '{node.name}'", node.name)
     if isinstance(node, Neg):
-        operand = _eval_node(node.operand, bindings)
-        return np.negative(operand, out=operand) if _scratch(operand) else -operand
+        return np.negative(_eval_node(node.operand, bindings))
     if isinstance(node, Call):
-        arg = _eval_node(node.arg, bindings)
-        func = _FUNCTIONS[node.func]
-        return _check_finite(func(arg, out=arg) if _scratch(arg) else func(arg), node)
-    left = _eval_node(node.left, bindings)
-    right = _eval_node(node.right, bindings)
-    ufunc = _OPERATORS[node.op]
-    if _scratch(left, right):
-        value = ufunc(left, right, out=left)
-    elif _scratch(right, left):
-        value = ufunc(left, right, out=right)
-    else:
-        value = ufunc(left, right)
-    return _check_finite(value, node)
+        return _check_finite(_FUNCTIONS[node.func](_eval_node(node.arg, bindings)), node)
+    left, right = _eval_node(node.left, bindings), _eval_node(node.right, bindings)
+    return _check_finite(_OPERATORS[node.op](left, right), node)
 
 
 def evaluate(expr: Expr, bindings: Mapping[str, object]):
@@ -309,14 +275,16 @@ def evaluate(expr: Expr, bindings: Mapping[str, object]):
     result is returned as float. Non-finite intermediate results raise
     DomainEvalError naming the offending subexpression: each operator and
     function node checks its own result, and a root that is a number or a
-    variable, possibly negated, is checked here. Array bindings are passed
-    down as read-only views, so an array result may be one of them.
+    variable, possibly negated, is checked here. A root that is a bare
+    variable returns its binding as a float array, which may share memory
+    with it.
     """
     missing = expr.variables - set(bindings)
     if missing:
         name = sorted(missing)[0]
         raise DomainEvalError(f"no binding for variable '{name}'", name)
-    coerced = {k: float(v) if np.ndim(v) == 0 else _read_only(v) for k, v in bindings.items()}
+    coerced = {k: float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+               for k, v in bindings.items()}
     with np.errstate(all="ignore"):
         value = _eval_node(expr.root, coerced)
     leaf = expr.root

@@ -111,11 +111,13 @@ def integral_load(lower: float, upper: float, weight: Expr, nodes: int = NODES) 
 
 
 def apply(gamma: Functional, x: Union[Expr, GridFunction]) -> float:
-    """Apply the load to x, weights @ x(points); grid functions are interpolated."""
+    """Apply the load to x, weights @ x(points); grid functions are interpolated.
+    A sum beyond the double range comes back as inf or nan, without a warning."""
     points, weights = gamma.discrete
     if isinstance(x, GridFunction):
         return float(interp_row(x.rule, points, weights) @ x.values)
-    return float(weights @ np.broadcast_to(evaluate(x, {"t": points}), points.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(weights @ np.broadcast_to(evaluate(x, {"t": points}), points.shape))
 
 
 def kernel_slices(problem: "ProblemSpec", kernel: "DiscreteKernel") -> np.ndarray:

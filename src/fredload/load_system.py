@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import functionals
-from .errors import NoSolutionError
+from .errors import DomainEvalError, NoSolutionError
 from .kernel_ops import DiscreteKernel, binary_scale, resolvent_images, scaled_powers, series_scale
 from .problem import Load, ProblemSpec
 from .tolerances import COND_LIMIT, CONSISTENCY_TOL, IDENTITY_TOL
@@ -63,16 +63,28 @@ def numerical_rank(matrix: np.ndarray, scale: float = 0.0) -> int:
     return int(np.count_nonzero(COND_LIMIT * sing > reference))
 
 
+def loads_in_range(values: np.ndarray, applied_to: str) -> np.ndarray:
+    """`values`, one row per load (row i is load i applied to `applied_to`);
+    DomainEvalError naming the first load whose row is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
+    if bad.size:
+        raise DomainEvalError(
+            f"load {bad[0] + 1} applied to {applied_to} is beyond the double range", applied_to
+        )
+    return values
+
+
 def assemble_A0(problem: ProblemSpec) -> np.ndarray:
     """A0[i, k] = <gamma_i, a_k>, by exact evaluation of a_k."""
     loads = problem.loads
-    return np.array([[functionals.apply(row.functional, col.coeff) for col in loads]
-                     for row in loads])
+    return loads_in_range(np.array([[functionals.apply(row.functional, col.coeff)
+                                     for col in loads] for row in loads]), "the load coefficients")
 
 
 def assemble_f_gamma(problem: ProblemSpec) -> np.ndarray:
     """f_gamma[i] = <gamma_i, f>."""
-    return np.array([functionals.apply(load.functional, problem.source) for load in problem.loads])
+    return loads_in_range(np.array([functionals.apply(load.functional, problem.source)
+                                    for load in problem.loads]), "the source")
 
 
 def assemble_lambda_system(

@@ -23,10 +23,10 @@ import numpy as np
 from .errors import SingularLoadSystemError
 from .expr import evaluate
 from .kernel_ops import DiscreteKernel
-from .load_system import classify
+from .load_system import classify, loads_in_range
 from .problem import ProblemSpec
 from .quadrature import GridFunction
-from .solver import Solution
+from .solver import Solution, refuse_out_of_range
 
 __all__ = ["DenseSystem", "gamma_weights", "assemble_dense", "dense_solve"]
 
@@ -57,16 +57,20 @@ def assemble_dense(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> 
     forms = [gamma_weights(load.functional) for load in problem.loads]
 
     def applied(expr, s=0.0) -> np.ndarray:
-        """<gamma_i, expr(., s_j)>: a row per load, a column per s_j."""
-        return np.array([w @ np.broadcast_to(evaluate(expr, {"t": p[:, None], "s": s}),
-                                             (p.size, np.size(s))) for p, w in forms])
+        """<gamma_i, expr(., s_j)>: a row per load, a column per s_j; inf or nan
+        beyond the double range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array([w @ np.broadcast_to(evaluate(expr, {"t": p[:, None], "s": s}),
+                                                 (p.size, np.size(s))) for p, w in forms])
 
-    a0 = np.hstack([applied(load.coeff) for load in problem.loads])
+    a0 = loads_in_range(np.hstack([applied(load.coeff) for load in problem.loads]),
+                        "the load coefficients")
     matrix = np.block([
         [np.eye(rule.n) - lam * (kernel.values * rule.weights), -problem.coeff_values(rule)],
         [-lam * (applied(problem.kernel, rule.nodes) * rule.weights), np.eye(problem.n) - a0],
     ])
-    rhs = np.concatenate([problem.source_values(rule), applied(problem.source)[:, 0]])
+    f_gamma = loads_in_range(applied(problem.source)[:, 0], "the source")
+    rhs = np.concatenate([problem.source_values(rule), f_gamma])
     return DenseSystem(matrix=matrix, rhs=rhs, a0=a0)
 
 
@@ -102,6 +106,7 @@ def dense_solve(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Sol
             "has a generalized characteristic value there)"
         )
     values = solved[:, 0].copy()  # a view would keep the probe images alive
+    refuse_out_of_range(lam, values)
     residual = float(np.max(np.abs(system.matrix @ values - system.rhs)))
     x = GridFunction(kernel.rule, values[:n_nodes])
     loads = units[n_nodes:, 0]

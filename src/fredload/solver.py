@@ -103,9 +103,9 @@ class Solution:
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """What the routes need that does not depend on lambda, for one problem on one
-    grid: A0, f_gamma, the load units (load_units) in which every n x n decision
-    reads its matrix, the classification of A0 and the per-load annihilation reports
-    at `tol`. The zero-order outcome, the nilpotency index, the Taylor coefficients up
+    grid: A0, the load units (load_units) in which every n x n decision reads its
+    matrix, the classification of A0 and the per-load annihilation reports at `tol`.
+    f_gamma, the zero-order outcome, the nilpotency index, the Taylor coefficients up
     to `truncation`, the Laurent data and the successive route's coupling and bound l
     are computed on first use, so a regular solve never forms them."""
 
@@ -114,7 +114,6 @@ class Prepared:
     truncation: int
     tol: float
     A0: np.ndarray
-    f_gamma: np.ndarray
     units: np.ndarray
     classification: Classification
     reports: tuple[ConditionReport, ...]
@@ -123,6 +122,12 @@ class Prepared:
     def annihilates(self) -> bool:
         """Whether every load annihilates the kernel slices."""
         return all(r.holds for r in self.reports)
+
+    @cached_property
+    def f_gamma(self) -> np.ndarray:
+        """<gamma_i, f>; DomainEvalError when one is beyond the double range, which
+        every solve but not `analyze` reads."""
+        return assemble_f_gamma(self.problem)
 
     @cached_property
     def zero_order(self) -> tuple[np.ndarray, Optional[str]]:
@@ -196,8 +201,7 @@ def prepare(
     reports = tuple(functionals.check_condition_one(problem, kernel, tol))
     A0, units = assemble_A0(problem), load_units(problem)
     classification = classify(in_load_units(A0, units))
-    return Prepared(problem, kernel, truncation, tol, A0, assemble_f_gamma(problem), units,
-                    classification, reports)
+    return Prepared(problem, kernel, truncation, tol, A0, units, classification, reports)
 
 
 def _defect(prep: Prepared, lam: float, x: np.ndarray, c: np.ndarray) -> float:
@@ -215,9 +219,16 @@ def _defect(prep: Prepared, lam: float, x: np.ndarray, c: np.ndarray) -> float:
     return s * max(float(np.max(np.abs(grid))), float(np.max(np.abs(loads))))
 
 
+def refuse_out_of_range(lam: float, *arrays: np.ndarray) -> None:
+    """RoutePreconditionError naming lambda unless x and x_gamma are finite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise RoutePreconditionError(f"the solution at lambda={lam!r} is beyond the double range")
+
+
 def _solution(prep: Prepared, lam: float, values: np.ndarray, route: str, c: np.ndarray,
               **extra) -> Solution:
     """A route's result: x on the grid, its load vector c as x_gamma, and their defect."""
+    refuse_out_of_range(lam, values, c)
     x = GridFunction(prep.kernel.rule, values)
     return Solution(lam, x, c, route, _defect(prep, lam, values, c), prep.classification, **extra)
 
@@ -241,7 +252,9 @@ def solve_regular(prep: Prepared, lam: float) -> Solution:
             f"load system E - A0 - A(lambda) is singular at lambda={lam!r}"
         )
     x_gamma = np.linalg.solve(np.eye(problem.n) - A0 - a_lam, rhs)
-    return _solution(prep, lam, basis @ np.append(x_gamma, 1.0), "regular", x_gamma)
+    with np.errstate(all="ignore"):  # beyond the double range: inf, refused by _solution
+        values = basis @ np.append(x_gamma, 1.0)
+    return _solution(prep, lam, values, "regular", x_gamma)
 
 
 def successive_bound(problem: ProblemSpec, kernel: DiscreteKernel) -> float:
@@ -292,8 +305,10 @@ def solve_successive(
         delta = float(np.max(np.abs(x_next - x_prev)))
         history.append(scale * delta)
         if delta <= prep.tol * float(np.max(np.abs(x_next))):
-            c = np.linalg.solve(np.eye(problem.n) - prep.A0, prep.f_gamma + lam * loads * scale)
-            return _solution(prep, lam, scale * x_next, "successive", c, history=tuple(history))
+            with np.errstate(all="ignore"):  # beyond the double range: inf, refused by _solution
+                rhs, x_next = prep.f_gamma + lam * loads * scale, scale * x_next
+            c = np.linalg.solve(np.eye(problem.n) - prep.A0, rhs)
+            return _solution(prep, lam, x_next, "successive", c, history=tuple(history))
         x_prev = x_next
     raise ConvergenceError(
         f"no convergence within {max_iter} iterations (last delta {history[-1]:.3e})"
@@ -321,10 +336,12 @@ def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
     scale = float(binary_scale(term))
     term = term / scale
     x_vals = term.copy()
-    for _ in range(pnil):
-        term = lam * core.lift(core.compress(term))
-        x_vals += term
-    return _solution(prep, lam, scale * x_vals, "nilpotent", c, note=note)
+    with np.errstate(all="ignore"):  # beyond the double range: inf, refused by _solution
+        for _ in range(pnil):
+            term = lam * core.lift(core.compress(term))
+            x_vals += term
+        x_vals *= scale
+    return _solution(prep, lam, x_vals, "nilpotent", c, note=note)
 
 
 def _contraction_radius(norms: list[float]) -> float:
@@ -405,8 +422,9 @@ def solve_irregular(prep: Prepared, lam: float) -> Solution:
             f"(certified radius rho = {laurent.rho:.6g})"
         )
     _, rhs, basis = assemble_lambda_system(prep.problem, prep.kernel, lam, prep.f_gamma)
-    x_gamma = -np.linalg.solve(a_p + b_mat, rhs) / (lam * laurent.growth) ** laurent.pole_order
-    values = basis @ np.append(x_gamma, 1.0)
+    with np.errstate(all="ignore"):  # beyond the double range: inf, refused by _solution
+        x_gamma = -np.linalg.solve(a_p + b_mat, rhs) / (lam * laurent.growth) ** laurent.pole_order
+        values = basis @ np.append(x_gamma, 1.0)
     expansion = IrregularExpansion(**vars(laurent), q=q_at)
     return _solution(prep, lam, values, "irregular", x_gamma, expansion=expansion)
 

@@ -870,3 +870,82 @@ def test_sweep_reads_x_at_the_probes_through_the_nystrom_identity(capsys):
     assert values[0] == 0.2
     assert values[1] == pytest.approx(2.2387437, abs=2e-4)
     assert values[3] == pytest.approx(4.6087742, abs=5e-4)
+
+
+# Values beyond the double range. A0 and f_gamma are finite in the first three files, x is
+# not: x = 2^1022 / (1/2 - lambda) for the regular one (K = 1, A0 = [1/2], so x = 10 2^1022
+# at lambda = 0.4), x = -2^1022 / lambda for the pole and x = 2^1000 (1 + lambda 2^40 (t - 1/2))
+# for the nilpotent kernel.
+HUGE_REGULAR_FILE = HALF_POINT_LOAD_FILE.replace("source = 1\n", "source = 2^1022\n")
+HUGE_POLE_FILE = GOLDEN_FILE_TEXT.replace("source = 1\n", "source = 2^1022\n")
+HUGE_NILPOTENT_FILE = (EXAMPLES / "nilpotent.prob").read_text().replace(
+    "kernel = t - 1/2\n", "kernel = 2^40*(t - 1/2)\n").replace("source = 1\n", "source = 2^1000\n")
+
+
+@pytest.mark.parametrize("nodes", ["64", "512"])
+@pytest.mark.parametrize("text, route, lam", [
+    (HUGE_REGULAR_FILE, "auto", "0.4"),
+    (HUGE_REGULAR_FILE, "regular", "0.4"),
+    (HUGE_REGULAR_FILE, "successive", "0.4"),
+    (HUGE_REGULAR_FILE, "oracle", "0.4"),
+    (HUGE_POLE_FILE, "irregular", "0.1"),
+    (HUGE_POLE_FILE, "oracle", "0.1"),
+    (HUGE_NILPOTENT_FILE, "nilpotent", "0.5"),
+    (HUGE_NILPOTENT_FILE, "nilpotent", "1e300"),
+], ids=["auto", "regular", "successive", "oracle-regular", "irregular", "oracle-pole",
+        "nilpotent", "nilpotent-1e300"])
+def test_solution_beyond_the_double_range_exits_3_naming_lambda(write, text, route, lam, nodes,
+                                                                 capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve", write(text), "--nodes", nodes, "--route", route, "--lambda", lam])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == (f"error[route-precondition]: the solution at lambda={float(lam)!r} "
+                            "is beyond the double range\n")
+
+
+@pytest.mark.parametrize("nodes", ["64", "512"])
+def test_sweep_reports_rows_beyond_the_double_range_and_goes_on(write, nodes, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", write(HUGE_POLE_FILE), "--nodes", nodes, "--lambda-min", "0.05",
+                     "--lambda-max", "0.5", "--steps", "20"]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        beyond = [r for r in rows if float(r[0]) < 0.25]
+        assert len(beyond) == 9
+        assert all(r[1:] == [""] * 5 + ["unsolvable:route-precondition"] for r in beyond)
+        # Every power-of-two scaling on the way is exact: the rows left are 2^1022 times
+        # those of the file with source 1, up to x(0) = -1.71e308 at lambda = 0.263.
+        assert main(["sweep", write(GOLDEN_FILE_TEXT), "--nodes", nodes, "--lambda-min", "0.05",
+                     "--lambda-max", "0.5", "--steps", "20"]) == 0
+        _, unscaled = _csv_rows(capsys.readouterr().out)
+        for row, reference in zip(rows[9:], unscaled[9:]):
+            assert row[-1] == reference[-1] == "ok"
+            assert [float(v) for v in row[1:6]] == [2.0**1022 * float(v) for v in reference[1:6]]
+        assert main(["sweep", write(HUGE_NILPOTENT_FILE), "--nodes", nodes, "--lambda-min",
+                     "0.05", "--lambda-max", "0.5", "--steps", "3"]) == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert [r[-1] for r in rows] == ["unsolvable:route-precondition"] * 3
+
+
+@pytest.mark.parametrize("nodes", ["64", "512"])
+@pytest.mark.parametrize("edit, message", [
+    (("source = 1 + t - t^2", "source = 2^1023*(1 + t - t^2)"),
+     "load 1 applied to the source is beyond the double range"),
+    (("coeff = 0.3*t", "coeff = 2^1023"),
+     "load 1 applied to the load coefficients is beyond the double range"),
+], ids=["f_gamma", "A0"])
+def test_loads_beyond_the_double_range_are_domain_errors(write, edit, message, nodes, capsys):
+    path = write((EXAMPLES / "loaded_regular.prob").read_text().replace(*edit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # analyze reads A0 but not f_gamma.
+        assert main(["analyze", path, "--nodes", nodes]) == (0 if "source" in message else 4)
+        capsys.readouterr()
+        for argv in (["solve"], ["solve", "--route", "successive"], ["solve", "--route", "oracle"],
+                     ["sweep", "--lambda-min", "0.1", "--lambda-max", "0.2", "--steps", "2"],
+                     ["oracle-check"]):
+            assert main([argv[0], path, "--nodes", nodes, *argv[1:]]) == 4
+            assert capsys.readouterr().err == f"error[domain-error]: {message}\n"

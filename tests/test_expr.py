@@ -161,17 +161,17 @@ def test_integer_bindings_are_coerced():
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
-def _out_of_place(node, bindings):
-    # The reference: the same ufunc per node, each result a new array.
+def _per_node(node, bindings):
+    # The reference: the same ufunc per node, with no finiteness checks.
     if isinstance(node, ex.Num):
         return node.value
     if isinstance(node, ex.Var):
         return bindings[node.name]
     if isinstance(node, ex.Neg):
-        return -_out_of_place(node.operand, bindings)
+        return -_per_node(node.operand, bindings)
     if isinstance(node, ex.Call):
-        return ex._FUNCTIONS[node.func](_out_of_place(node.arg, bindings))
-    return _UFUNCS[node.op](_out_of_place(node.left, bindings), _out_of_place(node.right, bindings))
+        return ex._FUNCTIONS[node.func](_per_node(node.arg, bindings))
+    return _UFUNCS[node.op](_per_node(node.left, bindings), _per_node(node.right, bindings))
 
 
 @pytest.mark.parametrize(
@@ -193,17 +193,17 @@ def _out_of_place(node, bindings):
         "3",
     ],
 )
-def test_in_place_evaluation_is_bitwise_the_out_of_place_one(text):
+def test_evaluate_is_bitwise_the_per_node_reference_and_keeps_bindings(text):
     # Odd lengths, so the vectorized loops run their remainder code as well.
     t = np.linspace(0.1, 0.9, 67)[:, None]
     s = np.linspace(0.2, 0.8, 45)[None, :]
     before = t.copy(), s.copy()
     e = ex.parse(text, ("t", "s"))
     got = ex.evaluate(e, {"t": t, "s": s})
-    reference = _out_of_place(e.root, {"t": t, "s": s})
+    reference = _per_node(e.root, {"t": t, "s": s})
     assert np.shape(got) == np.shape(reference)
     assert np.asarray(got, dtype=float).tobytes() == np.asarray(reference, dtype=float).tobytes()
-    # Bindings are read, never written, and keep their flags.
+    # Bindings are read, never written, and stay writable.
     assert np.array_equal(t, before[0]) and np.array_equal(s, before[1])
     assert t.flags.writeable and s.flags.writeable
 
