@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
 from .errors import DomainEvalError, ExprSyntaxError, UndefinedVariableError
+from .tolerances import GRID_BLOCK
 
-__all__ = ["Expr", "parse", "evaluate", "unparse"]
+__all__ = ["Expr", "parse", "evaluate", "grid_blocks", "unparse"]
 
 # evaluate and unparse recurse once per tree level, so parse bounds the depth
 # far inside Python's default recursion limit of 1000 frames.
@@ -295,6 +296,24 @@ def evaluate(expr: Expr, bindings: Mapping[str, object]):
     if np.ndim(value) == 0:
         return float(value)
     return value
+
+
+def grid_blocks(expr: Expr, t: np.ndarray, s: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, expr at t[rows, None] and s[None, :]) for row blocks of t of
+    at most GRID_BLOCK elements (one block when len(t) len(s) fits), each
+    block a fresh or broadcast (len(rows), len(s)) array; a caller that
+    drops each block before asking for the next holds one at a time. A block's
+    DomainEvalError gives way to the whole grid's, which names the
+    subexpression that fails first over every row."""
+    step = max(1, GRID_BLOCK // s.size)
+    try:
+        for lo in range(0, t.size, step):
+            rows = slice(lo, lo + step)  # the frame keeps no block across the yield
+            yield rows, np.broadcast_to(evaluate(expr, {"t": t[rows, None], "s": s[None, :]}),
+                                        (min(step, t.size - lo), s.size))
+    except DomainEvalError:
+        evaluate(expr, {"t": t[:, None], "s": s[None, :]})
+        raise
 
 
 def unparse(node: Node) -> str:

@@ -27,8 +27,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import CharacteristicNumberError, DomainEvalError
-from .expr import Expr, evaluate
+from .errors import CharacteristicNumberError
+from .expr import Expr, grid_blocks
 from .quadrature import GridFunction, QuadratureRule
 from .tolerances import CLUSTER_RADIUS, COLLAPSE_RATIO, COND_LIMIT, CORE_BLOCK, CORE_BUDGET
 from .tolerances import CORE_MIN_NODES, CORE_TOL, EIGEN_FLOOR, GRID_BLOCK, NILPOTENT_TOL
@@ -199,22 +199,13 @@ class IteratedKernels:
 
 
 def discretize(kernel: Expr, rule: QuadratureRule) -> DiscreteKernel:
-    """Sample K(t,s) at all node pairs of the rule. The rows are evaluated in
-    blocks of at most GRID_BLOCK elements (one block when N^2 fits), each
-    written into the one N x N result, so no other N x N array is formed and
-    a block that ignores t or s broadcasts into it. A block's DomainEvalError
-    gives way to the whole grid's, which names the node that fails first
-    over every row."""
-    n, nodes = rule.n, rule.nodes
-    step = max(1, GRID_BLOCK // n)
-    values = np.empty((n, n))
-    try:
-        for lo in range(0, n, step):
-            values[lo : lo + step] = evaluate(
-                kernel, {"t": nodes[lo : lo + step, None], "s": nodes[None, :]})
-    except DomainEvalError:
-        evaluate(kernel, {"t": nodes[:, None], "s": nodes[None, :]})
-        raise
+    """Sample K(t,s) at all node pairs of the rule, block by block from
+    expr.grid_blocks into the one N x N result, so no other N x N array is
+    formed; a failing block raises the whole grid's DomainEvalError."""
+    values = np.empty((rule.n, rule.n))
+    for rows, block in grid_blocks(kernel, rule.nodes, rule.nodes):
+        values[rows] = block
+        del block  # not alive while the next one is evaluated
     return DiscreteKernel(rule=rule, values=values)
 
 

@@ -60,7 +60,8 @@ def numerical_rank(matrix: np.ndarray, scale: float = 0.0) -> int:
     exactly when the condition number is at most COND_LIMIT."""
     sing = np.linalg.svd(matrix, compute_uv=False)
     reference = max(float(sing[0]), scale)
-    return int(np.count_nonzero(COND_LIMIT * sing > reference))
+    with np.errstate(over="ignore"):  # inf > reference counts sigma as the exact product would
+        return int(np.count_nonzero(COND_LIMIT * sing > reference))
 
 
 def loads_in_range(values: np.ndarray, applied_to: str) -> np.ndarray:

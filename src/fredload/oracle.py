@@ -12,16 +12,20 @@ and f_gamma are summed exactly from the expressions at each load's points
 evaluator, the quadrature rules and the grid samples of K, a and f with the
 routes, so agreement between the two is meaningful evidence. Its
 singularity test is its own too; the classification of its A0 is a label.
+Beyond the kernel sample it holds the one bordered array, filled in place,
+LAPACK's working copy of it and a few blocks of KG's grid.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularLoadSystemError
-from .expr import evaluate
+from .expr import evaluate, grid_blocks
 from .kernel_ops import DiscreteKernel
 from .load_system import classify, loads_in_range
 from .problem import ProblemSpec
@@ -53,22 +57,35 @@ def gamma_weights(gamma) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_dense(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> DenseSystem:
-    rule = kernel.rule
+    """The bordered system, filled in place in one (N + n) x (N + n) array. A
+    row of KG sums w[rows] @ K(p[rows], s) over expr.grid_blocks at the load's
+    points p, which within one block is the whole-grid w @ K(p, s)."""
+    rule, n = kernel.rule, kernel.rule.n
+    size = n + problem.n
     forms = [gamma_weights(load.functional) for load in problem.loads]
 
-    def applied(expr, s=0.0) -> np.ndarray:
-        """<gamma_i, expr(., s_j)>: a row per load, a column per s_j; inf or nan
-        beyond the double range."""
+    def applied(expr) -> np.ndarray:
+        """<gamma_i, expr> in row i of an n x 1 array; inf or nan beyond the double range."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.array([w @ np.broadcast_to(evaluate(expr, {"t": p[:, None], "s": s}),
-                                                 (p.size, np.size(s))) for p, w in forms])
+            return np.array([w @ np.broadcast_to(evaluate(expr, {"t": p[:, None]}), (p.size, 1))
+                             for p, w in forms])
 
     a0 = loads_in_range(np.hstack([applied(load.coeff) for load in problem.loads]),
                         "the load coefficients")
-    matrix = np.block([
-        [np.eye(rule.n) - lam * (kernel.values * rule.weights), -problem.coeff_values(rule)],
-        [-lam * (applied(problem.kernel, rule.nodes) * rule.weights), np.eye(problem.n) - a0],
-    ])
+    matrix = np.empty((size, size))
+    top, kg = matrix[:n, :n], matrix[n:, :n]
+    np.multiply(kernel.values, rule.weights, out=top)
+    top *= lam
+    np.subtract(0.0, top, out=top)  # 0 - y, not -y: the signed zeros of I - y
+    np.negative(problem.coeff_values(rule), out=matrix[:n, n:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, (p, w) in zip(kg, forms):  # starmap holds no block past its product
+            row[:] = functools.reduce(np.add, itertools.starmap(
+                lambda rows, block: w[rows] @ block, grid_blocks(problem.kernel, p, rule.nodes)))
+    kg *= rule.weights
+    kg *= -lam
+    np.subtract(0.0, a0, out=matrix[n:, n:])
+    matrix.flat[:: size + 1] += 1.0
     f_gamma = loads_in_range(applied(problem.source)[:, 0], "the source")
     rhs = np.concatenate([problem.source_values(rule), f_gamma])
     return DenseSystem(matrix=matrix, rhs=rhs, a0=a0)

@@ -37,5 +37,6 @@ CORE_MIN_NODES = 192  # solve on it took 0.98, 0.97, 0.94 of the dense time at N
 CORE_TOL = math.ulp(1.0)  # product's roundoff: 10 eps fails the constant kernel (54 eps, N = 512)
 CORE_BLOCK = 8  # first range-finder block, then Q doubles; past max(CORE_BLOCK, N / CORE_BUDGET)
 CORE_BUDGET = 8  # columns the range finder gives up, and the core is the trivial Q = I
-# Sampling K, its norm and a load's Cauchy matrix work in row blocks of at most
-GRID_BLOCK = 65536  # elements (512 KB), so that the sample is a solve's one N x N array
+# Sampling K at the nodes and at the oracle's load points (expr.grid_blocks), its norm and
+# a load's Cauchy matrix work in row blocks of at most GRID_BLOCK elements (512 KB), so that
+GRID_BLOCK = 65536  # the sample is a solve's one N x N array and the oracle adds one (N + n)^2

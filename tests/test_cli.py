@@ -906,6 +906,19 @@ def test_solution_beyond_the_double_range_exits_3_naming_lambda(write, text, rou
                             "is beyond the double range\n")
 
 
+def test_load_coefficient_near_the_double_range_is_classified_without_a_warning(write, capsys):
+    # A0 is about 2^1022, so COND_LIMIT times its largest singular value overflows.
+    text = (EXAMPLES / "loaded_regular.prob").read_text()
+    path = write(text.replace("coeff = 0.3*t\n", "coeff = 2^1023*t\n"))
+    assert "coeff = 2^1023*t\n" in pathlib.Path(path).read_text()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze", path, "--nodes", "64"]) == 0
+        assert "classification: unsupported-irregular\n" in capsys.readouterr().out
+        assert main(["solve", path, "--nodes", "64"]) == 3
+    assert capsys.readouterr().err.startswith("error[route-precondition]: det(E - A0) = 0")
+
+
 @pytest.mark.parametrize("nodes", ["64", "512"])
 def test_sweep_reports_rows_beyond_the_double_range_and_goes_on(write, nodes, capsys):
     with warnings.catch_warnings():

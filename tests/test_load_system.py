@@ -2,6 +2,7 @@
 system pieces and their Taylor expansions."""
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ def test_numerical_rank_counts_singular_values_against_cond_limit(scale):
         assert fl.classify(np.eye(3) - matrix).is_regular == (rank == 3)
     assert numerical_rank(np.zeros((3, 3))) == 0
     assert numerical_rank(np.zeros((3, 3)), scale) == 0
+
+
+def test_numerical_rank_near_the_double_range_counts_without_a_warning():
+    # COND_LIMIT sigma overflows for sigma above 1.8e300; inf > sigma_max counts
+    # sigma, as the exact product would.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert numerical_rank(np.diag([2.0**1022, 2.0**1000])) == 2
+        assert numerical_rank(np.diag([2.0**1022, 2.0**900])) == 1
 
 
 def test_A_lambda_vanishes_at_zero():

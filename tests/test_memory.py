@@ -1,8 +1,10 @@
-"""A solve allocates one N x N array, the kernel sample.
+"""A solve allocates one N x N array, the kernel sample; the dense oracle
+adds one bordered (N + n) x (N + n) array.
 
-Sampling K, its norm and max|K|, and a load's Cauchy matrix work in row
-blocks of at most GRID_BLOCK elements, so the traced peak of a whole CLI
-solve exceeds the sample's 8 N^2 bytes by a few blocks at most, at any N.
+Sampling K, its norm and max|K|, a load's Cauchy matrix and the oracle's
+load rows of K work in row blocks of at most GRID_BLOCK elements, so the
+traced peak of a whole CLI solve exceeds the sample's 8 N^2 bytes by a few
+blocks at most, at any N, and the oracle's by its bordered array more.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import tracemalloc
 import pytest
 
 from fredload.cli import main
+from fredload.problemfile import load_problem_file
 from fredload.tolerances import GRID_BLOCK
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -23,13 +26,12 @@ def solve(argv: list[str]) -> int:
         return main(argv)
 
 
-@pytest.mark.parametrize("nodes", [512, 1024])
-def test_solve_allocates_one_grid_sized_array(nodes):
-    # The warm-up call fills the per-N caches (Gauss-Legendre nodes, barycentric
-    # weights, the probe block), which later solves share.
-    solved = []
+def traced_peaks(command: list[str], nodes: int):
+    """(example, n, traced peak in bytes) of `command` on every example it
+    solves. The warm-up call fills the per-N caches (Gauss-Legendre nodes,
+    barycentric weights, the probe block), which later solves share."""
     for path in sorted(EXAMPLES.glob("*.prob")):
-        argv = ["solve", str(path), "--nodes", str(nodes)]
+        argv = [command[0], str(path), "--nodes", str(nodes), *command[1:]]
         if solve(argv) != 0:
             continue
         tracemalloc.start()
@@ -38,6 +40,27 @@ def test_solve_allocates_one_grid_sized_array(nodes):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - 8 * nodes**2 <= 4 * 8 * GRID_BLOCK, (path.stem, peak)
-        solved.append(path.stem)
-    assert solved == ["identity_pole", "kinked_load", "loaded_regular", "nilpotent"]
+        yield path.stem, len(load_problem_file(str(path)).raw_loads), peak
+
+
+SOLVED = ["identity_pole", "kinked_load", "loaded_regular", "nilpotent"]
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+def test_solve_allocates_one_grid_sized_array(nodes):
+    solved = []
+    for name, _, peak in traced_peaks(["solve"], nodes):
+        assert peak - 8 * nodes**2 <= 4 * 8 * GRID_BLOCK, (name, peak)
+        solved.append(name)
+    assert solved == SOLVED
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+@pytest.mark.parametrize("command", [["oracle-check"], ["solve", "--route", "oracle"]])
+def test_oracle_allocates_one_bordered_array(command, nodes):
+    # LAPACK's working copy of the bordered matrix is not traced.
+    solved = []
+    for name, loads, peak in traced_peaks(command, nodes):
+        assert peak - 8 * nodes**2 <= 8 * (nodes + loads) ** 2 + 4 * 8 * GRID_BLOCK, (name, peak)
+        solved.append(name)
+    assert solved == SOLVED

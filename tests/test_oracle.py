@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import pathlib
 import warnings
 
 import numpy as np
@@ -11,8 +12,12 @@ from hypothesis import strategies as st
 
 import fredload as fl
 from fredload import oracle as oracle_module
-from fredload.errors import RoutePreconditionError
+from fredload.errors import DomainEvalError, RoutePreconditionError
+from fredload.problemfile import load_problem_file
+from fredload.tolerances import GRID_BLOCK
 from util import golden_identity_problem, make_problem, make_random_regular_problem, poly_integral
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def test_gamma_weights_unit_row_at_master_node():
@@ -87,6 +92,79 @@ def test_dense_system_is_identity_for_trivial_problem():
     kernel = fl.discretize(problem.kernel, problem.master_rule(16))
     system = fl.assemble_dense(problem, kernel, 0.0)
     assert np.array_equal(system.matrix, np.eye(17))
+
+
+def _whole_grid_matrix(problem, kernel, lam, a0):
+    """The bordered matrix by np.block, with each KG row from one p x N grid."""
+    rule = kernel.rule
+    kg = np.array([w @ np.broadcast_to(
+        fl.evaluate(problem.kernel, {"t": p[:, None], "s": rule.nodes[None, :]}), (p.size, rule.n))
+        for p, w in (fl.gamma_weights(load.functional) for load in problem.loads)])
+    return np.block([
+        [np.eye(rule.n) - lam * (kernel.values * rule.weights), -problem.coeff_values(rule)],
+        [-lam * (kg * rule.weights), np.eye(problem.n) - a0],
+    ])
+
+
+def _examples_problem(name, nodes):
+    return load_problem_file(str(EXAMPLES / f"{name}.prob")).build(nodes)
+
+
+@pytest.mark.parametrize("nodes", [65, 256, 512, 1000])
+@pytest.mark.parametrize("kernel_text", ["(t - 1/2)*s", "t*s + 0.5*(1-t)*(1-s)", "cos(3*(t - s))"])
+def test_bordered_matrix_matches_the_whole_grid_assembly(nodes, kernel_text):
+    # loaded_regular's second load integrates over N sub-rule nodes: one block of
+    # load rows up to N = 256, four of 128 at 512, and 15 of 65 and a ragged 25
+    # at 1000. At N = 65, (t - 1/2) s is zero on the node t = 1/2, and the
+    # in-place I - lambda K W keeps the sign of each of its zeros.
+    problem = _examples_problem("loaded_regular", nodes)
+    problem = fl.ProblemSpec(problem.a, problem.b, fl.parse(kernel_text, {"t", "s"}),
+                             problem.source, problem.loads)
+    kernel = fl.discretize(problem.kernel, problem.master_rule(nodes))
+    lam = 0.25  # -lam * y is exact, so the KG rows are compared as summed
+    system = fl.assemble_dense(problem, kernel, lam)
+    expected = _whole_grid_matrix(problem, kernel, lam, system.a0)
+    if nodes <= GRID_BLOCK // nodes:
+        assert system.matrix.tobytes() == expected.tobytes()
+        return
+    grid = np.s_[nodes:, :nodes]
+    blocked, whole = system.matrix.copy(), expected.copy()
+    blocked[grid] = whole[grid] = 0.0
+    assert blocked.tobytes() == whole.tobytes()
+    rule = kernel.rule
+    sizes = np.array([np.abs(w) @ np.abs(fl.evaluate(
+        problem.kernel, {"t": p[:, None], "s": rule.nodes[None, :]}))
+        for p, w in (fl.gamma_weights(load.functional) for load in problem.loads)])
+    # Both sums round: the blocked one differs from the whole-grid one by up to
+    # 7.6 eps times the size of the terms summed at N = 1000.
+    bound = 4e-15 * lam * sizes * rule.weights
+    assert np.all(np.abs(system.matrix[grid] - expected[grid]) <= bound)
+
+
+def test_blocked_load_rows_raise_the_whole_grid_domain_error():
+    # The kernel is finite at every master node but not at two of the load's
+    # sub-rule nodes: the 11th, in the first block of 128 load rows, and the
+    # 301st, in the third. The first block meets only the right-hand division;
+    # the whole grid meets the left-hand one first.
+    problem = _examples_problem("loaded_regular", 512)
+    points = fl.gamma_weights(problem.loads[1].functional)[0][1:]
+    late, early = float(points[300]), float(points[10])
+    text = f"1/(t - {late!r}) + 1/(t - {early!r})"
+    problem = fl.ProblemSpec(problem.a, problem.b, fl.parse(text, {"t", "s"}),
+                             problem.source, problem.loads)
+    kernel = fl.discretize(problem.kernel, problem.master_rule(512))
+    assert np.all(np.isfinite(kernel.values))
+    load_points = fl.gamma_weights(problem.loads[1].functional)[0]
+    nodes = kernel.rule.nodes[None, :]
+    with pytest.raises(DomainEvalError) as whole:
+        fl.evaluate(problem.kernel, {"t": load_points[:, None], "s": nodes})
+    with pytest.raises(DomainEvalError) as first_block:
+        fl.evaluate(problem.kernel, {"t": load_points[: GRID_BLOCK // 512, None], "s": nodes})
+    assert first_block.value.node_text != whole.value.node_text
+    with pytest.raises(DomainEvalError) as blocked:
+        fl.assemble_dense(problem, kernel, 0.25)
+    assert blocked.value.node_text == whole.value.node_text == f"(1.0 / (t - {late!r}))"
+    assert str(blocked.value) == str(whole.value)
 
 
 def test_dense_solve_zero_kernel_returns_source():
