@@ -248,15 +248,17 @@ def cmd_sweep(args) -> int:
         try:
             solution = (oracle.dense_solve(problem, kernel, lam) if prep is None
                         else _dispatch(prep, lam, args.route, numerics))
+            with np.errstate(all="ignore"):  # x at a probe beyond the double range: refused
+                terms = np.concatenate([[1.0], solution.x_gamma, lam * weights * solution.x.values])
+                scale = kernel_ops.binary_scale(terms)
+                values = scale * (nystrom @ (terms / scale))
+            solver.refuse_out_of_range(lam, values)
         except FredloadError as exc:
             code, status = _outcome(exc)
             if status not in (EXIT_NO_SOLUTION, EXIT_ROUTE):
                 raise
             print(f"{_fmt(lam)},,,,,,unsolvable:{code}")
             continue
-        terms = np.concatenate([[1.0], solution.x_gamma, lam * weights * solution.x.values])
-        scale = kernel_ops.binary_scale(terms)
-        values = scale * (nystrom @ (terms / scale))
         norm = float(np.max(np.abs(solution.x_gamma)))
         row = ",".join(_fmt(v) for v in [lam, *values, norm, solution.residual])
         print(f"{row},ok")

@@ -87,12 +87,6 @@ class Expr:
     variables: frozenset[str]
     text: str
 
-    def __call__(self, **bindings: float) -> float:
-        return evaluate(self, bindings)
-
-    def __str__(self) -> str:
-        return unparse(self.root)
-
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"

@@ -21,7 +21,7 @@ characteristic number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
@@ -95,7 +95,7 @@ class Core:
     @cached_property
     def probe_terms(self) -> tuple:
         """(Q^T P, C P_perp, ||P_perp||^2, ||P||) per column of the probe block P
-        (_probe), P_perp = P - Q Q^T P, for the refusal test of _solve_or_raise."""
+        (_probe), P_perp = P - Q Q^T P, for the refusal test of resolvent_images."""
         probe = _probe(self.weights.size)
         sizes = np.linalg.norm(probe, axis=0)
         if self.Q is None:  # P_perp = 0: the dense solve against P itself
@@ -108,12 +108,14 @@ class Core:
 @dataclass(frozen=True, eq=False)
 class DiscreteKernel:
     """Kernel sampled at node pairs: values[i, j] = K(t_i, s_j), with its
-    lambda-independent quantities computed once: max|K| on construction, where
-    it is the finiteness check, and the operator norm g and the core of
-    K W (Core) on first use."""
+    lambda-independent quantities computed once. One pass over |K| on
+    construction gives max|K| (max_abs), which is the finiteness check, and
+    the operator norm g (norm); the core of K W (Core) comes on first use."""
 
     rule: QuadratureRule
     values: np.ndarray
+    max_abs: float = field(init=False)
+    norm: float = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -122,26 +124,18 @@ class DiscreteKernel:
             raise ValueError(f"kernel matrix must be {n} x {n}, got {values.shape}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if not math.isfinite(self.max_abs):
-            raise ValueError("kernel values must be finite")
-
-    @cached_property
-    def max_abs(self) -> float:
-        """max|K_ij| = max(max K, -min K), with no copy of K; non-finite exactly
-        when some value is, as a NaN makes both NaN."""
-        return float(max(self.values.max(), -self.values.min()))
-
-    @cached_property
-    def norm(self) -> float:
-        """Discrete sup-norm of the integral operator: max_i sum_j w_j |K_ij|,
-        summed over row blocks of GRID_BLOCK elements in one reused buffer."""
-        values, n = self.values, self.rule.n
+        # Row blocks of |K| in one reused buffer give the row maxima and the sup-norm
+        # max_i sum_j w_j |K_ij|; a NaN propagates through max, so max|K| checks finiteness.
         step = max(1, GRID_BLOCK // n)
-        scratch, sums = np.empty((min(step, n), n)), np.empty(n)
+        scratch, peaks, sums = np.empty((min(step, n), n)), np.empty(n), np.empty(n)
         for lo in range(0, n, step):
             block = np.abs(values[lo : lo + step], out=scratch[: min(step, n - lo)])
+            np.max(block, axis=1, out=peaks[lo : lo + step])
             np.matmul(block, self.rule.weights, out=sums[lo : lo + step])
-        return float(np.max(sums))
+        object.__setattr__(self, "max_abs", float(np.max(peaks)))
+        object.__setattr__(self, "norm", float(np.max(sums)))
+        if not math.isfinite(self.max_abs):
+            raise ValueError("kernel values must be finite")
 
     @cached_property
     def core(self) -> Core:
@@ -269,8 +263,25 @@ def nilpotency_index(kernel: DiscreteKernel, depth: int) -> Optional[int]:
     return None
 
 
-def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Y with (I_r - lambda M) Y = rhs for an r x m block on the core, from one LU.
+def resolvent(kernel: DiscreteKernel, lam: float) -> np.ndarray:
+    """Resolvent kernel G = (I - lambda K W)^{-1} K = K + (I - lambda K W)^{-1}
+    lambda K W K on the grid, the second term by resolvent_images.
+
+    Satisfies (I - lambda K W)(I + lambda G W) = I and, for small
+    |lambda| * norm, the iterated-kernel series G = sum lambda^{n-1} K_n.
+    """
+    return kernel.values + resolvent_images(kernel, lam, kernel.values)
+
+
+def resolvent_apply(kernel: DiscreteKernel, lam: float, g: GridFunction) -> GridFunction:
+    """Solve (I - lambda K W) y = g on the grid; y = g + lambda * G W g."""
+    images = resolvent_images(kernel, lam, g.values[:, None])
+    return GridFunction(kernel.rule, g.values + images[:, 0])
+
+
+def resolvent_images(kernel: DiscreteKernel, lam: float, columns: np.ndarray) -> np.ndarray:
+    """lambda * G W y for each column y of an N x m block: Z = (I - lambda K W)^{-1}
+    lambda K W Y = Q (I_r - lambda M)^{-1} lambda C Y (Woodbury), from one r x r LU.
 
     The probe block P is solved alongside: (I - lambda K W)^{-1} P is
     P_perp + Q Y_P with (I_r - lambda M) Y_P = Q^T P + lambda C P_perp, so
@@ -283,6 +294,7 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
     ||A||_2 <= sqrt(N) (1 + |lambda| g), so less means the LU lost every digit.
     Above COND_LIMIT, the message names |lambda| g when it alone is above it."""
     core = kernel.core
+    rhs = lam * core.compress(columns)
     projected, coupled, perp_squares, sizes = core.probe_terms
     try:
         z = np.linalg.solve(core.system(lam), np.column_stack([rhs, projected + lam * coupled]))
@@ -302,30 +314,7 @@ def _solve_or_raise(kernel: DiscreteKernel, lam: float, rhs: np.ndarray) -> np.n
             reason = f"is too large: |lambda| g alone exceeds COND_LIMIT = {COND_LIMIT:g}"
             raise CharacteristicNumberError(lam, inverse_norm, reason)
         raise CharacteristicNumberError(lam, inverse_norm)
-    return z[:, :width]
-
-
-def resolvent(kernel: DiscreteKernel, lam: float) -> np.ndarray:
-    """Resolvent kernel G = (I - lambda K W)^{-1} K = K + (I - lambda K W)^{-1}
-    lambda K W K on the grid, the second term by resolvent_images.
-
-    Satisfies (I - lambda K W)(I + lambda G W) = I and, for small
-    |lambda| * norm, the iterated-kernel series G = sum lambda^{n-1} K_n.
-    """
-    return kernel.values + resolvent_images(kernel, lam, kernel.values)
-
-
-def resolvent_apply(kernel: DiscreteKernel, lam: float, g: GridFunction) -> GridFunction:
-    """Solve (I - lambda K W) y = g on the grid; y = g + lambda * G W g."""
-    images = resolvent_images(kernel, lam, g.values[:, None])
-    return GridFunction(kernel.rule, g.values + images[:, 0])
-
-
-def resolvent_images(kernel: DiscreteKernel, lam: float, columns: np.ndarray) -> np.ndarray:
-    """lambda * G W y for each column y of an N x m block: Z = (I - lambda K W)^{-1}
-    lambda K W Y = Q (I_r - lambda M)^{-1} lambda C Y (Woodbury), one r x r solve."""
-    core = kernel.core
-    return core.lift(_solve_or_raise(kernel, lam, lam * core.compress(columns)))
+    return core.lift(z[:, :width])
 
 
 def binary_scale(columns: np.ndarray) -> np.ndarray:

@@ -32,12 +32,10 @@ import numpy as np
 from . import functionals
 from .errors import DomainEvalError, NoSolutionError
 from .kernel_ops import DiscreteKernel, binary_scale, resolvent_images, scaled_powers, series_scale
-from .problem import Load, ProblemSpec
+from .problem import ProblemSpec
 from .tolerances import COND_LIMIT, CONSISTENCY_TOL, IDENTITY_TOL
 
 __all__ = [
-    "ProblemSpec",
-    "Load",
     "Classification",
     "load_units",
     "in_load_units",
@@ -151,19 +149,16 @@ def solve_zero_order_system(
 ) -> tuple[np.ndarray, Optional[str]]:
     """(c, note) for (E - A0) c = f_gamma, judged in load units (in_load_units).
 
-    Full rank: c by one solve of the raw system, and no note. Otherwise c is
-    the minimum-norm solution in load units, with a note, and NoSolutionError
-    is raised when it is inconsistent (normwise backward error above
-    CONSISTENCY_TOL): the equation then has no continuous solution. An A0
-    that is E to IDENTITY_TOL (_is_identity, as in classify) has rank 0, so
-    the roundoff left in E - A0 is not inverted.
+    c is the minimum-norm solution in load units, by the SVD, and
+    NoSolutionError is raised when it is inconsistent (normwise backward error
+    above CONSISTENCY_TOL): the equation then has no continuous solution. The
+    note says when E - A0 is below full rank. An A0 that is E to IDENTITY_TOL
+    (_is_identity, as in classify) has rank 0, so the roundoff left in E - A0
+    is not inverted.
     """
     n = A0.shape[0]
-    system = np.eye(n) - A0
-    scaled = in_load_units(system, units)
+    scaled = in_load_units(np.eye(n) - A0, units)
     rank = 0 if _is_identity(scaled, in_load_units(A0, units)) else numerical_rank(scaled)
-    if rank == n:
-        return np.linalg.solve(system, f_gamma), None
     rhs = f_gamma / units
     u, sing, vt = np.linalg.svd(scaled)
     inv_sing = np.zeros_like(sing)
@@ -178,7 +173,7 @@ def solve_zero_order_system(
             "the class of continuous functions"
         )
     note = "load system singular but consistent; minimum-norm load vector used"
-    return units * particular, note
+    return units * particular, None if rank == n else note
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ class DenseSystem:
     matrix: np.ndarray  # (N + n) x (N + n), unknowns (x at the nodes, c)
     rhs: np.ndarray  # (f at the nodes, f_gamma)
     a0: np.ndarray  # A0[i, k] = <gamma_i, a_k>
+    load_norms: np.ndarray  # ||gamma_k||, the sum of the |weights| of its form (1 for a null load)
 
 
 def gamma_weights(gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +89,8 @@ def assemble_dense(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> 
     matrix.flat[:: size + 1] += 1.0
     f_gamma = loads_in_range(applied(problem.source)[:, 0], "the source")
     rhs = np.concatenate([problem.source_values(rule), f_gamma])
-    return DenseSystem(matrix=matrix, rhs=rhs, a0=a0)
+    load_norms = np.array([np.sum(np.abs(w)) or 1.0 for _, w in forms])
+    return DenseSystem(matrix=matrix, rhs=rhs, a0=a0, load_norms=load_norms)
 
 
 def dense_solve(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Solution:
@@ -106,8 +108,7 @@ def dense_solve(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Sol
                              np.eye(size, problem.n, -n_nodes)])
     sizes = np.linalg.norm(probe, axis=0)
     units = np.ones((size, 1))
-    units[n_nodes:, 0] = [np.sum(np.abs(gamma_weights(ld.functional)[1])) or 1.0
-                          for ld in problem.loads]
+    units[n_nodes:, 0] = system.load_norms
     probe *= units
     try:
         solved = np.linalg.solve(system.matrix, np.column_stack([system.rhs, probe]))

@@ -79,9 +79,6 @@ class GridFunction:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def __call__(self, t: float) -> float:
-        return interpolate(self, t)
-
 
 @functools.lru_cache(maxsize=None)
 def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:

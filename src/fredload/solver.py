@@ -38,7 +38,6 @@ from .functionals import ConditionReport, kernel_slices
 from .kernel_ops import DiscreteKernel, binary_scale, nilpotency_index, series_scale
 from .load_system import (
     Classification,
-    ProblemSpec,
     assemble_A0,
     assemble_f_gamma,
     assemble_lambda_system,
@@ -49,6 +48,7 @@ from .load_system import (
     solve_zero_order_system,
     taylor_A,
 )
+from .problem import ProblemSpec
 from .quadrature import GridFunction
 from .tolerances import MAX_ITER, POLE_COEFF_TOL, Q, RADIUS_Q, TOL, TRUNCATION
 

@@ -962,3 +962,84 @@ def test_loads_beyond_the_double_range_are_domain_errors(write, edit, message, n
                      ["oracle-check"]):
             assert main([argv[0], path, "--nodes", nodes, *argv[1:]]) == 4
             assert capsys.readouterr().err == f"error[domain-error]: {message}\n"
+
+
+@pytest.mark.parametrize("nodes", ["16", "512"])
+def test_sweep_refuses_probe_values_beyond_the_double_range(nodes, capsys):
+    # At lambda = +-1e300, lambda W x overflows in the Nystrom sum at the probes:
+    # those rows are refused, with no warning, and the sweep goes on.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["sweep", str(EXAMPLES / "nilpotent.prob"), "--nodes", nodes,
+                   "--lambda-min", "-1e300", "--lambda-max", "1e300", "--steps", "3"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    _, rows = _csv_rows(captured.out)
+    assert [",".join(r) for r in rows[::2]] == [
+        "-1.0000000000000001e+300,,,,,,unsolvable:route-precondition",
+        "1.0000000000000001e+300,,,,,,unsolvable:route-precondition",
+    ]
+    assert rows[1][0] == "0" and rows[1][-1] == "ok"
+
+
+def test_load_point_outside_the_interval_is_a_parse_error(write, capsys):
+    path = write(ZERO_KERNEL_FILE.replace("point = 1 @ 0.5", "point = 1 @ 2"))
+    assert main(["solve", path, "--lambda", "0.1"]) == 4
+    assert capsys.readouterr().err == (
+        "error[parse-error]: load 1: point term at t=2.0 outside [0.0, 1.0]\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "no lambda range given: pass --lambda-min/--lambda-max or set "
+         "lambda_min/lambda_max in the [numerics] block"),
+    (["--lambda-min", "0.5", "--lambda-max", "0.1"], "need lambda_min < lambda_max, got [0.5, 0.1]"),
+])
+def test_sweep_needs_an_increasing_lambda_range(flags, message, capsys):
+    assert main(["sweep", str(EXAMPLES / "loaded_regular.prob"), *flags]) == 4
+    assert capsys.readouterr().err == f"error[parse-error]: {message}\n"
+
+
+SINGULAR_CONSISTENT_FILE = """\
+interval = 0 1
+kernel = t - 1/2
+source = t - 1/2
+
+[load]
+coeff = 1
+point = 1 @ 0.5
+
+[load]
+coeff = 0
+integral = 1 on [0, 1]
+"""
+
+
+def test_solve_prints_the_minimum_norm_note(write, capsys):
+    # Both loads annihilate K and E - A0 has rank 1, with f_gamma in its range.
+    rc = main(["solve", write(SINGULAR_CONSISTENT_FILE), "--nodes", "16", "--lambda", "0.5"])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 0
+    assert "route: nilpotent" in lines
+    assert "classification: unsupported-irregular" in lines
+    assert lines[-1] == "note: load system singular but consistent; minimum-norm load vector used"
+
+
+def test_successive_route_without_convergence_exits_3(capsys):
+    rc = main(["solve", str(EXAMPLES / "loaded_regular.prob"), "--nodes", "16",
+               "--route", "successive", "--lambda", "0.05", "--max-iter", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == (
+        "error[no-convergence]: no convergence within 1 iterations (last delta 2.844e+00)\n")
+
+
+def test_exactly_singular_resolvent_system_is_a_characteristic_number(write, capsys):
+    # K = 1 on one node of weight 1: I - lambda K W is exactly 0 at lambda = 1,
+    # which LAPACK reports as singular.
+    path = write(ZERO_KERNEL_FILE.replace("kernel = 0", "kernel = 1"))
+    rc = main(["solve", path, "--nodes", "1", "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error[characteristic-number]: lambda=1.0 ")
+    assert captured.err.endswith("= inf)\n")

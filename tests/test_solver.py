@@ -1,7 +1,6 @@
 """Solution routes: regular, successive, nilpotent, irregular; residual."""
 
 import dataclasses
-import functools
 import importlib
 import pathlib
 import pkgutil
@@ -729,12 +728,9 @@ def test_sweep_factors_once_per_lambda(monkeypatch, capsys):
 def test_sweep_computes_each_lambda_independent_quantity_once(monkeypatch, capsys, name, lam_max):
     # Across a 5-step sweep: one sample of each coefficient and of the source
     # on the grid, one operator-norm pass and one draw of the probe block.
+    # The norm pass is the kernel's construction, which also gives max|K|.
     samples = _count_calls(monkeypatch, fl.problem, "evaluate")
-    norms = []
-    norm = fl.DiscreteKernel.norm.func
-    counted = functools.cached_property(lambda kernel: norms.append(kernel) or norm(kernel))
-    counted.__set_name__(fl.DiscreteKernel, "norm")
-    monkeypatch.setattr(fl.DiscreteKernel, "norm", counted)
+    norms = _count_calls(monkeypatch, fl.DiscreteKernel, "__post_init__")
     fl.kernel_ops._probe.cache_clear()
     draws = _count_calls(monkeypatch, np.random, "default_rng")
     args = ["sweep", str(EXAMPLES / name), "--nodes", "64",
