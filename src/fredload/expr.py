@@ -116,7 +116,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str, allowed_vars: frozenset[str]):
-        self.text = text
         self.allowed = allowed_vars
         self.tokens = _tokenize(text)
         self.i = 0

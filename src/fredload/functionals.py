@@ -123,12 +123,9 @@ def apply(gamma: Functional, x: Union[Expr, GridFunction]) -> float:
 def kernel_slices(problem: "ProblemSpec", kernel: "DiscreteKernel") -> np.ndarray:
     """KG[k, j] = <gamma_k, K(., s_j)>, the one way a load reads the grid: the
     load rows times the kernel samples, built once per (problem, kernel), read-only."""
-    return problem.on_grid(
-        ("kernel_slices", kernel),
-        lambda: np.vstack([interp_row(kernel.rule, *load.functional.discrete)
-                           for load in problem.loads])
-        @ kernel.values,
-    )
+    return problem.on_grid("kernel_slices", kernel, lambda: np.vstack(
+        [interp_row(kernel.rule, *load.functional.discrete) for load in problem.loads])
+        @ kernel.values)
 
 
 @dataclass(frozen=True)

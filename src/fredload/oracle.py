@@ -8,12 +8,12 @@ the n loads c, and one LU solves the bordered (N + n) system
 Its second row applies each load to the Nystrom identity
 x = f + a c + lambda K W x, so no load reads x between the nodes. KG, A0
 and f_gamma are summed exactly from the expressions at each load's points
-(gamma_weights) by the oracle's own code: it shares only the expression
-evaluator, the quadrature rules and the grid samples of K, a and f with the
-routes, so agreement between the two is meaningful evidence. Its
-singularity test is its own too; the classification of its A0 is a label.
-Beyond the kernel sample it holds the one bordered array, filled in place,
-LAPACK's working copy of it and a few blocks of KG's grid.
+(gamma_weights) by the oracle's own code, once per (problem, rule): it
+shares only the expression evaluator, the quadrature rules and the grid
+samples of K, a and f with the routes, so agreement is meaningful evidence.
+Its singularity test is its own; the classification of its A0 is a label.
+Beyond the kernel sample it holds the bordered array, LAPACK's copy of it,
+the n x (N + n + 2) lambda-independent rows and a few blocks of KG's grid.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .expr import evaluate, grid_blocks
 from .kernel_ops import DiscreteKernel
 from .load_system import classify, loads_in_range
 from .problem import ProblemSpec
-from .quadrature import GridFunction
+from .quadrature import GridFunction, QuadratureRule
 from .solver import Solution, refuse_out_of_range
 
 __all__ = ["DenseSystem", "gamma_weights", "assemble_dense", "dense_solve"]
@@ -57,12 +57,10 @@ def gamma_weights(gamma) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(points, dtype=float), np.concatenate(weights, dtype=float)
 
 
-def assemble_dense(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> DenseSystem:
-    """The bordered system, filled in place in one (N + n) x (N + n) array. A
-    row of KG sums w[rows] @ K(p[rows], s) over expr.grid_blocks at the load's
-    points p, which within one block is the whole-grid w @ K(p, s)."""
-    rule, n = kernel.rule, kernel.rule.n
-    size = n + problem.n
+def _fixed_rows(problem: ProblemSpec, rule: QuadratureRule) -> np.ndarray:
+    """The rows [KG | A0 | f_gamma | ||gamma||], n x (N + n + 2): row k of KG sums
+    w[rows] @ K(p[rows], s) over expr.grid_blocks at load k's points p, which
+    within one block is the whole-grid w @ K(p, s)."""
     forms = [gamma_weights(load.functional) for load in problem.loads]
 
     def applied(expr) -> np.ndarray:
@@ -71,26 +69,37 @@ def assemble_dense(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> 
             return np.array([w @ np.broadcast_to(evaluate(expr, {"t": p[:, None]}), (p.size, 1))
                              for p, w in forms])
 
-    a0 = loads_in_range(np.hstack([applied(load.coeff) for load in problem.loads]),
-                        "the load coefficients")
+    fixed = np.empty((problem.n, rule.n + problem.n + 2))
+    a0 = np.hstack([applied(load.coeff) for load in problem.loads])
+    fixed[:, rule.n : -2] = loads_in_range(a0, "the load coefficients")
+    problem.coeff_values(rule)  # a on the grid before K at the loads: one order of domain errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, (p, w) in zip(fixed, forms):  # starmap holds no block past its product
+            row[: rule.n] = functools.reduce(np.add, itertools.starmap(
+                lambda rows, block: w[rows] @ block, grid_blocks(problem.kernel, p, rule.nodes)))
+    fixed[:, -2] = loads_in_range(applied(problem.source)[:, 0], "the source")
+    fixed[:, -1] = [np.sum(np.abs(w)) or 1.0 for _, w in forms]
+    return fixed
+
+
+def assemble_dense(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> DenseSystem:
+    """The bordered system, filled in place in one (N + n) x (N + n) array from
+    the kernel sample and the rows of _fixed_rows, built once per (problem, rule)."""
+    rule, n = kernel.rule, kernel.rule.n
+    size = n + problem.n
+    fixed = problem.on_grid("oracle_rows", rule, lambda: _fixed_rows(problem, rule))
     matrix = np.empty((size, size))
     top, kg = matrix[:n, :n], matrix[n:, :n]
     np.multiply(kernel.values, rule.weights, out=top)
     top *= lam
     np.subtract(0.0, top, out=top)  # 0 - y, not -y: the signed zeros of I - y
     np.negative(problem.coeff_values(rule), out=matrix[:n, n:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, (p, w) in zip(kg, forms):  # starmap holds no block past its product
-            row[:] = functools.reduce(np.add, itertools.starmap(
-                lambda rows, block: w[rows] @ block, grid_blocks(problem.kernel, p, rule.nodes)))
-    kg *= rule.weights
+    np.multiply(fixed[:, :n], rule.weights, out=kg)
     kg *= -lam
-    np.subtract(0.0, a0, out=matrix[n:, n:])
+    np.subtract(0.0, fixed[:, n:-2], out=matrix[n:, n:])
     matrix.flat[:: size + 1] += 1.0
-    f_gamma = loads_in_range(applied(problem.source)[:, 0], "the source")
-    rhs = np.concatenate([problem.source_values(rule), f_gamma])
-    load_norms = np.array([np.sum(np.abs(w)) or 1.0 for _, w in forms])
-    return DenseSystem(matrix=matrix, rhs=rhs, a0=a0, load_norms=load_norms)
+    rhs = np.concatenate([problem.source_values(rule), fixed[:, -2]])
+    return DenseSystem(matrix=matrix, rhs=rhs, a0=fixed[:, n:-2], load_norms=fixed[:, -1])
 
 
 def dense_solve(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> Solution:

@@ -11,6 +11,7 @@ time; everything else lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class ProblemSpec:
     kernel: Expr
     source: Expr
     loads: tuple[Load, ...]
-    _on_grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _on_grid: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads", tuple(self.loads))
@@ -74,24 +75,26 @@ class ProblemSpec:
     def source_values(self, rule: QuadratureRule) -> np.ndarray:
         """f sampled at the rule's nodes, once per rule, read-only."""
         return self.on_grid(
-            ("source", rule),
+            "source", rule,
             lambda: np.broadcast_to(evaluate(self.source, {"t": rule.nodes}), (rule.n,)).copy(),
         )
 
     def coeff_values(self, rule: QuadratureRule) -> np.ndarray:
         """N x n matrix with column k = a_k sampled at the rule's nodes,
         once per rule, read-only."""
-        return self.on_grid(("coeffs", rule), lambda: np.column_stack([
+        return self.on_grid("coeffs", rule, lambda: np.column_stack([
             np.broadcast_to(evaluate(load.coeff, {"t": rule.nodes}), (rule.n,))
             for load in self.loads
         ]))
 
-    def on_grid(self, key: tuple, build) -> np.ndarray:
-        """The lambda-independent grid array named by key, a (name, rule) or
-        (name, kernel) pair: what build() returns on first use, then the same read-only array."""
-        value = self._on_grid.get(key)
+    def on_grid(self, name: str, owner, build) -> np.ndarray:
+        """The lambda-independent grid array `name` of owner, a rule or a kernel:
+        what build() returns on first use, then the same read-only array, until
+        the owner is collected; the problem holds its owners only weakly."""
+        arrays = self._on_grid.setdefault(owner, {})
+        value = arrays.get(name)
         if value is None:
             value = build()
             value.setflags(write=False)
-            self._on_grid[key] = value
+            arrays[name] = value
         return value

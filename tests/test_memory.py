@@ -1,5 +1,5 @@
 """A solve allocates one N x N array, the kernel sample; the dense oracle
-adds one bordered (N + n) x (N + n) array.
+adds one bordered (N + n) x (N + n) array. A problem holds no kernel sample.
 
 Sampling K, its norm and max|K|, a load's Cauchy matrix and the oracle's
 load rows of K work in row blocks of at most GRID_BLOCK elements, so the
@@ -8,14 +8,18 @@ blocks at most, at any N, and the oracle's by its bordered array more.
 """
 
 import contextlib
+import gc
 import io
 import pathlib
 import tracemalloc
+import weakref
 
 import pytest
 
 from fredload.cli import main
+from fredload.kernel_ops import discretize
 from fredload.problemfile import load_problem_file
+from fredload.solver import solve_auto
 from fredload.tolerances import GRID_BLOCK
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -64,3 +68,31 @@ def test_oracle_allocates_one_bordered_array(command, nodes):
         assert peak - 8 * nodes**2 <= 8 * (nodes + loads) ** 2 + 4 * 8 * GRID_BLOCK, (name, peak)
         solved.append(name)
     assert solved == SOLVED
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+def test_oracle_sweep_allocates_one_bordered_array(nodes):
+    # 20 bordered solves in turn share the lambda-independent rows, n x (N + n + 2).
+    # no_solution's rows are refused, after its bordered arrays are assembled.
+    command = ["sweep", "--route", "oracle", "--steps", "20",
+               "--lambda-min", "0.05", "--lambda-max", "0.5"]
+    swept = []
+    for name, loads, peak in traced_peaks(command, nodes):
+        assert peak - 8 * nodes**2 <= 8 * (nodes + loads) ** 2 + 4 * 8 * GRID_BLOCK, (name, peak)
+        swept.append(name)
+    assert swept == [*SOLVED, "no_solution"]
+
+
+def test_a_problem_keeps_no_kernel_sample_alive():
+    # The kernel slices are cached per (problem, kernel) and hold the kernel
+    # weakly: after four solves on fresh kernels, no 8 N^2-byte sample is left.
+    problem = load_problem_file(str(EXAMPLES / "loaded_regular.prob")).build(512)
+    rule = problem.master_rule(512)
+    kernels = []
+    for _ in range(4):
+        kernel = discretize(problem.kernel, rule)
+        assert solve_auto(problem, kernel, 0.2).route == "regular"
+        kernels.append(weakref.ref(kernel))
+    del kernel
+    gc.collect()
+    assert [ref() for ref in kernels] == [None] * 4

@@ -167,6 +167,19 @@ def test_blocked_load_rows_raise_the_whole_grid_domain_error():
     assert str(blocked.value) == str(whole.value)
 
 
+def test_dense_systems_share_their_lambda_independent_rows():
+    # Two lambdas on one (problem, rule) read one read-only block of rows
+    # [KG | A0 | f_gamma | ||gamma||]; a fresh problem builds the same bytes.
+    problem = _examples_problem("loaded_regular", 64)
+    kernel = fl.discretize(problem.kernel, problem.master_rule(64))
+    first, second = (fl.assemble_dense(problem, kernel, lam) for lam in (0.25, 0.5))
+    assert np.shares_memory(first.a0, second.a0) and not first.a0.flags.writeable
+    fresh = _examples_problem("loaded_regular", 64)
+    again = fl.assemble_dense(fresh, fl.discretize(fresh.kernel, kernel.rule), 0.5)
+    assert again.matrix.tobytes() == second.matrix.tobytes()
+    assert again.rhs.tobytes() == second.rhs.tobytes()
+
+
 def test_dense_solve_zero_kernel_returns_source():
     problem = make_problem("0", "exp(t)", [("0", fl.point_load(0.5))])
     kernel = fl.discretize(problem.kernel, problem.master_rule(32))

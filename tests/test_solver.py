@@ -498,6 +498,24 @@ def test_contraction_bound_inside_certified_radius():
         assert q < 1.0
 
 
+def test_contraction_radius_of_an_empty_tail_is_infinite():
+    # Pole order = truncation leaves no coefficient after A_p: q = 0 at every r.
+    assert solver_module._contraction_radius([]) == np.inf
+
+
+def test_contraction_radius_counts_a_non_finite_bound_as_too_large():
+    # r^30 overflows just above rho, where 1e-320 r^30 is still far below RADIUS_Q:
+    # the bound is inf there, and rho is the last r whose repeated products stay finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = solver_module._contraction_radius([1e-320] * 30)
+        assert solver_module._contraction_radius([np.inf]) == 0.0
+        assert solver_module._contraction_radius([0.0, np.nan]) == 0.0
+    with np.errstate(over="ignore"):
+        powers = [np.cumprod(np.full(30, r))[-1] for r in (rho, np.nextafter(rho, np.inf))]
+    assert powers[0] < np.inf and powers[1] == np.inf
+
+
 # ---------------------------------------------------------------- residual
 
 
@@ -740,6 +758,19 @@ def test_sweep_computes_each_lambda_independent_quantity_once(monkeypatch, capsy
     assert len(rows) == 5 and all(row.endswith(",ok") for row in rows)
     loads = load_problem_file(str(EXAMPLES / name)).build(64).n
     assert (len(samples), len(norms), len(draws)) == (loads + 1, 1, 1)
+
+
+def test_oracle_sweep_builds_its_lambda_independent_rows_once(monkeypatch, capsys):
+    # KG, A0 and f_gamma are built once per (problem, rule): across a 5-step
+    # sweep, one discrete form and one blocked pass of K at its points per load.
+    forms = _count_calls(monkeypatch, fl.oracle, "gamma_weights")
+    passes = _count_calls(monkeypatch, fl.oracle, "grid_blocks")
+    args = ["sweep", str(EXAMPLES / "loaded_regular.prob"), "--nodes", "64", "--route", "oracle",
+            "--lambda-min", "0.05", "--lambda-max", "0.5", "--steps", "5"]
+    assert cli.main(args) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",ok") for row in rows)
+    assert (len(forms), len(passes)) == (2, 2)
 
 
 def test_irregular_reuses_the_laurent_data_of_one_prepared(monkeypatch):
