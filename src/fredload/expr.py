@@ -250,10 +250,7 @@ def _eval_node(node: Node, bindings: Mapping[str, object]):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        try:
-            return bindings[node.name]
-        except KeyError:
-            raise DomainEvalError(f"no binding for variable '{node.name}'", node.name)
+        return bindings[node.name]
     if isinstance(node, Neg):
         return np.negative(_eval_node(node.operand, bindings))
     if isinstance(node, Call):

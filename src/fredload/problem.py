@@ -38,6 +38,7 @@ class ProblemSpec:
     kernel: Expr
     source: Expr
     loads: tuple[Load, ...]
+    _rules: dict[int, QuadratureRule] = field(default_factory=dict, init=False, repr=False)
     _on_grid: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
 
     def __post_init__(self):
@@ -70,7 +71,11 @@ class ProblemSpec:
         return len(self.loads)
 
     def master_rule(self, nodes: int = NODES) -> QuadratureRule:
-        return gauss_legendre(nodes, self.a, self.b)
+        """The problem's one `nodes`-point Gauss-Legendre rule on [a, b], built
+        on first use and kept, so kernels sampled on it share its grid arrays."""
+        if nodes not in self._rules:
+            self._rules[nodes] = gauss_legendre(nodes, self.a, self.b)
+        return self._rules[nodes]
 
     def source_values(self, rule: QuadratureRule) -> np.ndarray:
         """f sampled at the rule's nodes, once per rule, read-only."""
@@ -90,7 +95,7 @@ class ProblemSpec:
     def on_grid(self, name: str, owner, build) -> np.ndarray:
         """The lambda-independent grid array `name` of owner, a rule or a kernel:
         what build() returns on first use, then the same read-only array, until
-        the owner is collected; the problem holds its owners only weakly."""
+        the owner is collected; the cache holds its owners only weakly."""
         arrays = self._on_grid.setdefault(owner, {})
         value = arrays.get(name)
         if value is None:

@@ -104,18 +104,6 @@ def _legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@functools.lru_cache(maxsize=None)
-def _barycentric_weights(m: int) -> np.ndarray:
-    """(-1)^j sqrt((1 - x_j^2) w_j) over the m-point rule on [-1, 1],
-    normalized to unit max and returned read-only."""
-    x, w = _legendre_nodes(m)
-    bary = np.sqrt((1.0 - x) * (1.0 + x) * w)
-    bary[1::2] *= -1.0
-    bary /= np.max(np.abs(bary))
-    bary.flags.writeable = False
-    return bary
-
-
 def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     """m-point Gauss-Legendre rule on [a, b], exact through degree 2m-1."""
     if m < 1:
@@ -125,9 +113,11 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     x, w = _legendre_nodes(m)
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     weights = 0.5 * (b - a) * w
-    return QuadratureRule(
-        a=float(a), b=float(b), nodes=nodes, weights=weights, barycentric=_barycentric_weights(m)
-    )
+    bary = np.sqrt((1.0 - x) * (1.0 + x) * w)  # (-1)^j sqrt((1 - x_j^2) w_j), unit max
+    bary[1::2] *= -1.0
+    bary /= np.max(np.abs(bary))
+    bary.flags.writeable = False
+    return QuadratureRule(a=float(a), b=float(b), nodes=nodes, weights=weights, barycentric=bary)
 
 
 def integrate(rule: QuadratureRule, f: GridFunction) -> float:

@@ -89,6 +89,12 @@ def test_missing_binding():
         ex.evaluate(ex.parse("t", ("t",)), {})
 
 
+def test_missing_binding_is_named_before_any_node_runs():
+    with pytest.raises(DomainEvalError, match="no binding for variable 's'") as err:
+        ex.evaluate(ex.parse("log(t) + s*t", ("t", "s")), {"t": 0.0})
+    assert err.value.node_text == "s"
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [

@@ -33,7 +33,7 @@ def solve(argv: list[str]) -> int:
 def traced_peaks(command: list[str], nodes: int):
     """(example, n, traced peak in bytes) of `command` on every example it
     solves. The warm-up call fills the per-N caches (Gauss-Legendre nodes,
-    barycentric weights, the probe block), which later solves share."""
+    the probe block), which later solves share."""
     for path in sorted(EXAMPLES.glob("*.prob")):
         argv = [command[0], str(path), "--nodes", str(nodes), *command[1:]]
         if solve(argv) != 0:
@@ -57,6 +57,22 @@ def test_solve_allocates_one_grid_sized_array(nodes):
         assert peak - 8 * nodes**2 <= 4 * 8 * GRID_BLOCK, (name, peak)
         solved.append(name)
     assert solved == SOLVED
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["find-poles", "--lambda-min", "-20", "--lambda-max", "20"],
+    ["sweep", "--lambda-min", "0.05", "--lambda-max", "0.5", "--steps", "3"],
+])
+def test_every_command_allocates_one_grid_sized_array(command, nodes):
+    # No route multiplies two N x N operands: one such product alone would add
+    # 8 N^2 bytes, 16 blocks at N = 1024. no_solution's sweep refuses its rows.
+    covered = []
+    for name, _, peak in traced_peaks(command, nodes):
+        assert peak - 8 * nodes**2 <= 4 * 8 * GRID_BLOCK, (name, peak)
+        covered.append(name)
+    assert covered == [*SOLVED, "no_solution"]
 
 
 @pytest.mark.parametrize("nodes", [512, 1024])

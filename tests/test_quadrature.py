@@ -185,6 +185,20 @@ def test_closed_form_barycentric_weights_match_the_product_formula(m):
     assert np.max(np.abs(rule.barycentric - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("m", [1, 2, 9, 64, 512, 1500])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 3.0)])
+def test_barycentric_weights_are_the_closed_form_bit_for_bit_and_read_only(m, a, b):
+    # (-1)^j sqrt((1 - x_j^2) w_j) over the cached [-1, 1] rule, scaled to unit
+    # max, whatever the interval; each rule holds its own read-only copy.
+    x, w = _legendre_nodes(m)
+    reference = np.sqrt((1.0 - x) * (1.0 + x) * w)
+    reference[1::2] *= -1.0
+    reference /= np.max(np.abs(reference))
+    rule = gauss_legendre(m, a, b)
+    assert rule.barycentric.tobytes() == reference.tobytes()
+    assert not rule.barycentric.flags.writeable
+
+
 @pytest.mark.parametrize("m", [512, 1500])
 def test_interpolation_reproduces_polynomials_at_large_node_counts(m):
     # The closed-form weights stay finite where a product over node pairs

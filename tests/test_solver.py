@@ -2,15 +2,19 @@
 
 import dataclasses
 import importlib
+import math
 import pathlib
 import pkgutil
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fredload as fl
 from fredload import cli
+from fredload import problem as problem_module
 from fredload import solver as solver_module
 from fredload.errors import (
     NoSolutionError,
@@ -19,7 +23,7 @@ from fredload.errors import (
 )
 from fredload.load_system import in_load_units
 from fredload.problemfile import load_problem_file, parse_problem_file
-from fredload.tolerances import POLE_COEFF_TOL
+from fredload.tolerances import POLE_COEFF_TOL, RADIUS_Q
 from util import (
     golden_identity_problem,
     make_problem,
@@ -516,6 +520,34 @@ def test_contraction_radius_counts_a_non_finite_bound_as_too_large():
     assert powers[0] < np.inf and powers[1] == np.inf
 
 
+def _q_bound(norms, r):
+    # The contraction bound sum_m norms[m] r^(m+1), summed in the same order and
+    # counted as inf once the sum is not finite: monotone in r, rounding included.
+    total, power = 0.0, r
+    for nm in norms:
+        total += nm * power
+        power *= r
+        if not math.isfinite(total):
+            return math.inf
+    return total
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+                          st.floats(0.0, 10.0), st.integers(-12, 12)), max_size=30))
+@example([1e-12])  # below RADIUS_Q up to the cap
+@example([0.0] * 30)  # q is 0 until r^30 overflows, then 0 * inf counts as inf
+def test_contraction_radius_is_the_largest_double_within_the_bound(norms):
+    # rho is the largest double r with q(r) <= RADIUS_Q; the bisection is exact
+    # because q is monotone. Doubling from 1e-8, the last r tried below the
+    # cap of 1e12 is 1e-8 2^66; a bound within RADIUS_Q there gives inf.
+    rho = solver_module._contraction_radius(norms)
+    if _q_bound(norms, 1e-8 * 2.0**66) <= RADIUS_Q:
+        assert rho == math.inf
+    else:
+        assert _q_bound(norms, rho) <= RADIUS_Q < _q_bound(norms, math.nextafter(rho, math.inf))
+
+
 # ---------------------------------------------------------------- residual
 
 
@@ -771,6 +803,22 @@ def test_oracle_sweep_builds_its_lambda_independent_rows_once(monkeypatch, capsy
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 5 and all(row.endswith(",ok") for row in rows)
     assert (len(forms), len(passes)) == (2, 2)
+
+
+def test_kernels_on_the_master_rule_share_its_grid_samples(monkeypatch):
+    # A problem keeps one rule per node count: across four fresh kernels, a and
+    # f are sampled on the grid once, and the oracle's rows are built once.
+    problem = load_problem_file(str(EXAMPLES / "loaded_regular.prob")).build(512)
+    sampled, evaluate = [], problem_module.evaluate
+    monkeypatch.setattr(problem_module, "evaluate",
+                        lambda expr, bindings: sampled.append(expr.text) or evaluate(expr, bindings))
+    forms = _count_calls(monkeypatch, fl.oracle, "gamma_weights")
+    for _ in range(4):
+        kernel = fl.discretize(problem.kernel, problem.master_rule(512))
+        assert fl.solve_auto(problem, kernel, 0.2).route == "regular"
+        assert fl.dense_solve(problem, kernel, 0.2).route == "oracle"
+    assert sorted(sampled) == ["0.2", "0.3*t", "1 + t - t^2"]
+    assert len(forms) == problem.n == 2
 
 
 def test_irregular_reuses_the_laurent_data_of_one_prepared(monkeypatch):
