@@ -177,10 +177,9 @@ def cmd_analyze(args) -> int:
         print(f"nilpotency index: {pnil}")
     print(f"operator norm: {_fmt(norm)}")
     if classification.is_regular:
-        bound_l = prep.successive_l
-        admissible = float("inf") if bound_l == 0.0 else numerics.q / bound_l
-        print(f"successive bound l: {_fmt(bound_l)}")
-        print(f"successive admissible |lambda| <= q/l: {_fmt(admissible)} (q = {numerics.q:g})")
+        print(f"successive bound l: {_fmt(prep.successive_l)}")
+        admissible = _fmt(prep.admissible(numerics.q))
+        print(f"successive admissible |lambda| <= q/l: {admissible} (q = {numerics.q:g})")
     if classification.is_irregular_identity:
         pole, _ = prep.pole
         if pole is None:
@@ -393,3 +392,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -152,17 +152,15 @@ def solve_zero_order_system(
     c is the minimum-norm solution in load units, by the SVD, and
     NoSolutionError is raised when it is inconsistent (normwise backward error
     above CONSISTENCY_TOL): the equation then has no continuous solution. The
-    note says when E - A0 is below full rank. An A0 that is E to IDENTITY_TOL
-    (_is_identity, as in classify) has rank 0, so the roundoff left in E - A0
-    is not inverted.
+    note says when E - A0 is below full rank. Only the rank classify judged is
+    inverted, so the roundoff left in E - A0 = 0 for A0 = E is not.
     """
-    n = A0.shape[0]
-    scaled = in_load_units(np.eye(n) - A0, units)
-    rank = 0 if _is_identity(scaled, in_load_units(A0, units)) else numerical_rank(scaled)
+    classification = classify(in_load_units(A0, units))
+    scaled = in_load_units(np.eye(classification.n) - A0, units)
     rhs = f_gamma / units
     u, sing, vt = np.linalg.svd(scaled)
     inv_sing = np.zeros_like(sing)
-    inv_sing[:rank] = 1.0 / sing[:rank]
+    inv_sing[: classification.rank] = 1.0 / sing[: classification.rank]
     particular = vt.T @ (inv_sing * (u.T @ rhs))
     defect = float(np.linalg.norm(scaled @ particular - rhs, np.inf))
     scale = np.linalg.norm(scaled, np.inf) * np.linalg.norm(particular, np.inf)
@@ -173,41 +171,39 @@ def solve_zero_order_system(
             "the class of continuous functions"
         )
     note = "load system singular but consistent; minimum-norm load vector used"
-    return units * particular, None if rank == n else note
+    return units * particular, None if classification.is_regular else note
 
 
 @dataclass(frozen=True)
 class Classification:
-    """Which constructive route the load matrix admits at lambda = 0."""
+    """Which constructive route the load matrix admits at lambda = 0, read from
+    the rank of the n x n E - A0 that classify judged: 0 for A0 = E, n when regular."""
 
-    kind: str  # "regular" | "irregular-identity" | "unsupported-irregular"
+    rank: int
+    n: int
     det: float
 
     @property
+    def kind(self) -> str:
+        return ("regular" if self.is_regular else "irregular-identity"
+                if self.is_irregular_identity else "unsupported-irregular")
+
+    @property
     def is_regular(self) -> bool:
-        return self.kind == "regular"
+        return self.rank == self.n
 
     @property
     def is_irregular_identity(self) -> bool:
-        return self.kind == "irregular-identity"
-
-
-def _is_identity(system: np.ndarray, A0: np.ndarray) -> bool:
-    """A0 = E to working precision, for system = E - A0:
-    max|E - A0| <= IDENTITY_TOL (1 + max|A0|)."""
-    return float(np.max(np.abs(system))) <= IDENTITY_TOL * (1.0 + float(np.max(np.abs(A0))))
+        return self.rank == 0
 
 
 def classify(A0: np.ndarray) -> Classification:
-    """Regular when E - A0 has full numerical rank; the identity case
-    A0 = E gets its own label; a singular E - A0 with A0 != E is not
-    handled by any route in this package. det is for display only.
-    prepare passes A0 in load units (in_load_units)."""
+    """The rank of E - A0, judged once for every route: 0 when A0 = E to working
+    precision, max|E - A0| <= IDENTITY_TOL (1 + max|A0|); else numerical_rank, at least
+    1 as E - A0 != 0 even where its largest singular value overflows. No route here takes
+    a singular E - A0 with A0 != E. det is for display only; A0 is in load units."""
     n = A0.shape[0]
     system = np.eye(n) - A0
-    det = float(np.linalg.det(system))
-    if _is_identity(system, A0):
-        return Classification(kind="irregular-identity", det=det)
-    if numerical_rank(system) == n:
-        return Classification(kind="regular", det=det)
-    return Classification(kind="unsupported-irregular", det=det)
+    identity = float(np.max(np.abs(system))) <= IDENTITY_TOL * (1.0 + float(np.max(np.abs(A0))))
+    rank = 0 if identity else max(1, numerical_rank(system))
+    return Classification(rank, n, float(np.linalg.det(system)))

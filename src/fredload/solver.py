@@ -107,7 +107,7 @@ class Prepared:
     matrix, the classification of A0 and the per-load annihilation reports at `tol`.
     f_gamma, the zero-order outcome, the nilpotency index, the Taylor coefficients up
     to `truncation`, the Laurent data and the successive route's coupling and bound l
-    are computed on first use, so a regular solve never forms them."""
+    (admissible gives q / l) are computed on first use, so a regular solve never forms them."""
 
     problem: ProblemSpec
     kernel: DiscreteKernel
@@ -187,6 +187,10 @@ class Prepared:
         operator solve_successive iterates; one load's rescaling cancels between its two factors."""
         slices = np.abs(kernel_slices(self.problem, self.kernel)) @ self.kernel.rule.weights
         return self.kernel.norm + float(np.max(np.abs(self.coupling) @ slices, initial=0.0))
+
+    def admissible(self, q: float) -> float:
+        """The successive route's admissible |lambda| <= q / l, inf when l = 0."""
+        return math.inf if self.successive_l == 0.0 else q / self.successive_l
 
 
 def prepare(
@@ -286,12 +290,11 @@ def solve_successive(
             f"successive route needs det(E - A0) != 0; classification is "
             f"{classification.kind}"
         )
-    bound_l = prep.successive_l
-    admissible = math.inf if bound_l == 0.0 else q / bound_l
+    admissible = prep.admissible(q)
     if abs(lam) > admissible:
         raise RoutePreconditionError(
             f"|lambda|={abs(lam):.6g} exceeds the admissible bound q/l = "
-            f"{admissible:.6g} (q={q}, l={bound_l:.6g})"
+            f"{admissible:.6g} (q={q}, l={prep.successive_l:.6g})"
         )
     rule, coupling, slices = kernel.rule, prep.coupling, kernel_slices(problem, kernel)
     base = problem.source_values(rule) + coupling @ prep.f_gamma

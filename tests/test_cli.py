@@ -1,7 +1,10 @@
 """Command-line interface: commands, CSV output, exit codes."""
 
 import argparse
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -1043,3 +1046,20 @@ def test_exactly_singular_resolvent_system_is_a_characteristic_number(write, cap
     assert rc == 3
     assert captured.err.startswith("error[characteristic-number]: lambda=1.0 ")
     assert captured.err.endswith("= inf)\n")
+
+
+def test_module_entry_point_runs_the_command_and_returns_its_exit_code():
+    # `python -m fredload.cli` runs main and exits with its status, like the console script.
+    env = dict(os.environ, PYTHONPATH=str(EXAMPLES.parents[1] / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "fredload.cli", *argv], env=env,
+                              capture_output=True, text=True, check=False)
+
+    solved = run("solve", str(EXAMPLES / "nilpotent.prob"), "--nodes", "16")
+    assert solved.returncode == 0
+    lines = solved.stdout.splitlines()
+    assert lines[0] == "t,x" and len(lines) == 17
+    refused = run("solve", str(EXAMPLES / "identity_pole.prob"), "--lambda", "0")
+    assert refused.returncode == 3
+    assert refused.stderr.startswith("error[route-precondition]: ")

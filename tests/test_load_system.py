@@ -119,9 +119,17 @@ def test_zero_order_consistency_is_judged_by_the_backward_error(scale):
 
 
 def test_classify_cases():
-    assert fl.classify(np.zeros((1, 1))).kind == "regular"
-    assert fl.classify(np.eye(3)).kind == "irregular-identity"
-    assert fl.classify(np.diag([1.0, 0.0])).kind == "unsupported-irregular"
+    # The kind follows from the rank of E - A0 that classify judged.
+    for a0, rank, kind in [
+        (np.zeros((1, 1)), 1, "regular"),
+        (np.eye(3), 0, "irregular-identity"),
+        (np.diag([1.0, 0.0]), 1, "unsupported-irregular"),
+        # sigma_max of E - A0 overflows, so numerical_rank counts no singular
+        # value; E - A0 != 0 all the same, so A0 is not E.
+        (np.full((2, 2), 2.0**1023), 1, "unsupported-irregular"),
+    ]:
+        classification = fl.classify(a0)
+        assert (classification.rank, classification.kind) == (rank, kind)
 
 
 def test_classify_tolerates_quadrature_noise():
