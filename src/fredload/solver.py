@@ -70,9 +70,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Laurent:
-    """Laurent data at lambda = 0 for A0 = E: pole order p, g = series_scale(K),
-    the scaled coefficients A~_p..A~_M (A_m = g^m A~_m) and the certified
-    radius, found from A~_p^{-1} A~_m in load units."""
+    """Laurent data at lambda = 0 for A0 = E: pole order p, g = series_scale(K), the scaled
+    coefficients A~_p..A~_M (A_m = g^m A~_m) and the radius rho from A~_p^{-1} A~_m in load
+    units; it certifies q <= RADIUS_Q, not the tail of A(lambda) past A~_M (solve_irregular)."""
 
     pole_order: int
     growth: float
@@ -177,14 +177,19 @@ class Prepared:
 
     @cached_property
     def coupling(self) -> np.ndarray:
-        """a (E - A0)^{-1}, N x n, by one n x n solve: (I-L)^{-1} h = h + coupling <gamma, h>."""
+        """a (E - A0)^{-1}, N x n, by one n x n solve: (I-L)^{-1} h = h + coupling <gamma, h>;
+        RoutePreconditionError unless the classification finds E - A0 regular."""
+        if not self.classification.is_regular:
+            raise RoutePreconditionError("successive route needs det(E - A0) != 0; "
+                                         f"classification is {self.classification.kind}")
         system = (np.eye(self.problem.n) - self.A0).T
         return np.linalg.solve(system, self.problem.coeff_values(self.kernel.rule).T).T
 
     @cached_property
     def successive_l(self) -> float:
-        """l = g + max_i sum_k |coupling_ik| sum_j w_j |KG_kj| >= ||K W + coupling KG W||, the
-        operator solve_successive iterates; one load's rescaling cancels between its two factors."""
+        """l = g + max_i sum_k |coupling_ik| sum_j w_j |KG_kj| >= ||K W + coupling KG W||, one
+        load's rescaling cancelling between its two factors. The loop's Q C differs from K W
+        only by the core's truncation (DiscreteKernel.core), which the dense defect reports."""
         slices = np.abs(kernel_slices(self.problem, self.kernel)) @ self.kernel.rule.weights
         return self.kernel.norm + float(np.max(np.abs(self.coupling) @ slices, initial=0.0))
 
@@ -271,40 +276,35 @@ def solve_successive(
 ) -> Solution:
     """Fixed-point route: x_n = (I-L)^{-1}(lambda K x_{n-1} + f), x_0 = 0.
 
-    The loads read lambda K W x_{n-1} + f as f_gamma + lambda KG W x_{n-1}, so a
-    step is x_n = lambda (K W + coupling KG W) x_{n-1} + f + coupling f_gamma
-    (Prepared.coupling), with no n x n solve. |lambda| beyond q / l, l bounding
-    that operator's max-norm, is refused; below it the differences, kept as the
-    history, shrink geometrically until one is at most prep.tol max|x_n|. Then
-    c solves (E - A0) c = f_gamma + lambda KG W x_{n-1} once. The loop runs on
-    x_n / s, s the binary_scale of f + coupling f_gamma, so that K W x_n does not
-    overflow where x_n does not; the scaling is exact.
+    The loads read lambda K W x_{n-1} + f as f_gamma + lambda KG W x_{n-1}, so a step
+    is x_n = lambda (K W + coupling KG W) x_{n-1} + f + coupling f_gamma (Prepared.coupling),
+    with no n x n solve; K W goes through the core, K W = Q C, so the loop never reads the
+    kernel sample. |lambda| beyond q / l, l bounding that operator's max-norm, is refused;
+    below it the differences, kept as the history, shrink geometrically until one is at
+    most prep.tol max|x_n|. Then c solves (E - A0) c = f_gamma + lambda KG W x_{n-1} once.
+    The loop runs on x_n / s, s the binary_scale of f + coupling f_gamma, so that K W x_n
+    does not overflow where x_n does not; the scaling is exact.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    problem, kernel, classification = prep.problem, prep.kernel, prep.classification
-    if not classification.is_regular:
-        raise RoutePreconditionError(
-            f"successive route needs det(E - A0) != 0; classification is "
-            f"{classification.kind}"
-        )
+    problem, kernel = prep.problem, prep.kernel
     admissible = prep.admissible(q)
     if abs(lam) > admissible:
         raise RoutePreconditionError(
             f"|lambda|={abs(lam):.6g} exceeds the admissible bound q/l = "
             f"{admissible:.6g} (q={q}, l={prep.successive_l:.6g})"
         )
-    rule, coupling, slices = kernel.rule, prep.coupling, kernel_slices(problem, kernel)
-    base = problem.source_values(rule) + coupling @ prep.f_gamma
+    rule, core, slices = kernel.rule, kernel.core, kernel_slices(problem, kernel)
+    base = problem.source_values(rule) + prep.coupling @ prep.f_gamma
     scale = float(binary_scale(base))  # the loop runs on x / scale, exactly
     base = base / scale
     x_prev, history = np.zeros(rule.n), []
     for _ in range(max_iter):
         weighted = rule.weights * x_prev
         loads = slices @ weighted
-        x_next = lam * (kernel.values @ weighted + coupling @ loads) + base
+        x_next = lam * (core.lift(core.QtK @ weighted) + prep.coupling @ loads) + base
         delta = float(np.max(np.abs(x_next - x_prev)))
         history.append(scale * delta)
         if delta <= prep.tol * float(np.max(np.abs(x_next))):
@@ -393,12 +393,12 @@ def pole_order(coeff_mats: np.ndarray) -> tuple[Optional[int], float]:
 
 
 def solve_irregular(prep: Prepared, lam: float) -> Solution:
-    """Laurent route for A0 = E, in lambda g so that no term overflows: with
-    A(lambda) = sum_{m>=p} (lambda g)^m A~_m (taylor_A) and A~_p invertible,
-    x_gamma = (lambda g)^{-p} nu~ where nu~ sums the geometric series
-    -(I + A~_p^{-1} B)^{-1} A~_p^{-1} b(lambda), B = sum_{m>p} (lambda g)^{m-p} A~_m.
-    It is summed in closed form by a dense solve; the contraction bound q,
-    ||A~_p^{-1} B|| in load units, certifies it."""
+    """Laurent route for A0 = E, in lambda g so that no term overflows: with A(lambda) =
+    sum_{m>=p} (lambda g)^m A~_m (taylor_A) and A~_p invertible, x_gamma = (lambda g)^{-p} nu~
+    where nu~ sums the geometric series -(I + A~_p^{-1} B)^{-1} A~_p^{-1} b(lambda),
+    B = sum_{m>p} (lambda g)^{m-p} A~_m, in closed form by a dense solve. q, ||A~_p^{-1} B|| in
+    load units, certifies that series, not the tail of A(lambda) past `truncation`: x on
+    identity_pole.prob is off by 2.7e-10 relative at 0.47 < rho = 0.4737, 1.9e-9 at 0.5."""
     classification = prep.classification
     if classification.kind == "unsupported-irregular":
         raise RoutePreconditionError(

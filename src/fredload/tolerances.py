@@ -22,7 +22,7 @@ COND_LIMIT = 1e8
 IDENTITY_TOL = 1e-10  # A0 = E when max|E - A0| <= IDENTITY_TOL (1 + max|A0|)
 CONSISTENCY_TOL = 1e-10  # no solution: defect > it (||E - A0|| ||c|| + ||f_gamma||)
 POLE_COEFF_TOL = 1e-9  # pole order: first max|A~_m| > POLE_COEFF_TOL (1 + max_k max|A~_k|)
-RADIUS_Q = 0.9  # rho: the |lambda| at which the contraction bound q reaches RADIUS_Q
+RADIUS_Q = 0.9  # within rho q <= it: A~_p^{-1} B's series contracts; A(lambda)'s tail is unchecked
 NILPOTENT_TOL = 1e-10  # probe term Q_m = (K W / g)^m P is negligible when max|Q_m| <=
 COLLAPSE_RATIO = 1e-6  # NILPOTENT_TOL (1 + max|Q_1|) and <= COLLAPSE_RATIO max|Q_{m-1}|
 EIGEN_FLOOR = 1e-12  # find-poles drops eigenvalues |mu| <= EIGEN_FLOOR g of K W

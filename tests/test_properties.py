@@ -98,11 +98,14 @@ def test_every_applicable_route_agrees_with_the_oracle_at_a_repeated_eigenvalue(
     ("cos(t - s)", TWO_PI, "sin(t)", fl.integral_load(0.0, math.pi / 2, fl.parse("1", {"s"})),
      -1.0 / TWO_PI),
     ("(-2+6*s) + t*(-6+12*s)", 1.0, "1", fl.point_load(0.25), -0.5),
+    # docs/examples/identity_pole.prob, inside its certified radius rho = 0.4737.
+    ("1", 1.0, "1", fl.point_load(0.0), 0.47),
 ])
 def test_the_irregular_route_agrees_with_the_oracle_at_a_repeated_eigenvalue(nodes, kernel, b,
                                                                              coeff, load, lam):
-    # A0 = E and lambda is half the kernel's characteristic value. x is off by 3e-9
-    # and 1.2e-9 relative, and by about 4e-15 with truncation 60.
+    # A0 = E. In the first two cases lambda is half the kernel's characteristic value,
+    # and x is off by 3e-9 and 1.2e-9 relative, and by about 4e-15 with truncation 60.
+    # In the third, x is off by 2.7e-10 relative although q <= RADIUS_Q.
     problem = make_problem(kernel, "1", [(coeff, load)], a=0.0, b=b)
     prep = fl.prepare(problem, fl.discretize(problem.kernel, problem.master_rule(nodes)))
     assert prep.classification.is_irregular_identity

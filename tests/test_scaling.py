@@ -268,15 +268,17 @@ def test_one_rescaled_load_keeps_route_and_solution(tmp_path_factory, kind, seed
     assert_scaled(result[3] * undo, reference[3], 1.0)
 
 
-def dense_successive_norm(text: str, nodes: int) -> float:
-    """max-norm of K W + a (E - A0)^{-1} KG W, formed densely."""
+def dense_successive_norms(text: str, nodes: int) -> tuple[float, float]:
+    """max-norms of K W + a (E - A0)^{-1} KG W and of Q C + a (E - A0)^{-1} KG W, the
+    operator the successive route applies through the core K W = Q C, formed densely."""
     problem = parse_problem_file(text).build(nodes)
     kernel = discretize(problem.kernel, problem.master_rule(nodes))
-    weights = kernel.rule.weights
+    weights, core = kernel.rule.weights, kernel.core
     coupling = problem.coeff_values(kernel.rule) @ np.linalg.inv(
         np.eye(problem.n) - assemble_A0(problem))
-    operator = kernel.values * weights + coupling @ (kernel_slices(problem, kernel) * weights)
-    return float(np.linalg.norm(operator, np.inf))
+    loads = coupling @ (kernel_slices(problem, kernel) * weights)
+    operators = (kernel.values * weights + loads, core.lift(core.QtK * weights) + loads)
+    return tuple(float(np.linalg.norm(operator, np.inf)) for operator in operators)
 
 
 REGULAR_EXAMPLES = ["kinked_load", "loaded_regular", "nilpotent"]
@@ -288,15 +290,17 @@ REGULAR_EXAMPLES = ["kinked_load", "loaded_regular", "nilpotent"]
        s=st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
 def test_successive_bound_covers_the_iterated_operator_and_ignores_one_load_scale(
         source, nodes, load, s):
-    # l bounds the max-norm of the operator the successive route iterates, and
-    # column k of a (E - A0)^{-1} and row k of KG scale inversely, so rescaling
-    # one load leaves l alone up to roundoff.
+    # l bounds the max-norm of the operator the successive route iterates, both with
+    # the dense K W and with the core's Q C that the loop applies, and column k of
+    # a (E - A0)^{-1} and row k of KG scale inversely, so rescaling one load leaves l
+    # alone up to roundoff.
     if isinstance(source, str):
         text = PROBLEMS[source]
     else:
         text, _ = random_load_problem(np.random.default_rng(source), "regular")
     bound = successive_l(text, nodes)
-    assert bound >= dense_successive_norm(text, nodes) * (1.0 - 1e-12)
+    for norm in dense_successive_norms(text, nodes):
+        assert bound >= norm * (1.0 - 1e-12)
     rescaled = successive_l(rescale(text, "loads", s, load % text.count("[load]")), nodes)
     assert abs(rescaled - bound) <= 1e-12 * bound
 

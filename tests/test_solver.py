@@ -747,6 +747,63 @@ def test_solve_auto_regular_factors_once_and_skips_iterated_kernels(monkeypatch)
     assert len(slogdet_calls) == 0
 
 
+class _CountedSample(np.ndarray):
+    """A view of the kernel sample that counts the np.matmul calls it is an operand of."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedSample.products += 1
+        plain = [a.view(np.ndarray) if isinstance(a, _CountedSample) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("nodes", [64, 512])
+@pytest.mark.parametrize("name", ["loaded_regular", "identity_pole", "nilpotent", "kinked_load"])
+def test_every_route_multiplies_the_kernel_sample_once_per_solve(name, nodes):
+    # The analysis reads kernel.values once per problem; per lambda, only the dense
+    # defect does, and every other product with K W goes through the core. The core
+    # is built before the swap, so its QtK, the sample itself below CORE_MIN_NODES,
+    # is not counted: the count is of the routes' reads of kernel.values.
+    problem, kernel = _example(f"{name}.prob", nodes)
+    prep = fl.prepare(problem, kernel)
+    kernel.core
+    fl.kernel_slices(problem, kernel)
+    for attribute in ("f_gamma", "zero_order", "nilpotency", "taylor", "pole", "laurent",
+                      "coupling", "successive_l"):
+        try:
+            getattr(prep, attribute)
+        except fl.FredloadError:
+            pass
+    object.__setattr__(kernel, "values", kernel.values.view(_CountedSample))
+    routes = {"auto": fl.solve_prepared, "regular": fl.solve_regular,
+              "successive": fl.solve_successive, "nilpotent": fl.solve_nilpotent,
+              "irregular": fl.solve_irregular}
+    solved = []
+    for route, solve in routes.items():
+        _CountedSample.products = 0
+        try:
+            solve(prep, 0.05)
+        except fl.FredloadError:
+            continue
+        solved.append(route)
+        assert _CountedSample.products == 1, route
+    assert "auto" in solved
+    assert ("successive" in solved) == (name != "identity_pole")
+
+
+@pytest.mark.parametrize("name", ["identity_pole", "no_solution"])
+def test_successive_bound_of_a_singular_load_system_is_a_route_precondition(name):
+    # (E - A0)^{-1} is formed only where the classification finds E - A0 regular.
+    problem, kernel = _example(f"{name}.prob")
+    message = r"^successive route needs det\(E - A0\) != 0; classification is irregular-identity$"
+    with pytest.raises(RoutePreconditionError, match=message):
+        fl.successive_bound(problem, kernel)
+    with pytest.raises(RoutePreconditionError, match=message):
+        fl.prepare(problem, kernel).admissible(0.9)
+
+
 def test_sweep_factors_once_per_lambda(monkeypatch, capsys):
     # One analysis per sweep, whatever the route, and one LU per lambda.
     slogdet_calls = _count_calls(monkeypatch, np.linalg, "slogdet")
