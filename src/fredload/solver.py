@@ -278,12 +278,12 @@ def solve_successive(
 
     The loads read lambda K W x_{n-1} + f as f_gamma + lambda KG W x_{n-1}, so a step
     is x_n = lambda (K W + coupling KG W) x_{n-1} + f + coupling f_gamma (Prepared.coupling),
-    with no n x n solve; K W goes through the core, K W = Q C, so the loop never reads the
-    kernel sample. |lambda| beyond q / l, l bounding that operator's max-norm, is refused;
-    below it the differences, kept as the history, shrink geometrically until one is at
-    most prep.tol max|x_n|. Then c solves (E - A0) c = f_gamma + lambda KG W x_{n-1} once.
-    The loop runs on x_n / s, s the binary_scale of f + coupling f_gamma, so that K W x_n
-    does not overflow where x_n does not; the scaling is exact.
+    with no n x n solve; K W goes through the core, Q C, as on every route: r x N per step on
+    a nontrivial core, N x N on the trivial one. |lambda| beyond q / l (l bounds the max-norm)
+    is refused; below it the differences, kept as the history, shrink geometrically until one
+    is at most prep.tol max|x_n|. Then c solves (E - A0) c = f_gamma + lambda KG W x_{n-1}
+    once. The loop runs on x_n / s, s the binary_scale of f + coupling f_gamma, so that
+    K W x_n does not overflow where x_n does not; the scaling is exact.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
@@ -304,7 +304,7 @@ def solve_successive(
     for _ in range(max_iter):
         weighted = rule.weights * x_prev
         loads = slices @ weighted
-        x_next = lam * (core.lift(core.QtK @ weighted) + prep.coupling @ loads) + base
+        x_next = lam * (core.lift(core.compress(x_prev)) + prep.coupling @ loads) + base
         delta = float(np.max(np.abs(x_next - x_prev)))
         history.append(scale * delta)
         if delta <= prep.tol * float(np.max(np.abs(x_next))):

@@ -761,14 +761,16 @@ class _CountedSample(np.ndarray):
 
 @pytest.mark.parametrize("nodes", [64, 512])
 @pytest.mark.parametrize("name", ["loaded_regular", "identity_pole", "nilpotent", "kinked_load"])
-def test_every_route_multiplies_the_kernel_sample_once_per_solve(name, nodes):
+def test_per_lambda_only_the_defect_reads_kernel_values(name, nodes):
     # The analysis reads kernel.values once per problem; per lambda, only the dense
     # defect does, and every other product with K W goes through the core. The core
-    # is built before the swap, so its QtK, the sample itself below CORE_MIN_NODES,
-    # is not counted: the count is of the routes' reads of kernel.values.
+    # is built before the swap, so its QtK, the sample itself on the trivial core
+    # (N = 64), is not counted: the count is of the routes' reads of kernel.values.
+    # At N = 512 every example's core is nontrivial, so there it is also the count
+    # of the routes' products with the sample.
     problem, kernel = _example(f"{name}.prob", nodes)
     prep = fl.prepare(problem, kernel)
-    kernel.core
+    assert (kernel.core.Q is None) == (nodes == 64)
     fl.kernel_slices(problem, kernel)
     for attribute in ("f_gamma", "zero_order", "nilpotency", "taylor", "pole", "laurent",
                       "coupling", "successive_l"):
