@@ -14,7 +14,7 @@ read; a grid function is read between its nodes by quadrature.interp_row.
 The solver never applies a load to a grid function x, which may have a
 kink: by the Nystrom identity x = f + a c + lambda K W x, a load of x needs
 only f, a and the kernel slices KG[k, j] = <gamma_k, K(., s_j)>, the load
-rows applied to the smooth t-slices of K once per (problem, kernel).
+rows times K (DiscreteKernel.rows_times) once per (problem, kernel).
 """
 
 from __future__ import annotations
@@ -122,10 +122,9 @@ def apply(gamma: Functional, x: Union[Expr, GridFunction]) -> float:
 
 def kernel_slices(problem: "ProblemSpec", kernel: "DiscreteKernel") -> np.ndarray:
     """KG[k, j] = <gamma_k, K(., s_j)>, the one way a load reads the grid: the
-    load rows times the kernel samples, built once per (problem, kernel), read-only."""
-    return problem.on_grid("kernel_slices", kernel, lambda: np.vstack(
-        [interp_row(kernel.rule, *load.functional.discrete) for load in problem.loads])
-        @ kernel.values)
+    load rows times K (DiscreteKernel.rows_times), once per (problem, kernel), read-only."""
+    return problem.on_grid("kernel_slices", kernel, lambda: kernel.rows_times(np.vstack(
+        [interp_row(kernel.rule, *load.functional.discrete) for load in problem.loads])))
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,21 @@
 """Operator-level computations on the kernel K(t,s).
 
-Everything here works on the Nystrom discretization: an N x N sample of
-the kernel on the master rule, with the diagonal weight matrix W turning
-matrix products into quadrature approximations of operator composition.
-K W is factored once per kernel into a low-rank core K W = Q C with
-M = C Q (DiscreteKernel.core), the degenerate-kernel method (Atkinson, The
-Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 2),
-and every per-lambda and spectral step is r x r work on it: the images
-lambda G W y = Q (I_r - lambda M)^{-1} lambda C y (Woodbury) of the
+Everything here works on the Nystrom discretization: an N x N sample of K on
+the master rule, with the diagonal weight matrix W turning matrix products into
+quadrature approximations of operator composition. Only this module and the
+oracle read the sample; the rest multiply by K through DiscreteKernel.apply
+(K W y) and rows_times (Y K). K W is factored once into a low-rank core
+K W = Q C with M = C Q (DiscreteKernel.core), the degenerate-kernel method
+(Atkinson, The Numerical Solution of Integral Equations of the Second Kind,
+1997, ch. 2), and every per-lambda and spectral step is r x r work on it: the
+images lambda G W y = Q (I_r - lambda M)^{-1} lambda C y (Woodbury) of the
 resolvent G of (I - lambda K)^{-1} = I + lambda * G[.], its Taylor series
 through (K W / g)^m y = Q (M / g)^{m-1} C y / g, the Fredholm denominator's
-stand-in det(I - lambda K W) = det(I_r - lambda M) (Sylvester), and its
-zeros, the characteristic numbers, from the real eigenvalues of M. On the
-trivial core, Q = I, this is the dense computation. Probe columns in the
-resolvent solve, drawn once per N, estimate the condition of
-I - lambda K W, which decides whether lambda is too close to a
-characteristic number.
+stand-in det(I - lambda K W) = det(I_r - lambda M) (Sylvester), and its zeros,
+the characteristic numbers, from the real eigenvalues of M. On the trivial
+core, Q = I, this is the dense computation. Probe columns in the resolvent
+solve, drawn once per N, estimate the condition of I - lambda K W, which
+decides whether lambda is too close to a characteristic number.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class Core:
 
     def compress(self, y: np.ndarray) -> np.ndarray:
         """C y for an N-vector or an N x k block y."""
-        return self.QtK @ ((self.weights if y.ndim == 1 else self.weights[:, None]) * y)
+        return self.QtK @ _weigh(self.weights, y)
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -137,6 +137,14 @@ class DiscreteKernel:
         if not math.isfinite(self.max_abs):
             raise ValueError("kernel values must be finite")
 
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """K W y for an N-vector or an N x k block y."""
+        return self.values @ _weigh(self.rule.weights, y)
+
+    def rows_times(self, rows: np.ndarray) -> np.ndarray:
+        """Y K for a k x N block Y, such as the load rows."""
+        return rows @ self.values
+
     @cached_property
     def core(self) -> Core:
         """The low-rank core of K W, by an adaptive randomized range finder
@@ -149,11 +157,11 @@ class DiscreteKernel:
         r x r R of (Q^T K W)^T = Q' R, whose left singular vectors are C's,
         then trims r to the singular values whose tail is above half that.
         Trivial below CORE_MIN_NODES, or when the budget is spent."""
-        n, values, weights = self.rule.n, self.values, self.rule.weights
+        n, weights = self.rule.n, self.rule.weights
         if n >= CORE_MIN_NODES:
             draw, budget = np.random.default_rng(1), max(CORE_BLOCK, n // CORE_BUDGET)
             omega = np.hstack([_probe(n), draw.standard_normal((n, CORE_BLOCK))])
-            target, block = np.hsplit(values @ (weights[:, None] * omega), [-CORE_BLOCK])
+            target, block = np.hsplit(self.apply(omega), [-CORE_BLOCK])
             limit = n * CORE_TOL * float(np.linalg.norm(target))
 
             def misses(q: np.ndarray) -> bool:
@@ -163,17 +171,17 @@ class DiscreteKernel:
             while misses(q):
                 width = min(q.shape[1], budget - q.shape[1])
                 if width == 0:
-                    return Core(None, values, weights)
-                block = values @ (weights[:, None] * draw.standard_normal((n, width)))
+                    return Core(None, self.values, weights)
+                block = self.apply(draw.standard_normal((n, width)))
                 q = np.linalg.qr(np.hstack([q, block]))[0]
-            qtk = q.T @ values
+            qtk = self.rows_times(q.T)
             u, sing, _ = np.linalg.svd(np.linalg.qr((qtk * weights).T, mode="r").T)
             tail = np.sqrt(np.cumsum(sing[::-1] ** 2))[::-1]
             u = u[:, : max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0])))]
             if misses(q @ u):
                 return Core(q, qtk, weights)
             return Core(q @ u, u.T @ qtk, weights)
-        return Core(None, values, weights)
+        return Core(None, self.values, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +219,7 @@ def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:
     out = [kernel.values]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(depth - 1):
-            out.append(kernel.values @ (kernel.rule.weights[:, None] * out[-1]))
+            out.append(kernel.apply(out[-1]))
     return IteratedKernels(rule=kernel.rule, kernels=tuple(out))
 
 
@@ -232,6 +240,11 @@ def scaled_powers(kernel: DiscreteKernel, columns: np.ndarray, depth: int) -> It
         columns = matrix @ columns
         yield lift(columns)
         matrix = step
+
+
+def _weigh(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """W y for an N-vector or an N x k block y."""
+    return (weights if y.ndim == 1 else weights[:, None]) * y
 
 
 @lru_cache(maxsize=None)

@@ -131,11 +131,11 @@ def taylor_A(problem: ProblemSpec, kernel: DiscreteKernel, depth: int) -> np.nda
 
 def load_units(problem: ProblemSpec) -> np.ndarray:
     """The load units u_k = ||gamma_k|| (functional_norm; 1 for a null load)
-    rounded to a power of two, so that in_load_units is exact. Rescaling one
-    load, (a_k, gamma_k) -> (s a_k, gamma_k / s), scales u_k, c_k and row and
+    rounded to a power of two, at most 2^1023, so that in_load_units is exact. Rescaling
+    one load, (a_k, gamma_k) -> (s a_k, gamma_k / s), scales u_k, c_k and row and
     column k of every n x n load matrix alike, up to that rounding."""
     norms = [functionals.functional_norm(load.functional) or 1.0 for load in problem.loads]
-    return np.ldexp(1.0, np.round(np.log2(norms)).astype(int))
+    return np.ldexp(1.0, np.minimum(np.round(np.log2(norms)), 1023).astype(int))
 
 
 def in_load_units(matrix: np.ndarray, units: np.ndarray) -> np.ndarray:

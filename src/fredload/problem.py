@@ -10,13 +10,14 @@ time; everything else lives here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .expr import Expr, evaluate
-from .functionals import Functional
+from .functionals import Functional, functional_norm
 from .quadrature import QuadratureRule, gauss_legendre
 from .tolerances import NODES
 
@@ -65,6 +66,9 @@ class ProblemSpec:
                         f"load {k}: integral term [{term.lower}, {term.upper}] "
                         f"outside [{self.a}, {self.b}]"
                     )
+            with np.errstate(over="ignore"):  # a sum beyond the double range: inf
+                if not math.isfinite(functional_norm(load.functional)):
+                    raise ValueError(f"load {k}: its norm, the sum of |weights|, is not finite")
 
     @property
     def n(self) -> int:

@@ -22,6 +22,7 @@ and are rejected at parse time.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,6 +37,7 @@ from .tolerances import MAX_ITER, NODES, Q, TOL, TRUNCATION
 __all__ = ["Numerics", "ParsedProblem", "parse_problem_file", "load_problem_file"]
 
 _POINT_RE = re.compile(r"^(?P<alpha>\S+)\s*@\s*(?P<t0>\S+)$")
+_SECTION_RE = re.compile(r"^\[(?P<name>[^\[\]]*)\]$")
 _INTEGRAL_RE = re.compile(r"^(?P<expr>.*\S)\s+on\s*\[\s*(?P<lo>[^,\]]+)\s*,\s*(?P<hi>[^,\]]+)\s*\]$")
 
 
@@ -131,7 +133,10 @@ def parse_problem_file(text: str) -> ParsedProblem:
         if not line:
             continue
         if line.startswith("["):
-            name = line.strip("[] \t").lower()
+            header = _SECTION_RE.match(line)
+            if header is None:
+                raise ProblemFileError(f"malformed section header {line!r}", lineno)
+            name = header.group("name").strip().lower()
             if name == "load":
                 raw_loads.append(_RawLoad(line=lineno))
                 section = "load"
@@ -156,6 +161,8 @@ def parse_problem_file(text: str) -> ParsedProblem:
                     _parse_float(parts[0], "interval endpoint", lineno),
                     _parse_float(parts[1], "interval endpoint", lineno),
                 )
+                if not math.isfinite(abs(interval[0]) + abs(interval[1])):
+                    raise ProblemFileError("interval needs finite a, b, b - a and a + b", lineno)
             elif key == "kernel":
                 kernel = _parse_expression(value, {"t", "s"}, "kernel", lineno)
             elif key == "source":
@@ -190,6 +197,9 @@ def parse_problem_file(text: str) -> ParsedProblem:
                     raise ProblemFileError(
                         f"integral term needs lo < hi, got [{lo}, {hi}]", lineno
                     )
+                if not math.isfinite(abs(lo) + abs(hi)):
+                    raise ProblemFileError("integral term needs finite lo, hi, hi - lo and lo + hi",
+                                           lineno)
                 weight = _parse_expression(
                     m.group("expr"), {"s"}, "integral weight", lineno
                 )

@@ -221,9 +221,9 @@ def _defect(prep: Prepared, lam: float, x: np.ndarray, c: np.ndarray) -> float:
     problem, kernel = prep.problem, prep.kernel
     s = float(binary_scale(x))
     x, c = x / s, c / s
-    weighted = kernel.rule.weights * x
-    grid = x - problem.coeff_values(kernel.rule) @ c - lam * (kernel.values @ weighted)
+    grid = x - problem.coeff_values(kernel.rule) @ c - lam * kernel.apply(x)
     grid -= problem.source_values(kernel.rule) / s
+    weighted = kernel.rule.weights * x
     loads = c - prep.A0 @ c - lam * (kernel_slices(problem, kernel) @ weighted) - prep.f_gamma / s
     return s * max(float(np.max(np.abs(grid))), float(np.max(np.abs(loads))))
 

@@ -396,6 +396,61 @@ def test_parse_error_exit_code(write, capsys):
     assert "error[parse-error]" in captured.err
 
 
+_INTERVAL = "line 6: interval needs finite a, b, b - a and a + b"
+_INTEGRAL = "line 16: integral term needs finite lo, hi, hi - lo and lo + hi"
+_NORM = "its norm, the sum of |weights|, is not finite"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("interval = 0 1", "interval = -1e308 1e308", _INTERVAL),
+    ("interval = 0 1", "interval = 1e308 1.5e308", _INTERVAL),
+    ("interval = 0 1", "interval = 0 inf", _INTERVAL),
+    ("interval = 0 1", "interval = nan 1", _INTERVAL),
+    ("1 + s on [0.1, 0.9]", "1 on [0.1, inf]", _INTEGRAL),
+    ("1 + s on [0.1, 0.9]", "1 on [-1e308, 1e308]", _INTEGRAL),
+    ("point = 2 @ 0.25", "point = inf @ 0.25", f"load 1: {_NORM}"),
+    ("point = 2 @ 0.25", "point = nan @ 0.25", f"load 1: {_NORM}"),
+    ("point = 2 @ 0.25", "point = 2 @ -inf", "load 1: point term at t=-inf outside [0.0, 1.0]"),
+    ("point = 2 @ 0.25", "point = 1e308 @ 0.25\npoint = 1e308 @ 0.5", f"load 1: {_NORM}"),
+    ("1 + s on [0.1, 0.9]", "1e308 on [0, 1]\nintegral = 1e308 on [0, 1]", f"load 2: {_NORM}"),
+    ("[load]", "[load", "line 10: malformed section header '[load'"),
+    ("[load]", "[[load]]", "line 10: malformed section header '[[load]]'"),
+    ("[load]", "[load]]", "line 10: malformed section header '[load]]'"),
+    ("[load]", "[load] x", "line 10: malformed section header '[load] x'"),
+])
+def test_numbers_beyond_the_double_range_and_malformed_headers_are_parse_errors(
+        write, capsys, old, new, message):
+    # Each is refused where the file is read or the problem is built, before
+    # any arithmetic on it can overflow or warn.
+    path = write((EXAMPLES / "loaded_regular.prob").read_text().replace(old, new, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["solve", path, "--nodes", "16"])
+    assert rc == 4
+    assert capsys.readouterr().err == f"error[parse-error]: {message}\n"
+
+
+def test_load_norm_near_the_top_of_the_double_range_is_a_unit(write, capsys):
+    # ||gamma_2|| = 1.6e308 rounds to 2^1024; its load unit stops at 2^1023, so the
+    # analysis classifies the load system instead of failing inside it.
+    text = (EXAMPLES / "loaded_regular.prob").read_text().replace(
+        "1 + s on [0.1, 0.9]", "1e308 on [0.1, 0.9]\nintegral = 1e308 on [0.1, 0.9]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["solve", write(text), "--nodes", "16"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error[route-precondition]: det(E - A0) = 0")
+
+
+def test_section_header_may_have_surrounding_whitespace(write, capsys):
+    example = EXAMPLES / "loaded_regular.prob"
+    assert main(["solve", str(example), "--nodes", "16"]) == 0
+    expected = capsys.readouterr()
+    spaced = write(example.read_text().replace("[load]", "  [ Load ]\t", 1))
+    assert main(["solve", spaced, "--nodes", "16"]) == 0
+    assert capsys.readouterr() == expected
+
+
 @pytest.mark.parametrize("depth", [150, 300, 1000, 5000])
 @pytest.mark.parametrize("nest", [
     lambda d: "(" * d + "t*s" + ")" * d,

@@ -11,6 +11,7 @@ import contextlib
 import io
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fredload as fl
-from fredload import kernel_ops
+from fredload import cli, kernel_ops
 from fredload.cli import main
 from fredload.errors import RoutePreconditionError
 from fredload.problemfile import load_problem_file, parse_problem_file
@@ -115,6 +116,39 @@ def test_core_past_the_first_block_doubles_q(text, rank):
     kernel = _kernel(text, 512)
     assert _products_with_values(kernel) == [12, 8, 16]
     assert kernel.core.rank == rank
+
+
+def test_only_kernel_ops_and_the_oracle_read_the_sample(monkeypatch):
+    # Every product with K outside kernel_ops goes through DiscreteKernel's
+    # methods; the oracle samples K densely on its own. Each fresh kernel's
+    # values record the fredload module nearest to each ufunc applied to them.
+    readers, kernels = set(), []
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and not frame.f_globals["__name__"].startswith("fredload"):
+                frame = frame.f_back
+            readers.add(frame and frame.f_globals["__name__"])
+            plain = [a.view(np.ndarray) if isinstance(a, Recorded) else a for a in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    def discretize(kernel, rule):
+        discrete = kernel_ops.discretize(kernel, rule)
+        object.__setattr__(discrete, "values", discrete.values.view(Recorded))
+        kernels.append(discrete)
+        return discrete
+
+    monkeypatch.setattr(cli, "discretize", discretize)
+    lam, window = ["--lambda", "0.05"], ["--lambda-min", "-20", "--lambda-max", "20"]
+    for path in sorted(EXAMPLES.glob("*.prob")):
+        for nodes in (64, 512):
+            for command in (["analyze"], ["solve", *lam], ["solve", *lam, "--route", "successive"],
+                            ["sweep", *window, "--steps", "3"], ["find-poles", *window],
+                            ["oracle-check", *lam]):
+                _cli(command[0], path, "--nodes", nodes, *command[1:])
+    assert len(kernels) == 5 * 2 * 6
+    assert readers == {"fredload.kernel_ops", "fredload.oracle"}
 
 
 def test_core_is_trivial_below_the_crossover():
