@@ -1,37 +1,35 @@
 """Operator-level computations on the kernel K(t,s).
 
-Everything here works on the Nystrom discretization: an N x N sample of K on
-the master rule, with the diagonal weight matrix W turning matrix products into
-quadrature approximations of operator composition. Only this module and the
-oracle read the sample; the rest multiply by K through DiscreteKernel.apply
-(K W y) and rows_times (Y K). K W is factored once into a low-rank core
-K W = Q C with M = C Q (DiscreteKernel.core), the degenerate-kernel method
-(Atkinson, The Numerical Solution of Integral Equations of the Second Kind,
-1997, ch. 2), and every per-lambda and spectral step is r x r work on it: the
-images lambda G W y = Q (I_r - lambda M)^{-1} lambda C y (Woodbury) of the
-resolvent G of (I - lambda K)^{-1} = I + lambda * G[.], its Taylor series
-through (K W / g)^m y = Q (M / g)^{m-1} C y / g, the Fredholm denominator's
-stand-in det(I - lambda K W) = det(I_r - lambda M) (Sylvester), and its zeros,
-the characteristic numbers, from the real eigenvalues of M. On the trivial
-core, Q = I, this is the dense computation. Probe columns in the resolvent
-solve, drawn once per N, estimate the condition of I - lambda K W, which
-decides whether lambda is too close to a characteristic number.
+Everything here works on the Nystrom discretization: K at the node pairs of the
+master rule, with the diagonal weight matrix W turning matrix products into
+quadrature approximations of operator composition. K W is factored once into a
+low-rank core K W = Q C with M = C Q (DiscreteKernel.core), the degenerate-kernel
+method (Atkinson, The Numerical Solution of Integral Equations of the Second Kind,
+1997, ch. 2), from CORE_MIN_NODES on by cross approximation from a few rows and
+columns of K; below it, or when that gives up, K is sampled and Q = I. Per-lambda
+and spectral steps are r x r work on the core: the resolvent images
+lambda G W y = Q (I_r - lambda M)^{-1} lambda C y (Woodbury), the Taylor terms
+(K W / g)^m y = Q (M / g)^{m-1} C y / g, det(I - lambda K W) = det(I_r - lambda M)
+(Sylvester) and its zeros, the characteristic numbers, from the eigenvalues of M.
+Other modules multiply by K through DiscreteKernel.apply and rows_times, on the same
+factors; only this module and the oracle read the N x N sample. Probe columns,
+drawn once per N, estimate the condition of I - lambda K W.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import CharacteristicNumberError
-from .expr import Expr, grid_blocks
+from .errors import CharacteristicNumberError, DomainEvalError
+from .expr import Expr, evaluate, grid_blocks
 from .quadrature import GridFunction, QuadratureRule
-from .tolerances import CLUSTER_RADIUS, COLLAPSE_RATIO, COND_LIMIT, CORE_BLOCK, CORE_BUDGET
-from .tolerances import CORE_MIN_NODES, CORE_TOL, EIGEN_FLOOR, GRID_BLOCK, NILPOTENT_TOL
+from .tolerances import CLUSTER_RADIUS, COLLAPSE_RATIO, COND_LIMIT, CORE_CROSSES, CORE_MIN_NODES
+from .tolerances import CORE_TOL, EIGEN_FLOOR, GRID_BLOCK, NILPOTENT_TOL
 from .tolerances import REAL_RATIO, TRUNCATION
 
 __all__ = [
@@ -105,83 +103,53 @@ class Core:
         return projected, self.compress(perp), np.sum(perp**2, axis=0), sizes
 
 
-@dataclass(frozen=True, eq=False)
 class DiscreteKernel:
-    """Kernel sampled at node pairs: values[i, j] = K(t_i, s_j), with its
-    lambda-independent quantities computed once. One pass over |K| on
-    construction gives max|K| (max_abs), which is the finiteness check, and
-    the operator norm g (norm); the core of K W (Core) comes on first use."""
+    """K[i, j] = K(t_i, s_j) as the operator K W = Q C (Core), with max|K| (max_abs,
+    the finiteness check) and g = max_i sum_j w_j |K_ij| (norm) from one blocked pass
+    over the rows of Q QtK. Built from a sample, Q = I; built by cross approximation,
+    the N x N sample `values` is formed from `expr` only when it is read."""
 
-    rule: QuadratureRule
-    values: np.ndarray
-    max_abs: float = field(init=False)
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        n = self.rule.n
-        if values.shape != (n, n):
-            raise ValueError(f"kernel matrix must be {n} x {n}, got {values.shape}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        # Row blocks of |K| in one reused buffer give the row maxima and the sup-norm
-        # max_i sum_j w_j |K_ij|; a NaN propagates through max, so max|K| checks finiteness.
-        step = max(1, GRID_BLOCK // n)
+    def __init__(self, rule: QuadratureRule, values: Optional[np.ndarray] = None, *,
+                 expr: Optional[Expr] = None, core: Optional[Core] = None):
+        self.rule, self.expr = rule, expr
+        if core is None:
+            values = np.asarray(self.values if values is None else values, dtype=float)
+            if values.shape != (rule.n, rule.n):
+                raise ValueError(f"kernel matrix must be {rule.n} x {rule.n}, got {values.shape}")
+            values.setflags(write=False)
+            self.values = values
+            core = Core(None, values, rule.weights)
+        self.core = core
+        # Row blocks of |K| (the sample's or Q QtK's) in one buffer; a NaN makes max|K| a NaN.
+        n, step = rule.n, max(1, GRID_BLOCK // rule.n)
         scratch, peaks, sums = np.empty((min(step, n), n)), np.empty(n), np.empty(n)
         for lo in range(0, n, step):
-            block = np.abs(values[lo : lo + step], out=scratch[: min(step, n - lo)])
+            block = scratch[: min(step, n - lo)]
+            rows = core.QtK[lo : lo + step] if core.Q is None else core.Q[lo : lo + step]
+            np.abs(rows if core.Q is None else np.matmul(rows, core.QtK, out=block), out=block)
             np.max(block, axis=1, out=peaks[lo : lo + step])
-            np.matmul(block, self.rule.weights, out=sums[lo : lo + step])
-        object.__setattr__(self, "max_abs", float(np.max(peaks)))
-        object.__setattr__(self, "norm", float(np.max(sums)))
+            np.matmul(block, rule.weights, out=sums[lo : lo + step])
+        self.max_abs, self.norm = float(np.max(peaks)), float(np.max(sums))
         if not math.isfinite(self.max_abs):
             raise ValueError("kernel values must be finite")
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The N x N sample, read-only, formed on first read from expr.grid_blocks."""
+        values = np.empty((self.rule.n, self.rule.n))
+        for rows, block in grid_blocks(self.expr, self.rule.nodes, self.rule.nodes):
+            values[rows] = block
+            del block  # not alive while the next one is evaluated
+        values.setflags(write=False)
+        return values
+
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """K W y for an N-vector or an N x k block y."""
-        return self.values @ _weigh(self.rule.weights, y)
+        """K W y = Q (C y) for an N-vector or an N x k block y."""
+        return self.core.lift(self.core.compress(y))
 
     def rows_times(self, rows: np.ndarray) -> np.ndarray:
-        """Y K for a k x N block Y, such as the load rows."""
-        return rows @ self.values
-
-    @cached_property
-    def core(self) -> Core:
-        """The low-rank core of K W, by an adaptive randomized range finder
-        (Halko, Martinsson and Tropp, SIAM Review 53, 2011, Alg. 4.2). One
-        product K W [P | Omega] gives the acceptance target K W P for the probe
-        P and the first block of CORE_BLOCK fixed-seed Gaussian columns; each
-        later block is as wide as Q, so Q doubles until it reaches exactly the
-        budget max(CORE_BLOCK, N / CORE_BUDGET). Q is accepted once
-        ||K W P - Q Q^T K W P||_F <= N CORE_TOL ||K W P||_F; the SVD of the
-        r x r R of (Q^T K W)^T = Q' R, whose left singular vectors are C's,
-        then trims r to the singular values whose tail is above half that.
-        Trivial below CORE_MIN_NODES, or when the budget is spent."""
-        n, weights = self.rule.n, self.rule.weights
-        if n >= CORE_MIN_NODES:
-            draw, budget = np.random.default_rng(1), max(CORE_BLOCK, n // CORE_BUDGET)
-            omega = np.hstack([_probe(n), draw.standard_normal((n, CORE_BLOCK))])
-            target, block = np.hsplit(self.apply(omega), [-CORE_BLOCK])
-            limit = n * CORE_TOL * float(np.linalg.norm(target))
-
-            def misses(q: np.ndarray) -> bool:
-                return float(np.linalg.norm(target - q @ (q.T @ target))) > limit
-
-            q = np.linalg.qr(block)[0]
-            while misses(q):
-                width = min(q.shape[1], budget - q.shape[1])
-                if width == 0:
-                    return Core(None, self.values, weights)
-                block = self.apply(draw.standard_normal((n, width)))
-                q = np.linalg.qr(np.hstack([q, block]))[0]
-            qtk = self.rows_times(q.T)
-            u, sing, _ = np.linalg.svd(np.linalg.qr((qtk * weights).T, mode="r").T)
-            tail = np.sqrt(np.cumsum(sing[::-1] ** 2))[::-1]
-            u = u[:, : max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0])))]
-            if misses(q @ u):
-                return Core(q, qtk, weights)
-            return Core(q @ u, u.T @ qtk, weights)
-        return Core(None, self.values, weights)
+        """Y K = (Y Q) QtK for a k x N block Y, such as the load rows."""
+        return self.core.on_range(rows) @ self.core.QtK
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,25 +169,77 @@ class IteratedKernels:
 
 
 def discretize(kernel: Expr, rule: QuadratureRule) -> DiscreteKernel:
-    """Sample K(t,s) at all node pairs of the rule, block by block from
-    expr.grid_blocks into the one N x N result, so no other N x N array is
-    formed; a failing block raises the whole grid's DomainEvalError."""
-    values = np.empty((rule.n, rule.n))
-    for rows, block in grid_blocks(kernel, rule.nodes, rule.nodes):
-        values[rows] = block
-        del block  # not alive while the next one is evaluated
-    return DiscreteKernel(rule=rule, values=values)
+    """K on the rule's nodes: from CORE_MIN_NODES on by cross approximation, with no
+    N x N array; otherwise, or when that gives up, the sample with the trivial core,
+    where a kernel that fails on the grid raises the whole grid's DomainEvalError."""
+    core = _cross_core(kernel, rule) if rule.n >= CORE_MIN_NODES else None
+    return DiscreteKernel(rule, expr=kernel, core=core)
+
+
+def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
+    """K W = Q C from K = U V by partially pivoted adaptive cross approximation
+    (Bebendorf, Numer. Math. 86, 2000), or None when it gives up. A cross reads a row
+    and the column of its largest residual; the next row has that column's largest.
+    A cross with ||u|| ||v|| <= CORE_TOL ||U V||_F, or a zero residual row, stops it if
+    U V is within N CORE_TOL of K, relative, on the check set: the diagonal and 4
+    fixed-seed rows, read first and scaled by a power of two to max|K| <= 1. A miss
+    after a zero row goes on from the row of the largest miss; any other miss,
+    max(CORE_CROSSES, N / (2 CORE_CROSSES)) rows or a DomainEvalError gives up."""
+    n, nodes, budget = rule.n, rule.nodes, max(CORE_CROSSES, rule.n // (2 * CORE_CROSSES))
+    picked = np.sort(np.random.default_rng(1).choice(n, 4, replace=False))
+    owner = np.vstack([np.arange(n), np.repeat(picked[:, None], n, axis=1)])  # each check's row
+    ut, v, used = np.zeros((budget, n)), np.zeros((budget, n)), np.zeros(n, dtype=bool)  # U^T, V
+    row, k, size, scale = 0, 0, 0.0, 1.0  # size = ||U V||_F^2
+
+    def read(t, s) -> np.ndarray:
+        return np.broadcast_to(evaluate(kernel, {"t": t, "s": s}), np.broadcast(t, s).shape) / scale
+
+    try:
+        check = np.vstack([read(nodes, nodes), read(nodes[picked, None], nodes)])
+        scale = binary_scale(check.ravel())
+        check /= scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(budget):
+                residual = read(nodes[row], nodes) - ut[:k, row] @ v[:k]
+                used[row] = True
+                pivot = int(np.argmax(np.abs(residual)))
+                if residual[pivot] != 0.0:
+                    v[k] = residual / residual[pivot]
+                    ut[k] = read(nodes, nodes[pivot]) - ut[:k].T @ v[:k, pivot]
+                    cross = float(ut[k] @ ut[k]) * float(v[k] @ v[k])
+                    size += 2.0 * float((ut[:k] @ ut[k]) @ (v[:k] @ v[k])) + cross
+                    k += 1
+                    row = int(np.argmax(np.where(used, -1.0, np.abs(ut[k - 1]))))
+                    if cross > CORE_TOL**2 * size:
+                        continue
+                gap = check - np.vstack([np.sum(ut[:k] * v[:k], axis=0), ut[:k, picked].T @ v[:k]])
+                if np.linalg.norm(gap) <= n * CORE_TOL * np.linalg.norm(check):
+                    break
+                if residual[pivot] != 0.0:
+                    return None
+                row = int(owner.flat[np.argmax(np.where(used[owner], 0.0, np.abs(gap)))])
+            else:
+                return None
+    except DomainEvalError:
+        return None
+    # Recompress: QR(U) R((V W)^T), trimmed to a Frobenius tail above half the threshold.
+    k = max(k, 1)  # a zero U V gives the zero core of rank 1
+    left, up = np.linalg.qr(ut[:k].T)
+    x, sing, _ = np.linalg.svd(up @ np.linalg.qr((v[:k] * rule.weights).T, mode="r").T)
+    tail = np.sqrt(np.cumsum(sing[::-1] ** 2))[::-1]
+    x = x[:, : max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0])))]
+    return Core(left @ x, (x.T @ up) @ v[:k] * scale, rule.weights)
 
 
 def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:
-    """K_1..K_depth by repeated weighted composition, O(N^3) per step: a dense
+    """K_1..K_depth by weighted composition of the sample, O(N^3) per step: a dense
     reference, as the routes use scaled_powers. Overflowing iterates stay non-finite."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     out = [kernel.values]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(depth - 1):
-            out.append(kernel.apply(out[-1]))
+            out.append(kernel.values @ _weigh(kernel.rule.weights, out[-1]))
     return IteratedKernels(rule=kernel.rule, kernels=tuple(out))
 
 
@@ -249,9 +269,8 @@ def _weigh(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _probe(n: int) -> np.ndarray:
-    """The fixed-seed N x 4 Gaussian probe block of the nilpotency test, the
-    resolvent's norm estimate and the core's acceptance test, drawn once per
-    N and returned read-only."""
+    """The fixed-seed N x 4 Gaussian probe block of the nilpotency test and the
+    resolvent's norm estimate, drawn once per N and returned read-only."""
     probe = np.random.default_rng(0).standard_normal((n, 4))
     probe.flags.writeable = False
     return probe
@@ -371,7 +390,7 @@ def find_characteristic_numbers(
     top = float(np.max(np.abs(mu), initial=0.0))
     mu = mu[np.abs(mu) > EIGEN_FLOOR * kernel.norm]
     size = np.abs(mu)
-    radius = CLUSTER_RADIUS * np.sqrt(top * np.maximum(size[:, None], size[None, :]))
+    radius = CLUSTER_RADIUS * math.sqrt(top) * np.sqrt(np.maximum(size[:, None], size[None, :]))
     close = np.abs(mu[:, None] - mu[None, :]) <= radius
     label = np.arange(mu.size)
     while True:  # every member ends up labelled by its cluster's first index

@@ -188,8 +188,8 @@ class Prepared:
     @cached_property
     def successive_l(self) -> float:
         """l = g + max_i sum_k |coupling_ik| sum_j w_j |KG_kj| >= ||K W + coupling KG W||, one
-        load's rescaling cancelling between its two factors. The loop's Q C differs from K W
-        only by the core's truncation (DiscreteKernel.core), which the dense defect reports."""
+        load's rescaling cancelling between its two factors; g and KG are those of the core's
+        Q C, the K W the loop applies, whose error against the sample oracle-check measures."""
         slices = np.abs(kernel_slices(self.problem, self.kernel)) @ self.kernel.rule.weights
         return self.kernel.norm + float(np.max(np.abs(self.coupling) @ slices, initial=0.0))
 

@@ -1,13 +1,15 @@
 """The low-rank core K W = Q C (DiscreteKernel.core) and the routes that read it.
 
-From CORE_MIN_NODES nodes on, every per-lambda solve, the Taylor powers and
-the characteristic numbers work in r x r on the core; below it, or when the
-range finder runs out of columns, the core is the trivial Q = I and the
-dense computation runs. The oracle never reads the core, so the property
-test below compares the two.
+From CORE_MIN_NODES nodes on, cross approximation builds the core from a few
+rows and columns of K, and every per-lambda solve, the Taylor powers and the
+characteristic numbers work in r x r on it; below it, or when cross
+approximation gives up, the core is the trivial Q = I and the dense
+computation runs. The oracle never reads the core, so the property tests
+below compare the two.
 """
 
 import contextlib
+import functools
 import io
 import pathlib
 import re
@@ -23,7 +25,7 @@ from fredload import cli, kernel_ops
 from fredload.cli import main
 from fredload.errors import RoutePreconditionError
 from fredload.problemfile import load_problem_file, parse_problem_file
-from fredload.tolerances import CORE_BLOCK, CORE_BUDGET, CORE_MIN_NODES, CORE_TOL
+from fredload.tolerances import CORE_CROSSES, CORE_MIN_NODES, CORE_TOL
 from util import random_load_problem
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -63,24 +65,31 @@ def test_core_factors_k_w(text, rank, nodes):
     defect = np.linalg.norm(weighted - core.Q @ (core.QtK * kernel.rule.weights))
     assert defect <= nodes * CORE_TOL * max(np.linalg.norm(weighted), 1e-300)
     assert core.M == pytest.approx(core.QtK @ (kernel.rule.weights[:, None] * core.Q), abs=1e-15)
-    assert kernel.core is core  # cached on the kernel, like the norm
+    assert kernel.core is core  # built once, with the kernel
 
 
-def _products_with_values(kernel):
-    """The widths (columns of K X, rows of Y K) of the matrix products with
-    kernel.values that building kernel.core takes, in order."""
-    widths = []
+def _reads(monkeypatch):
+    """The number of entries of each evaluation of K that kernel_ops makes from now on."""
+    sizes = []
+    evaluate = kernel_ops.evaluate
 
-    class Counted(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul:
-                left, right = inputs
-                widths.append(right.shape[1] if isinstance(left, Counted) else left.shape[0])
-            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+    def counted(expr, bindings):
+        sizes.append(np.broadcast(*bindings.values()).size)
+        return evaluate(expr, bindings)
 
-    object.__setattr__(kernel, "values", kernel.values.view(Counted))
-    kernel.core
-    return widths
+    monkeypatch.setattr(kernel_ops, "evaluate", counted)
+    return sizes
+
+
+def _budget(nodes):
+    return max(CORE_CROSSES, nodes // (2 * CORE_CROSSES))
+
+
+def _assert_reads(sizes, nodes, reads):
+    # The check set first (the diagonal, then its 4 rows in one read), then a row
+    # and a column of K per cross, and a row whose residual is zero where one stops
+    # it: N entries each, and no N x N sample.
+    assert sizes[:2] == [nodes, 4 * nodes] and sizes[2:] == [nodes] * reads
 
 
 # One instance of each generated benchmark family (regular, identity, nilpotent)
@@ -91,38 +100,53 @@ FAMILY_KERNELS = [("0.6523*exp(-0.3121*(t - s))*cos(1.874*t*s)", 7),
                   ("1.7*(t - 0.3)*(s - 0.9166666666666666)", 1)]
 
 
-@pytest.mark.parametrize("name, rank", [("loaded_regular", 2), ("identity_pole", 1),
-                                        ("nilpotent", 1), ("kinked_load", 8),
-                                        ("no_solution", 1)])
-def test_example_cores_take_one_sketch_pass(name, rank):
-    # K W [P | Omega] and Q^T K: the first block of CORE_BLOCK columns is accepted.
+@pytest.mark.parametrize("name, rank, reads", [("loaded_regular", 2, 8), ("identity_pole", 1, 3),
+                                               ("nilpotent", 1, 3), ("kinked_load", 8, 28),
+                                               ("no_solution", 1, 4)])
+def test_example_cores_take_a_few_crosses(monkeypatch, name, rank, reads):
+    # 1-14 crosses of the 16 that N = 512 allows, and 5 N entries for the check:
+    # 1.6-6.4% of the N^2 entries. The sample is not formed.
     problem = load_problem_file(str(EXAMPLES / f"{name}.prob")).build(512)
-    kernel = fl.discretize(problem.kernel, problem.master_rule(512))
-    assert _products_with_values(kernel) == [4 + CORE_BLOCK, CORE_BLOCK]
-    assert kernel.core.Q is not None and kernel.core.rank == rank <= CORE_BLOCK
+    rule = problem.master_rule(512)
+    sizes = _reads(monkeypatch)
+    kernel = fl.discretize(problem.kernel, rule)
+    _assert_reads(sizes, 512, reads)
+    assert reads <= 2 * _budget(512) == 32
+    assert kernel.core.Q is not None and kernel.core.rank == rank
+    assert "values" not in vars(kernel)
 
 
 @pytest.mark.parametrize("text, rank", FAMILY_KERNELS)
-def test_benchmark_family_cores_take_one_sketch_pass(text, rank):
+def test_benchmark_family_cores_take_a_few_crosses(monkeypatch, text, rank):
+    sizes = _reads(monkeypatch)
     kernel = _kernel(text, 512)
-    assert len(_products_with_values(kernel)) == 2
+    assert set(sizes[2:]) == {512} and len(sizes) <= 2 + 2 * 13
     assert kernel.core.Q is not None and kernel.core.rank == rank
 
 
-@pytest.mark.parametrize("text, rank", [("exp(-(t - s)^2)", 9), ("cos(14*t*s)", 14)])
-def test_core_past_the_first_block_doubles_q(text, rank):
-    # A second block as wide as Q: K W [P | Omega_8], K W Omega_8 and a
-    # 16-row Q^T K, the 36 columns two 16-column blocks and the probe took.
-    kernel = _kernel(text, 512)
-    assert _products_with_values(kernel) == [12, 8, 16]
-    assert kernel.core.rank == rank
+@pytest.mark.parametrize("nodes, reads", [(512, None), (1024, 44)])
+def test_cross_budget_grows_with_the_nodes(monkeypatch, nodes, reads):
+    # cos(14 t s) has numerical rank 14. It needs more than the 16 crosses that
+    # N = 512 allows, where cross approximation gives up and K is sampled, and 22
+    # of the 32 that N = 1024 allows.
+    assert _budget(512) == 16 and _budget(1024) == 32 and _budget(CORE_MIN_NODES) == 16
+    sizes = _reads(monkeypatch)
+    kernel = _kernel("cos(14*t*s)", nodes)
+    if reads is None:
+        assert kernel.core.Q is None and "values" in vars(kernel)
+        assert len(sizes) == 2 + 2 * _budget(nodes) and max(sizes) == 4 * nodes
+        return
+    _assert_reads(sizes, nodes, reads)
+    assert kernel.core.rank == 14
 
 
 def test_only_kernel_ops_and_the_oracle_read_the_sample(monkeypatch):
     # Every product with K outside kernel_ops goes through DiscreteKernel's
-    # methods; the oracle samples K densely on its own. Each fresh kernel's
-    # values record the fredload module nearest to each ufunc applied to them.
-    readers, kernels = set(), []
+    # methods; the oracle samples K densely on its own. At N = 512 every example
+    # has a cross-approximation core, so only oracle-check forms the sample, and
+    # not on no_solution, which exits 2 before the oracle. Each sample records
+    # the fredload module nearest to each ufunc applied to it.
+    readers, samples = set(), []
 
     class Recorded(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -133,12 +157,24 @@ def test_only_kernel_ops_and_the_oracle_read_the_sample(monkeypatch):
             plain = [a.view(np.ndarray) if isinstance(a, Recorded) else a for a in inputs]
             return getattr(ufunc, method)(*plain, **kwargs)
 
+    sample = kernel_ops.DiscreteKernel.values.func
+
+    def recorded(kernel):
+        samples[-1][-1] += 1
+        return sample(kernel).view(Recorded)
+
+    lazy = functools.cached_property(recorded)
+    lazy.__set_name__(kernel_ops.DiscreteKernel, "values")
+
     def discretize(kernel, rule):
+        # A sample formed here is also the trivial core's QtK.
         discrete = kernel_ops.discretize(kernel, rule)
-        object.__setattr__(discrete, "values", discrete.values.view(Recorded))
-        kernels.append(discrete)
+        if "values" in vars(discrete):
+            object.__setattr__(discrete, "values", discrete.values.view(Recorded))
+            object.__setattr__(discrete.core, "QtK", discrete.values)
         return discrete
 
+    monkeypatch.setattr(kernel_ops.DiscreteKernel, "values", lazy)
     monkeypatch.setattr(cli, "discretize", discretize)
     lam, window = ["--lambda", "0.05"], ["--lambda-min", "-20", "--lambda-max", "20"]
     for path in sorted(EXAMPLES.glob("*.prob")):
@@ -146,8 +182,11 @@ def test_only_kernel_ops_and_the_oracle_read_the_sample(monkeypatch):
             for command in (["analyze"], ["solve", *lam], ["solve", *lam, "--route", "successive"],
                             ["sweep", *window, "--steps", "3"], ["find-poles", *window],
                             ["oracle-check", *lam]):
+                samples.append([path.stem, nodes, command[0], 0])
                 _cli(command[0], path, "--nodes", nodes, *command[1:])
-    assert len(kernels) == 5 * 2 * 6
+    assert len(samples) == 5 * 2 * 6
+    assert all(count == (nodes == 64 or (command == "oracle-check" and name != "no_solution"))
+               for name, nodes, command, count in samples)
     assert readers == {"fredload.kernel_ops", "fredload.oracle"}
 
 
@@ -158,13 +197,88 @@ def test_core_is_trivial_below_the_crossover():
     assert np.array_equal(core.M, kernel.values * kernel.rule.weights)
 
 
-def test_core_budget_is_a_block_or_an_eighth_of_the_nodes():
-    # 1/(1 + 25 (t - s)^2) has numerical rank 53 at N = 512: within 512 / 8
-    # columns there, beyond 256 / 8 at N = 256.
-    text = "1/(1 + 25*(t - s)^2)"
-    assert max(CORE_BLOCK, 512 // CORE_BUDGET) == 64
-    assert 40 < _kernel(text, 512).core.rank <= 64
-    assert _kernel(text, 256).core.Q is None
+def _separable_kernel(rng, rank):
+    """sum_j c_j cos(j pi t + a_j) cos(k_j pi s + b_j), j < rank, with k a
+    permutation of range(rank): exactly rank `rank`, and not symmetric."""
+    amps = rng.uniform(0.1, 1.0, rank)
+    phases = rng.uniform(-1.0, 1.0, (rank, 2))
+    right = rng.permutation(rank)
+    return " + ".join(f"{float(amps[j])!r}*cos({j}*pi*t + {float(phases[j, 0])!r})"
+                      f"*cos({int(right[j])}*pi*s + {float(phases[j, 1])!r})" for j in range(rank))
+
+
+def _assert_factored(kernel, rank):
+    # Q C agrees with the sampled K W within the acceptance threshold.
+    core, weights, nodes = kernel.core, kernel.rule.weights, kernel.rule.n
+    assert core.Q is not None and core.rank == rank
+    weighted = kernel.values * weights
+    defect = np.linalg.norm(weighted - core.Q @ (core.QtK * weights))
+    assert defect <= nodes * CORE_TOL * np.linalg.norm(weighted)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rank=st.integers(1, 8), nodes=st.sampled_from([CORE_MIN_NODES, 512]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cross_approximation_factors_a_sum_of_separable_terms(rank, nodes, seed):
+    kernel = _kernel(_separable_kernel(np.random.default_rng(seed), rank), nodes)
+    _assert_factored(kernel, rank)
+
+
+def test_a_kernel_that_vanishes_on_the_first_row_is_still_factored():
+    # Cross approximation starts at row 0, where this rank-2 kernel is exactly 0:
+    # the zero residual row accepts nothing, the check misses, and it goes on from
+    # the row of the check's largest miss.
+    rule = fl.gauss_legendre(512, 0.0, 1.0)
+    first = float(rule.nodes[0])
+    kernel = _kernel(f"(t - {first!r})*exp(s) + (t - {first!r})^2*cos(3*s)", 512)
+    assert not np.any(kernel.values[0]) and np.all(kernel.values[1:])
+    _assert_factored(kernel, 2)
+
+
+@pytest.mark.parametrize("power", [-560, 560])
+def test_cross_approximation_of_a_scaled_kernel_is_the_scaled_one(power):
+    # Reads are divided by the power of two above max|K| on the check set, so
+    # 2^+-560 K, whose squares underflow or overflow, takes the same crosses as K.
+    text = "t*s + 0.5*(1-t)*(1-s)"
+    unit, scaled = _kernel(text, 512).core, _kernel(f"2^{power}*({text})", 512).core
+    assert scaled.rank == unit.rank == 2 and np.array_equal(scaled.Q, unit.Q)
+    assert np.array_equal(scaled.QtK, unit.QtK * 2.0**power)
+
+
+@pytest.mark.parametrize("text", ["exp(-abs(t - s))", "abs(t - s)", "1/(1 + 25*(t - s)^2)"])
+def test_kernels_beyond_the_cross_budget_take_the_dense_path(text):
+    kernel = _kernel(text, 512)
+    assert kernel.core.Q is None and kernel.core.QtK is kernel.values
+
+
+def test_the_check_sees_a_bump_on_the_diagonal_but_not_off_it(tmp_path):
+    # No cross passes through a narrow bump at (0.3, 0.3) or (0.3, 0.7): the first
+    # fails the check on the diagonal, and K is sampled; the second is missed, the
+    # core is t*s alone, and oracle-check, which samples K, refuses the solve.
+    bump = "t*s + exp(-1e5*((t - 0.3)^2 + (s - {})^2))"
+    assert _kernel(bump.format(0.3), 512).core.Q is None
+    missed = _kernel(bump.format(0.7), 512)
+    assert missed.core.rank == 1 and missed.max_abs < 1.0 < float(np.max(missed.values))
+    path = tmp_path / "bump.prob"
+    path.write_text(LOADED_REGULAR.read_text().replace(
+        "kernel = t*s + 0.5*(1-t)*(1-s)", f"kernel = {bump.format(0.7)}"))
+    code, out, err = _cli("oracle-check", path, "--nodes", 512)
+    assert code == 1 and "max disagreement: 0.00305" in out and "exceeds threshold" in err
+
+
+@pytest.mark.parametrize("nodes", [64, 512])
+@pytest.mark.parametrize("text, failing", [("1/(t - s)", "(1.0 / (t - s))"),
+                                           ("sqrt(t - s)", "sqrt((t - s))"),
+                                           ("log(t - s)", "log((t - s))")])
+def test_a_kernel_that_fails_on_the_grid_is_a_domain_error(tmp_path, nodes, text, failing):
+    # Cross approximation meets the failure on its check set and gives up; the
+    # dense sample then names the subexpression that fails first on the grid.
+    path = tmp_path / "singular.prob"
+    path.write_text(LOADED_REGULAR.read_text().replace(
+        "kernel = t*s + 0.5*(1-t)*(1-s)", f"kernel = {text}"))
+    code, out, err = _cli("solve", path, "--nodes", nodes)
+    assert (code, out) == (4, "")
+    assert err == f"error[domain-error]: non-finite value from '{failing}'\n"
 
 
 ABS_KERNEL_FILE = LOADED_REGULAR.read_text().replace(
@@ -172,7 +286,7 @@ ABS_KERNEL_FILE = LOADED_REGULAR.read_text().replace(
 
 
 def test_full_rank_kernel_falls_back_to_the_dense_computation(tmp_path, monkeypatch):
-    # abs(t - s) has full numerical rank: the range finder gives up and every
+    # abs(t - s) has full numerical rank: cross approximation gives up and every
     # command prints what the dense computation, the core switched off, prints.
     assert "abs(t - s)" in ABS_KERNEL_FILE
     path = tmp_path / "abs.prob"
@@ -238,11 +352,11 @@ ROUTES = (fl.solve_regular, fl.solve_successive, fl.solve_irregular, fl.solve_ni
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(rank=st.integers(1, max(CORE_BLOCK, NODES // CORE_BUDGET) - 4),
+@given(rank=st.integers(1, 8),
        kind=st.sampled_from(["regular", "identity"]), seed=st.integers(0, 2**32 - 1))
 def test_every_applicable_route_agrees_with_the_oracle_on_the_core(rank, kind, seed):
-    # Random loads of a regular A0 or of A0 = E on a kernel of exact rank 1 up
-    # to near the range finder's budget; the oracle solves the dense system.
+    # Random loads of a regular A0 or of A0 = E on a kernel of exact rank 1 to 8,
+    # within the crosses N = 256 allows; the oracle solves the dense system.
     rng = np.random.default_rng(seed)
     text, _ = random_load_problem(rng, kind)
     text = re.sub(r"^kernel = .*$", f"kernel = {_cosine_kernel(rng, rank)}", text, flags=re.M)

@@ -1,6 +1,8 @@
 """Kernel discretization, iterated kernels, resolvent, and the
 characteristic numbers from the eigenvalues of K W."""
 
+import contextlib
+import io
 import pathlib
 import warnings
 
@@ -8,10 +10,11 @@ import numpy as np
 import pytest
 
 import fredload as fl
+from fredload import cli
 from fredload.errors import CharacteristicNumberError, DomainEvalError
 from fredload.expr import evaluate
 from fredload.problemfile import load_problem_file
-from fredload.tolerances import GRID_BLOCK
+from fredload.tolerances import CORE_TOL, GRID_BLOCK
 from util import poly_integral, random_polynomial_kernel
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -68,9 +71,16 @@ def test_blocked_sample_equals_the_whole_grid_evaluation(n, text):
     kernel = fl.discretize(expr, rule)
     assert kernel.values.shape == (n, n)
     assert np.array_equal(kernel.values, np.broadcast_to(_whole_grid(expr, rule), (n, n)))
-    assert kernel.max_abs == float(np.max(np.abs(kernel.values)))
+    expected_max = float(np.max(np.abs(kernel.values)))
     expected_norm = float(np.max(np.abs(kernel.values) @ rule.weights))
-    assert kernel.norm == pytest.approx(expected_norm, rel=1e-14, abs=0.0)
+    if kernel.core.Q is None:  # the pass over the sample itself
+        assert kernel.max_abs == expected_max
+        assert kernel.norm == pytest.approx(expected_norm, rel=1e-14, abs=0.0)
+    else:  # the pass over the cross factors Q QtK: off by at most their error, and roundoff
+        error = np.abs(kernel.values - kernel.core.Q @ kernel.core.QtK)
+        slack = 8 * CORE_TOL * expected_max
+        assert abs(kernel.max_abs - expected_max) <= float(np.max(error)) + slack
+        assert abs(kernel.norm - expected_norm) <= float(np.max(error @ rule.weights)) + slack
 
 
 def test_blocked_sample_names_the_node_the_whole_grid_names():
@@ -402,3 +412,27 @@ def test_nilpotency_index_is_none_on_overflowing_iterates():
         iterated = fl.iterate_kernels(kernel, 30)
         assert not np.all(np.isfinite(iterated.kernel(30)))
         assert fl.nilpotency_index(kernel, 30) is None
+
+
+def test_characteristic_numbers_of_a_huge_kernel_stay_apart(tmp_path):
+    # The cluster radius is sqrt(max|mu|) sqrt(|mu|), not the root of their product:
+    # at |mu| near 1e200 the product overflowed, every radius was inf, and the two
+    # roots merged into one double root at 4.0e-200.
+    huge = tmp_path / "huge.prob"
+    huge.write_text((EXAMPLES / "loaded_regular.prob").read_text().replace(
+        "kernel = t*s + 0.5*(1-t)*(1-s)", "kernel = 1e200*(t*s + 0.5*(1-t)*(1-s))"))
+    wide = tmp_path / "wide.prob"
+    wide.write_text("interval = -1e307 1e307\nkernel = 1\nsource = 1\n\n"
+                    "[load]\ncoeff = 1\nintegral = 0.5 on [0, 1]\n")
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["find-poles", str(huge), "--nodes", "16",
+                         "--lambda-min", "-1e-198", "--lambda-max", "1e-198"]) == 0
+        assert cli.main(["find-poles", str(wide), "--nodes", "16",
+                         "--lambda-min", "-1", "--lambda-max", "1"]) == 0
+    rows = out.getvalue().splitlines()
+    roots = [float(row.split(",")[0]) for row in rows if not row.startswith("lambda")]
+    assert roots[:2] == pytest.approx([2.5358983848622e-200, 9.4641016151377e-200], rel=1e-12)
+    assert len(roots) == 3 and roots[2] == pytest.approx(5e-308, rel=1e-12)

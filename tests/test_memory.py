@@ -1,5 +1,7 @@
-"""A solve allocates one N x N array, the kernel sample; the dense oracle
-adds one bordered (N + n) x (N + n) array. A problem holds no kernel sample.
+"""A solve allocates at most one N x N array, the kernel sample, and none
+when cross approximation compresses the kernel; the dense oracle forms the
+sample and adds one bordered (N + n) x (N + n) array. A problem holds no
+kernel sample.
 
 Sampling K, its norm and max|K|, a load's Cauchy matrix and the oracle's
 load rows of K work in row blocks of at most GRID_BLOCK elements, so the
@@ -73,6 +75,24 @@ def test_every_command_allocates_one_grid_sized_array(command, nodes):
         assert peak - 8 * nodes**2 <= 4 * 8 * GRID_BLOCK, (name, peak)
         covered.append(name)
     assert covered == [*SOLVED, "no_solution"]
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"],
+    ["analyze"],
+    ["find-poles", "--lambda-min", "-20", "--lambda-max", "20"],
+    ["sweep", "--lambda-min", "0.05", "--lambda-max", "0.5", "--steps", "3"],
+])
+def test_a_compressible_kernel_forms_no_grid_sized_array(command):
+    # Every example's kernel has a cross-approximation core at N = 1024: its
+    # factors, the norm pass and the load rows take a few blocks, a quarter of
+    # the 8 N^2 bytes of the sample, which is never formed.
+    nodes = 1024
+    covered = []
+    for name, _, peak in traced_peaks(command, nodes):
+        assert peak <= 4 * 8 * GRID_BLOCK < 8 * nodes**2, (name, peak)
+        covered.append(name)
+    assert covered == SOLVED + ["no_solution"] * (command[0] != "solve")
 
 
 @pytest.mark.parametrize("nodes", [512, 1024])

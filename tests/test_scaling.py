@@ -124,7 +124,7 @@ CORE_NODES = 256  # at least CORE_MIN_NODES: the routes read the low-rank core o
 @pytest.mark.parametrize("symmetry", ["f", "K", "loads"])
 @pytest.mark.parametrize("s", [1e-12, 1e12])
 def test_rescaled_problem_takes_the_same_route_on_the_core(tmp_path, name, symmetry, s):
-    # The range finder's acceptance and trim are relative to K W itself.
+    # Cross approximation's stop, check and trim are relative to K itself.
     assert CORE_NODES >= CORE_MIN_NODES
     text = PROBLEMS[name]
     check_rescaled(text, file_lambda(text), symmetry, s, CORE_NODES, "auto", tmp_path)
