@@ -176,6 +176,8 @@ def cmd_analyze(args) -> int:
     else:
         print(f"nilpotency index: {pnil}")
     print(f"operator norm: {_fmt(norm)}")
+    if kernel.core.Q is not None:  # a cross-approximation core, with its check's error
+        print(f"core: rank {kernel.core.rank}, check error {_fmt(kernel.core.check_error)}")
     if classification.is_regular:
         print(f"successive bound l: {_fmt(prep.successive_l)}")
         admissible = _fmt(prep.admissible(numerics.q))
@@ -191,12 +193,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _solution_summary(solution: Solution) -> None:
+def _solution_summary(solution: Solution, core: kernel_ops.Core) -> None:
     lines = [
         f"route: {solution.route}",
         f"lambda: {_fmt(solution.lam)}",
         "x_gamma: [" + ", ".join(_fmt(v) for v in solution.x_gamma) + "]",
-        f"residual: {_fmt(solution.residual)}",
+        f"residual: {_fmt(solution.residual)}",  # of the Q C solved; U V against K:
+        *([f"core check error: {_fmt(core.check_error)}"] if core.Q is not None else []),
         f"classification: {solution.classification.kind}",
     ]
     if solution.expansion is not None:
@@ -217,7 +220,7 @@ def cmd_solve(args) -> int:
     rows = map(f"{FLOAT_FORMAT},{FLOAT_FORMAT}".format, kernel.rule.nodes.tolist(),
                solution.x.values.tolist())
     print("\n".join(["t,x", *rows]))
-    _solution_summary(solution)
+    _solution_summary(solution, kernel.core)
     return EXIT_OK
 
 

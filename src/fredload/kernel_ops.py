@@ -57,11 +57,13 @@ class Core:
     (r x r), which has the nonzero eigenvalues of K W. C is kept as its
     unweighted rows QtK = Q^T K, so C Y is QtK (W Y). The trivial core keeps
     Q = I implicit (Q is None): QtK is K itself and M = K W, so lift and
-    on_range are the identity and every formula is the dense one."""
+    on_range are the identity and every formula is the dense one. check_error is
+    the accepted U V's relative error on the cross approximation's check set."""
 
     Q: Optional[np.ndarray]
     QtK: np.ndarray
     weights: np.ndarray
+    check_error: float = 0.0
 
     @property
     def rank(self) -> int:
@@ -106,20 +108,12 @@ class Core:
 class DiscreteKernel:
     """K[i, j] = K(t_i, s_j) as the operator K W = Q C (Core), with max|K| (max_abs,
     the finiteness check) and g = max_i sum_j w_j |K_ij| (norm) from one blocked pass
-    over the rows of Q QtK. Built from a sample, Q = I; built by cross approximation,
-    the N x N sample `values` is formed from `expr` only when it is read."""
+    over the rows of Q QtK. Without a core it takes the trivial one on the N x N
+    sample `values`, which is formed from `expr` only when it is read."""
 
-    def __init__(self, rule: QuadratureRule, values: Optional[np.ndarray] = None, *,
-                 expr: Optional[Expr] = None, core: Optional[Core] = None):
+    def __init__(self, rule: QuadratureRule, expr: Expr, core: Optional[Core] = None):
         self.rule, self.expr = rule, expr
-        if core is None:
-            values = np.asarray(self.values if values is None else values, dtype=float)
-            if values.shape != (rule.n, rule.n):
-                raise ValueError(f"kernel matrix must be {rule.n} x {rule.n}, got {values.shape}")
-            values.setflags(write=False)
-            self.values = values
-            core = Core(None, values, rule.weights)
-        self.core = core
+        self.core = core = core or Core(None, self.values, rule.weights)
         # Row blocks of |K| (the sample's or Q QtK's) in one buffer; a NaN makes max|K| a NaN.
         n, step = rule.n, max(1, GRID_BLOCK // rule.n)
         scratch, peaks, sums = np.empty((min(step, n), n)), np.empty(n), np.empty(n)
@@ -173,23 +167,23 @@ def discretize(kernel: Expr, rule: QuadratureRule) -> DiscreteKernel:
     N x N array; otherwise, or when that gives up, the sample with the trivial core,
     where a kernel that fails on the grid raises the whole grid's DomainEvalError."""
     core = _cross_core(kernel, rule) if rule.n >= CORE_MIN_NODES else None
-    return DiscreteKernel(rule, expr=kernel, core=core)
+    return DiscreteKernel(rule, kernel, core)
 
 
 def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
     """K W = Q C from K = U V by partially pivoted adaptive cross approximation
     (Bebendorf, Numer. Math. 86, 2000), or None when it gives up. A cross reads a row
     and the column of its largest residual; the next row has that column's largest.
-    A cross with ||u|| ||v|| <= CORE_TOL ||U V||_F, or a zero residual row, stops it if
-    U V is within N CORE_TOL of K, relative, on the check set: the diagonal and 4
-    fixed-seed rows, read first and scaled by a power of two to max|K| <= 1. A miss
-    after a zero row goes on from the row of the largest miss; any other miss,
-    max(CORE_CROSSES, N / (2 CORE_CROSSES)) rows or a DomainEvalError gives up."""
-    n, nodes, budget = rule.n, rule.nodes, max(CORE_CROSSES, rule.n // (2 * CORE_CROSSES))
+    A cross with ||u|| ||v|| <= sqrt(N) CORE_TOL ||U V||_F, a zero residual row or a
+    stall (CORE_CROSSES crosses past the relatively smallest) stops it if U V is within
+    N CORE_TOL of K, relative, on the check set: the diagonal and 4 fixed-seed rows,
+    read first and scaled by a power of two to max|K| <= 1. A miss after a zero row goes
+    on from the row of the largest miss; any other miss, N / 8 rows or DomainEvalError gives up."""
+    n, nodes = rule.n, rule.nodes
     picked = np.sort(np.random.default_rng(1).choice(n, 4, replace=False))
     owner = np.vstack([np.arange(n), np.repeat(picked[:, None], n, axis=1)])  # each check's row
-    ut, v, used = np.zeros((budget, n)), np.zeros((budget, n)), np.zeros(n, dtype=bool)  # U^T, V
-    row, k, size, scale = 0, 0, 0.0, 1.0  # size = ||U V||_F^2
+    ut, v, used = np.zeros((CORE_CROSSES, n)), np.zeros((CORE_CROSSES, n)), np.zeros(n, dtype=bool)
+    row, k, size, scale, least = 0, 0, 0.0, 1.0, (math.inf, 0)  # size = ||U V||_F^2
 
     def read(t, s) -> np.ndarray:
         return np.broadcast_to(evaluate(kernel, {"t": t, "s": s}), np.broadcast(t, s).shape) / scale
@@ -199,21 +193,25 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
         scale = binary_scale(check.ravel())
         check /= scale
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(budget):
+            for _ in range(n // 8):
                 residual = read(nodes[row], nodes) - ut[:k, row] @ v[:k]
                 used[row] = True
                 pivot = int(np.argmax(np.abs(residual)))
                 if residual[pivot] != 0.0:
+                    if k == len(ut):  # U^T and V double
+                        ut, v = (np.vstack([a, np.zeros_like(a)]) for a in (ut, v))
                     v[k] = residual / residual[pivot]
                     ut[k] = read(nodes, nodes[pivot]) - ut[:k].T @ v[:k, pivot]
-                    cross = float(ut[k] @ ut[k]) * float(v[k] @ v[k])
+                    cross = (ut[k] @ ut[k]) * (v[k] @ v[k])  # numpy's: cross / size at 0 / 0 is NaN
                     size += 2.0 * float((ut[:k] @ ut[k]) @ (v[:k] @ v[k])) + cross
                     k += 1
+                    least = min(least, (cross / size, k))
                     row = int(np.argmax(np.where(used, -1.0, np.abs(ut[k - 1]))))
-                    if cross > CORE_TOL**2 * size:
+                    if cross > n * CORE_TOL**2 * size and k - least[1] < CORE_CROSSES:
                         continue
                 gap = check - np.vstack([np.sum(ut[:k] * v[:k], axis=0), ut[:k, picked].T @ v[:k]])
-                if np.linalg.norm(gap) <= n * CORE_TOL * np.linalg.norm(check):
+                error = float(np.linalg.norm(gap)) / (float(np.linalg.norm(check)) or 1.0)
+                if error <= n * CORE_TOL:
                     break
                 if residual[pivot] != 0.0:
                     return None
@@ -228,7 +226,7 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
     x, sing, _ = np.linalg.svd(up @ np.linalg.qr((v[:k] * rule.weights).T, mode="r").T)
     tail = np.sqrt(np.cumsum(sing[::-1] ** 2))[::-1]
     x = x[:, : max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0])))]
-    return Core(left @ x, (x.T @ up) @ v[:k] * scale, rule.weights)
+    return Core(left @ x, (x.T @ up) @ v[:k] * scale, rule.weights, error)
 
 
 def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:

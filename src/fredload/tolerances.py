@@ -33,10 +33,10 @@ CLUSTER_RADIUS = 16.0 * math.sqrt(math.ulp(1.0))
 NEWTON_TOL = 1e-15  # Gauss-Legendre nodes: Newton stops once max|dx| < NEWTON_TOL
 # The low-rank core of K W (DiscreteKernel.core) is built from N = CORE_MIN_NODES on; a
 CORE_MIN_NODES = 192  # solve on it took 0.98, 0.97, 0.94 of the dense time at N = 128, 160, 192
-# Cross approximation stops at a cross with ||u|| ||v|| <= CORE_TOL ||U V||_F and accepts U V
-# when K on its check set is within N CORE_TOL of it, relative (smooth kernels: 0-3.1 eps at
-CORE_TOL = math.ulp(1.0)  # N = 192-2048); the trim drops a singular tail below half that
-CORE_CROSSES = 16  # cross approximation gives up after max(CORE_CROSSES, N / (2 CORE_CROSSES)) rows
+# Cross approximation stops at a cross with ||u|| ||v|| <= sqrt(N) CORE_TOL ||U V||_F (roundoff
+# crosses: 2-3 eps) or a stall, in N / 8 rows, and accepts U V when K on its check set is
+CORE_TOL = math.ulp(1.0)  # within N CORE_TOL of it, relative; the trim drops a tail below half that
+CORE_CROSSES = 16  # a stall: crosses past the relatively smallest (exact-rank sums: <= 12)
 # Sampling K at the nodes and at the oracle's load points (expr.grid_blocks), its norm and
 # a load's Cauchy matrix work in row blocks of at most GRID_BLOCK elements (512 KB), so that
 GRID_BLOCK = 65536  # the sample is a solve's one N x N array and the oracle adds one (N + n)^2
