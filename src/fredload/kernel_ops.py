@@ -177,8 +177,8 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
     A cross with ||u|| ||v|| <= sqrt(N) CORE_TOL ||U V||_F, a zero residual row or a
     stall (CORE_CROSSES crosses past the relatively smallest) stops it if U V is within
     N CORE_TOL of K, relative, on the check set: the diagonal and 4 fixed-seed rows,
-    read first and scaled by a power of two to max|K| <= 1. A miss after a zero row goes
-    on from the row of the largest miss; any other miss, N / 8 rows or DomainEvalError gives up."""
+    read first and scaled by a power of two to max|K| <= 1. A miss goes on from the row
+    of the largest miss; a miss at a stall, N / 8 rows or a DomainEvalError gives up."""
     n, nodes = rule.n, rule.nodes
     picked = np.sort(np.random.default_rng(1).choice(n, 4, replace=False))
     owner = np.vstack([np.arange(n), np.repeat(picked[:, None], n, axis=1)])  # each check's row
@@ -213,7 +213,7 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
                 error = float(np.linalg.norm(gap)) / (float(np.linalg.norm(check)) or 1.0)
                 if error <= n * CORE_TOL:
                     break
-                if residual[pivot] != 0.0:
+                if k - least[1] >= CORE_CROSSES:
                     return None
                 row = int(owner.flat[np.argmax(np.where(used[owner], 0.0, np.abs(gap)))])
             else:

@@ -238,6 +238,16 @@ def test_a_kernel_that_vanishes_on_the_first_row_is_still_factored():
     _assert_factored(kernel, 2)
 
 
+def test_a_miss_after_a_small_cross_goes_on_from_the_largest_miss(monkeypatch):
+    # A benchmark identity-family kernel of rank 4. Its 5th cross is 3 eps of
+    # ||U V||_F, below the stop, but the check misses by 4.8e-13: cross approximation
+    # goes on from the row of the largest miss, and the 7th cross stops it.
+    sizes = _reads(monkeypatch)
+    kernel = _kernel("0.6541 + 0.1068*t*s + 0.109*cos(3.118*(t - s))", 512)
+    _assert_reads(sizes, 512, 14)
+    _assert_factored(kernel, 4)
+
+
 @pytest.mark.parametrize("power", [-560, 560])
 def test_cross_approximation_of_a_scaled_kernel_is_the_scaled_one(power):
     # Reads are divided by the power of two above max|K| on the check set, so
@@ -261,11 +271,12 @@ def test_kernels_that_stall_take_the_dense_path(monkeypatch, nodes, text, smalle
 
 
 def test_the_check_sees_a_bump_on_the_diagonal_but_not_off_it(tmp_path):
-    # No cross passes through a narrow bump at (0.3, 0.3) or (0.3, 0.7): the first
-    # fails the check on the diagonal, and K is sampled; the second is missed, the
-    # core is t*s alone, and oracle-check, which samples K, refuses the solve.
+    # The first crosses miss a narrow bump at (0.3, 0.3) or (0.3, 0.7). The first
+    # bump misses the check on the diagonal, and cross approximation goes on from its
+    # row to the rank-2 core; the second is missed, the core is t*s alone, and
+    # oracle-check, which samples K, refuses the solve.
     bump = "t*s + exp(-1e5*((t - 0.3)^2 + (s - {})^2))"
-    assert _kernel(bump.format(0.3), 512).core.Q is None
+    _assert_factored(_kernel(bump.format(0.3), 512), 2)
     missed = _kernel(bump.format(0.7), 512)
     assert missed.core.rank == 1 and missed.max_abs < 1.0 < float(np.max(missed.values))
     path = tmp_path / "bump.prob"
