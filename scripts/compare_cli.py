@@ -6,8 +6,11 @@ Each root is a checkout of this repository. The script runs the same matrix
 of `fredload` commands on both, each tree in one worker process that imports
 `fredload` from ROOT/src and calls `fredload.cli.main` in-process, and
 compares every command's exit code, stdout and stderr. It prints each
-mismatch and the counts, and exits 1 on any mismatch. With both roots set to
-the same checkout it finds output that changes from one run to the next.
+mismatch and each internal error, a result on either tree whose stderr has
+`error[internal]` or whose call escaped with an exception, then the counts,
+and exits 1 on any of them. With both roots set to the same checkout it finds
+output that changes from one run to the next, and any command that fails
+with a bug, which a comparison of a tree with itself cannot show as a mismatch.
 
 Inputs: the five `docs/examples` files and one file per family of
 `perfbench/problems.py` at seed 1, all read from this script's checkout so
@@ -138,16 +141,20 @@ def main(argv=None) -> int:
         roots = (args.old_root, args.new_root)
         workers = [_start(root, listing) for root in roots]
         old, new = (_results(w, len(argvs), root) for w, root in zip(workers, roots))
-        mismatches = 0
+        mismatches = internal = 0
         for argv_, before, after in zip(argvs, old, new):
+            shown = " ".join(a.replace(directory + os.sep, "") for a in argv_)
             differ = [name for name, x, y in zip(("exit", "stdout", "stderr"), before, after)
                       if x != y]
             if differ:
                 mismatches += 1
-                shown = " ".join(a.replace(directory + os.sep, "") for a in argv_)
                 print(f"MISMATCH ({', '.join(differ)}): fredload {shown}")
-    print(f"{len(argvs)} commands compared, {mismatches} mismatches")
-    return 1 if mismatches else 0
+            for side, (code, _, err) in zip(("old", "new"), (before, after)):
+                if isinstance(code, str) or "error[internal]" in err:  # a bug on either tree
+                    internal += 1
+                    print(f"INTERNAL ERROR ({side}): fredload {shown}")
+    print(f"{len(argvs)} commands compared, {mismatches} mismatches, {internal} internal errors")
+    return 1 if mismatches or internal else 0
 
 
 if __name__ == "__main__":

@@ -238,10 +238,9 @@ def cmd_sweep(args) -> int:
     # exact between the nodes where x has a kink: the rows [f | a | K] at the probes,
     # applied to (1, c, lambda W x) / s for the power of two s = binary_scale (exact),
     # so that no partial sum overflows where x(t) does not.
-    at, weights = {"t": probes[:, None], "s": kernel.rule.nodes}, kernel.rule.weights
-    exprs = (problem.source, *(load.coeff for load in problem.loads), problem.kernel)
-    widths = [1] * (problem.n + 1) + [weights.size]
-    nystrom = np.hstack([np.broadcast_to(evaluate(e, at), (3, w)) for e, w in zip(exprs, widths)])
+    at, weights = {"t": probes[:, None]}, kernel.rule.weights
+    rows = [evaluate(e, at) for e in (problem.source, *(load.coeff for load in problem.loads))]
+    nystrom = np.hstack([*rows, evaluate(problem.kernel, {**at, "s": kernel.rule.nodes})])
     prep = None
     if args.route != "oracle":
         prep = solver.prepare(problem, kernel, numerics.truncation, numerics.tol)

@@ -15,7 +15,7 @@ Grammar (LL(1), whitespace-insensitive, no implicit multiplication):
 
 "^" binds tightest and unary minus binds looser than "^", so -2^2 = -4
 and 2^3^2 = 512. Evaluation is plain IEEE double precision; the evaluator
-accepts numpy arrays in the bindings and broadcasts.
+accepts numpy arrays in the bindings, and its value takes their broadcast shape.
 """
 
 from __future__ import annotations
@@ -262,13 +262,14 @@ def _eval_node(node: Node, bindings: Mapping[str, object]):
 def evaluate(expr: Expr, bindings: Mapping[str, object]):
     """Evaluate `expr` at the given variable bindings.
 
-    Bindings may be floats or numpy arrays (broadcast elementwise). A scalar
-    result is returned as float. Non-finite intermediate results raise
+    Bindings may be floats or numpy arrays. With an array among them, the value
+    is an array of the broadcast shape of all the bindings, used or not: as
+    computed when it has that shape (a bare variable is its binding), otherwise
+    a read-only np.broadcast_to view; with none, a float. Bindings that do not
+    broadcast together raise ValueError. Non-finite intermediate results raise
     DomainEvalError naming the offending subexpression: each operator and
     function node checks its own result, and a root that is a number or a
-    variable, possibly negated, is checked here. A root that is a bare
-    variable returns its binding as a float array, which may share memory
-    with it.
+    variable, possibly negated, is checked here.
     """
     missing = expr.variables - set(bindings)
     if missing:
@@ -276,6 +277,7 @@ def evaluate(expr: Expr, bindings: Mapping[str, object]):
         raise DomainEvalError(f"no binding for variable '{name}'", name)
     coerced = {k: float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
                for k, v in bindings.items()}
+    shape = np.broadcast(*coerced.values()).shape
     with np.errstate(all="ignore"):
         value = _eval_node(expr.root, coerced)
     leaf = expr.root
@@ -283,24 +285,23 @@ def evaluate(expr: Expr, bindings: Mapping[str, object]):
         leaf = leaf.operand
     if isinstance(leaf, (Num, Var)):  # no operator node has checked the value
         _check_finite(value, expr.root)
-    if np.ndim(value) == 0:
+    if not shape:
         return float(value)
-    return value
+    return value if np.shape(value) == shape else np.broadcast_to(value, shape)
 
 
 def grid_blocks(expr: Expr, t: np.ndarray, s: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (rows, expr at t[rows, None] and s[None, :]) for row blocks of t of
     at most GRID_BLOCK elements (one block when len(t) len(s) fits), each
-    block a fresh or broadcast (len(rows), len(s)) array; a caller that
-    drops each block before asking for the next holds one at a time. A block's
-    DomainEvalError gives way to the whole grid's, which names the
-    subexpression that fails first over every row."""
+    block a (len(rows), len(s)) array; a caller that drops each block before
+    asking for the next holds one at a time. A block's DomainEvalError gives
+    way to the whole grid's, which names the subexpression that fails first
+    over every row."""
     step = max(1, GRID_BLOCK // s.size)
     try:
         for lo in range(0, t.size, step):
             rows = slice(lo, lo + step)  # the frame keeps no block across the yield
-            yield rows, np.broadcast_to(evaluate(expr, {"t": t[rows, None], "s": s[None, :]}),
-                                        (min(step, t.size - lo), s.size))
+            yield rows, evaluate(expr, {"t": t[rows, None], "s": s[None, :]})
     except DomainEvalError:
         evaluate(expr, {"t": t[:, None], "s": s[None, :]})
         raise

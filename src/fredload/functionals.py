@@ -117,7 +117,7 @@ def apply(gamma: Functional, x: Union[Expr, GridFunction]) -> float:
     if isinstance(x, GridFunction):
         return float(interp_row(x.rule, points, weights) @ x.values)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(weights @ np.broadcast_to(evaluate(x, {"t": points}), points.shape))
+        return float(weights @ evaluate(x, {"t": points}))
 
 
 def kernel_slices(problem: "ProblemSpec", kernel: "DiscreteKernel") -> np.ndarray:

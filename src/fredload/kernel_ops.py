@@ -58,7 +58,7 @@ class Core:
     unweighted rows QtK = Q^T K, so C Y is QtK (W Y). The trivial core keeps
     Q = I implicit (Q is None): QtK is K itself and M = K W, so lift and
     on_range are the identity and every formula is the dense one. check_error is
-    the accepted U V's relative error on the cross approximation's check set."""
+    the solved Q QtK's relative error against K on the cross approximation's check set."""
 
     Q: Optional[np.ndarray]
     QtK: np.ndarray
@@ -186,7 +186,11 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
     row, k, size, scale, least = 0, 0, 0.0, 1.0, (math.inf, 0)  # size = ||U V||_F^2
 
     def read(t, s) -> np.ndarray:
-        return np.broadcast_to(evaluate(kernel, {"t": t, "s": s}), np.broadcast(t, s).shape) / scale
+        return evaluate(kernel, {"t": t, "s": s}) / scale
+
+    def miss(ut, v) -> tuple[np.ndarray, float]:  # K - U V on the check set, and relative norm
+        gap = check - np.vstack([np.sum(ut * v, axis=0), ut[:, picked].T @ v])
+        return gap, float(np.linalg.norm(gap)) / (float(np.linalg.norm(check)) or 1.0)
 
     try:
         check = np.vstack([read(nodes, nodes), read(nodes[picked, None], nodes)])
@@ -209,8 +213,7 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
                     row = int(np.argmax(np.where(used, -1.0, np.abs(ut[k - 1]))))
                     if cross > n * CORE_TOL**2 * size and k - least[1] < CORE_CROSSES:
                         continue
-                gap = check - np.vstack([np.sum(ut[:k] * v[:k], axis=0), ut[:k, picked].T @ v[:k]])
-                error = float(np.linalg.norm(gap)) / (float(np.linalg.norm(check)) or 1.0)
+                gap, error = miss(ut[:k], v[:k])
                 if error <= n * CORE_TOL:
                     break
                 if k - least[1] >= CORE_CROSSES:
@@ -226,7 +229,8 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
     x, sing, _ = np.linalg.svd(up @ np.linalg.qr((v[:k] * rule.weights).T, mode="r").T)
     tail = np.sqrt(np.cumsum(sing[::-1] ** 2))[::-1]
     x = x[:, : max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0])))]
-    return Core(left @ x, (x.T @ up) @ v[:k] * scale, rule.weights, error)
+    q, qtk = left @ x, (x.T @ up) @ v[:k]
+    return Core(q, qtk * scale, rule.weights, miss(q.T, qtk)[1])
 
 
 def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:

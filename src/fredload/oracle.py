@@ -66,8 +66,7 @@ def _fixed_rows(problem: ProblemSpec, rule: QuadratureRule) -> np.ndarray:
     def applied(expr) -> np.ndarray:
         """<gamma_i, expr> in row i of an n x 1 array; inf or nan beyond the double range."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.array([w @ np.broadcast_to(evaluate(expr, {"t": p[:, None]}), (p.size, 1))
-                             for p, w in forms])
+            return np.array([w @ evaluate(expr, {"t": p[:, None]}) for p, w in forms])
 
     fixed = np.empty((problem.n, rule.n + problem.n + 2))
     a0 = np.hstack([applied(load.coeff) for load in problem.loads])

@@ -83,18 +83,13 @@ class ProblemSpec:
 
     def source_values(self, rule: QuadratureRule) -> np.ndarray:
         """f sampled at the rule's nodes, once per rule, read-only."""
-        return self.on_grid(
-            "source", rule,
-            lambda: np.broadcast_to(evaluate(self.source, {"t": rule.nodes}), (rule.n,)).copy(),
-        )
+        return self.on_grid("source", rule, lambda: evaluate(self.source, {"t": rule.nodes}))
 
     def coeff_values(self, rule: QuadratureRule) -> np.ndarray:
         """N x n matrix with column k = a_k sampled at the rule's nodes,
         once per rule, read-only."""
         return self.on_grid("coeffs", rule, lambda: np.column_stack([
-            np.broadcast_to(evaluate(load.coeff, {"t": rule.nodes}), (rule.n,))
-            for load in self.loads
-        ]))
+            evaluate(load.coeff, {"t": rule.nodes}) for load in self.loads]))
 
     def on_grid(self, name: str, owner, build) -> np.ndarray:
         """The lambda-independent grid array `name` of owner, a rule or a kernel:

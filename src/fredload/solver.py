@@ -278,7 +278,7 @@ def solve_successive(
 
     The loads read lambda K W x_{n-1} + f as f_gamma + lambda KG W x_{n-1}, so a step
     is x_n = lambda (K W + coupling KG W) x_{n-1} + f + coupling f_gamma (Prepared.coupling),
-    with no n x n solve; K W goes through the core, Q C, as on every route: r x N per step on
+    with no n x n solve; K W goes through kernel.apply, Q C, as on every route: r x N per step on
     a nontrivial core, N x N on the trivial one. |lambda| beyond q / l (l bounds the max-norm)
     is refused; below it the differences, kept as the history, shrink geometrically until one
     is at most prep.tol max|x_n|. Then c solves (E - A0) c = f_gamma + lambda KG W x_{n-1}
@@ -296,7 +296,7 @@ def solve_successive(
             f"|lambda|={abs(lam):.6g} exceeds the admissible bound q/l = "
             f"{admissible:.6g} (q={q}, l={prep.successive_l:.6g})"
         )
-    rule, core, slices = kernel.rule, kernel.core, kernel_slices(problem, kernel)
+    rule, slices = kernel.rule, kernel_slices(problem, kernel)
     base = problem.source_values(rule) + prep.coupling @ prep.f_gamma
     scale = float(binary_scale(base))  # the loop runs on x / scale, exactly
     base = base / scale
@@ -304,7 +304,7 @@ def solve_successive(
     for _ in range(max_iter):
         weighted = rule.weights * x_prev
         loads = slices @ weighted
-        x_next = lam * (core.lift(core.compress(x_prev)) + prep.coupling @ loads) + base
+        x_next = lam * (kernel.apply(x_prev) + prep.coupling @ loads) + base
         delta = float(np.max(np.abs(x_next - x_prev)))
         history.append(scale * delta)
         if delta <= prep.tol * float(np.max(np.abs(x_next))):
@@ -320,8 +320,8 @@ def solve_successive(
 
 def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
     """Polynomial route: when (K W)^{p+1} = 0 and the loads annihilate the
-    kernel, x = u + sum_{m=1}^{p} lambda^m (K W)^m u by p products with the
-    core, K W = Q C, with u = f + (a, c) and c from the zero-order system.
+    kernel, x = u + sum_{m=1}^{p} lambda^m (K W)^m u by p products with
+    K W = Q C (kernel.apply), with u = f + (a, c) and c from the zero-order system.
     Exact for every lambda. The products run on u / s, s = binary_scale(u),
     so that C u does not overflow where x does not; the scaling is exact."""
     problem, pnil = prep.problem, prep.nilpotency
@@ -334,14 +334,14 @@ def solve_nilpotent(prep: Prepared, lam: float) -> Solution:
             f"{worst:.3e}); use the regular or irregular route"
         )
     c, note = prep.zero_order
-    core, rule = prep.kernel.core, prep.kernel.rule
+    kernel, rule = prep.kernel, prep.kernel.rule
     term = problem.source_values(rule) + problem.coeff_values(rule) @ c
     scale = float(binary_scale(term))
     term = term / scale
     x_vals = term.copy()
     with np.errstate(all="ignore"):  # beyond the double range: inf, refused by _solution
         for _ in range(pnil):
-            term = lam * core.lift(core.compress(term))
+            term = lam * kernel.apply(term)
             x_vals += term
         x_vals *= scale
     return _solution(prep, lam, x_vals, "nilpotent", c, note=note)

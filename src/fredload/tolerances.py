@@ -31,8 +31,9 @@ REAL_RATIO = 1e-9  # an eigenvalue cluster's mean is real when |Im| <= REAL_RATI
 # one; eigvals splits a defective double one by up to 5.3 sqrt(eps) max|mu|.
 CLUSTER_RADIUS = 16.0 * math.sqrt(math.ulp(1.0))
 NEWTON_TOL = 1e-15  # Gauss-Legendre nodes: Newton stops once max|dx| < NEWTON_TOL
-# The low-rank core of K W (DiscreteKernel.core) is built from N = CORE_MIN_NODES on; a
-CORE_MIN_NODES = 192  # solve on it took 0.98, 0.97, 0.94 of the dense time at N = 128, 160, 192
+# The low-rank core of K W (DiscreteKernel.core) is built from N = CORE_MIN_NODES on: a fresh
+# kernel, prepare and one solve on it took 1.47, 1.13, 0.74 of the dense time at N = 160, 192, 256
+CORE_MIN_NODES = 192  # (generated regular kernel; loaded_regular 0.95, 0.85, 0.62; 2-vCPU Xeon)
 # Cross approximation stops at a cross with ||u|| ||v|| <= sqrt(N) CORE_TOL ||U V||_F (roundoff
 # crosses: 2-3 eps) or a stall, in N / 8 rows, and accepts U V when K on its check set is
 CORE_TOL = math.ulp(1.0)  # within N CORE_TOL of it, relative; the trim drops a tail below half that

@@ -206,12 +206,36 @@ def test_evaluate_is_bitwise_the_per_node_reference_and_keeps_bindings(text):
     before = t.copy(), s.copy()
     e = ex.parse(text, ("t", "s"))
     got = ex.evaluate(e, {"t": t, "s": s})
-    reference = _per_node(e.root, {"t": t, "s": s})
+    reference = np.broadcast_to(_per_node(e.root, {"t": t, "s": s}), (67, 45))
     assert np.shape(got) == np.shape(reference)
     assert np.asarray(got, dtype=float).tobytes() == np.asarray(reference, dtype=float).tobytes()
     # Bindings are read, never written, and stay writable.
     assert np.array_equal(t, before[0]) and np.array_equal(s, before[1])
     assert t.flags.writeable and s.flags.writeable
+
+
+@pytest.mark.parametrize("text", ["2.5", "exp(t) - 1", "s^2 + 1", "t", "-s"],
+                         ids=["constant", "t-only", "s-only", "bare", "negated"])
+def test_value_takes_the_broadcast_shape_of_every_binding(text):
+    e = ex.parse(text, ("t", "s"))
+    t, s = np.linspace(0.1, 0.9, 7)[:, None], np.linspace(0.2, 0.8, 5)[None, :]
+    got = ex.evaluate(e, {"t": t, "s": s})
+    reference = np.broadcast_to(_per_node(e.root, {"t": t, "s": s}), (7, 5))
+    assert isinstance(got, np.ndarray) and got.shape == (7, 5) and got.dtype == np.float64
+    assert got.tobytes() == reference.tobytes()
+    # A binding the expression does not read shapes the value as well.
+    assert ex.evaluate(e, {"t": t[:, 0], "s": 0.25}).shape == (7,)
+    scalar = ex.evaluate(e, {"t": 0.5, "s": 0.25})
+    assert type(scalar) is float and scalar == _per_node(e.root, {"t": 0.5, "s": 0.25})
+    with pytest.raises(ValueError):
+        ex.evaluate(e, {"t": np.zeros(3), "s": np.zeros(4)})
+
+
+def test_a_value_computed_in_the_broadcast_shape_comes_back_as_computed():
+    t, s = np.linspace(0.1, 0.9, 7)[:, None], np.linspace(0.2, 0.8, 5)[None, :]
+    assert ex.evaluate(ex.parse("t*s", ("t", "s")), {"t": t, "s": s}).flags.writeable
+    full = np.linspace(0.0, 1.0, 35).reshape(7, 5)
+    assert ex.evaluate(ex.parse("t", ("t", "s")), {"t": full, "s": s}) is full
 
 
 @pytest.mark.parametrize(

@@ -71,7 +71,7 @@ def test_blocked_sample_equals_the_whole_grid_evaluation(n, text):
     expr = fl.parse(text, {"t", "s"})
     kernel = fl.discretize(expr, rule)
     assert kernel.values.shape == (n, n)
-    assert np.array_equal(kernel.values, np.broadcast_to(_whole_grid(expr, rule), (n, n)))
+    assert np.array_equal(kernel.values, _whole_grid(expr, rule))
     expected_max = float(np.max(np.abs(kernel.values)))
     expected_norm = float(np.max(np.abs(kernel.values) @ rule.weights))
     if kernel.core.Q is None:  # the pass over the sample itself

@@ -97,9 +97,8 @@ def test_dense_system_is_identity_for_trivial_problem():
 def _whole_grid_matrix(problem, kernel, lam, a0):
     """The bordered matrix by np.block, with each KG row from one p x N grid."""
     rule = kernel.rule
-    kg = np.array([w @ np.broadcast_to(
-        fl.evaluate(problem.kernel, {"t": p[:, None], "s": rule.nodes[None, :]}), (p.size, rule.n))
-        for p, w in (fl.gamma_weights(load.functional) for load in problem.loads)])
+    kg = np.array([w @ fl.evaluate(problem.kernel, {"t": p[:, None], "s": rule.nodes[None, :]})
+                   for p, w in (fl.gamma_weights(load.functional) for load in problem.loads)])
     return np.block([
         [np.eye(rule.n) - lam * (kernel.values * rule.weights), -problem.coeff_values(rule)],
         [-lam * (kg * rule.weights), np.eye(problem.n) - a0],
