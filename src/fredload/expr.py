@@ -14,8 +14,9 @@ Grammar (LL(1), whitespace-insensitive, no implicit multiplication):
     CONST  := "pi" | "e"
 
 "^" binds tightest and unary minus binds looser than "^", so -2^2 = -4
-and 2^3^2 = 512. Evaluation is plain IEEE double precision; the evaluator
-accepts numpy arrays in the bindings, and its value takes their broadcast shape.
+and 2^3^2 = 512. Evaluation is IEEE double precision on floats or numpy arrays,
+one ufunc call per operator or function node under floating-point traps: a
+DomainEvalError names the first node that traps, or the root for a non-finite leaf.
 """
 
 from __future__ import annotations
@@ -239,24 +240,23 @@ def _walk(root: Node) -> tuple[frozenset[str], int]:
     return frozenset(names), depth
 
 
-def _check_finite(value, node: Node):
-    if not np.all(np.isfinite(value)):
-        text = unparse(node)
-        raise DomainEvalError(f"non-finite value from '{text}'", text)
-    return value
-
-
-def _eval_node(node: Node, bindings: Mapping[str, object]):
+def _eval_node(node: Node, env: Mapping[str, object]):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        return bindings[node.name]
+        return env[node.name]
     if isinstance(node, Neg):
-        return np.negative(_eval_node(node.operand, bindings))
-    if isinstance(node, Call):
-        return _check_finite(_FUNCTIONS[node.func](_eval_node(node.arg, bindings)), node)
-    left, right = _eval_node(node.left, bindings), _eval_node(node.right, bindings)
-    return _check_finite(_OPERATORS[node.op](left, right), node)
+        return np.negative(_eval_node(node.operand, env))
+    try:  # an operand's trap is a DomainEvalError by now, so this is the node's own
+        if isinstance(node, Call):
+            return _FUNCTIONS[node.func](_eval_node(node.arg, env))
+        return _OPERATORS[node.op](_eval_node(node.left, env), _eval_node(node.right, env))
+    except FloatingPointError:
+        raise _non_finite(node) from None
+
+
+def _non_finite(node: Node) -> DomainEvalError:
+    return DomainEvalError(f"non-finite value from '{unparse(node)}'", unparse(node))
 
 
 def evaluate(expr: Expr, bindings: Mapping[str, object]):
@@ -266,10 +266,9 @@ def evaluate(expr: Expr, bindings: Mapping[str, object]):
     is an array of the broadcast shape of all the bindings, used or not: as
     computed when it has that shape (a bare variable is its binding), otherwise
     a read-only np.broadcast_to view; with none, a float. Bindings that do not
-    broadcast together raise ValueError. Non-finite intermediate results raise
-    DomainEvalError naming the offending subexpression: each operator and
-    function node checks its own result, and a root that is a number or a
-    variable, possibly negated, is checked here.
+    broadcast together raise ValueError. A non-finite value raises DomainEvalError
+    naming the first node whose ufunc traps (overflow, division by zero or invalid;
+    not underflow), or the root for a non-finite binding or literal.
     """
     missing = expr.variables - set(bindings)
     if missing:
@@ -278,13 +277,10 @@ def evaluate(expr: Expr, bindings: Mapping[str, object]):
     coerced = {k: float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
                for k, v in bindings.items()}
     shape = np.broadcast(*coerced.values()).shape
-    with np.errstate(all="ignore"):
+    with np.errstate(all="raise", under="ignore"):
         value = _eval_node(expr.root, coerced)
-    leaf = expr.root
-    while isinstance(leaf, Neg):
-        leaf = leaf.operand
-    if isinstance(leaf, (Num, Var)):  # no operator node has checked the value
-        _check_finite(value, expr.root)
+    if not np.all(np.isfinite(value)):
+        raise _non_finite(expr.root)
     if not shape:
         return float(value)
     return value if np.shape(value) == shape else np.broadcast_to(value, shape)

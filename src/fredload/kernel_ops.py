@@ -228,9 +228,11 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
     left, up = np.linalg.qr(ut[:k].T)
     x, sing, _ = np.linalg.svd(up @ np.linalg.qr((v[:k] * rule.weights).T, mode="r").T)
     tail = np.sqrt(np.cumsum(sing[::-1] ** 2))[::-1]
-    x = x[:, : max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0])))]
-    q, qtk = left @ x, (x.T @ up) @ v[:k]
-    return Core(q, qtk * scale, rule.weights, miss(q.T, qtk)[1])
+    for rank in (max(1, int(np.count_nonzero(tail > 0.5 * n * CORE_TOL * tail[0]))), k):
+        q, qtk = left @ x[:, :rank], (x[:, :rank].T @ up) @ v[:k]
+        if (error := miss(q.T, qtk)[1]) <= n * CORE_TOL:  # a trimmed miss keeps all k
+            break
+    return Core(q, qtk * scale, rule.weights, error)
 
 
 def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:

@@ -36,7 +36,8 @@ NEWTON_TOL = 1e-15  # Gauss-Legendre nodes: Newton stops once max|dx| < NEWTON_T
 CORE_MIN_NODES = 192  # (generated regular kernel; loaded_regular 0.95, 0.85, 0.62; 2-vCPU Xeon)
 # Cross approximation stops at a cross with ||u|| ||v|| <= sqrt(N) CORE_TOL ||U V||_F (roundoff
 # crosses: 2-3 eps) or a stall, in N / 8 rows, and accepts U V when K on its check set is
-CORE_TOL = math.ulp(1.0)  # within N CORE_TOL of it, relative; the trim drops a tail below half that
+# within N CORE_TOL of it, relative; the trim drops a tail below half that unless Q QtK then
+CORE_TOL = math.ulp(1.0)  # misses that bound, when every cross is kept
 CORE_CROSSES = 16  # a stall: crosses past the relatively smallest (exact-rank sums: <= 12)
 # Sampling K at the nodes and at the oracle's load points (expr.grid_blocks), its norm and
 # a load's Cauchy matrix work in row blocks of at most GRID_BLOCK elements (512 KB), so that

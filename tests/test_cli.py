@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fredload import cli
 from fredload.cli import main
 from util import GOLDEN_FILE_TEXT, NO_SOLUTION_FILE_TEXT
 
@@ -478,6 +479,16 @@ def test_missing_file_exit_code(capsys):
     captured = capsys.readouterr()
     assert rc == 4
     assert "error[parse-error]" in captured.err
+
+
+def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    # The last resort keeps the exit-code contract for a bug: exit 1, one line.
+    def fail(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_problem_file", fail)
+    assert main(["analyze", str(EXAMPLES / "loaded_regular.prob")]) == 1
+    assert capsys.readouterr() == ("", "error[internal]: RuntimeError: boom\n")
 
 
 def test_nodes_flag_override(write, capsys):

@@ -43,6 +43,15 @@ def test_no_implicit_multiplication():
         ex.parse("2t", ("t",))
 
 
+@pytest.mark.parametrize("text, message, position", [("t $ s", "unexpected character '$'", 2),
+                                                     ("t + *", "unexpected token '*'", 4)])
+def test_a_bad_character_or_an_operator_for_an_operand_is_a_syntax_error(text, message, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        ex.parse(text, ("t", "s"))
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 def test_undeclared_variable_is_named():
     with pytest.raises(UndefinedVariableError) as err:
         ex.parse("t + s", ("t",))
@@ -245,6 +254,8 @@ def test_a_value_computed_in_the_broadcast_shape_comes_back_as_computed():
         ("1/(t - s) + 2*t", "(1.0 / (t - s))"),
         ("2*sqrt(t - s)", "sqrt((t - s))"),
         ("exp(1000*t*s)", "exp(((1000.0 * t) * s))"),
+        ("2*log(abs(t - s))", "log(abs((t - s)))"),
+        ("exp(1000*t*s)*0 + 1", "exp(((1000.0 * t) * s))"),
     ],
 )
 def test_domain_error_names_the_node_and_leaves_bindings_alone(text, name):
@@ -277,3 +288,72 @@ def test_parse_bounds_the_tree_depth_that_evaluate_and_unparse_recurse_over(chai
     with pytest.raises(ExprSyntaxError, match=f"deeper than {ex.MAX_DEPTH} levels"):
         ex.parse(chain(ex.MAX_DEPTH + 1))
 
+
+def _first_non_finite(root, bindings):
+    # The per-node reference of the trap contract: with no traps, the text of the
+    # first operator or function node, in evaluation order, whose value is not
+    # finite, or None.
+    found = []
+
+    def walk(node):
+        if isinstance(node, (ex.Num, ex.Var, ex.Neg)):
+            return _per_node(node, bindings)
+        if isinstance(node, ex.Call):
+            value = ex._FUNCTIONS[node.func](walk(node.arg))
+        else:
+            value = _UFUNCS[node.op](walk(node.left), walk(node.right))
+        if not found and not np.all(np.isfinite(value)):
+            found.append(ex.unparse(node))
+        return value
+
+    with np.errstate(all="ignore"):
+        walk(root)
+    return found[0] if found else None
+
+
+_SIZES = (1, 7, 8, 17, 4096)  # below, at and past the vector width, and large
+
+
+def _with_bad_value(n, at, bad):
+    t = np.full(n, 0.5)
+    t[at] = bad
+    return t
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("exp(t)", 800.0), ("log(t)", 0.0), ("log(t)", -1.0), ("sqrt(t)", -1.0),
+    ("1/t", 0.0), ("t/t", 0.0), ("10^t", 400.0), ("t^-1", 0.0), ("t^0.5", -1.0),
+    ("t + 1e308", 1e308), ("t - 1e308", -1e308), ("t*1e200", 1e200), ("t/1e-300", 1e10),
+    ("2*log(t)", 0.0), ("exp(t)*0 + 1", 800.0), ("sqrt(t - 1)/(t - 1)", 0.0),
+])
+def test_a_trap_names_the_node_the_per_node_reference_names(text, bad):
+    # numpy reports a failure from its vectorized loops and from their scalar
+    # remainder: the bad value goes first, in the middle or last; a float binding
+    # takes numpy's scalar path.
+    e = ex.parse(text)
+    for t in [bad] + [_with_bad_value(n, at, bad) for n in _SIZES for at in (0, n // 2, n - 1)]:
+        name = _first_non_finite(e.root, {"t": t})
+        assert name is not None
+        with pytest.raises(DomainEvalError) as err:
+            ex.evaluate(e, {"t": t})
+        assert err.value.node_text == name
+        assert str(err.value) == f"non-finite value from '{name}'"
+
+
+@pytest.mark.parametrize("text, value", [("exp(t)", -800.0), ("t*1e-200", 1e-200),
+                                         ("sin(t)", 1e300)])
+def test_underflow_and_large_arguments_do_not_trap(text, value):
+    e = ex.parse(text)
+    for t in [value] + [np.full(n, value) for n in _SIZES]:
+        got = ex.evaluate(e, {"t": t})
+        assert np.all(np.isfinite(got)) and np.array_equal(got, _per_node(e.root, {"t": t}))
+
+
+def test_a_non_finite_literal_is_named_at_the_first_node_that_traps():
+    # 1e999 is inf, and inf * t raises no trap, so sin, the first node that traps,
+    # is named; a scan of every node's value, as the reference makes, names inf * t.
+    e = ex.parse("sin(1e999*t)*s", ("t", "s"))
+    assert _first_non_finite(e.root, {"t": 0.5, "s": 0.5}) == "(inf * t)"
+    with pytest.raises(DomainEvalError) as err:
+        ex.evaluate(e, {"t": np.linspace(0.1, 0.9, 7), "s": 0.5})
+    assert err.value.node_text == "sin((inf * t))"

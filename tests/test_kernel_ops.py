@@ -137,6 +137,13 @@ def test_iterate_zero_kernel():
         assert np.array_equal(iterated.kernel(m), np.zeros((8, 8)))
 
 
+def test_iterate_needs_a_depth_of_one():
+    kernel = _kernel("t*s", nodes=8)
+    assert np.array_equal(fl.iterate_kernels(kernel, 1).kernel(1), kernel.values)
+    with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+        fl.iterate_kernels(kernel, 0)
+
+
 def test_nilpotency_index_centered():
     assert fl.nilpotency_index(_kernel("t - 1/2"), 6) == 1
 

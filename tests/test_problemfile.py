@@ -2,6 +2,7 @@
 
 import pytest
 
+import fredload as fl
 from fredload.errors import ProblemFileError
 from fredload.problemfile import parse_problem_file
 
@@ -140,11 +141,32 @@ def test_bad_integral_syntax():
         )
 
 
-def test_unknown_key_and_section():
-    with pytest.raises(ProblemFileError):
-        parse_problem_file("interval = 0 1\nwhatever = 3\n")
-    with pytest.raises(ProblemFileError):
-        parse_problem_file("interval = 0 1\n[settings]\n")
+_ONE_LOAD = "interval = 0 1\nkernel = 1\nsource = 1\n[load]\ncoeff = 1\npoint = 1 @ 0\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("interval = 0 1\nwhatever = 3\n", 2, "unknown key 'whatever' before any section"),
+    ("interval = 0 1\n[settings]\n", 2, "unknown section [settings]"),
+    (_ONE_LOAD + "coef = 1\n", 7, "unknown key 'coef' in [load]"),
+    (_ONE_LOAD + "[numerics]\nnode = 8\n", 8, "unknown key 'node' in [numerics]"),
+])
+def test_unknown_key_and_section(text, line, message):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_file(text)
+    assert str(err.value) == f"line {line}: {message}" and err.value.line == line
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("interval = 0 one\n", 1, "interval endpoint must be a number, got 'one'"),
+    (_ONE_LOAD + "[numerics]\nnodes = 8.5\n", 8, "nodes must be an integer, got '8.5'"),
+    ("interval 0 1\n", 1, "expected 'key = value'"),
+    ("kernel = 1\ninterval =  # no value\n", 2, "empty value for 'interval'"),
+    ("interval = 0\n", 1, "interval needs two endpoints"),
+])
+def test_malformed_line_or_value(text, line, message):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_file(text)
+    assert str(err.value) == f"line {line}: {message}" and err.value.line == line
 
 
 def test_kernel_rejects_undeclared_variable():
@@ -161,3 +183,30 @@ def test_term_outside_interval_rejected_at_build():
     )
     with pytest.raises(ValueError):
         parsed.build()
+
+
+def _spec(a=0.0, b=1.0, kernel=("t*s", {"t", "s"}), source=("1", {"t"}),
+          coeff=("t", {"t"}), functional=None):
+    load = fl.Load(fl.parse(*coeff), functional or fl.point_load(0.5))
+    return fl.ProblemSpec(a, b, fl.parse(*kernel), fl.parse(*source), (load,))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"a": 1.0, "b": 1.0}, "invalid interval: a=1.0 must be < b=1.0"),
+    ({"kernel": ("t*u", {"t", "s", "u"})}, "kernel may only use variables t and s"),
+    ({"source": ("t*s", {"t", "s"})}, "source may only use variable t"),
+    ({"coeff": ("s", {"t", "s"})}, "load 1: coefficient may only use variable t"),
+    ({"functional": fl.integral_load(0.5, 2.0, fl.parse("1", {"s"}), nodes=4)},
+     "load 1: integral term [0.5, 2.0] outside [0.0, 1.0]"),
+])
+def test_problem_spec_rejects_what_the_equation_cannot_hold(change, message):
+    assert _spec().n == 1
+    with pytest.raises(ValueError) as err:
+        _spec(**change)
+    assert str(err.value) == message
+
+
+def test_problem_spec_needs_a_load():
+    spec = _spec()
+    with pytest.raises(ValueError, match="a problem needs at least one load"):
+        fl.ProblemSpec(spec.a, spec.b, spec.kernel, spec.source, ())

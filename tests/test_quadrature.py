@@ -7,6 +7,7 @@ import pytest
 
 from fredload.quadrature import (
     GridFunction,
+    QuadratureRule,
     _legendre_nodes,
     gauss_legendre,
     integrate,
@@ -238,6 +239,25 @@ def test_grid_function_validation():
         GridFunction(rule, np.ones(5))
     with pytest.raises(ValueError):
         GridFunction(rule, np.array([1.0, 2.0, np.nan, 4.0]))
+
+
+@pytest.mark.parametrize("nodes, weights, message", [
+    ([0.25, 0.75], [0.5], "nodes and both weight sets must be 1-d and the same length"),
+    ([0.75, 0.25], [0.5, 0.5], "nodes must be strictly increasing"),
+    ([0.25, 1.5], [0.5, 0.5], r"nodes must lie within \[a, b\]"),
+    ([0.25, 0.75], [0.5, 0.0], "weights must be positive"),
+])
+def test_rule_validation(nodes, weights, message):
+    assert QuadratureRule(0.0, 1.0, np.array([0.25, 0.75]), np.array([0.5, 0.5]), np.ones(2)).n == 2
+    with pytest.raises(ValueError, match=message):
+        QuadratureRule(0.0, 1.0, np.array(nodes), np.array(weights), np.ones(2))
+
+
+def test_integrate_refuses_a_grid_function_of_another_rule():
+    rule, same, other = (gauss_legendre(4, 0.0, b) for b in (1.0, 1.0, 2.0))
+    assert integrate(rule, GridFunction(same, np.ones(4))) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="grid function is sampled on a different rule"):
+        integrate(rule, GridFunction(other, np.ones(4)))
 
 
 def test_integrate_grid_function():

@@ -153,6 +153,14 @@ def test_successive_rejects_bad_q():
         fl.solve_successive(fl.prepare(problem, kernel), 0.1, q=1.5)
 
 
+def test_successive_rejects_an_empty_iteration_budget():
+    problem = make_problem("1", "0", [("0", fl.point_load(0.0))])
+    prep = fl.prepare(problem, _discretized(problem, nodes=8))
+    assert len(fl.solve_successive(prep, 0.1, max_iter=1).history) == 1  # x_1 = x_0 = 0
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        fl.solve_successive(prep, 0.1, max_iter=0)
+
+
 def test_successive_agrees_with_regular_on_loaded_problem():
     problem = make_problem(
         "t - 1/2", "1 + t", [("t", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))]
