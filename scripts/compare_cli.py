@@ -12,10 +12,12 @@ and exits 1 on any of them. With both roots set to the same checkout it finds
 output that changes from one run to the next, and any command that fails
 with a bug, which a comparison of a tree with itself cannot show as a mismatch.
 
-Inputs: the five `docs/examples` files and one file per family of
-`perfbench/problems.py` at seed 1, all read from this script's checkout so
-both trees see the same files, each at N = 16, 64 and 512 nodes. Commands:
-analyze; solve on the routes auto, regular, irregular, nilpotent and oracle
+Inputs: the five `docs/examples` files, one file per family of
+`perfbench/problems.py` at seed 1, and four copies of `loaded_regular.prob`
+with another kernel (KERNELS), which take every branch of cross
+approximation but its N / 8 row budget; all are read from this script's
+checkout so both trees see the same files, each at N = 16, 64 and 512 nodes.
+Commands: analyze; solve on the routes auto, regular, irregular, nilpotent and oracle
 at the file's lambda (0.2 when it sets none) and on the successive route at
 0.05; oracle-check with and without --threshold 1e-9; sweep on [0.05, 0.5]
 in 20 steps, on the auto and the oracle route; find-poles on [-20, 20].
@@ -37,6 +39,17 @@ import numpy as np
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NODES = (16, 64, 512)
 SEED = 1
+# Kernels put into loaded_regular.prob, by what cross approximation does with them at N = 512.
+KERNELS = {
+    # stalls, gives up and takes the dense sample
+    "stall_kernel": "exp(-abs(t - s))",
+    # grows U and V past their first size and keeps a rank-60 core
+    "runge_kernel": "1/(1 + 25*(t - s)^2)",
+    # misses the check after a small cross and goes on from the row of the largest miss
+    "missed_check_kernel": "0.6541 + 0.1068*t*s + 0.109*cos(3.118*(t - s))",
+    # fails on the check set; the dense sample names the failing node (exit 4)
+    "singular_kernel": "1/(t - s)",
+}
 
 # Runs in each worker: argv lists read one JSON line each from the file argv[2], one JSON
 # line [exit, stdout, stderr] printed per list.
@@ -74,22 +87,34 @@ def _problems_module():
     return module
 
 
+def _write(directory: str, name: str, text: str) -> str:
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return path
+
+
 def input_files(directory: str) -> list[str]:
-    """The example files and one generated file per benchmark family, in `directory`."""
+    """The example files, one generated file per benchmark family and the KERNELS
+    copies of loaded_regular.prob, in `directory`."""
     examples = os.path.join(HERE, "docs", "examples")
     paths = []
     for name in sorted(os.listdir(examples)):
         if name.endswith(".prob"):
             with open(os.path.join(examples, name), encoding="utf-8") as handle:
-                text = handle.read()
-            paths.append(os.path.join(directory, name))
-            with open(paths[-1], "w", encoding="utf-8") as handle:
-                handle.write(text)
+                paths.append(_write(directory, name, handle.read()))
     problems = _problems_module()
     for family, make in sorted(problems.FAMILIES.items()):
         problem = make(np.random.default_rng(SEED), f"generated_{family}", 3)
         problems.write(problem, directory)
         paths.append(problem.path)
+    with open(os.path.join(examples, "loaded_regular.prob"), encoding="utf-8") as handle:
+        regular = handle.read()
+    for name, kernel in KERNELS.items():
+        text, count = re.subn(r"^kernel = .*$", f"kernel = {kernel}", regular, flags=re.MULTILINE)
+        if count != 1:
+            sys.exit(f"loaded_regular.prob has {count} kernel lines, not 1")
+        paths.append(_write(directory, f"{name}.prob", text))
     return paths
 
 

@@ -67,7 +67,7 @@ from .quadrature import (
     interpolate,
 )
 from .solver import (
-    IrregularExpansion,
+    Laurent,
     Prepared,
     Solution,
     prepare,

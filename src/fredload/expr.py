@@ -16,7 +16,8 @@ Grammar (LL(1), whitespace-insensitive, no implicit multiplication):
 "^" binds tightest and unary minus binds looser than "^", so -2^2 = -4
 and 2^3^2 = 512. Evaluation is IEEE double precision on floats or numpy arrays,
 one ufunc call per operator or function node under floating-point traps: a
-DomainEvalError names the first node that traps, or the root for a non-finite leaf.
+DomainEvalError names the first node that traps, or the root for a non-finite
+binding. A NUMBER beyond the double range is an ExprSyntaxError where it is parsed.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ class _Parser:
     def atom(self) -> Node:
         kind, val, pos = self.advance()
         if kind == "num":
+            if math.isinf(float(val)):
+                raise ExprSyntaxError(f"number {val!r} is beyond the double range", pos)
             return Num(float(val))
         if kind == "name":
             if val in _CONSTANTS:
@@ -268,7 +271,7 @@ def evaluate(expr: Expr, bindings: Mapping[str, object]):
     a read-only np.broadcast_to view; with none, a float. Bindings that do not
     broadcast together raise ValueError. A non-finite value raises DomainEvalError
     naming the first node whose ufunc traps (overflow, division by zero or invalid;
-    not underflow), or the root for a non-finite binding or literal.
+    not underflow), or the root for a non-finite binding.
     """
     missing = expr.variables - set(bindings)
     if missing:

@@ -1,5 +1,5 @@
 """Loads: linear functionals combining point evaluations and weighted
-integrals, applied to expressions, grid functions, and kernel slices.
+integrals, applied to expressions and to kernel slices.
 
 A load has the form
 
@@ -9,7 +9,7 @@ Each integral term carries its own quadrature sub-rule because [a_i, b_i]
 generally does not line up with the master grid, so a load is the finite
 sum <gamma, x> = weights @ x(points) over its point values and sub-rule
 nodes (Functional.discrete), which apply, kernel_slices and functional_norm
-read; a grid function is read between its nodes by quadrature.interp_row.
+read; on the master grid a load is a row of quadrature.interp_row.
 
 The solver never applies a load to a grid function x, which may have a
 kink: by the Nystrom identity x = f + a c + lambda K W x, a load of x needs
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .expr import Expr, evaluate
-from .quadrature import GridFunction, QuadratureRule, gauss_legendre, interp_row
+from .quadrature import QuadratureRule, gauss_legendre, interp_row
 from .tolerances import NODES, TOL
 
 if TYPE_CHECKING:
@@ -110,12 +110,10 @@ def integral_load(lower: float, upper: float, weight: Expr, nodes: int = NODES) 
     return Functional(point_terms=(), integral_terms=(term,))
 
 
-def apply(gamma: Functional, x: Union[Expr, GridFunction]) -> float:
-    """Apply the load to x, weights @ x(points); grid functions are interpolated.
+def apply(gamma: Functional, x: Expr) -> float:
+    """Apply the load to the expression x, weights @ x(points), evaluated exactly.
     A sum beyond the double range comes back as inf or nan, without a warning."""
     points, weights = gamma.discrete
-    if isinstance(x, GridFunction):
-        return float(interp_row(x.rule, points, weights) @ x.values)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(weights @ evaluate(x, {"t": points}))
 

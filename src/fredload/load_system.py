@@ -145,18 +145,15 @@ def in_load_units(matrix: np.ndarray, units: np.ndarray) -> np.ndarray:
 
 
 def solve_zero_order_system(
-    A0: np.ndarray, f_gamma: np.ndarray, units: np.ndarray
+    a0_units: np.ndarray, f_gamma: np.ndarray, units: np.ndarray, classification: Classification
 ) -> tuple[np.ndarray, Optional[str]]:
-    """(c, note) for (E - A0) c = f_gamma, judged in load units (in_load_units).
-
-    c is the minimum-norm solution in load units, by the SVD, and
-    NoSolutionError is raised when it is inconsistent (normwise backward error
-    above CONSISTENCY_TOL): the equation then has no continuous solution. The
-    note says when E - A0 is below full rank. Only the rank classify judged is
-    inverted, so the roundoff left in E - A0 = 0 for A0 = E is not.
-    """
-    classification = classify(in_load_units(A0, units))
-    scaled = in_load_units(np.eye(classification.n) - A0, units)
+    """(c, note) for (E - A0) c = f_gamma, given a0_units = in_load_units(A0, units) and
+    classification = classify(a0_units): c is the minimum-norm solution in load units, by
+    the SVD, and NoSolutionError is raised when it is inconsistent (normwise backward error
+    above CONSISTENCY_TOL): the equation then has no continuous solution. The note says
+    when E - A0 is below full rank. Only the rank classify judged is inverted, so the
+    roundoff left in E - A0 = 0 for A0 = E is not."""
+    scaled = np.eye(classification.n) - a0_units
     rhs = f_gamma / units
     u, sing, vt = np.linalg.svd(scaled)
     inv_sing = np.zeros_like(sing)

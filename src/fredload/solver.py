@@ -26,7 +26,7 @@ at its grid function x and its own load vector c, so no load interpolates x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -56,7 +56,7 @@ __all__ = [
     "Prepared",
     "prepare",
     "Solution",
-    "IrregularExpansion",
+    "Laurent",
     "solve_regular",
     "solve_successive",
     "solve_nilpotent",
@@ -72,19 +72,14 @@ __all__ = [
 class Laurent:
     """Laurent data at lambda = 0 for A0 = E: pole order p, g = series_scale(K), the scaled
     coefficients A~_p..A~_M (A_m = g^m A~_m) and the radius rho from A~_p^{-1} A~_m in load
-    units; it certifies q <= RADIUS_Q, not the tail of A(lambda) past A~_M (solve_irregular)."""
+    units; it certifies q <= RADIUS_Q, not the tail of A(lambda) past A~_M (solve_irregular).
+    A solution's expansion sets q, the contraction bound at its lambda."""
 
     pole_order: int
     growth: float
     coefficients: np.ndarray
     rho: float
-
-
-@dataclass(frozen=True, eq=False)
-class IrregularExpansion(Laurent):
-    """The Laurent data with the contraction bound q at the solved lambda."""
-
-    q: float
+    q: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +91,7 @@ class Solution:
     residual: float
     classification: Classification
     history: Optional[tuple[float, ...]] = None
-    expansion: Optional[IrregularExpansion] = None
+    expansion: Optional[Laurent] = None
     note: Optional[str] = None
 
 
@@ -104,7 +99,7 @@ class Solution:
 class Prepared:
     """What the routes need that does not depend on lambda, for one problem on one
     grid: A0, the load units (load_units) in which every n x n decision reads its
-    matrix, the classification of A0 and the per-load annihilation reports at `tol`.
+    matrix, A0 in them, its classification and the per-load annihilation reports at `tol`.
     f_gamma, the zero-order outcome, the nilpotency index, the Taylor coefficients up
     to `truncation`, the Laurent data and the successive route's coupling and bound l
     (admissible gives q / l) are computed on first use, so a regular solve never forms them."""
@@ -115,6 +110,7 @@ class Prepared:
     tol: float
     A0: np.ndarray
     units: np.ndarray
+    a0_units: np.ndarray
     classification: Classification
     reports: tuple[ConditionReport, ...]
 
@@ -133,7 +129,8 @@ class Prepared:
     def zero_order(self) -> tuple[np.ndarray, Optional[str]]:
         """(c, note) of (E - A0) c = f_gamma, which decides solvability under
         annihilating loads: NoSolutionError when it is inconsistent."""
-        return solve_zero_order_system(self.A0, self.f_gamma, self.units)
+        return solve_zero_order_system(self.a0_units, self.f_gamma, self.units,
+                                       self.classification)
 
     @cached_property
     def nilpotency(self) -> Optional[int]:
@@ -209,8 +206,9 @@ def prepare(
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     reports = tuple(functionals.check_condition_one(problem, kernel, tol))
     A0, units = assemble_A0(problem), load_units(problem)
-    classification = classify(in_load_units(A0, units))
-    return Prepared(problem, kernel, truncation, tol, A0, units, classification, reports)
+    a0_units = in_load_units(A0, units)
+    return Prepared(problem, kernel, truncation, tol, A0, units, a0_units, classify(a0_units),
+                    reports)
 
 
 def _defect(prep: Prepared, lam: float, x: np.ndarray, c: np.ndarray) -> float:
@@ -254,9 +252,9 @@ def solve_regular(prep: Prepared, lam: float) -> Solution:
             f"{classification.kind} (det = {classification.det:.3e})"
         )
     a_lam, rhs, basis = assemble_lambda_system(problem, kernel, lam, prep.f_gamma)
-    a0_units, a_lam_units = (in_load_units(m, prep.units) for m in (A0, a_lam))
-    scale = 1.0 + float(np.max(np.abs(a0_units))) + float(np.max(np.abs(a_lam_units)))
-    if numerical_rank(np.eye(problem.n) - a0_units - a_lam_units, scale) < problem.n:
+    a_lam_units = in_load_units(a_lam, prep.units)
+    scale = 1.0 + float(np.max(np.abs(prep.a0_units))) + float(np.max(np.abs(a_lam_units)))
+    if numerical_rank(np.eye(problem.n) - prep.a0_units - a_lam_units, scale) < problem.n:
         raise SingularLoadSystemError(
             f"load system E - A0 - A(lambda) is singular at lambda={lam!r}"
         )
@@ -428,8 +426,7 @@ def solve_irregular(prep: Prepared, lam: float) -> Solution:
     with np.errstate(all="ignore"):  # beyond the double range: inf, refused by _solution
         x_gamma = -np.linalg.solve(a_p + b_mat, rhs) / (lam * laurent.growth) ** laurent.pole_order
         values = basis @ np.append(x_gamma, 1.0)
-    expansion = IrregularExpansion(**vars(laurent), q=q_at)
-    return _solution(prep, lam, values, "irregular", x_gamma, expansion=expansion)
+    return _solution(prep, lam, values, "irregular", x_gamma, expansion=replace(laurent, q=q_at))
 
 
 def solve_prepared(prep: Prepared, lam: float) -> Solution:

@@ -187,10 +187,10 @@ def test_criterion_07_degeneration_to_zero_order_system():
     worst_a = 0.0
     for lam in np.linspace(-0.5, 0.5, 11) / norm:
         worst_a = max(worst_a, float(np.max(np.abs(fl.A_lambda(problem, kernel, float(lam))))))
-    c, note = fl.solve_zero_order_system(
-        fl.assemble_A0(problem), fl.assemble_f_gamma(problem), fl.load_system.load_units(problem)
-    )
-    solution = fl.solve_regular(fl.prepare(problem, kernel), 0.5 / norm)
+    prep = fl.prepare(problem, kernel)
+    c, note = fl.solve_zero_order_system(prep.a0_units, prep.f_gamma, prep.units,
+                                         prep.classification)
+    solution = fl.solve_regular(prep, 0.5 / norm)
     gap = float(np.max(np.abs(solution.x_gamma - c)))
     ok = worst_a <= 1e-8 and gap <= 1e-8 and note is None
     _report(

@@ -268,7 +268,7 @@ def test_domain_error_names_the_node_and_leaves_bindings_alone(text, name):
     assert np.array_equal(t, before[0]) and np.array_equal(s, before[1])
 
 
-@pytest.mark.parametrize("text, name", [("t", "t"), ("-t", "(-t)"), ("1e999", "inf")])
+@pytest.mark.parametrize("text, name", [("t", "t"), ("-t", "(-t)")])
 def test_root_without_an_operator_is_still_checked(text, name):
     with pytest.raises(DomainEvalError) as err:
         ex.evaluate(ex.parse(text, ("t",)), {"t": np.array([0.5, np.nan])})
@@ -349,11 +349,22 @@ def test_underflow_and_large_arguments_do_not_trap(text, value):
         assert np.all(np.isfinite(got)) and np.array_equal(got, _per_node(e.root, {"t": t}))
 
 
-def test_a_non_finite_literal_is_named_at_the_first_node_that_traps():
-    # 1e999 is inf, and inf * t raises no trap, so sin, the first node that traps,
-    # is named; a scan of every node's value, as the reference makes, names inf * t.
-    e = ex.parse("sin(1e999*t)*s", ("t", "s"))
-    assert _first_non_finite(e.root, {"t": 0.5, "s": 0.5}) == "(inf * t)"
-    with pytest.raises(DomainEvalError) as err:
-        ex.evaluate(e, {"t": np.linspace(0.1, 0.9, 7), "s": 0.5})
-    assert err.value.node_text == "sin((inf * t))"
+@pytest.mark.parametrize("text, literal, at", [
+    ("sin(1e999*t)*s", "1e999", 4),
+    ("1/(1e999*t)", "1e999", 3),
+    ("exp(-(1e999*t))", "1e999", 6),
+    ("t + 1.5E+400", "1.5E+400", 4),
+])
+def test_a_number_literal_beyond_the_double_range_is_a_parse_error(text, literal, at):
+    # Such a literal would be inf, and arithmetic on inf raises no trap: 1/(inf*t) and
+    # exp(-(inf*t)) evaluate to 0. The parser refuses it, naming the literal and its position.
+    with pytest.raises(ExprSyntaxError) as err:
+        ex.parse(text, ("t", "s"))
+    assert str(err.value) == f"number {literal!r} is beyond the double range (at position {at})"
+    assert err.value.position == at
+
+
+def test_a_number_literal_at_the_edge_of_the_double_range_parses():
+    # 1.7976931348623157e308 is the largest double; 1e-400 underflows to 0, which is finite.
+    largest = ex.parse("1.7976931348623157e308 + 1e-400")
+    assert ex.evaluate(largest, {"t": 0.5}) == 1.7976931348623157e308

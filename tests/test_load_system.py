@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import fredload as fl
 from fredload.errors import NoSolutionError
 from fredload.kernel_ops import COND_LIMIT
-from fredload.load_system import load_units, numerical_rank, solve_zero_order_system
+from fredload.load_system import in_load_units, numerical_rank, solve_zero_order_system
 from fredload.problemfile import load_problem_file
+from fredload.quadrature import interp_row
 from util import make_problem, make_random_regular_problem
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -58,18 +59,20 @@ NON_UNIQUE = "load system singular but consistent; minimum-norm load vector used
 
 
 def test_zero_order_unique():
-    c, note = solve_zero_order_system(np.zeros((1, 1)), np.array([1.0]), np.ones(1))
+    c, note = solve_zero_order_system(np.zeros((1, 1)), np.array([1.0]), np.ones(1),
+                                      fl.classify(np.zeros((1, 1))))
     assert note is None
     assert c == pytest.approx([1.0])
 
 
 def test_zero_order_no_solution():
     with pytest.raises(NoSolutionError, match="zero-order load system is inconsistent"):
-        solve_zero_order_system(np.eye(1), np.array([1.0]), np.ones(1))
+        solve_zero_order_system(np.eye(1), np.array([1.0]), np.ones(1), fl.classify(np.eye(1)))
 
 
 def test_zero_order_non_unique():
-    c, note = solve_zero_order_system(np.eye(1), np.array([0.0]), np.ones(1))
+    c, note = solve_zero_order_system(np.eye(1), np.array([0.0]), np.ones(1),
+                                      fl.classify(np.eye(1)))
     assert note == NON_UNIQUE
     assert np.array_equal(c, [0.0])
 
@@ -80,18 +83,18 @@ def test_zero_order_system_of_an_a0_one_ulp_from_e_has_rank_zero():
     a0 = np.array([[0.7 + 0.2 + 0.1]])
     assert a0[0, 0] == 1.0 - 2.0**-53 and fl.classify(a0).is_irregular_identity
     with pytest.raises(NoSolutionError):
-        solve_zero_order_system(a0, np.array([1.0]), np.ones(1))
-    c, note = solve_zero_order_system(a0, np.array([0.0]), np.ones(1))
+        solve_zero_order_system(a0, np.array([1.0]), np.ones(1), fl.classify(a0))
+    c, note = solve_zero_order_system(a0, np.array([0.0]), np.ones(1), fl.classify(a0))
     assert (note, c.tolist()) == (NON_UNIQUE, [0.0])
 
 
 def test_zero_order_mixed_rank():
     a0 = np.diag([1.0, 0.0])
-    c, note = solve_zero_order_system(a0, np.array([0.0, 2.0]), np.ones(2))
+    c, note = solve_zero_order_system(a0, np.array([0.0, 2.0]), np.ones(2), fl.classify(a0))
     assert note == NON_UNIQUE
     assert c == pytest.approx([0.0, 2.0], abs=1e-12)
     with pytest.raises(NoSolutionError):
-        solve_zero_order_system(a0, np.array([1.0, 2.0]), np.ones(2))
+        solve_zero_order_system(a0, np.array([1.0, 2.0]), np.ones(2), fl.classify(a0))
 
 
 def test_zero_order_minimum_norm_vector_is_taken_in_load_units():
@@ -99,10 +102,12 @@ def test_zero_order_minimum_norm_vector_is_taken_in_load_units():
     # rescaled by s = 4, (a_1, gamma_1) -> (4 a_1, gamma_1 / 4), scales A0[i, k]
     # by s_k / s_i, f_gamma_1 and the unit of load 1 by 1 / 4: c_1 follows.
     a0, f_gamma = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0])
-    c, _ = solve_zero_order_system(a0, f_gamma, np.ones(2))
+    c, _ = solve_zero_order_system(a0, f_gamma, np.ones(2), fl.classify(a0))
     assert c == pytest.approx([0.5, -0.5], rel=1e-15)
     s = np.array([4.0, 1.0])
-    scaled, note = solve_zero_order_system(a0 * s / s[:, None], f_gamma / s, 1.0 / s)
+    view = in_load_units(a0 * s / s[:, None], 1.0 / s)  # the rescaled A0 in its load units
+    assert np.array_equal(view, a0)
+    scaled, note = solve_zero_order_system(view, f_gamma / s, 1.0 / s, fl.classify(view))
     assert note == NON_UNIQUE
     assert np.array_equal(scaled, c / s)
 
@@ -111,11 +116,12 @@ def test_zero_order_minimum_norm_vector_is_taken_in_load_units():
 def test_zero_order_consistency_is_judged_by_the_backward_error(scale):
     # The verdict depends on f_gamma's direction, not its size.
     a0 = np.array([[1.0, 0.0], [0.0, 0.5]])
-    c, note = solve_zero_order_system(a0, scale * np.array([0.0, 2.0]), np.ones(2))
+    c, note = solve_zero_order_system(a0, scale * np.array([0.0, 2.0]), np.ones(2),
+                                      fl.classify(a0))
     assert note == NON_UNIQUE
     assert c == pytest.approx([0.0, 4.0 * scale], rel=1e-12)
     with pytest.raises(NoSolutionError):
-        solve_zero_order_system(a0, scale * np.array([1.0, 2.0]), np.ones(2))
+        solve_zero_order_system(a0, scale * np.array([1.0, 2.0]), np.ones(2), fl.classify(a0))
 
 
 def test_classify_cases():
@@ -161,9 +167,10 @@ def test_classify_and_zero_order_system_judge_e_minus_a0_by_its_condition(
     system = 10.0**log_scale * _orthogonal(rng, n) @ np.diag(sigma) @ _orthogonal(rng, n).T
     a0 = np.eye(n) - system
     well_conditioned = sigma[0] / sigma[-1] <= COND_LIMIT
-    regular = fl.classify(a0).is_regular
+    classification = fl.classify(a0)
+    regular = classification.is_regular
     try:
-        _, note = solve_zero_order_system(a0, rng.standard_normal(n), np.ones(n))
+        _, note = solve_zero_order_system(a0, rng.standard_normal(n), np.ones(n), classification)
     except NoSolutionError:
         note = "no solution"
     assert regular == (note is None) == well_conditioned
@@ -323,22 +330,24 @@ def test_degeneration_under_exact_annihilation():
     norm = kernel.norm
     for lam in np.linspace(-0.5, 0.5, 7) / norm:
         assert np.max(np.abs(fl.A_lambda(problem, kernel, float(lam)))) <= 1e-8
-    c, note = solve_zero_order_system(
-        fl.assemble_A0(problem), fl.assemble_f_gamma(problem), load_units(problem))
+    prep = fl.prepare(problem, kernel)
+    c, note = solve_zero_order_system(prep.a0_units, prep.f_gamma, prep.units, prep.classification)
     assert note is None
-    solution = fl.solve_regular(fl.prepare(problem, kernel), 0.4 / norm)
+    solution = fl.solve_regular(prep, 0.4 / norm)
     assert solution.x_gamma == pytest.approx(c, abs=1e-8)
 
 
 def test_necessity_of_zero_order_system():
-    # For a solver-produced solution under annihilating loads, the
-    # recomputed load vector satisfies (E - A0) c = f_gamma.
+    # For a solver-produced solution under annihilating loads, the load vector
+    # recomputed from x on the grid, by the load rows that kernel_slices reads,
+    # satisfies (E - A0) c = f_gamma.
     problem = make_problem(
         "t - 1/2", "exp(t)", [("t^2", fl.integral_load(0.0, 1.0, fl.parse("1", {"s"})))]
     )
     kernel = _discretized(problem)
     solution = fl.solve_regular(fl.prepare(problem, kernel), 0.7)
-    c = np.array([fl.apply(load.functional, solution.x) for load in problem.loads])
+    c = np.array([interp_row(solution.x.rule, *load.functional.discrete) @ solution.x.values
+                  for load in problem.loads])
     a0 = fl.assemble_A0(problem)
     lhs = (np.eye(1) - a0) @ c
     assert lhs == pytest.approx(fl.assemble_f_gamma(problem), abs=1e-8)

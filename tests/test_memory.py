@@ -1,7 +1,8 @@
 """A solve allocates at most one N x N array, the kernel sample, and none
-when cross approximation compresses the kernel; the dense oracle forms the
-sample and adds one bordered (N + n) x (N + n) array. A problem holds no
-kernel sample.
+when cross approximation compresses the kernel; when it gives up, the
+trivial core adds M = K W and a solve one I - lambda M. The dense oracle
+forms the sample and adds one bordered (N + n) x (N + n) array. A problem
+holds no kernel sample.
 
 Sampling K, its norm and max|K|, a load's Cauchy matrix and the oracle's
 load rows of K work in row blocks of at most GRID_BLOCK elements, so the
@@ -13,6 +14,7 @@ import contextlib
 import gc
 import io
 import pathlib
+import re
 import tracemalloc
 import weakref
 
@@ -32,11 +34,11 @@ def solve(argv: list[str]) -> int:
         return main(argv)
 
 
-def traced_peaks(command: list[str], nodes: int):
-    """(example, n, traced peak in bytes) of `command` on every example it
-    solves. The warm-up call fills the per-N caches (Gauss-Legendre nodes,
-    the probe block), which later solves share."""
-    for path in sorted(EXAMPLES.glob("*.prob")):
+def traced_peaks(command: list[str], nodes: int, paths=None):
+    """(example, n, traced peak in bytes) of `command` on every example, or every
+    file of `paths`, that it solves. The warm-up call fills the per-N caches
+    (Gauss-Legendre nodes, the probe block), which later solves share."""
+    for path in paths or sorted(EXAMPLES.glob("*.prob")):
         argv = [command[0], str(path), "--nodes", str(nodes), *command[1:]]
         if solve(argv) != 0:
             continue
@@ -93,6 +95,24 @@ def test_a_compressible_kernel_forms_no_grid_sized_array(command):
         assert peak <= 4 * 8 * GRID_BLOCK < 8 * nodes**2, (name, peak)
         covered.append(name)
     assert covered == SOLVED + ["no_solution"] * (command[0] != "solve")
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+@pytest.mark.parametrize("command", [
+    ["solve"],
+    ["analyze"],
+    ["sweep", "--lambda-min", "0.05", "--lambda-max", "0.5", "--steps", "3"],
+])
+def test_a_kernel_without_a_core_forms_three_grid_sized_arrays(command, nodes, tmp_path):
+    # Cross approximation stalls on exp(-abs(t - s)) and gives up, so K is sampled: the
+    # sample, the trivial core's M = K W and one I - lambda M (analyze forms no I - lambda M).
+    text = (EXAMPLES / "loaded_regular.prob").read_text(encoding="utf-8")
+    path = tmp_path / "stall_kernel.prob"
+    path.write_text(re.sub(r"^kernel = .*$", "kernel = exp(-abs(t - s))", text, flags=re.M),
+                    encoding="utf-8")
+    peaks = list(traced_peaks(command, nodes, [path]))
+    assert len(peaks) == 1
+    assert peaks[0][2] - 3 * 8 * nodes**2 <= 4 * 8 * GRID_BLOCK, peaks[0]
 
 
 @pytest.mark.parametrize("nodes", [512, 1024])

@@ -23,6 +23,7 @@ from fredload.errors import (
 )
 from fredload.load_system import in_load_units
 from fredload.problemfile import load_problem_file, parse_problem_file
+from fredload.quadrature import interp_row
 from fredload.tolerances import POLE_COEFF_TOL, RADIUS_Q
 from util import (
     golden_identity_problem,
@@ -96,9 +97,8 @@ def test_load_consistency_regular():
     rng = np.random.default_rng(5)
     problem, kernel, lam = make_random_regular_problem(rng)
     solution = fl.solve_regular(fl.prepare(problem, kernel), lam)
-    recomputed = np.array(
-        [fl.apply(load.functional, solution.x) for load in problem.loads]
-    )
+    recomputed = np.array([interp_row(solution.x.rule, *load.functional.discrete) @ solution.x.values
+                           for load in problem.loads])
     assert np.max(np.abs(recomputed - solution.x_gamma)) <= 1e-7
 
 
@@ -467,6 +467,17 @@ def test_irregular_expansion_metadata():
     assert expansion.rho == pytest.approx(0.9 / 1.9, abs=1e-4)
     # The bisection for rho stops once its bracket collapses, at this exact double.
     assert expansion.rho == 0.4736842106231244
+
+
+def test_irregular_expansion_is_the_prepared_laurent_with_its_q():
+    problem, kernel = golden_identity_problem()
+    prep = fl.prepare(problem, kernel)
+    expansion = fl.solve_irregular(prep, 0.25).expansion
+    assert type(expansion) is fl.Laurent and prep.laurent.q is None
+    assert expansion.q == pytest.approx(1.0 / 3.0, abs=1e-6)
+    for field in dataclasses.fields(fl.Laurent):
+        if field.name != "q":
+            assert getattr(expansion, field.name) is getattr(prep.laurent, field.name)
 
 
 def test_irregular_nu_series_matches_explicit_partial_sums():
@@ -945,6 +956,15 @@ def test_solve_auto_solves_the_zero_order_system_once(monkeypatch):
     calls = _count_calls(monkeypatch, solver_module, "solve_zero_order_system")
     assert fl.solve_auto(problem, kernel, 10.0).route == "nilpotent"
     assert len(calls) == 1
+
+
+def test_solve_auto_classifies_e_minus_a0_once(monkeypatch):
+    # prepare judges E - A0 once; the zero-order system reads that classification.
+    problem, kernel = _example("nilpotent.prob")
+    in_prepare = _count_calls(monkeypatch, solver_module, "classify")
+    in_load_system = _count_calls(monkeypatch, fl.load_system, "classify")
+    assert fl.solve_auto(problem, kernel, 10.0).route == "nilpotent"
+    assert len(in_prepare) + len(in_load_system) == 1
 
 
 def test_solve_auto_rejects_nonpositive_truncation(monkeypatch):
