@@ -217,9 +217,8 @@ def cmd_solve(args) -> int:
     problem, kernel, numerics = _setup(args)
     lam = _required_lambda(numerics)
     solution = _solve_once(problem, kernel, lam, args.route, numerics)
-    rows = map(f"{FLOAT_FORMAT},{FLOAT_FORMAT}".format, kernel.rule.nodes.tolist(),
-               solution.x.values.tolist())
-    print("\n".join(["t,x", *rows]))
+    pairs = np.column_stack([kernel.rule.nodes, solution.x.values]).ravel().tolist()
+    print("t,x\n" + "%.17g,%.17g\n" * kernel.rule.n % tuple(pairs), end="")  # one FLOAT_FORMAT call
     _solution_summary(solution, kernel.core)
     return EXIT_OK
 

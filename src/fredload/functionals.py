@@ -8,13 +8,12 @@ A load has the form
 Each integral term carries its own quadrature sub-rule because [a_i, b_i]
 generally does not line up with the master grid, so a load is the finite
 sum <gamma, x> = weights @ x(points) over its point values and sub-rule
-nodes (Functional.discrete), which apply, kernel_slices and functional_norm
-read; on the master grid a load is a row of quadrature.interp_row.
+nodes (Functional.discrete), which apply, kernel_slices and functional_norm read.
 
 The solver never applies a load to a grid function x, which may have a
 kink: by the Nystrom identity x = f + a c + lambda K W x, a load of x needs
-only f, a and the kernel slices KG[k, j] = <gamma_k, K(., s_j)>, the load
-rows times K (DiscreteKernel.rows_times) once per (problem, kernel).
+only f, a and the kernel slices KG[k, j] = <gamma_k, K(., s_j)>, K read at
+the load's own points (DiscreteKernel.weighted_row) once per (problem, kernel).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .expr import Expr, evaluate
-from .quadrature import QuadratureRule, gauss_legendre, interp_row
+from .quadrature import QuadratureRule, gauss_legendre
 from .tolerances import NODES, TOL
 
 if TYPE_CHECKING:
@@ -119,10 +118,10 @@ def apply(gamma: Functional, x: Expr) -> float:
 
 
 def kernel_slices(problem: "ProblemSpec", kernel: "DiscreteKernel") -> np.ndarray:
-    """KG[k, j] = <gamma_k, K(., s_j)>, the one way a load reads the grid: the
-    load rows times K (DiscreteKernel.rows_times), once per (problem, kernel), read-only."""
-    return problem.on_grid("kernel_slices", kernel, lambda: kernel.rows_times(np.vstack(
-        [interp_row(kernel.rule, *load.functional.discrete) for load in problem.loads])))
+    """KG[k, j] = <gamma_k, K(., s_j)>, the one way a load reads the grid: K at the
+    load's own points (DiscreteKernel.weighted_row), once per (problem, kernel), read-only."""
+    return problem.on_grid("kernel_slices", kernel, lambda: np.vstack(
+        [kernel.weighted_row(*load.functional.discrete) for load in problem.loads]))
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,16 @@ and spectral steps are r x r work on the core: the resolvent images
 lambda G W y = Q (I_r - lambda M)^{-1} lambda C y (Woodbury), the Taylor terms
 (K W / g)^m y = Q (M / g)^{m-1} C y / g, det(I - lambda K W) = det(I_r - lambda M)
 (Sylvester) and its zeros, the characteristic numbers, from the eigenvalues of M.
-Other modules multiply by K through DiscreteKernel.apply and rows_times, on the same
-factors; only this module and the oracle read the N x N sample. Probe columns,
-drawn once per N, estimate the condition of I - lambda K W.
+Other modules multiply by K through DiscreteKernel.apply and read it at a load's points
+through weighted_row; only this module and the oracle read the N x N sample. Probe
+columns, drawn once per N, estimate the condition of I - lambda K W.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Optional
 
 import numpy as np
@@ -57,13 +57,14 @@ class Core:
     (r x r), which has the nonzero eigenvalues of K W. C is kept as its
     unweighted rows QtK = Q^T K, so C Y is QtK (W Y). The trivial core keeps
     Q = I implicit (Q is None): QtK is K itself and M = K W, so lift and
-    on_range are the identity and every formula is the dense one. check_error is
-    the solved Q QtK's relative error against K on the cross approximation's check set."""
+    on_range are the identity and every formula is the dense one. check_error is the solved
+    Q QtK's relative error against K on the cross's check set, columns its pivot columns J."""
 
     Q: Optional[np.ndarray]
     QtK: np.ndarray
     weights: np.ndarray
     check_error: float = 0.0
+    columns: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
@@ -80,6 +81,11 @@ class Core:
     def compress(self, y: np.ndarray) -> np.ndarray:
         """C y for an N-vector or an N x k block y."""
         return self.QtK @ _weigh(self.weights, y)
+
+    @cached_property
+    def fit(self) -> np.ndarray:
+        """pinv(QtK[:, J]), k x r: a row y with y QtK = K(p, .) from y QtK[:, J] = K(p, J)."""
+        return np.linalg.pinv(self.QtK[:, self.columns])
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -141,9 +147,17 @@ class DiscreteKernel:
         """K W y = Q (C y) for an N-vector or an N x k block y."""
         return self.core.lift(self.core.compress(y))
 
-    def rows_times(self, rows: np.ndarray) -> np.ndarray:
-        """Y K = (Y Q) QtK for a k x N block Y, such as the load rows."""
-        return self.core.on_range(rows) @ self.core.QtK
+    def weighted_row(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_p w_p K(p, s_j) at every node s_j: on the trivial core summed over
+        expr.grid_blocks as the oracle sums it; on a cross core the skeleton (w K(P, J))
+        pinv(QtK[:, J]) QtK (Core.fit). K not finite where read raises DomainEvalError."""
+        core, nodes = self.core, self.rule.nodes
+        if core.columns is not None:
+            return (weights @ evaluate(self.expr, {"t": points[:, None], "s": nodes[core.columns]})
+                    @ core.fit @ core.QtK)
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum beyond the double range: inf
+            return reduce(np.add, map(lambda item: weights[item[0]] @ item[1],  # one block alive
+                                      grid_blocks(self.expr, points, nodes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +197,7 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
     picked = np.sort(np.random.default_rng(1).choice(n, 4, replace=False))
     owner = np.vstack([np.arange(n), np.repeat(picked[:, None], n, axis=1)])  # each check's row
     ut, v, used = np.zeros((CORE_CROSSES, n)), np.zeros((CORE_CROSSES, n)), np.zeros(n, dtype=bool)
-    row, k, size, scale, least = 0, 0, 0.0, 1.0, (math.inf, 0)  # size = ||U V||_F^2
+    row, k, size, scale, least, columns = 0, 0, 0.0, 1.0, (math.inf, 0), []  # size = ||U V||_F^2
 
     def read(t, s) -> np.ndarray:
         return evaluate(kernel, {"t": t, "s": s}) / scale
@@ -204,6 +218,7 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
                 if residual[pivot] != 0.0:
                     if k == len(ut):  # U^T and V double
                         ut, v = (np.vstack([a, np.zeros_like(a)]) for a in (ut, v))
+                    columns.append(pivot)
                     v[k] = residual / residual[pivot]
                     ut[k] = read(nodes, nodes[pivot]) - ut[:k].T @ v[:k, pivot]
                     cross = (ut[k] @ ut[k]) * (v[k] @ v[k])  # numpy's: cross / size at 0 / 0 is NaN
@@ -232,7 +247,7 @@ def _cross_core(kernel: Expr, rule: QuadratureRule) -> Optional[Core]:
         q, qtk = left @ x[:, :rank], (x[:, :rank].T @ up) @ v[:k]
         if (error := miss(q.T, qtk)[1]) <= n * CORE_TOL:  # a trimmed miss keeps all k
             break
-    return Core(q, qtk * scale, rule.weights, error)
+    return Core(q, qtk * scale, rule.weights, error, np.array(columns, dtype=int))
 
 
 def iterate_kernels(kernel: DiscreteKernel, depth: int) -> IteratedKernels:

@@ -5,7 +5,8 @@ and off-node evaluation for the whole package. Nodes and weights are
 computed by Newton iteration on the Legendre recurrence; off-node values
 come from barycentric Lagrange interpolation, the package's definition of
 "x(t) between nodes", summed by interp_row in one Cauchy-form pass for any
-combination of points. Its weights have the closed form
+combination of points; interpolate reads it, and no load does, as loads read
+K at their own points. Its weights have the closed form
 (-1)^j sqrt((1 - x_j^2) w_j) at the Gauss-Legendre nodes x_j with weights
 w_j on [-1, 1] (Wang and Xiang, Math. Comp. 81, 2012), which holds for
 every interval, as a common factor of the weights cancels.

@@ -779,6 +779,18 @@ def test_non_finite_kernel_is_a_domain_error(write, capsys):
     assert "'log((t - s))'" in err
 
 
+@pytest.mark.parametrize("nodes", ["64", "512"])
+@pytest.mark.parametrize("command", ["solve", "oracle-check"])
+def test_kernel_non_finite_at_a_load_point_is_a_domain_error(write, command, nodes, capsys):
+    # log(abs(t - 0.25)) is finite at every node but -inf at the point load 0.25, where
+    # the routes read K as the oracle does, on the trivial core and on a cross core.
+    text = (EXAMPLES / "loaded_regular.prob").read_text().replace(
+        "kernel = t*s + 0.5*(1-t)*(1-s)", "kernel = log(abs(t - 0.25)) + s")
+    assert main([command, write(text), "--nodes", nodes]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error[domain-error]: non-finite value from 'log(abs((t - 0.25)))'\n"
+
+
 def test_sweep_kernel_non_finite_at_a_probe_is_a_domain_error(write, capsys):
     # log(t) is finite on the grid but not at t = 0, where x is unbounded.
     path = write(REGULAR_FILE.replace("t*s + 0.5*(1-t)*(1-s)", "log(t)*s"))
@@ -881,11 +893,13 @@ def test_minus_inf_reaches_the_finiteness_check(argv, message, capsys):
     assert captured.err == f"error[parse-error]: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "nodes, oracle_x_gamma", [("16", 2.17183608), ("64", 2.17107276), ("512", 2.17116512)]
-)
+@pytest.mark.parametrize("nodes, oracle_x_gamma", [
+    ("1", 2.01464367), ("2", 2.15847961), ("4", 2.15676669), ("8", 2.17463301),
+    ("16", 2.17183608), ("64", 2.17107276), ("512", 2.17116512)])
 def test_kinked_load_route_and_oracle_agree(nodes, oracle_x_gamma, capsys):
-    # x has a kink at the load's point 0.3; no load reads x between the nodes.
+    # x has a kink at the load's point 0.3; no load reads x between the nodes. Both
+    # read K(0.3, s_j) at the point, so they agree where an interpolant of exp(t*s)
+    # through a few nodes would not.
     path = str(EXAMPLES / "kinked_load.prob")
     assert main(["oracle-check", path, "--nodes", nodes, "--threshold", "1e-9"]) == 0
     lines = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
@@ -899,6 +913,14 @@ def test_kinked_load_route_and_oracle_agree(nodes, oracle_x_gamma, capsys):
     assert x_gammas[0] == pytest.approx(x_gammas[1], abs=1e-12)
     if nodes == "512":
         assert x_gammas[0] == pytest.approx(2.1711643, abs=1e-6)
+
+
+@pytest.mark.parametrize("nodes", ["16", "64", "512", "1024"])
+def test_kinked_kernel_routes_and_oracle_agree(write, nodes, capsys):
+    # exp(-abs(t - s)) has a kink on s = t, also at the point load 0.25.
+    text = (EXAMPLES / "loaded_regular.prob").read_text().replace(
+        "kernel = t*s + 0.5*(1-t)*(1-s)", "kernel = exp(-abs(t - s))")
+    assert main(["oracle-check", write(text), "--nodes", nodes, "--threshold", "1e-9"]) == 0
 
 
 def test_nilpotency_probe_reads_no_user_tolerance(write, capsys):

@@ -215,8 +215,9 @@ def test_only_kernel_ops_and_the_oracle_read_the_sample(monkeypatch):
 
 
 def test_only_kernel_ops_and_the_cli_reports_read_the_core():
-    # Other modules multiply by K W through DiscreteKernel.apply and rows_times; the
-    # CLI reads the core only where analyze and solve report its rank and check error.
+    # Other modules multiply by K W through DiscreteKernel.apply and read the loads' K
+    # through weighted_row; the CLI reads the core only where analyze and solve report
+    # its rank and check error.
     readers = set()
     for path in pathlib.Path(kernel_ops.__file__).parent.glob("*.py"):
         for function in ast.walk(ast.parse(path.read_text())):
@@ -225,6 +226,44 @@ def test_only_kernel_ops_and_the_cli_reports_read_the_core():
                     for node in ast.walk(function)):
                 readers.add(path.stem if path.stem == "kernel_ops" else function.name)
     assert readers == {"kernel_ops", "cmd_analyze", "cmd_solve"}
+
+
+# Kernels put into loaded_regular.prob: a rank-60 core, and a core past a missed check.
+CROSS_KERNELS = ["1/(1 + 25*(t - s)^2)", "0.6541 + 0.1068*t*s + 0.109*cos(3.118*(t - s))"]
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+@pytest.mark.parametrize("name, kernel_text", [
+    *[(path.stem, None) for path in sorted(EXAMPLES.glob("*.prob"))],
+    *[("loaded_regular", text) for text in CROSS_KERNELS]])
+def test_skeleton_rows_match_the_sums_over_every_node(name, kernel_text, nodes):
+    # On a cross core a load reads K at its points in the pivot columns J only, and
+    # (w K(P, J)) pinv(QtK[:, J]) QtK gives sum_p w_p K(p, s_j) at every node s_j. A load
+    # that annihilates K (nilpotent, no_solution) is judged on the condition check's scale.
+    problem = load_problem_file(str(EXAMPLES / f"{name}.prob")).build(nodes)
+    if kernel_text is not None:
+        problem = fl.ProblemSpec(problem.a, problem.b, fl.parse(kernel_text, {"t", "s"}),
+                                 problem.source, problem.loads)
+    kernel = fl.discretize(problem.kernel, problem.master_rule(nodes))
+    assert kernel.core.columns is not None
+    reports = fl.check_condition_one(problem, kernel)
+    for row, load, report in zip(fl.kernel_slices(problem, kernel), problem.loads, reports):
+        points, weights = load.functional.discrete
+        exact = weights @ fl.evaluate(problem.kernel,
+                                      {"t": points[:, None], "s": kernel.rule.nodes})
+        scale = (fl.functional_norm(load.functional) * kernel.max_abs if report.holds
+                 else np.max(np.abs(exact)))
+        assert np.max(np.abs(row - exact)) <= 1e-13 * scale
+
+
+def test_the_skeleton_is_fitted_once_per_core(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
+    problem = load_problem_file(str(LOADED_REGULAR)).build(512)
+    kernel = fl.discretize(problem.kernel, problem.master_rule(512))
+    fl.kernel_slices(problem, kernel)  # two loads
+    assert calls == [(kernel.core.rank, kernel.core.columns.size)]
 
 
 def test_core_is_trivial_below_the_crossover():

@@ -142,9 +142,8 @@ def _load_cases(rule):
 
 @pytest.mark.parametrize("k_text", ["exp(t*s)", "cos(3*t*s) + t^2", "1/(1 + t + s)"])
 def test_kernel_slices_match_exact_application(k_text):
-    # KG interpolates each t-slice K(., s_j) between the master nodes; apply
-    # on the expression evaluates it exactly. For a kernel analytic in t on
-    # 64 Gauss nodes the interpolation error is at roundoff level.
+    # KG reads K at each load's points, as apply on the expression does: the
+    # two differ only in the order of the sums.
     rule = fl.gauss_legendre(64, 0.0, 1.0)
     cases = _load_cases(rule)
     problem = make_problem(k_text, "1", [("1", gamma) for gamma in cases.values()])

@@ -4,7 +4,7 @@ trivial core adds M = K W and a solve one I - lambda M. The dense oracle
 forms the sample and adds one bordered (N + n) x (N + n) array. A problem
 holds no kernel sample.
 
-Sampling K, its norm and max|K|, a load's Cauchy matrix and the oracle's
+Sampling K, its norm and max|K|, and the routes' and the oracle's
 load rows of K work in row blocks of at most GRID_BLOCK elements, so the
 traced peak of a whole CLI solve exceeds the sample's 8 N^2 bytes by a few
 blocks at most, at any N, and the oracle's by its bordered array more.

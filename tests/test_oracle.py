@@ -166,6 +166,26 @@ def test_blocked_load_rows_raise_the_whole_grid_domain_error():
     assert str(blocked.value) == str(whole.value)
 
 
+@pytest.mark.parametrize("name, kernel_text, nodes", [
+    *[(name, None, nodes) for name in sorted(path.stem for path in EXAMPLES.glob("*.prob"))
+      for nodes in (16, 64)],
+    # Cross approximation gives up on the kink and K is sampled: the trivial core at
+    # N = 512 (four blocks of 128 load rows) and 1000 (15 of 65 and a ragged 26).
+    ("loaded_regular", "exp(-abs(t - s))", 512), ("loaded_regular", "exp(-abs(t - s))", 1000),
+])
+def test_slices_on_the_trivial_core_are_the_oracle_rows(name, kernel_text, nodes):
+    # On the trivial core the routes sum K at each load's points over expr.grid_blocks,
+    # as the oracle's own copy does, block by block in the same order: bit for bit.
+    problem = _examples_problem(name, nodes)
+    if kernel_text is not None:
+        problem = fl.ProblemSpec(problem.a, problem.b, fl.parse(kernel_text, {"t", "s"}),
+                                 problem.source, problem.loads)
+    kernel = fl.discretize(problem.kernel, problem.master_rule(nodes))
+    assert kernel.core.columns is None
+    rows = oracle_module._fixed_rows(problem, kernel.rule)[:, :nodes]
+    assert fl.kernel_slices(problem, kernel).tobytes() == rows.tobytes()
+
+
 def test_dense_systems_share_their_lambda_independent_rows():
     # Two lambdas on one (problem, rule) read one read-only block of rows
     # [KG | A0 | f_gamma | ||gamma||]; a fresh problem builds the same bytes.

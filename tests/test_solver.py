@@ -723,10 +723,9 @@ def _example(name, nodes=64):
     return problem, fl.discretize(problem.kernel, problem.master_rule(nodes))
 
 
-def _count_iterate_kernels(monkeypatch):
+def _count_everywhere(monkeypatch, original):
     # Patched in every fredload module that binds it, so an import by name counts too.
     calls = []
-    original = fl.kernel_ops.iterate_kernels
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -734,8 +733,8 @@ def _count_iterate_kernels(monkeypatch):
 
     names = [info.name for info in pkgutil.iter_modules(fl.__path__)]
     for module in [fl] + [importlib.import_module(f"fredload.{name}") for name in names]:
-        if getattr(module, "iterate_kernels", None) is original:
-            monkeypatch.setattr(module, "iterate_kernels", counted)
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, counted)
     return calls
 
 
@@ -753,11 +752,25 @@ def _count_nxn_solves(monkeypatch, nodes):
     return calls
 
 
+@pytest.mark.parametrize("nodes", [16, 64, 512])
+@pytest.mark.parametrize("name", sorted(path.name for path in EXAMPLES.glob("*.prob")))
+def test_no_load_interpolates_k_between_the_nodes(monkeypatch, name, nodes):
+    # A load reads K at its own points (DiscreteKernel.weighted_row), so no solve
+    # forms a barycentric row of the master rule.
+    calls = _count_everywhere(monkeypatch, fl.quadrature.interp_row)
+    problem, kernel = _example(name, nodes)
+    try:
+        fl.solve_auto(problem, kernel, 0.2)
+    except fl.FredloadError:
+        pass
+    assert calls == []
+
+
 def test_solve_auto_regular_factors_once_and_skips_iterated_kernels(monkeypatch):
     # No route forms iterated kernels, and the regular and identity-load
     # routes get A(lambda), b(lambda) and x from one factorization of
     # I - lambda K W, with no determinant on the side.
-    iterate_calls = _count_iterate_kernels(monkeypatch)
+    iterate_calls = _count_everywhere(monkeypatch, fl.kernel_ops.iterate_kernels)
     slogdet_calls = _count_calls(monkeypatch, np.linalg, "slogdet")
     solves = _count_nxn_solves(monkeypatch, 64)
     for name, lam, route in [("loaded_regular.prob", 0.2, "regular"),
@@ -938,7 +951,7 @@ def test_refuses_lambda_next_to_a_characteristic_number():
 
 def test_solve_auto_forms_no_iterated_kernels_when_loads_annihilate(monkeypatch):
     problem, kernel = _example("nilpotent.prob")
-    iterate_calls = _count_iterate_kernels(monkeypatch)
+    iterate_calls = _count_everywhere(monkeypatch, fl.kernel_ops.iterate_kernels)
     assert fl.solve_auto(problem, kernel, 10.0).route == "nilpotent"
     assert len(iterate_calls) == 0
 
@@ -994,7 +1007,7 @@ def test_vanishing_coupling_forms_no_iterated_kernels(monkeypatch):
     # pole-order search both run the column recurrence instead.
     problem = make_problem("t*s", "t", [("1", fl.point_load(0.0))])
     kernel = _discretized(problem)
-    iterate_calls = _count_iterate_kernels(monkeypatch)
+    iterate_calls = _count_everywhere(monkeypatch, fl.kernel_ops.iterate_kernels)
     with pytest.raises(RoutePreconditionError, match=r"A\(lambda\) vanishes"):
         fl.solve_auto(problem, kernel, 0.2)
     assert len(iterate_calls) == 0
