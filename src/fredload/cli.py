@@ -243,6 +243,8 @@ def cmd_sweep(args) -> int:
     prep = None
     if args.route != "oracle":
         prep = solver.prepare(problem, kernel, numerics.truncation, numerics.tol)
+    else:  # one sample for every lambda, whose rows each bordered matrix reads
+        kernel.values
     for lam in np.linspace(lam_min, lam_max, steps):
         lam = float(lam)
         try:

@@ -11,8 +11,8 @@ and spectral steps are r x r work on the core: the resolvent images
 lambda G W y = Q (I_r - lambda M)^{-1} lambda C y (Woodbury), the Taylor terms
 (K W / g)^m y = Q (M / g)^{m-1} C y / g, det(I - lambda K W) = det(I_r - lambda M)
 (Sylvester) and its zeros, the characteristic numbers, from the eigenvalues of M.
-Other modules multiply by K through DiscreteKernel.apply and read it at a load's points
-through weighted_row; only this module and the oracle read the N x N sample. Probe
+Other modules multiply by K through DiscreteKernel.apply, read it at a load's points through
+weighted_row and on the grid through row_blocks; only this module forms the N x N sample. Probe
 columns, drawn once per N, estimate the condition of I - lambda K W.
 """
 
@@ -142,6 +142,14 @@ class DiscreteKernel:
             del block  # not alive while the next one is evaluated
         values.setflags(write=False)
         return values
+
+    def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """(rows, K[rows]) in row blocks of at most GRID_BLOCK elements: the rows of the
+        sample when the kernel holds one, else expr.grid_blocks, so none is formed or kept."""
+        if "values" not in vars(self):
+            return grid_blocks(self.expr, self.rule.nodes, self.rule.nodes)
+        n, step = self.rule.n, max(1, GRID_BLOCK // self.rule.n)
+        return ((slice(lo, lo + step), self.values[lo : lo + step]) for lo in range(0, n, step))
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """K W y = Q (C y) for an N-vector or an N x k block y."""
@@ -395,12 +403,12 @@ def find_characteristic_numbers(
     zero eigenvalue is defective, and eigvals splits it into roundoff of
     about eps^(1/k) g for a Jordan block of size k.
 
-    eigvals splits a defective multiple eigenvalue, often into a complex
-    pair, so a chain within CLUSTER_RADIUS counts as one eigenvalue of the
-    cluster's size at the cluster's mean, which is well-conditioned even
-    when its members are not (Wilkinson, The Algebraic Eigenvalue Problem,
-    1965). The radius shrinks with |mu|, so a tail of small simple
-    eigenvalues stays apart; a mean is real by REAL_RATIO."""
+    eigvals splits a defective multiple eigenvalue, often into a complex pair, so a
+    chain within CLUSTER_RADIUS (its pairs found in row blocks of GRID_BLOCK elements)
+    counts as one eigenvalue of the cluster's size at the cluster's mean, which is
+    well-conditioned even when its members are not (Wilkinson, The Algebraic
+    Eigenvalue Problem, 1965). The radius shrinks with |mu|, so a tail of small
+    simple eigenvalues stays apart; a mean is real by REAL_RATIO."""
     if not lam_min < lam_max:
         raise ValueError("need lam_min < lam_max")
     if nilpotency_index(kernel, depth) is not None:
@@ -408,12 +416,18 @@ def find_characteristic_numbers(
     mu = np.linalg.eigvals(kernel.core.M)
     top = float(np.max(np.abs(mu), initial=0.0))
     mu = mu[np.abs(mu) > EIGEN_FLOOR * kernel.norm]
-    size = np.abs(mu)
-    radius = CLUSTER_RADIUS * math.sqrt(top) * np.sqrt(np.maximum(size[:, None], size[None, :]))
-    close = np.abs(mu[:, None] - mu[None, :]) <= radius
+    size, step, pairs = np.abs(mu), max(1, GRID_BLOCK // max(mu.size, 1)), [np.empty((2, 0), int)]
+    for lo in range(0, mu.size, step):  # the close pairs i < j, GRID_BLOCK elements at a time
+        rows, cols = slice(lo, lo + step), slice(lo, None)
+        radius = CLUSTER_RADIUS * math.sqrt(top) * np.sqrt(np.maximum(size[rows, None], size[cols]))
+        i, j = np.nonzero(np.abs(mu[rows, None] - mu[cols]) <= radius)
+        pairs.append(np.vstack([i, j])[:, i < j] + lo)
+    i, j = np.hstack(pairs)
     label = np.arange(mu.size)
     while True:  # every member ends up labelled by its cluster's first index
-        new = np.min(np.where(close, label[None, :], mu.size), axis=1, initial=mu.size)
+        new = label.copy()
+        np.minimum.at(new, i, label[j])
+        np.minimum.at(new, j, label[i])
         new = new[new]
         if np.array_equal(new, label):
             break

@@ -10,10 +10,11 @@ x = f + a c + lambda K W x, so no load reads x between the nodes. KG, A0
 and f_gamma are summed exactly from the expressions at each load's points
 (gamma_weights) by the oracle's own code, once per (problem, rule): it
 shares only the expression evaluator, the quadrature rules and the grid
-samples of K, a and f with the routes, so agreement is meaningful evidence.
+values of K, a and f with the routes, so agreement is meaningful evidence.
 Its singularity test is its own; the classification of its A0 is a label.
-Beyond the kernel sample it holds the bordered array, LAPACK's copy of it,
-the n x (N + n + 2) lambda-independent rows and a few blocks of KG's grid.
+It holds the bordered array, LAPACK's copy of it, the n x (N + n + 2)
+lambda-independent rows and a few row blocks of K's grid (row_blocks): it
+reads a kernel sample only when the kernel holds one, and forms none.
 """
 
 from __future__ import annotations
@@ -83,15 +84,18 @@ def _fixed_rows(problem: ProblemSpec, rule: QuadratureRule) -> np.ndarray:
 
 def assemble_dense(problem: ProblemSpec, kernel: DiscreteKernel, lam: float) -> DenseSystem:
     """The bordered system, filled in place in one (N + n) x (N + n) array from
-    the kernel sample and the rows of _fixed_rows, built once per (problem, rule)."""
+    the kernel's row blocks and the rows of _fixed_rows, built once per (problem, rule)."""
     rule, n = kernel.rule, kernel.rule.n
     size = n + problem.n
     fixed = problem.on_grid("oracle_rows", rule, lambda: _fixed_rows(problem, rule))
     matrix = np.empty((size, size))
     top, kg = matrix[:n, :n], matrix[n:, :n]
-    np.multiply(kernel.values, rule.weights, out=top)
-    top *= lam
-    np.subtract(0.0, top, out=top)  # 0 - y, not -y: the signed zeros of I - y
+    for rows, block in kernel.row_blocks():
+        part = top[rows]
+        np.multiply(block, rule.weights, out=part)
+        del block  # not alive while the next one is evaluated
+        part *= lam
+        np.subtract(0.0, part, out=part)  # 0 - y, not -y: the signed zeros of I - y
     np.negative(problem.coeff_values(rule), out=matrix[:n, n:])
     np.multiply(fixed[:, :n], rule.weights, out=kg)
     kg *= -lam

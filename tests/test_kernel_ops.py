@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import fredload as fl
-from fredload import cli
+from fredload import cli, kernel_ops
 from fredload.errors import CharacteristicNumberError, DomainEvalError
 from fredload.expr import evaluate
 from fredload.kernel_ops import Core
 from fredload.problemfile import load_problem_file
-from fredload.tolerances import CORE_TOL, GRID_BLOCK
+from fredload.tolerances import CLUSTER_RADIUS, CORE_TOL, EIGEN_FLOOR, GRID_BLOCK, REAL_RATIO
 from util import poly_integral, random_polynomial_kernel
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -371,6 +371,39 @@ def test_dense_tail_of_simple_roots_stays_apart():
     roots = fl.find_characteristic_numbers(kernel, 0.0, 1e10)
     assert len(roots) == len(expected) == 256
     assert roots == expected
+
+
+def _pairwise_roots(kernel, lam_min, lam_max):
+    """The reference clustering: every pair at once, as N x N arrays."""
+    mu = np.linalg.eigvals(kernel.core.M)
+    top = float(np.max(np.abs(mu)))
+    mu = mu[np.abs(mu) > EIGEN_FLOOR * kernel.norm]
+    size = np.abs(mu)
+    radius = CLUSTER_RADIUS * np.sqrt(top) * np.sqrt(np.maximum(size[:, None], size[None, :]))
+    close = np.abs(mu[:, None] - mu[None, :]) <= radius
+    label = np.arange(mu.size)
+    while True:
+        new = np.min(np.where(close, label[None, :], mu.size), axis=1)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, group, count = np.unique(label, return_inverse=True, return_counts=True)
+    mean = (np.bincount(group, mu.real) + 1j * np.bincount(group, mu.imag)) / count
+    real = np.abs(mean.imag) <= REAL_RATIO * np.abs(mean)
+    roots = np.sort(np.repeat(1.0 / mean.real[real], count[real]))
+    return [float(r) for r in roots if lam_min <= r <= lam_max]
+
+
+@pytest.mark.parametrize("text, nodes", [
+    ("(-2 + 6*s) + t*(-6 + 12*s)", 64), ("cos(t - s)", 64), ("exp(-abs(t - s))", 512),
+    ("(t + s - abs(t - s))/2", 512), ("exp(-abs(t - s)) + (-2 + 6*s) + t*(-6 + 12*s)", 512)])
+def test_close_pairs_in_row_blocks_give_the_pairwise_clusters(text, nodes, monkeypatch):
+    # Blocks of one row each on these sampled kernels: a cluster spans blocks.
+    kernel = _kernel(text, nodes=nodes)
+    monkeypatch.setattr(kernel_ops, "GRID_BLOCK", nodes)
+    roots = fl.find_characteristic_numbers(kernel, -1e10, 1e10)
+    assert roots and roots == _pairwise_roots(kernel, -1e10, 1e10)
 
 
 def test_nilpotent_example_has_no_characteristic_numbers():
