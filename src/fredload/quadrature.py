@@ -1,15 +1,13 @@
 """Gauss-Legendre quadrature and grid functions.
 
-This module is the single source of nodes, weights, numerical integration
-and off-node evaluation for the whole package. Nodes and weights are
-computed by Newton iteration on the Legendre recurrence; off-node values
-come from barycentric Lagrange interpolation, the package's definition of
-"x(t) between nodes", summed by interp_row in one Cauchy-form pass for any
-combination of points; interpolate reads it, and no load does, as loads read
-K at their own points. Its weights have the closed form
-(-1)^j sqrt((1 - x_j^2) w_j) at the Gauss-Legendre nodes x_j with weights
-w_j on [-1, 1] (Wang and Xiang, Math. Comp. 81, 2012), which holds for
-every interval, as a common factor of the weights cancels.
+This module is the single source of nodes, weights and numerical
+integration for the whole package. Nodes and weights are computed by Newton
+iteration on the Legendre recurrence. interp_weights and interpolate read a
+grid function at one point by barycentric Lagrange interpolation; no load,
+route or command does. The barycentric weights of the Gauss-Legendre nodes
+x_j with weights w_j on [-1, 1] have the closed form
+(-1)^j sqrt((1 - x_j^2) w_j) (Wang and Xiang, Math. Comp. 81, 2012), which
+holds for every interval, as a common factor of the weights cancels.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import GRID_BLOCK, NEWTON_TOL
+from .tolerances import NEWTON_TOL
 
 __all__ = [
     "QuadratureRule",
@@ -28,26 +26,23 @@ __all__ = [
     "integrate",
     "interpolate",
     "interp_weights",
-    "interp_row",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and positive weights on [a, b], nodes strictly increasing, and
-    the barycentric interpolation weights of the nodes."""
+    """Nodes and positive weights on [a, b], nodes strictly increasing."""
 
     a: float
     b: float
     nodes: np.ndarray
     weights: np.ndarray
-    barycentric: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or not nodes.shape == weights.shape == np.shape(self.barycentric):
-            raise ValueError("nodes and both weight sets must be 1-d and the same length")
+        if nodes.ndim != 1 or nodes.shape != weights.shape:
+            raise ValueError("nodes and weights must be 1-d and the same length")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if nodes[0] < self.a or nodes[-1] > self.b:
@@ -114,11 +109,7 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     x, w = _legendre_nodes(m)
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     weights = 0.5 * (b - a) * w
-    bary = np.sqrt((1.0 - x) * (1.0 + x) * w)  # (-1)^j sqrt((1 - x_j^2) w_j), unit max
-    bary[1::2] *= -1.0
-    bary /= np.max(np.abs(bary))
-    bary.flags.writeable = False
-    return QuadratureRule(a=float(a), b=float(b), nodes=nodes, weights=weights, barycentric=bary)
+    return QuadratureRule(a=float(a), b=float(b), nodes=nodes, weights=weights)
 
 
 def integrate(rule: QuadratureRule, f: GridFunction) -> float:
@@ -128,41 +119,23 @@ def integrate(rule: QuadratureRule, f: GridFunction) -> float:
     return float(np.dot(rule.weights, f.values))
 
 
-def interp_row(rule: QuadratureRule, ts, coeffs) -> np.ndarray:
-    """Grid weights v with v @ y(nodes) = sum_i coeffs_i p(ts_i), p the
-    barycentric interpolant of y through the rule's nodes.
-
-    With the rule's barycentric weights b, v = b * (C^T (coeffs / (C b)))
-    with C_ij = 1 / (ts_i - x_j), the Cauchy form of the second barycentric
-    formula summed over the points without forming their rows. C is formed
-    in place for chunks of points of at most GRID_BLOCK elements, and their
-    sums are added up; a point that hits a node exactly adds its coefficient
-    to that node. A point outside [a, b] is a ValueError naming the first
-    such point."""
-    ts, coeffs = np.asarray(ts, dtype=float), np.asarray(coeffs, dtype=float)
-    outside = (ts < rule.a) | (ts > rule.b)
-    if np.any(outside):
-        t = float(ts[outside][0])
-        raise ValueError(f"t={t!r} outside the interval [{rule.a!r}, {rule.b!r}]")
-    nodes, bary = rule.nodes, rule.barycentric
-    at = np.minimum(np.searchsorted(nodes, ts), rule.n - 1)
-    hit = nodes[at] == ts
-    off, weights = ts[~hit], coeffs[~hit]
-    step = max(1, GRID_BLOCK // rule.n)
-    row, scratch = np.zeros(rule.n), np.empty((min(step, off.size), rule.n))
-    for lo in range(0, off.size, step):
-        chunk = off[lo : lo + step]
-        cauchy = np.subtract.outer(chunk, nodes, out=scratch[: chunk.size])
-        np.divide(1.0, cauchy, out=cauchy)
-        row += (weights[lo : lo + step] / (cauchy @ bary)) @ cauchy
-    row *= bary
-    np.add.at(row, at[hit], coeffs[hit])
-    return row
-
-
 def interp_weights(rule: QuadratureRule, t: float) -> np.ndarray:
-    """Row vector L with L @ values = interpolated value at t."""
-    return interp_row(rule, [t], [1.0])
+    """Row vector L with L @ values = p(t), p the barycentric interpolant
+    through the rule's nodes. The rule must be a Gauss-Legendre rule, as
+    gauss_legendre builds, since the weights are their closed form. A node
+    hit is a unit row; a t outside [a, b], NaN included, is a ValueError."""
+    t = float(t)
+    if not rule.a <= t <= rule.b:
+        raise ValueError(f"t={t!r} outside the interval [{rule.a!r}, {rule.b!r}]")
+    hit = rule.nodes == t
+    if np.any(hit):
+        return hit.astype(float)
+    x, w = _legendre_nodes(rule.n)
+    b = np.sqrt((1.0 - x) * (1.0 + x) * w)  # (-1)^j sqrt((1 - x_j^2) w_j), unit max
+    b[1::2] *= -1.0
+    b /= np.max(np.abs(b))
+    c = 1.0 / (t - rule.nodes)
+    return b * ((1.0 / (c @ b)) * c)
 
 
 def interpolate(g: GridFunction, t: float) -> float:

@@ -39,6 +39,6 @@ CORE_MIN_NODES = 192  # (generated regular kernel; loaded_regular 0.95, 0.85, 0.
 # within N CORE_TOL of it, relative; the trim drops a tail below half that unless Q QtK then
 CORE_TOL = math.ulp(1.0)  # misses that bound, when every cross is kept
 CORE_CROSSES = 16  # a stall: crosses past the relatively smallest (exact-rank sums: <= 12)
-# Reading K at the nodes and at load points (expr.grid_blocks), its norm, find-poles' close pairs
-# and interp_row's Cauchy matrix work in row blocks of at most GRID_BLOCK elements (512 KB), so
+# Reading K at the nodes and at load points (expr.grid_blocks), its norm and find-poles' close
+# pairs work in row blocks of at most GRID_BLOCK elements (512 KB), so
 GRID_BLOCK = 65536  # a solve has at most one N x N array and the oracle adds one (N + n)^2

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredload as fl
-from fredload.quadrature import interp_row
-from util import make_problem, poly_integral, poly_text
+from util import load_row, make_problem, poly_integral, poly_text
 
 T = {"t"}
 
@@ -53,7 +52,7 @@ def test_linearity():
         x = fl.GridFunction(rule, rng.uniform(-1, 1, size=24))
         y = fl.GridFunction(rule, rng.uniform(-1, 1, size=24))
         combo = fl.GridFunction(rule, alpha * x.values + beta * y.values)
-        row = interp_row(rule, *gamma.discrete)
+        row = load_row(gamma, rule)
         lhs = row @ combo.values
         rhs = alpha * (row @ x.values) + beta * (row @ y.values)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -67,7 +66,7 @@ def test_grid_and_expression_agree_for_smooth_x():
             fl.IntegralTerm(0.2, 0.8, fl.parse("s^2", {"s"}), fl.gauss_legendre(64, 0.2, 0.8)),
         ),
     )
-    on_grid = interp_row(rule, *gamma.discrete) @ np.exp(rule.nodes)
+    on_grid = load_row(gamma, rule) @ np.exp(rule.nodes)
     assert on_grid == pytest.approx(fl.apply(gamma, fl.parse("exp(t)", T)), abs=1e-8)
 
 
@@ -183,7 +182,7 @@ def _load_on(draw, rule):
 @pytest.mark.parametrize("nodes", [1, 2, 16, 512])
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
-def test_interp_row_matches_exact_values(nodes, data):
+def test_load_row_matches_exact_values(nodes, data):
     # A polynomial of degree < N is its own interpolant, so the load row on its
     # node values gives the load applied to its expression, which evaluates it
     # at the load's points with no barycentric weights; a node hit is a unit row.
@@ -192,18 +191,18 @@ def test_interp_row_matches_exact_values(nodes, data):
     coeffs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=min(nodes, 12)))
     poly = fl.parse(poly_text(coeffs, "u").replace("u", "((t - 0.625)/1.125)"), T)
     values = fl.evaluate(poly, {"t": rule.nodes})
-    got = interp_row(rule, *gamma.discrete) @ values
+    got = load_row(gamma, rule) @ values
     scale = fl.functional_norm(gamma) * max(np.max(np.abs(values)), 1e-300)
     assert abs(got - fl.apply(gamma, poly)) <= 1e-13 * scale
     i, alpha = data.draw(st.integers(0, nodes - 1)), data.draw(st.floats(-2.0, 2.0))
-    assert np.array_equal(interp_row(rule, [rule.nodes[i]], [alpha]), alpha * np.eye(nodes)[i])
+    assert np.array_equal(load_row(fl.point_load(rule.nodes[i], alpha), rule), alpha * np.eye(nodes)[i])
 
 
 def test_load_row_rejects_a_point_outside_the_rule():
-    # The load's row on a rule is read through interp_row, which names the point.
+    # The load's row on a rule is read through interp_weights, which names the point.
     rule = fl.gauss_legendre(8, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"t=1.5 outside the interval \[0.0, 1.0\]"):
-        interp_row(rule, *fl.point_load(1.5).discrete)
+        load_row(fl.point_load(1.5), rule)
 
 
 def test_kernel_slices_built_once_per_problem_and_kernel():

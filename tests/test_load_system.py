@@ -14,8 +14,7 @@ from fredload.errors import NoSolutionError
 from fredload.kernel_ops import COND_LIMIT
 from fredload.load_system import in_load_units, numerical_rank, solve_zero_order_system
 from fredload.problemfile import load_problem_file
-from fredload.quadrature import interp_row
-from util import make_problem, make_random_regular_problem
+from util import load_row, make_problem, make_random_regular_problem
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
@@ -346,7 +345,7 @@ def test_necessity_of_zero_order_system():
     )
     kernel = _discretized(problem)
     solution = fl.solve_regular(fl.prepare(problem, kernel), 0.7)
-    c = np.array([interp_row(solution.x.rule, *load.functional.discrete) @ solution.x.values
+    c = np.array([load_row(load.functional, solution.x.rule) @ solution.x.values
                   for load in problem.loads])
     a0 = fl.assemble_A0(problem)
     lhs = (np.eye(1) - a0) @ c

@@ -23,10 +23,10 @@ from fredload.errors import (
 )
 from fredload.load_system import in_load_units
 from fredload.problemfile import load_problem_file, parse_problem_file
-from fredload.quadrature import interp_row
 from fredload.tolerances import POLE_COEFF_TOL, RADIUS_Q
 from util import (
     golden_identity_problem,
+    load_row,
     make_problem,
     make_random_regular_problem,
     poly_integral,
@@ -97,7 +97,7 @@ def test_load_consistency_regular():
     rng = np.random.default_rng(5)
     problem, kernel, lam = make_random_regular_problem(rng)
     solution = fl.solve_regular(fl.prepare(problem, kernel), lam)
-    recomputed = np.array([interp_row(solution.x.rule, *load.functional.discrete) @ solution.x.values
+    recomputed = np.array([load_row(load.functional, solution.x.rule) @ solution.x.values
                            for load in problem.loads])
     assert np.max(np.abs(recomputed - solution.x_gamma)) <= 1e-7
 
@@ -283,6 +283,21 @@ def test_irregular_golden_closed_form():
     assert np.max(np.abs(solution.x.values + 4.0)) <= 1e-9
     assert fl.interpolate(solution.x, 0.0) == pytest.approx(-4.0, abs=1e-9)
     assert solution.residual <= 1e-9
+
+
+def test_readme_library_example(capsys):
+    # README's `## Library` block runs as printed and does what its comments say.
+    readme = (EXAMPLES.parents[1] / "README.md").read_text()
+    code = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(code, scope)
+    solution, reference, forced = scope["solution"], scope["reference"], scope["forced"]
+    assert capsys.readouterr().out.split()[0] == solution.route == "irregular"
+    assert np.max(np.abs(solution.x_gamma + 4.0)) <= 1e-12
+    assert abs(fl.interpolate(solution.x, 0.0) + 4.0) <= 1e-12
+    for other in (reference, forced):
+        assert np.max(np.abs(other.x.values - solution.x.values)) <= 1e-12
+        assert np.max(np.abs(other.x_gamma - solution.x_gamma)) <= 1e-12
 
 
 def test_irregular_general_family_closed_form():
@@ -757,7 +772,7 @@ def _count_nxn_solves(monkeypatch, nodes):
 def test_no_load_interpolates_k_between_the_nodes(monkeypatch, name, nodes):
     # A load reads K at its own points (DiscreteKernel.weighted_row), so no solve
     # forms a barycentric row of the master rule.
-    calls = _count_everywhere(monkeypatch, fl.quadrature.interp_row)
+    calls = _count_everywhere(monkeypatch, fl.quadrature.interp_weights)
     problem, kernel = _example(name, nodes)
     try:
         fl.solve_auto(problem, kernel, 0.2)

@@ -40,6 +40,14 @@ def poly_text(coeffs, var: str) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def load_row(functional: fl.Functional, rule: fl.QuadratureRule) -> np.ndarray:
+    """The grid row v with v @ y(nodes) = <gamma, p>, p the barycentric interpolant
+    of y through the rule's nodes: the load's weights times the interp_weights rows
+    at its points."""
+    ts, coeffs = functional.discrete
+    return coeffs @ np.array([fl.interp_weights(rule, t) for t in ts])
+
+
 def make_problem(kernel: str, source: str, loads, a: float = 0.0, b: float = 1.0):
     """loads: list of (coeff_text, Functional)."""
     return fl.ProblemSpec(
