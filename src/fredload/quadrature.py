@@ -123,18 +123,20 @@ def interp_weights(rule: QuadratureRule, t: float) -> np.ndarray:
     """Row vector L with L @ values = p(t), p the barycentric interpolant
     through the rule's nodes. The rule must be a Gauss-Legendre rule, as
     gauss_legendre builds, since the weights are their closed form. A node
-    hit is a unit row; a t outside [a, b], NaN included, is a ValueError."""
+    hit, or a t so close to a node that 1 / (t - x_j) overflows, is that
+    node's unit row; a t outside [a, b], NaN included, is a ValueError."""
     t = float(t)
     if not rule.a <= t <= rule.b:
         raise ValueError(f"t={t!r} outside the interval [{rule.a!r}, {rule.b!r}]")
-    hit = rule.nodes == t
+    with np.errstate(divide="ignore", over="ignore"):
+        c = 1.0 / (t - rule.nodes)
+    hit = np.isinf(c)
     if np.any(hit):
         return hit.astype(float)
     x, w = _legendre_nodes(rule.n)
     b = np.sqrt((1.0 - x) * (1.0 + x) * w)  # (-1)^j sqrt((1 - x_j^2) w_j), unit max
     b[1::2] *= -1.0
     b /= np.max(np.abs(b))
-    c = 1.0 / (t - rule.nodes)
     return b * ((1.0 / (c @ b)) * c)
 
 

@@ -148,6 +148,60 @@ def test_interp_weights_rows_are_the_lagrange_basis(m, a, b):
         assert np.array_equal(interp_weights(rule, rule.nodes[i]), np.eye(m)[i])
 
 
+def _barycentric_row(rule, t):
+    # Scalar reference: the Cauchy form b * ((1 / (c @ b)) * c), c_j = 1 / (t - x_j),
+    # with b the closed-form weights over the cached [-1, 1] rule, scaled to unit max.
+    hit = np.nonzero(rule.nodes == t)[0]
+    if hit.size:
+        return np.eye(rule.n)[hit[0]]
+    x, w = _legendre_nodes(rule.n)
+    weights = np.sqrt((1.0 - x) * (1.0 + x) * w)
+    weights[1::2] *= -1.0
+    weights /= np.max(np.abs(weights))
+    inverse = 1.0 / (t - rule.nodes)
+    return weights * ((1.0 / (inverse @ weights)) * inverse)
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 64])
+def test_interp_matrix_rows_equal_scalar_rows(m):
+    # The rows at ts, row by row, are the Cauchy-form reference bit for bit, as the
+    # rows from the weights each rule once carried were; exact node hits are unit rows.
+    rule = gauss_legendre(m, 0.0, 1.0)
+    rng = np.random.default_rng(m)
+    ts = np.concatenate([[0.0, 1.0], rule.nodes[::2], rng.uniform(0.0, 1.0, 15)])
+    matrix = np.array([interp_weights(rule, t) for t in ts])
+    assert matrix.shape == (ts.size, m)
+    for row, t in zip(matrix, ts):
+        assert np.array_equal(row, _barycentric_row(rule, t))
+    for i in range(0, m, 2):
+        assert np.array_equal(matrix[2 + i // 2], np.eye(m)[i])
+
+
+def test_interp_matrix_outside_interval():
+    # interp_weights itself names the point outside [a, b], infinities included.
+    rule = gauss_legendre(6, 0.0, 1.0)
+    for t in [1.5, -1e-12, math.inf, -math.inf]:
+        with pytest.raises(ValueError, match=rf"t={t!r} outside the interval \[0.0, 1.0\]"):
+            interp_weights(rule, t)
+
+
+@pytest.mark.parametrize("m", [1, 9, 65])
+@pytest.mark.parametrize("t", [5e-324, -5e-324, 1e-310, 1e-300])
+def test_a_point_next_to_a_node_at_zero_reads_that_node(m, t):
+    # Odd m on [-1, 1] puts a node at 0.0. Within a subnormal distance of it,
+    # 1 / (t - 0.0) overflows, and the row is that node's unit row; at 1e-300
+    # the formula holds and its row is that unit row to roundoff.
+    rule = gauss_legendre(m, -1.0, 1.0)
+    zero = m // 2
+    assert rule.nodes[zero] == 0.0
+    row = interp_weights(rule, t)
+    assert np.max(np.abs(row - np.eye(m)[zero])) <= 1e-15
+    if abs(1.0 / t) == math.inf:
+        assert np.array_equal(row, np.eye(m)[zero])
+    g = GridFunction(rule, np.cos(rule.nodes))
+    assert abs(interpolate(g, t) - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("m", [1, 2, 9, 64, 512])
 def test_closed_form_barycentric_weights_match_the_product_formula(m):
     # Off the nodes, row_j (t - x_j) is proportional to the barycentric weight b_j.
